@@ -41,7 +41,6 @@ from .dynamics import (
     opinion_profile,
     pmf_confidence_matrix,
     pmf_step,
-    singleton_profiles,
     update_weights,
 )
 from .analysis import (

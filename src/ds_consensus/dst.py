@@ -36,7 +36,7 @@ ITERATED_TOL = 1e-9
 
 # Dense Jaccard matrices are cached per frame size; above this the 4**M
 # footprint stops being worth materializing and the quadratic form is
-# evaluated on the nonzero support instead.
+# evaluated on the columns that carry mass instead.
 _DENSE_JACCARD_LIMIT = 10
 _jaccard_cache: dict[int, np.ndarray] = {}
 
@@ -269,6 +269,9 @@ def validate_masses(frame: Frame, masses: np.ndarray) -> ValidationReport:
     if m.shape != (frame.n_subsets,):
         return ValidationReport(False, (f"expected {frame.n_subsets} masses",), "invalid",
                                 False, False, False)
+    if not np.all(np.isfinite(m)):
+        return ValidationReport(False, ("masses must be finite",), "invalid",
+                                False, False, False)
     if m[0] != 0.0:
         issues.append(f"mass of the empty set must be 0, got {m[0]!r}")
     if abs(m.sum() - 1.0) > ALGEBRAIC_TOL:
@@ -285,23 +288,33 @@ def validate(boe: BodyOfEvidence) -> ValidationReport:
     return validate_masses(boe.frame, boe.masses)
 
 
+def support_columns(frame: Frame, with_full: bool = False) -> np.ndarray:
+    """Singleton masks in bitmask order, then the full frame if asked.
+
+    The full frame is listed only when it is not itself a singleton
+    (frames of size 1), so the columns are always distinct.
+    """
+    cols = [1 << p for p in range(frame.size)]
+    if with_full and frame.size > 1:
+        cols.append(frame.full_set)
+    return np.array(cols)
+
+
+def _only_on(masses: np.ndarray, frame: Frame, cols: np.ndarray) -> bool:
+    m = np.atleast_2d(masses)
+    off = np.ones(frame.n_subsets, dtype=bool)
+    off[cols] = False
+    return bool(np.all(np.abs(m[:, off]) <= ALGEBRAIC_TOL))
+
+
 def is_bayesian_table(masses: np.ndarray, frame: Frame) -> bool:
     """True when only singleton columns carry mass (rows may be stacked)."""
-    m = np.atleast_2d(masses)
-    keep = np.zeros(frame.n_subsets, dtype=bool)
-    for p in range(frame.size):
-        keep[1 << p] = True
-    return bool(np.all(np.abs(m[:, ~keep]) <= ALGEBRAIC_TOL))
+    return _only_on(masses, frame, support_columns(frame))
 
 
 def is_dirichlet_table(masses: np.ndarray, frame: Frame) -> bool:
     """True when only singletons and the full frame carry mass."""
-    m = np.atleast_2d(masses)
-    keep = np.zeros(frame.n_subsets, dtype=bool)
-    for p in range(frame.size):
-        keep[1 << p] = True
-    keep[frame.full_set] = True
-    return bool(np.all(np.abs(m[:, ~keep]) <= ALGEBRAIC_TOL))
+    return _only_on(masses, frame, support_columns(frame, with_full=True))
 
 
 # ---------------------------------------------------------------------------
@@ -336,19 +349,24 @@ def masses_from_beliefs(frame: Frame, beliefs: np.ndarray) -> BodyOfEvidence:
 # Jousselme distance
 # ---------------------------------------------------------------------------
 
-def jaccard_matrix(size: int) -> np.ndarray:
-    """Jaccard similarity ``|A & B| / |A | B|`` over all subset pairs.
+def jaccard_block(masks) -> np.ndarray:
+    """Jaccard similarity ``|A & B| / |A | B|`` between the given subset masks.
 
-    The empty/empty entry is defined as 0; cached per frame size.
+    The empty/empty entry is defined as 0.
     """
+    m = np.asarray(masks, dtype=np.uint32)
+    inter = np.bitwise_count(m[:, None] & m[None, :]).astype(float)
+    union = np.bitwise_count(m[:, None] | m[None, :]).astype(float)
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+
+
+def jaccard_matrix(size: int) -> np.ndarray:
+    """Jaccard similarity over all subset pairs of a frame; cached per size."""
     if size in _jaccard_cache:
         return _jaccard_cache[size]
     if size > _DENSE_JACCARD_LIMIT:
         raise ValueError(f"dense Jaccard matrix not materialized for size {size}")
-    masks = np.arange(1 << size, dtype=np.uint32)
-    inter = np.bitwise_count(masks[:, None] & masks[None, :]).astype(float)
-    union = np.bitwise_count(masks[:, None] | masks[None, :]).astype(float)
-    d = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+    d = jaccard_block(np.arange(1 << size))
     d.setflags(write=False)
     _jaccard_cache[size] = d
     return d
@@ -356,15 +374,11 @@ def jaccard_matrix(size: int) -> np.ndarray:
 
 def _quadratic_distance(diff: np.ndarray, size: int) -> float:
     if size <= _DENSE_JACCARD_LIMIT:
-        d = jaccard_matrix(size)
-        q = 0.5 * float(diff @ d @ diff)
+        q = 0.5 * float(diff @ jaccard_matrix(size) @ diff)
     else:
-        support = np.nonzero(diff)[0].astype(np.uint64)
-        sub = diff[support.astype(int)]
-        inter = np.bitwise_count(support[:, None] & support[None, :]).astype(float)
-        union = np.bitwise_count(support[:, None] | support[None, :]).astype(float)
-        jac = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
-        q = 0.5 * float(sub @ jac @ sub)
+        support = np.nonzero(diff)[0]
+        sub = diff[support]
+        q = 0.5 * float(sub @ jaccard_block(support) @ sub)
     return float(np.sqrt(min(max(q, 0.0), 1.0)))
 
 
@@ -375,14 +389,29 @@ def jousselme_distance(e1: BodyOfEvidence, e2: BodyOfEvidence) -> float:
     return _quadratic_distance(e1.masses - e2.masses, e1.frame.size)
 
 
-def pairwise_jousselme(mass_rows: np.ndarray, size: int) -> np.ndarray:
-    """All pairwise distances between stacked mass rows (shape N x 2**size)."""
-    d = jaccard_matrix(size)
-    g = mass_rows @ d @ mass_rows.T
+def gram_distances(rows: np.ndarray, jaccard: np.ndarray) -> np.ndarray:
+    """Pairwise Jousselme distances between rows over the columns ``jaccard`` spans.
+
+    Uses the Gram form ``0.5 * (g_ii + g_jj - 2 g_ij)`` with
+    ``g = rows @ jaccard @ rows.T``, clipped to [0, 1] before the root.
+    """
+    g = rows @ jaccard @ rows.T
     diag = np.diag(g)
     sq = 0.5 * (diag[:, None] + diag[None, :] - 2.0 * g)
     np.clip(sq, 0.0, 1.0, out=sq)
     return np.sqrt(sq)
+
+
+def pairwise_jousselme(mass_rows: np.ndarray, size: int) -> np.ndarray:
+    """All pairwise distances between stacked mass rows (shape N x 2**size).
+
+    Frames above the dense limit use only the columns that carry mass in
+    some row; columns no row uses add nothing to the quadratic form.
+    """
+    if size <= _DENSE_JACCARD_LIMIT:
+        return gram_distances(mass_rows, jaccard_matrix(size))
+    cols = np.flatnonzero(np.any(mass_rows != 0.0, axis=0))
+    return gram_distances(mass_rows[:, cols], jaccard_block(cols))
 
 
 # ---------------------------------------------------------------------------

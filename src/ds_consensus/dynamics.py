@@ -23,14 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import dst
 from .dst import BodyOfEvidence, Frame
-from .errors import NotABeliefFunction, NotBayesian, NotDirichlet
-from .graph import DirectedGraph, PrunedView, prune
+from .errors import EngineMismatch, NotABeliefFunction, NotBayesian, NotDirichlet
+from .graph import DirectedGraph, PrunedView, kept_edges, prune
 
 
 class Strategy(Enum):
@@ -231,10 +231,6 @@ def general_step(state: NetworkState, pruned: PrunedView | None = None) -> Netwo
 # Closed-form engines
 # ---------------------------------------------------------------------------
 
-def _singleton_columns(frame: Frame) -> np.ndarray:
-    return np.array([1 << p for p in range(frame.size)])
-
-
 def opinion_profile(state: NetworkState, proposition: int) -> np.ndarray:
     """All agents' masses for one proposition, in node order."""
     if not 0 <= proposition < state.frame.n_subsets:
@@ -242,9 +238,57 @@ def opinion_profile(state: NetworkState, proposition: int) -> np.ndarray:
     return state.masses[:, proposition].copy()
 
 
-def singleton_profiles(state: NetworkState) -> np.ndarray:
-    """Stacked opinion profiles of every singleton, shape (N, M)."""
-    return state.masses[:, _singleton_columns(state.frame)].copy()
+def _receptive(specs: Sequence[AgentSpec]) -> np.ndarray:
+    return np.array([s.strategy is Strategy.RECEPTIVE for s in specs])
+
+
+def _profiles(masses: np.ndarray, frame: Frame,
+              dirichlet: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Singleton profiles (N, M) and, for Dirichlet, the full-frame masses (N,).
+
+    A frame of size 1 has no full-frame column apart from its singleton, so
+    its Dirichlet opinions are Bayesian and carry no separate full-frame mass.
+    """
+    cols = dst.support_columns(frame, with_full=dirichlet)
+    p = masses[:, cols[:frame.size]]
+    theta = masses[:, cols[frame.size]] if len(cols) > frame.size else None
+    return p, theta
+
+
+def _pmf_weights(kept: np.ndarray, alphas: np.ndarray,
+                 receptive: np.ndarray) -> ConfidenceMatrix:
+    n = kept.shape[0]
+    counts = kept.sum(axis=1)
+    active = receptive & (counts > 0)
+    share = np.where(active, (1.0 - alphas) / np.maximum(counts, 1), 0.0)
+    w = kept * share[:, None]
+    w[np.arange(n), np.arange(n)] = np.where(active, alphas, 1.0)
+    return ConfidenceMatrix(w, row_stochastic=True)
+
+
+def _dirichlet_weights(kept: np.ndarray, alphas: np.ndarray, receptive: np.ndarray,
+                       theta: np.ndarray) -> ConfidenceMatrix:
+    n = kept.shape[0]
+    counts = kept.sum(axis=1)
+    has = counts > 0
+    safe = np.maximum(counts, 1)
+    # receptive rows amplify each neighbor by that neighbor's full-frame mass;
+    # cautious rows keep the diagonal at 1 and leak by their own full-frame mass
+    rec_rows = (kept * ((1.0 - alphas) / safe)[:, None]) * (1.0 + theta)[None, :]
+    cau_rows = kept * ((1.0 - alphas) * theta / safe)[:, None]
+    w = np.where((receptive & has)[:, None], rec_rows,
+                 np.where(has[:, None], cau_rows, 0.0))
+    w[np.arange(n), np.arange(n)] = np.where(receptive & has, alphas, 1.0)
+    return ConfidenceMatrix(w, row_stochastic=False)
+
+
+def _dirichlet_update(w: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """New singleton profiles and the full-frame mass they leave over."""
+    new_p = w @ p
+    leftover = 1.0 - new_p.sum(axis=1)
+    if leftover.min() < -1e-10:
+        raise NotDirichlet(f"mass conservation violated by {leftover.min()!r}")
+    return new_p, np.clip(leftover, 0.0, None)
 
 
 def pmf_confidence_matrix(state: NetworkState, pruned: PrunedView) -> ConfidenceMatrix:
@@ -256,15 +300,7 @@ def pmf_confidence_matrix(state: NetworkState, pruned: PrunedView) -> Confidence
     """
     if not dst.is_bayesian_table(state.masses, state.frame):
         raise NotBayesian("pmf engine requires Bayesian opinions")
-    n = state.graph.n
-    counts = pruned.neighbor_counts()
-    alphas = state.alphas()
-    receptive = np.array([s.strategy is Strategy.RECEPTIVE for s in state.specs])
-    active = receptive & (counts > 0)
-    share = np.where(active, (1.0 - alphas) / np.maximum(counts, 1), 0.0)
-    w = pruned.kept * share[:, None]
-    w[np.arange(n), np.arange(n)] = np.where(active, alphas, 1.0)
-    return ConfidenceMatrix(w, row_stochastic=True)
+    return _pmf_weights(pruned.kept, state.alphas(), _receptive(state.specs))
 
 
 def dirichlet_confidence_matrix(state: NetworkState, pruned: PrunedView) -> ConfidenceMatrix:
@@ -276,32 +312,19 @@ def dirichlet_confidence_matrix(state: NetworkState, pruned: PrunedView) -> Conf
     """
     if not dst.is_dirichlet_table(state.masses, state.frame):
         raise NotDirichlet("dirichlet engine requires Dirichlet opinions")
-    n = state.graph.n
-    full = state.frame.full_set
-    theta = state.masses[:, full]
-    counts = pruned.neighbor_counts()
-    alphas = state.alphas()
-    receptive = np.array([s.strategy is Strategy.RECEPTIVE for s in state.specs])
-    has = counts > 0
-    safe = np.maximum(counts, 1)
-    # receptive rows amplify each neighbor by that neighbor's full-frame mass;
-    # cautious rows keep the diagonal at 1 and leak by their own full-frame mass
-    rec_rows = (pruned.kept * ((1.0 - alphas) / safe)[:, None]) * (1.0 + theta)[None, :]
-    cau_rows = pruned.kept * ((1.0 - alphas) * theta / safe)[:, None]
-    w = np.where((receptive & has)[:, None], rec_rows,
-                 np.where(has[:, None], cau_rows, 0.0))
-    diag = np.where(receptive & has, alphas, 1.0)
-    w[np.arange(n), np.arange(n)] = diag
-    return ConfidenceMatrix(w, row_stochastic=False)
+    _, theta = _profiles(state.masses, state.frame, dirichlet=True)
+    if theta is None:
+        return _pmf_weights(pruned.kept, state.alphas(), _receptive(state.specs))
+    return _dirichlet_weights(pruned.kept, state.alphas(), _receptive(state.specs), theta)
 
 
 def pmf_step(state: NetworkState, pruned: PrunedView | None = None) -> NetworkState:
     if pruned is None:
         pruned = state.pruned()
     w = pmf_confidence_matrix(state, pruned).matrix
-    cols = _singleton_columns(state.frame)
+    p, _ = _profiles(state.masses, state.frame, dirichlet=False)
     new_masses = np.zeros_like(state.masses)
-    new_masses[:, cols] = w @ state.masses[:, cols]
+    new_masses[:, dst.support_columns(state.frame)] = w @ p
     return state.with_masses(new_masses)
 
 
@@ -309,14 +332,13 @@ def dirichlet_step(state: NetworkState, pruned: PrunedView | None = None) -> Net
     if pruned is None:
         pruned = state.pruned()
     w = dirichlet_confidence_matrix(state, pruned).matrix
-    cols = _singleton_columns(state.frame)
-    full = state.frame.full_set
+    p, theta = _profiles(state.masses, state.frame, dirichlet=True)
+    if theta is None:
+        return pmf_step(state, pruned)
+    new_p, new_theta = _dirichlet_update(w, p)
     new_masses = np.zeros_like(state.masses)
-    new_masses[:, cols] = w @ state.masses[:, cols]
-    leftover = 1.0 - new_masses[:, cols].sum(axis=1)
-    if leftover.min() < -1e-10:
-        raise NotDirichlet(f"mass conservation violated by {leftover.min()!r}")
-    new_masses[:, full] = np.clip(leftover, 0.0, None)
+    new_masses[:, dst.support_columns(state.frame)] = new_p
+    new_masses[:, state.frame.full_set] = new_theta
     return state.with_masses(new_masses)
 
 
@@ -340,8 +362,163 @@ def theta_weight_matrix(state: NetworkState, pruned: PrunedView) -> np.ndarray:
     return gamma
 
 
-ENGINES: dict[str, Callable[[NetworkState, PrunedView], NetworkState]] = {
-    "general": general_step,
-    "pmf": pmf_step,
-    "dirichlet": dirichlet_step,
-}
+# ---------------------------------------------------------------------------
+# Whole runs
+# ---------------------------------------------------------------------------
+
+# Certified pruning.  A full pruning keeps edge (i, j) iff the computed
+# distance d_ij <= eps_i.  DISTANCE_ERROR bounds the error of one computed
+# distance: profile rows are non-negative with sum 1 and Jaccard entries lie
+# in [0, 1], so every Gram entry g_ij = x_i J x_j lies in [0, 1] and is off
+# by at most 2 gamma_K <= 4e-15 for K <= 17 columns (gamma_K = K u / (1 - K u),
+# u = 2**-53).  The squared distance 0.5 (g_ii + g_jj - 2 g_ij) is then off by
+# at most 0.5 (4 * 4e-15 + 2 * 2u) < 8.3e-15, and since
+# |sqrt(a) - sqrt(b)| <= sqrt(|a - b|) the distance by less than 9.2e-8;
+# clipping to [0, 1] only moves toward the exact value.
+#
+# The Jousselme distance is a metric, so if every agent has moved along a
+# path of length at most r since the last pruning, every exact distance has
+# moved by at most 2 r and every computed one by at most 2 r + 2
+# DISTANCE_ERROR.  While 2 r stays below min over base edges of
+# |d_ij - eps_i| - 2 DISTANCE_ERROR, no computed distance can have crossed
+# its bound: the kept edges are those a full pruning would give, and the
+# pruning is skipped.  One step moves an agent by
+# sqrt(0.5 dx J dx) <= sqrt(0.5 K lambda_max(J)) max|dx|, and lambda_max(J)
+# is at most J's largest row sum (its entries are non-negative), so each
+# step spends that bound times the step's largest mass change.  MOVE_SLACK
+# covers the relative rounding of that product, and MOVE_ROUNDING the
+# rounding of each subtraction, at most 2**-54 while the budget is positive
+# (it starts below 1).
+DISTANCE_ERROR = 1e-7
+MOVE_SLACK = 1e-6
+MOVE_ROUNDING = 2.0 ** -52
+
+
+class ProfileRun:
+    """A pmf or Dirichlet run on singleton profiles, stepped one step at a time.
+
+    State is the (N, M) singleton profile, plus the full-frame masses for
+    Dirichlet.  The opinion class is checked once, here; adjacency, bounds,
+    self-weights, strategies and the Jaccard block of the profile columns
+    are fixed for the run.  Pruning is recomputed only when the certificate
+    above no longer holds, and the pmf weight matrix only when the kept
+    edges change, so every step gives the same masses, kept edges and
+    weights as :func:`pmf_step` / :func:`dirichlet_step` would.  (Distances
+    on the profile columns equal those of the dense mass table bit for bit
+    up to four singletons; beyond that they agree to about 4e-16, so a kept
+    edge could differ only for a distance that close to its bound.)
+    """
+
+    def __init__(self, state: NetworkState, engine: str):
+        if engine not in ("pmf", "dirichlet"):
+            raise EngineMismatch(f"no profile engine {engine!r}")
+        dirichlet = engine == "dirichlet"
+        if dirichlet and not dst.is_dirichlet_table(state.masses, state.frame):
+            raise EngineMismatch("dirichlet engine requires Dirichlet opinions")
+        if not dirichlet and not dst.is_bayesian_table(state.masses, state.frame):
+            raise EngineMismatch("pmf engine requires Bayesian opinions")
+        self.frame = state.frame
+        self.p, self.theta = _profiles(state.masses, state.frame, dirichlet)
+        self._cols = dst.support_columns(state.frame, with_full=self.theta is not None)
+        self._jaccard = dst.jaccard_block(self._cols)
+        self._adj = state.graph.adjacency()
+        self._eps = state.epsilons()[:, None]
+        self._alphas = state.alphas()
+        self._receptive = _receptive(state.specs)
+        self._kept: np.ndarray | None = None
+        self._w: np.ndarray | None = None      # pmf weights of the kept edges
+        self._edges: frozenset | None = None
+        bound = np.sqrt(0.5 * len(self._cols) * self._jaccard.sum(axis=1).max())
+        self._spend_per_change = 2.0 * (1.0 + MOVE_SLACK) * float(bound)
+        self._budget = 0.0  # what 2 r may still grow to before a re-pruning
+        self._stale = True
+        self.prunes = 0
+
+    def _rows(self) -> np.ndarray:
+        return self.p if self.theta is None else np.column_stack((self.p, self.theta))
+
+    def _prune(self) -> None:
+        rows = self._rows()
+        dist = dst.gram_distances(rows, self._jaccard)
+        kept = self._adj & (dist <= self._eps)
+        gaps = np.abs(dist - self._eps)[self._adj]
+        margin = float(gaps.min()) if gaps.size else np.inf
+        self._budget = margin - 2.0 * DISTANCE_ERROR
+        self._stale = False
+        self.prunes += 1
+        if self._kept is None or not np.array_equal(kept, self._kept):
+            self._kept, self._w, self._edges = kept, None, None
+
+    @property
+    def kept(self) -> np.ndarray:
+        """Receive matrix of the edges kept at the current opinions."""
+        if self._stale:
+            self._prune()
+        return self._kept
+
+    def edges(self) -> frozenset[tuple[int, int]]:
+        kept = self.kept
+        if self._edges is None:
+            self._edges = kept_edges(kept)
+        return self._edges
+
+    def weights(self) -> np.ndarray:
+        """This step's confidence matrix (read-only)."""
+        kept = self.kept
+        if self.theta is not None:
+            return _dirichlet_weights(kept, self._alphas, self._receptive, self.theta).matrix
+        if self._w is None:
+            self._w = _pmf_weights(kept, self._alphas, self._receptive).matrix
+        return self._w
+
+    def step(self) -> float:
+        """Advance every agent one synchronous step; return the largest mass change."""
+        w = self.weights()
+        if self.theta is None:
+            new_p = w @ self.p
+            change = float(np.max(np.abs(new_p - self.p)))
+        else:
+            new_p, new_theta = _dirichlet_update(w, self.p)
+            change = max(float(np.max(np.abs(new_p - self.p))),
+                         float(np.max(np.abs(new_theta - self.theta))))
+            self.theta = new_theta
+        # column-major like the column selection in pmf_step, so the matrix
+        # product runs the same BLAS kernel and rounds the same way
+        self.p = np.asfortranarray(new_p)
+        self._budget -= self._spend_per_change * change + MOVE_ROUNDING
+        self._stale = self._budget <= 0.0
+        return change
+
+    def masses(self) -> np.ndarray:
+        """Current opinions as a dense (N, 2**M) mass table."""
+        out = np.zeros((self.p.shape[0], self.frame.n_subsets))
+        out[:, self._cols[:self.frame.size]] = self.p
+        if self.theta is not None:
+            out[:, self.frame.full_set] = self.theta
+        out.setflags(write=False)
+        return out
+
+
+class GeneralRun:
+    """The general engine stepped like :class:`ProfileRun` (it has no weight matrix)."""
+
+    def __init__(self, state: NetworkState):
+        self.state = state
+        self._view: PrunedView | None = None
+
+    def _pruned(self) -> PrunedView:
+        if self._view is None:
+            self._view = self.state.pruned()
+        return self._view
+
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return self._pruned().edges
+
+    def step(self) -> float:
+        new = general_step(self.state, self._pruned())
+        change = float(np.max(np.abs(new.masses - self.state.masses)))
+        self.state, self._view = new, None
+        return change
+
+    def masses(self) -> np.ndarray:
+        return self.state.masses

@@ -74,6 +74,12 @@ def neighbors(g: DirectedGraph, i: int) -> set[int]:
     return {j for (a, j) in g.edges if a == i}
 
 
+def kept_edges(kept: np.ndarray) -> frozenset[tuple[int, int]]:
+    """1-based ``(i, j)`` pairs of a boolean receive matrix."""
+    rows, cols = np.nonzero(kept)
+    return frozenset((int(i) + 1, int(j) + 1) for i, j in zip(rows, cols))
+
+
 @dataclass(frozen=True)
 class PrunedView:
     """Bounded-confidence view: only edges whose opinion distance fits the bound."""
@@ -86,16 +92,11 @@ class PrunedView:
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         if self._edges is None:
-            rows, cols = np.nonzero(self.kept)
-            object.__setattr__(self, "_edges", frozenset(
-                (int(i) + 1, int(j) + 1) for i, j in zip(rows, cols)))
+            object.__setattr__(self, "_edges", kept_edges(self.kept))
         return self._edges
 
     def neighbors(self, i: int) -> set[int]:
         return {int(j) + 1 for j in np.nonzero(self.kept[i - 1])[0]}
-
-    def neighbor_counts(self) -> np.ndarray:
-        return self.kept.sum(axis=1)
 
 
 def _mass_rows(opinions, frame_size: int | None = None) -> tuple[np.ndarray, int]:

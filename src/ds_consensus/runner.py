@@ -9,7 +9,6 @@ import numpy as np
 
 from . import dst, dynamics
 from .analysis import ClusterReport, detect_clusters
-from .dynamics import NetworkState
 from .errors import EngineMismatch
 from .scenario import Scenario
 
@@ -30,17 +29,7 @@ class RunResult:
 
     def singleton_profiles(self, masses: np.ndarray | None = None) -> np.ndarray:
         m = self.final_masses if masses is None else masses
-        cols = [1 << p for p in range(int(np.log2(m.shape[1])))]
-        return m[:, cols]
-
-
-def _check_engine(engine: str, state: NetworkState) -> None:
-    if engine == "pmf" and not dst.is_bayesian_table(state.masses, state.frame):
-        raise EngineMismatch("pmf engine requires Bayesian opinions")
-    if engine == "dirichlet" and not dst.is_dirichlet_table(state.masses, state.frame):
-        raise EngineMismatch("dirichlet engine requires Dirichlet opinions")
-    if engine not in dynamics.ENGINES:
-        raise EngineMismatch(f"unknown engine {engine!r}")
+        return m[:, dst.support_columns(self.report.frame)]
 
 
 def run_simulation(scenario: Scenario, epsilon: float | None = None,
@@ -50,49 +39,51 @@ def run_simulation(scenario: Scenario, epsilon: float | None = None,
 
     Convergence means the largest per-step mass change stayed below the step
     tolerance for ``persistence`` consecutive steps.  ``record_trajectory``
-    keeps every k-th state's masses (0 disables).
+    keeps every k-th state's masses (0 disables).  The pmf and Dirichlet
+    engines run on singleton profiles (:class:`dynamics.ProfileRun`); the
+    general engine steps the full mass table.
     """
     engine_name = scenario.resolved_engine()
     state = scenario.initial_state(epsilon)
-    _check_engine(engine_name, state)
-    step = dynamics.ENGINES[engine_name]
+    if engine_name == "general":
+        run = dynamics.GeneralRun(state)
+    elif engine_name in ("pmf", "dirichlet"):
+        run = dynamics.ProfileRun(state, engine_name)
+    else:
+        raise EngineMismatch(f"unknown engine {engine_name!r}")
 
     matrices: list[np.ndarray] = []
     edges: list[frozenset] = []
     frames: list[np.ndarray] = []
-    initial = state.masses
     quiet = 0
     converged = False
-    for k in range(scenario.max_iterations):
-        pruned = state.pruned()
+    steps = 0
+    while steps < scenario.max_iterations:
         if record_edges:
-            edges.append(pruned.edges)
-        if record_trajectory and k % record_trajectory == 0:
-            frames.append(state.masses)
-        if record_matrices:
-            if engine_name == "pmf":
-                matrices.append(dynamics.pmf_confidence_matrix(state, pruned).matrix)
-            elif engine_name == "dirichlet":
-                matrices.append(dynamics.dirichlet_confidence_matrix(state, pruned).matrix)
-        new_state = step(state, pruned)
-        diff = float(np.max(np.abs(new_state.masses - state.masses)))
-        state = new_state
+            edges.append(run.edges())
+        if record_trajectory and steps % record_trajectory == 0:
+            frames.append(run.masses())
+        if record_matrices and engine_name != "general":
+            matrices.append(run.weights())
+        diff = run.step()
+        steps += 1
         quiet = quiet + 1 if diff < scenario.step_tol else 0
         if quiet >= scenario.persistence:
             converged = True
             break
+    final = run.masses()
     if record_trajectory:
-        frames.append(state.masses)
+        frames.append(final)
 
-    report = detect_clusters(state.masses, scenario.cluster_tol, scenario.frame)
-    report = replace(report, converged=converged, iterations=state.step)
+    report = detect_clusters(final, scenario.cluster_tol, scenario.frame)
+    report = replace(report, converged=converged, iterations=steps)
     return RunResult(
         scenario=scenario.name,
         engine=engine_name,
         epsilon=epsilon,
-        initial_masses=initial,
-        final_masses=state.masses,
-        iterations=state.step,
+        initial_masses=state.masses,
+        final_masses=final,
+        iterations=steps,
         converged=converged,
         report=report,
         matrices=tuple(matrices) if record_matrices else None,

@@ -44,7 +44,7 @@ import numpy as np
 from . import dst
 from .dst import BodyOfEvidence, Frame
 from .dynamics import AgentSpec, NetworkState, Strategy
-from .errors import InvalidScenario, ScenarioParseError
+from .errors import InvalidScenario, NodeOutOfRange, ScenarioParseError
 from .graph import DirectedGraph, erdos_renyi_connected
 
 DEFAULT_MAX_ITERATIONS = 10_000
@@ -97,6 +97,12 @@ class Scenario:
     cluster_tol: float = DEFAULT_CLUSTER_TOL
     seed: int = 0
     leaders: tuple[int, ...] = ()   # 1-based cautious agents, recorded
+
+    def __post_init__(self):
+        if self.max_iterations < 0:
+            raise InvalidScenario(f"max_iterations must be >= 0, got {self.max_iterations}")
+        if self.persistence < 1:
+            raise InvalidScenario(f"persistence must be >= 1, got {self.persistence}")
 
     def initial_state(self, epsilon: float | None = None) -> NetworkState:
         state = NetworkState.from_specs(self.frame, self.graph, self.agents)
@@ -186,6 +192,8 @@ def _build_graph(cfg: dict, base: Path, default_seed: int) -> DirectedGraph:
 
 def scenario_from_dict(data: dict, name: str, base: Path,
                        seed: int | None = None) -> Scenario:
+    if not isinstance(data, dict):
+        raise ScenarioParseError(f"scenario must be a JSON object, got {type(data).__name__}")
     if "alias" in data:
         return load_scenario(data["alias"], seed=seed)
     engine = data.get("engine", "auto")
@@ -194,9 +202,19 @@ def scenario_from_dict(data: dict, name: str, base: Path,
     effective_seed = int(data.get("seed", 0)) if seed is None else int(seed)
     try:
         frame = Frame(int(data["frame_size"]))
-        graph = _build_graph(data["graph"], base, effective_seed)
+        graph_cfg = data["graph"]
     except KeyError as exc:
         raise ScenarioParseError(f"missing field {exc}")
+    if not isinstance(graph_cfg, dict):
+        raise ScenarioParseError(f"graph must be an object, got {type(graph_cfg).__name__}")
+    try:
+        graph = _build_graph(graph_cfg, base, effective_seed)
+    except KeyError as exc:
+        raise ScenarioParseError(f"graph misses field {exc}")
+    except (TypeError, AttributeError) as exc:  # a nested value of the wrong JSON type
+        raise ScenarioParseError(f"malformed graph: {exc}")
+    except NodeOutOfRange as exc:
+        raise InvalidScenario(f"graph: {exc}")
     rng = np.random.default_rng(effective_seed)
 
     defaults = data.get("defaults", {})

@@ -159,6 +159,44 @@ def test_pairwise_matches_scalar(rng):
                 dst.jousselme_distance(boes[i], boes[j]), abs=1e-12)
 
 
+def test_jaccard_block_matches_dense_matrix():
+    cols = dst.support_columns(Frame(4), with_full=True)
+    assert cols.tolist() == [1, 2, 4, 8, 15]
+    assert np.array_equal(dst.jaccard_block(cols), dst.jaccard_matrix(4)[np.ix_(cols, cols)])
+    assert dst.support_columns(Frame(1), with_full=True).tolist() == [1]
+
+
+@pytest.mark.parametrize("dirichlet", [False, True])
+def test_profile_gram_distances_equal_dense(rng, dirichlet):
+    # the profile-space run kernel prunes on the columns that carry mass; up to
+    # four singletons that gives the dense form's distances bit for bit
+    for size in (1, 2, 3, 4):
+        cols = dst.support_columns(Frame(size), with_full=dirichlet)
+        for n in (2, 7, 30, 100):
+            x = rng.gamma(1.0, size=(n, len(cols)))
+            x /= x.sum(axis=1, keepdims=True)
+            dense = np.zeros((n, 1 << size))
+            dense[:, cols] = x
+            got = dst.gram_distances(x, dst.jaccard_block(cols))
+            assert np.array_equal(got, dst.pairwise_jousselme(dense, size))
+
+
+def test_pairwise_above_dense_limit(rng):
+    frame = Frame(12)
+    cols = dst.support_columns(frame, with_full=True)
+    boes = []
+    for _ in range(4):
+        m = np.zeros(frame.n_subsets)
+        draw = rng.gamma(1.0, size=len(cols))
+        m[cols] = draw / draw.sum()
+        boes.append(BodyOfEvidence(frame, m))
+    d = dst.pairwise_jousselme(np.vstack([b.masses for b in boes]), 12)
+    for i in range(4):
+        for j in range(4):
+            assert d[i, j] == pytest.approx(
+                dst.jousselme_distance(boes[i], boes[j]), abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Moebius inversion
 # ---------------------------------------------------------------------------
@@ -217,6 +255,16 @@ def test_validate_rejects_empty_set_mass():
     report = dst.validate_masses(frame, m)
     assert not report.ok
     assert any("empty set" in issue for issue in report.issues)
+    with pytest.raises(ValueError):
+        BodyOfEvidence(frame, m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_rejects_non_finite_mass(bad):
+    frame = Frame(2)
+    m = np.array([0.0, 0.5, bad, 0.0])
+    report = dst.validate_masses(frame, m)
+    assert not report.ok and report.category == "invalid"
     with pytest.raises(ValueError):
         BodyOfEvidence(frame, m)
 

@@ -223,10 +223,8 @@ def test_theta_weight_matrix_rows(rng):
 
 
 def test_opinion_profiles():
-    from ds_consensus.dynamics import opinion_profile, singleton_profiles
+    from ds_consensus.dynamics import opinion_profile
     st = state_of([bayes(0.2), bayes(0.9)], [(1, 2)])
     assert opinion_profile(st, 0b001).tolist() == [0.2, 0.9]
-    assert np.allclose(singleton_profiles(st),
-                       [[0.2, 0.4, 0.4], [0.9, 0.05, 0.05]])
     with pytest.raises(ValueError):
         opinion_profile(st, 9)

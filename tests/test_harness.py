@@ -293,3 +293,79 @@ def test_assets_dir_override(tmp_path, monkeypatch):
     assert list_assets() == ["tiny"]
     s = load_scenario("tiny")
     assert s.graph.n == 2
+
+
+# ---------------------------------------------------------------------------
+# Scenario boundary: rejected input exits 1, never with a traceback
+# ---------------------------------------------------------------------------
+
+TINY = {"frame_size": 2, "graph": {"n": 2, "edges": [[1, 2]]}, "engine": "pmf",
+        "agents": [{"boe": {"masses": {"1": 1.0}}}, {"boe": {"masses": {"2": 1.0}}}]}
+
+
+def _cli_run_file(tmp_path, data, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))  # json writes NaN as the bare literal it reads back
+    code = cli(["run", "--scenario", str(path), "--epsilon", "0.5"])
+    capsys.readouterr()
+    return code
+
+
+def test_non_finite_mass_rejected(tmp_path, capsys):
+    data = dict(TINY, agents=[{"boe": {"masses": {"1": float("nan"), "2": 1.0}}},
+                              {"boe": {"masses": {"2": 1.0}}}])
+    with pytest.raises(InvalidScenario):
+        scenario_from_dict(data, "t", tmp_path)
+    assert _cli_run_file(tmp_path, data, capsys) == 1
+
+
+def test_graph_of_wrong_type_rejected(tmp_path, capsys):
+    data = dict(TINY, graph=[1, 2])
+    with pytest.raises(ScenarioParseError):
+        scenario_from_dict(data, "t", tmp_path)
+    assert _cli_run_file(tmp_path, data, capsys) == 1
+    assert _cli_run_file(tmp_path, dict(TINY, graph={"er": [100, 0.1]}), capsys) == 1
+
+
+def test_out_of_range_edge_is_a_validation_failure(tmp_path, capsys):
+    data = dict(TINY, graph={"n": 2, "edges": [[1, 3]]})
+    with pytest.raises(InvalidScenario):
+        scenario_from_dict(data, "t", tmp_path)
+    assert _cli_run_file(tmp_path, data, capsys) == 1
+
+
+@pytest.mark.parametrize("field", [{"max_iterations": -1},
+                                   {"tolerances": {"persistence": 0}}])
+def test_iteration_limits_validated(tmp_path, capsys, field):
+    data = dict(TINY, **field)
+    with pytest.raises(InvalidScenario):
+        scenario_from_dict(data, "t", tmp_path)
+    assert _cli_run_file(tmp_path, data, capsys) == 1
+
+
+@pytest.mark.parametrize("engine,extra", [("pmf", {}), ("dirichlet", {"*": 0.2})])
+def test_twelve_singleton_frames_run(tmp_path, capsys, engine, extra):
+    agents = []
+    for k in range(5):
+        masses = {str(p): (0.8 if p == k + 1 else 0.2 / 11) * (0.8 if extra else 1.0)
+                  for p in range(1, 13)}
+        agents.append({"boe": {"masses": {**masses, **extra}}})
+    data = {"frame_size": 12, "engine": engine, "agents": agents,
+            "graph": {"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5]]}}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    code = cli(["run", "--scenario", str(path), "--epsilon", "1.0"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["engine"] == engine
+    assert out["converged"] and out["consensus"] and out["cluster_count"] == 1
+
+
+def test_one_singleton_frame_dirichlet_run(tmp_path, capsys):
+    # on a one-element frame the full frame is the singleton: nothing can move
+    data = {"frame_size": 1, "engine": "dirichlet", "agents": [{"boe": {"masses": {"1": 1.0}}}] * 3,
+            "graph": {"n": 3, "edges": [[1, 2], [2, 3]]}}
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(data))
+    code = cli(["run", "--scenario", str(path), "--epsilon", "1.0"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["consensus"] and out["iterations"] == 10
