@@ -389,16 +389,28 @@ def jousselme_distance(e1: BodyOfEvidence, e2: BodyOfEvidence) -> float:
     return _quadratic_distance(e1.masses - e2.masses, e1.frame.size)
 
 
-def gram_distances(rows: np.ndarray, jaccard: np.ndarray) -> np.ndarray:
+def gram_distances(rows: np.ndarray, jaccard: np.ndarray,
+                   pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+                   ) -> np.ndarray:
     """Pairwise Jousselme distances between rows over the columns ``jaccard`` spans.
 
     Uses the Gram form ``0.5 * (g_ii + g_jj - 2 g_ij)`` with
     ``g = rows @ jaccard @ rows.T``, clipped to [0, 1] before the root.
+    With ``pairs = (i, j, i * N + j)`` only the distances of those pairs are
+    formed, each bit for bit equal to the full matrix's entry.
     """
     g = rows @ jaccard @ rows.T
-    diag = np.diag(g)
-    sq = 0.5 * (diag[:, None] + diag[None, :] - 2.0 * g)
-    np.clip(sq, 0.0, 1.0, out=sq)
+    diag = g.diagonal()
+    if pairs is None:
+        gi, gj, gij = diag[:, None], diag[None, :], g
+    else:
+        gi, gj, gij = diag[pairs[0]], diag[pairs[1]], g.take(pairs[2])
+    sq = gi + gj  # 0.5 * (gi + gj - 2 gij), in place
+    sq -= 2.0 * gij
+    sq *= 0.5
+    # clip to [0, 1] like np.clip, without its wrapper's overhead
+    np.maximum(sq, 0.0, out=sq)
+    np.minimum(sq, 1.0, out=sq)
     return np.sqrt(sq)
 
 

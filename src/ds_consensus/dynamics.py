@@ -255,15 +255,25 @@ def _profiles(masses: np.ndarray, frame: Frame,
     return p, theta
 
 
-def _pmf_weights(kept: np.ndarray, alphas: np.ndarray,
+def _pmf_weights(i: np.ndarray, flat: np.ndarray, alphas: np.ndarray,
                  receptive: np.ndarray) -> ConfidenceMatrix:
-    n = kept.shape[0]
-    counts = kept.sum(axis=1)
+    """Weights of the kept edges: agent i[e] hears j[e], flat[e] = i[e] * N + j[e]."""
+    n = len(alphas)
+    counts = np.bincount(i, minlength=n)
     active = receptive & (counts > 0)
     share = np.where(active, (1.0 - alphas) / np.maximum(counts, 1), 0.0)
-    w = kept * share[:, None]
-    w[np.arange(n), np.arange(n)] = np.where(active, alphas, 1.0)
+    w = np.zeros((n, n))
+    cells = w.reshape(-1)  # a view: writes land in w
+    cells[flat] = share[i]
+    cells[::n + 1] = np.where(active, alphas, 1.0)
     return ConfidenceMatrix(w, row_stochastic=True)
+
+
+def _pmf_matrix(kept: np.ndarray, alphas: np.ndarray,
+                receptive: np.ndarray) -> ConfidenceMatrix:
+    """:func:`_pmf_weights` of the edges a receive matrix keeps."""
+    flat = np.flatnonzero(kept)
+    return _pmf_weights(flat // len(kept), flat, alphas, receptive)
 
 
 def _dirichlet_weights(kept: np.ndarray, alphas: np.ndarray, receptive: np.ndarray,
@@ -300,7 +310,7 @@ def pmf_confidence_matrix(state: NetworkState, pruned: PrunedView) -> Confidence
     """
     if not dst.is_bayesian_table(state.masses, state.frame):
         raise NotBayesian("pmf engine requires Bayesian opinions")
-    return _pmf_weights(pruned.kept, state.alphas(), _receptive(state.specs))
+    return _pmf_matrix(pruned.kept, state.alphas(), _receptive(state.specs))
 
 
 def dirichlet_confidence_matrix(state: NetworkState, pruned: PrunedView) -> ConfidenceMatrix:
@@ -314,7 +324,7 @@ def dirichlet_confidence_matrix(state: NetworkState, pruned: PrunedView) -> Conf
         raise NotDirichlet("dirichlet engine requires Dirichlet opinions")
     _, theta = _profiles(state.masses, state.frame, dirichlet=True)
     if theta is None:
-        return _pmf_weights(pruned.kept, state.alphas(), _receptive(state.specs))
+        return _pmf_matrix(pruned.kept, state.alphas(), _receptive(state.specs))
     return _dirichlet_weights(pruned.kept, state.alphas(), _receptive(state.specs), theta)
 
 
@@ -374,21 +384,28 @@ def theta_weight_matrix(state: NetworkState, pruned: PrunedView) -> np.ndarray:
 # u = 2**-53).  The squared distance 0.5 (g_ii + g_jj - 2 g_ij) is then off by
 # at most 0.5 (4 * 4e-15 + 2 * 2u) < 8.3e-15, and since
 # |sqrt(a) - sqrt(b)| <= sqrt(|a - b|) the distance by less than 9.2e-8;
-# clipping to [0, 1] only moves toward the exact value.
+# clipping to [0, 1] only moves toward the exact value.  The rest of
+# DISTANCE_ERROR covers the rounding of the gaps below.
 #
 # The Jousselme distance is a metric, so if every agent has moved along a
-# path of length at most r since the last pruning, every exact distance has
-# moved by at most 2 r and every computed one by at most 2 r + 2
-# DISTANCE_ERROR.  While 2 r stays below min over base edges of
+# path of length at most r since the last pruning, the exact d_ij has moved
+# by at most 2 r, or by r when one of i and j has not moved, and the
+# computed one by at most that plus 2 DISTANCE_ERROR.  So with gap_ij =
 # |d_ij - eps_i| - 2 DISTANCE_ERROR, no computed distance can have crossed
-# its bound: the kept edges are those a full pruning would give, and the
-# pruning is skipped.  One step moves an agent by
+# its bound while 2 r stays below gap_ij on edges between two moving agents
+# and below 2 gap_ij on edges with one: the kept edges are those a full
+# pruning would give, and the pruning is skipped.  An edge between two
+# agents that do not move keeps its computed distance bit for bit (the same
+# rows give the same Gram entries) and needs no budget.  A pmf agent does
+# not move while its weight row is the identity (it is cautious, keeps no
+# edge or has self-weight 1), which holds until the kept edges change;
+# Dirichlet agents are all counted as moving.  One step moves an agent by
 # sqrt(0.5 dx J dx) <= sqrt(0.5 K lambda_max(J)) max|dx|, and lambda_max(J)
 # is at most J's largest row sum (its entries are non-negative), so each
-# step spends that bound times the step's largest mass change.  MOVE_SLACK
-# covers the relative rounding of that product, and MOVE_ROUNDING the
-# rounding of each subtraction, at most 2**-54 while the budget is positive
-# (it starts below 1).
+# step spends twice that bound times the step's largest mass change.
+# MOVE_SLACK covers the relative rounding of that product, and
+# MOVE_ROUNDING the rounding of each subtraction, at most 2**-53 while the
+# budget is positive (it starts below 2).
 DISTANCE_ERROR = 1e-7
 MOVE_SLACK = 1e-6
 MOVE_ROUNDING = 2.0 ** -52
@@ -400,13 +417,14 @@ class ProfileRun:
     State is the (N, M) singleton profile, plus the full-frame masses for
     Dirichlet.  The opinion class is checked once, here; adjacency, bounds,
     self-weights, strategies and the Jaccard block of the profile columns
-    are fixed for the run.  Pruning is recomputed only when the certificate
-    above no longer holds, and the pmf weight matrix only when the kept
-    edges change, so every step gives the same masses, kept edges and
-    weights as :func:`pmf_step` / :func:`dirichlet_step` would.  (Distances
-    on the profile columns equal those of the dense mass table bit for bit
-    up to four singletons; beyond that they agree to about 4e-16, so a kept
-    edge could differ only for a distance that close to its bound.)
+    are fixed for the run.  Pruning computes distances on the base edges
+    only, and is recomputed only when the certificate above no longer holds;
+    the pmf weight matrix is rebuilt only when the kept edges change.  So
+    every step gives the same masses, kept edges and weights as
+    :func:`pmf_step` / :func:`dirichlet_step` would.  (Distances on the
+    profile columns equal those of the dense mass table bit for bit up to
+    four singletons; beyond that they agree to about 4e-16, so a kept edge
+    could differ only for a distance that close to its bound.)
     """
 
     def __init__(self, state: NetworkState, engine: str):
@@ -422,10 +440,16 @@ class ProfileRun:
         self._cols = dst.support_columns(state.frame, with_full=self.theta is not None)
         self._jaccard = dst.jaccard_block(self._cols)
         self._adj = state.graph.adjacency()
-        self._eps = state.epsilons()[:, None]
+        src, nbr = np.nonzero(self._adj)     # base edge e: agent src[e] hears nbr[e]
+        self._pairs = src, nbr, src * len(self._adj) + nbr
+        self._edge_eps = state.epsilons()[src]
         self._alphas = state.alphas()
         self._receptive = _receptive(state.specs)
-        self._kept: np.ndarray | None = None
+        self._kept_mask: np.ndarray | None = None  # per base edge, at the last pruning
+        self._kept: np.ndarray | None = None       # the same as a receive matrix, on demand
+        # per base edge: whether an endpoint moves, and 2 if only one of them does
+        self._watched = np.ones(len(src), dtype=bool)
+        self._gap_scale = np.ones(len(src))
         self._w: np.ndarray | None = None      # pmf weights of the kept edges
         self._edges: frozenset | None = None
         bound = np.sqrt(0.5 * len(self._cols) * self._jaccard.sum(axis=1).max())
@@ -437,23 +461,44 @@ class ProfileRun:
     def _rows(self) -> np.ndarray:
         return self.p if self.theta is None else np.column_stack((self.p, self.theta))
 
-    def _prune(self) -> None:
-        rows = self._rows()
-        dist = dst.gram_distances(rows, self._jaccard)
-        kept = self._adj & (dist <= self._eps)
-        gaps = np.abs(dist - self._eps)[self._adj]
-        margin = float(gaps.min()) if gaps.size else np.inf
-        self._budget = margin - 2.0 * DISTANCE_ERROR
+    def _certify(self) -> None:
+        """Redo the pruning unless the certificate still holds."""
+        if not self._stale:
+            return
+        dist = dst.gram_distances(self._rows(), self._jaccard, self._pairs)
+        kept = dist <= self._edge_eps
+        if self._kept_mask is None or kept.tobytes() != self._kept_mask.tobytes():
+            self._kept_mask, self._kept, self._edges = kept, None, None
+            if self.theta is None:
+                self._adopt_pmf_weights()
+        gaps = np.abs(dist - self._edge_eps)
+        gaps -= 2.0 * DISTANCE_ERROR
+        gaps *= self._gap_scale
+        self._budget = float(np.min(gaps, where=self._watched, initial=np.inf))
         self._stale = False
         self.prunes += 1
-        if self._kept is None or not np.array_equal(kept, self._kept):
-            self._kept, self._w, self._edges = kept, None, None
+
+    def _adopt_pmf_weights(self) -> None:
+        """Weights of the new kept edges, and the edges whose distance they can move."""
+        src, _, flat = self._pairs
+        kept = np.flatnonzero(self._kept_mask)
+        self._w = _pmf_weights(src.take(kept), flat.take(kept), self._alphas,
+                               self._receptive).matrix
+        # a diagonal of 1 leaves every neighbour a share of exactly 0: the row
+        # is the identity and w @ p returns that agent's profile bit for bit
+        moves = (self._w.diagonal() != 1.0).view(np.int8)
+        movers = moves[src] + moves[self._pairs[1]]
+        self._watched = movers > 0
+        self._gap_scale = 2.0 / np.maximum(movers, 1)
 
     @property
     def kept(self) -> np.ndarray:
         """Receive matrix of the edges kept at the current opinions."""
-        if self._stale:
-            self._prune()
+        self._certify()
+        if self._kept is None:
+            src, nbr, _ = self._pairs
+            self._kept = np.zeros_like(self._adj)
+            self._kept[src[self._kept_mask], nbr[self._kept_mask]] = True
         return self._kept
 
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -464,11 +509,10 @@ class ProfileRun:
 
     def weights(self) -> np.ndarray:
         """This step's confidence matrix (read-only)."""
-        kept = self.kept
         if self.theta is not None:
-            return _dirichlet_weights(kept, self._alphas, self._receptive, self.theta).matrix
-        if self._w is None:
-            self._w = _pmf_weights(kept, self._alphas, self._receptive).matrix
+            return _dirichlet_weights(self.kept, self._alphas, self._receptive,
+                                      self.theta).matrix
+        self._certify()
         return self._w
 
     def step(self) -> float:

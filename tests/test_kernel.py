@@ -124,15 +124,38 @@ def two_still_agents(gap):
     return NetworkState.from_specs(frame, graph, specs)
 
 
+def agent_near_its_bound(gap):
+    """Agent 1 hears agent 3, who holds the same opinion: its weight row is not
+    the identity, yet it never moves.  Its bound on agent 2 sits ``gap`` below
+    their computed distance.  Agents 2 and 3 are cautious."""
+    frame = Frame(2)
+    a = BodyOfEvidence(frame, np.array([0.0, 0.2, 0.8, 0.0]))
+    b = BodyOfEvidence(frame, np.array([0.0, 0.5, 0.5, 0.0]))
+    d = float(pairwise_jousselme(np.vstack([a.masses, b.masses]), 2)[0, 1])
+    graph = DirectedGraph.from_mutual_pairs(3, [(1, 2), (1, 3)])
+    specs = (AgentSpec(Strategy.RECEPTIVE, 0.5, d - gap, a),
+             AgentSpec(Strategy.CAUTIOUS, 0.5, 1.0, b),
+             AgentSpec(Strategy.CAUTIOUS, 0.5, 1.0, a))
+    return NetworkState.from_specs(frame, graph, specs)
+
+
 def test_edge_near_its_bound_forces_reprune():
-    near = ProfileRun(two_still_agents(gap=DISTANCE_ERROR / 2), "pmf")
-    far = ProfileRun(two_still_agents(gap=1e-3), "pmf")
+    near = ProfileRun(agent_near_its_bound(gap=DISTANCE_ERROR / 2), "pmf")
+    far = ProfileRun(agent_near_its_bound(gap=1e-3), "pmf")
     for run in (near, far):
         for _ in range(20):
-            assert run.kept[0, 1]
+            assert run.kept[0, 2] and not run.kept[0, 1]
             run.step()
     assert near.prunes == 20  # within 2 * DISTANCE_ERROR of the bound: never skipped
     assert far.prunes == 1    # certified once, nobody moves
+
+
+def test_edge_between_agents_that_cannot_move_needs_no_reprune():
+    run = ProfileRun(two_still_agents(gap=DISTANCE_ERROR / 2), "pmf")
+    for _ in range(20):
+        assert run.kept[0, 1]
+        run.step()
+    assert run.prunes == 1  # both rows are the identity: the distance cannot change
 
 
 def test_kernel_rejects_the_wrong_class():
