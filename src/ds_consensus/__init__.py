@@ -35,13 +35,13 @@ from .dynamics import (
     ConfidenceMatrix,
     NetworkState,
     Strategy,
+    conditional_weights,
     dirichlet_confidence_matrix,
     dirichlet_step,
     general_step,
     opinion_profile,
     pmf_confidence_matrix,
     pmf_step,
-    update_weights,
 )
 from .analysis import (
     ClusterReport,
@@ -50,7 +50,6 @@ from .analysis import (
     check_consensus_rank_one,
     classify_chain,
     detect_clusters,
-    detect_convergence,
     infinity_norm,
     left_product_accumulate,
     verify_one_group_chain,

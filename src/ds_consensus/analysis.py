@@ -94,7 +94,7 @@ def check_consensus_rank_one(w_inf: np.ndarray, pi0: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Cluster and convergence detection
+# Cluster detection
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -133,6 +133,27 @@ class ClusterReport:
         }
 
 
+def _cluster_ids(close: np.ndarray) -> np.ndarray:
+    """0-based cluster of every agent, clusters ordered by their first member.
+
+    Each agent is labelled with the smallest agent that reaches it along
+    ``close[u, v]`` (itself included), by min-label propagation.  That
+    smallest agent starts the agent's cluster in a walk that repeatedly
+    takes the smallest unassigned agent and everything reachable from it
+    that is still unassigned, also when rounding leaves ``close`` asymmetric.
+    """
+    n = len(close)
+    labels = np.arange(n)
+    while True:
+        heard = np.where(close, labels[:, None], n).min(axis=0)
+        new = np.minimum(labels, heard)
+        new = new[new]  # a label's own label also reaches the agent
+        if np.array_equal(new, labels):
+            starts = labels == np.arange(n)  # each cluster's first member
+            return (np.cumsum(starts) - 1)[labels]
+        labels = new
+
+
 def detect_clusters(opinions, tol: float, frame: Frame | None = None) -> ClusterReport:
     """Partition agents by transitive closure of pairwise distance <= tol."""
     if isinstance(opinions, np.ndarray):
@@ -142,25 +163,15 @@ def detect_clusters(opinions, tol: float, frame: Frame | None = None) -> Cluster
     else:
         frame = opinions[0].frame
         rows = np.vstack([b.masses for b in opinions])
-    n = rows.shape[0]
-    dist = dst.pairwise_jousselme(rows, frame.size)
-    close = dist <= tol
-    unassigned = set(range(n))
-    clusters: list[tuple[int, ...]] = []
-    while unassigned:
-        start = min(unassigned)
-        stack, members = [start], {start}
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(close[u])[0]:
-                if v in members or v not in unassigned:
-                    continue
-                members.add(int(v))
-                stack.append(int(v))
-        unassigned -= members
-        clusters.append(tuple(sorted(m + 1 for m in members)))
-    clusters.sort(key=lambda c: c[0])
-    reps = np.vstack([rows[[m - 1 for m in c]].mean(axis=0) for c in clusters])
+    ids = _cluster_ids(dst.pairwise_jousselme(rows, frame.size) <= tol)
+    sizes = np.bincount(ids)
+    agents = (np.argsort(ids, kind="stable") + 1).tolist()
+    clusters = [tuple(agents[end - size:end])
+                for size, end in zip(sizes.tolist(), np.cumsum(sizes).tolist())]
+    # each cluster's mean row, its members summed in agent order
+    sums = np.zeros((len(sizes), rows.shape[1]))
+    np.add.at(sums, ids, rows)
+    reps = sums / sizes[:, None]
     near = False
     if len(clusters) > 1:
         rep_dist = dst.pairwise_jousselme(reps, frame.size)
@@ -168,22 +179,6 @@ def detect_clusters(opinions, tol: float, frame: Frame | None = None) -> Cluster
         near = bool(off.min() <= 2.0 * tol)
     return ClusterReport(frame, tuple(clusters), reps, tol,
                          consensus=len(clusters) == 1, near_tolerance=near)
-
-
-def detect_convergence(window: Sequence[np.ndarray], step_tol: float = 1e-10,
-                       persistence: int = 10) -> bool:
-    """True when the trailing per-step changes all sit below the tolerance.
-
-    The window holds consecutive mass tables; at least two are required.
-    Convergence requires the last ``persistence`` steps (or every step, if
-    the window is shorter) to change by less than ``step_tol``.
-    """
-    if len(window) < 2:
-        raise ValueError("need at least two consecutive states")
-    diffs = [float(np.max(np.abs(np.asarray(b) - np.asarray(a))))
-             for a, b in zip(window[:-1], window[1:])]
-    tail = diffs[-persistence:]
-    return all(d < step_tol for d in tail)
 
 
 # ---------------------------------------------------------------------------

@@ -112,29 +112,33 @@ def prop_from_str(text: str, frame: Frame) -> int:
 # Mass / belief table transforms (vectorized over leading axes)
 # ---------------------------------------------------------------------------
 
+def _lattice_steps(table: np.ndarray):
+    """Per bit b, views of the entries with bit b set and of those without it.
+
+    Entry ``hi * 2**(b+1) + 2**b + lo`` of the last axis faces entry
+    ``hi * 2**(b+1) + lo``: the same subset without singleton b+1.  The
+    table must be C-contiguous, so that the views write through to it.
+    """
+    n = table.shape[-1]
+    for b in range(n.bit_length() - 1):
+        step = 1 << b
+        pairs = table.reshape(table.shape[:-1] + (n // (2 * step), 2, step))
+        yield pairs[..., 1, :], pairs[..., 0, :]
+
+
 def belief_table(masses: np.ndarray) -> np.ndarray:
     """Belief of every subset from a mass table (subset-sum zeta transform)."""
-    bl = np.array(masses, dtype=float, copy=True)
-    n = bl.shape[-1]
-    bits = n.bit_length() - 1
-    for b in range(bits):
-        step = 1 << b
-        idx = np.arange(n)
-        has = (idx & step) != 0
-        bl[..., has] += bl[..., idx[has] ^ step]
+    bl = np.array(masses, dtype=float, copy=True, order="C")
+    for has, src in _lattice_steps(bl):
+        has += src
     return bl
 
 
 def mass_table(beliefs: np.ndarray) -> np.ndarray:
     """Invert :func:`belief_table` (Moebius inversion over the subset lattice)."""
-    m = np.array(beliefs, dtype=float, copy=True)
-    n = m.shape[-1]
-    bits = n.bit_length() - 1
-    for b in range(bits):
-        step = 1 << b
-        idx = np.arange(n)
-        has = (idx & step) != 0
-        m[..., has] -= m[..., idx[has] ^ step]
+    m = np.array(beliefs, dtype=float, copy=True, order="C")
+    for has, src in _lattice_steps(m):
+        has -= src
     return m
 
 

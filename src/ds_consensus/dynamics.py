@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -127,94 +127,105 @@ class ConfidenceMatrix:
 # Conditional-update weights (general engine)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UpdateWeights:
-    """Self-weight plus conditional weights keyed by (neighbor, conditioning set)."""
-
-    alpha: float
-    beta: dict[tuple[int, int], float]
-
-    def total(self) -> float:
-        return self.alpha + sum(self.beta.values())
+# The update sums its conditional terms in blocks of slots, so its working
+# set does not grow with the number of terms: a block holds at most this many
+# (slot, agent, subset) products, or one slot when that is already more.
+TERM_BLOCK = 1 << 20
 
 
-def update_weights(i: int, state: NetworkState, pruned: PrunedView,
-                   bl_rows: np.ndarray | None = None) -> UpdateWeights:
-    """Weights agent ``i`` (1-based) applies this step.
+class ConditionalWeights(NamedTuple):
+    """Self-weights of all agents plus their conditional terms, one per entry.
 
-    Receptive: each in-bound neighbor gets an equal share of ``1 - alpha``,
-    spread over that neighbor's focal elements in proportion to its masses.
-    Cautious: weights are proportional to agent i's own masses, restricted
-    to sets the neighbor assigns positive belief, with one common factor
-    solved from the normalization constraint.  No in-bound neighbors (or no
-    usable conditioning sets) collapses to self-preservation.
+    Agent ``agent[t]`` (0-based) weights the conditional of neighbor
+    ``neighbor[t]`` given subset ``subset[t]`` by ``beta[t]``.  Terms are
+    ordered by agent, then neighbor, then subset mask; ``slot[t]`` is the
+    term's position among its agent's terms.  ``alpha`` is 1 for agents
+    with no term (they keep their opinion).
     """
-    spec = state.specs[i - 1]
-    nbrs = sorted(pruned.neighbors(i))
-    if not nbrs:
-        return UpdateWeights(1.0, {})
-    if bl_rows is None:
-        bl_rows = dst.belief_table(state.masses)
-    beta: dict[tuple[int, int], float] = {}
-    if spec.strategy is Strategy.RECEPTIVE:
-        share = (1.0 - spec.alpha) / len(nbrs)
-        for j in nbrs:
-            mj = state.masses[j - 1]
-            for a in np.nonzero(mj > 0.0)[0]:
-                beta[(j, int(a))] = share * float(mj[a])
-        return UpdateWeights(spec.alpha, beta)
-    # cautious: candidates are own focal elements with positive neighbor belief
-    mi = state.masses[i - 1]
-    pairs = []
-    covered = 0.0
-    for j in nbrs:
-        blj = bl_rows[j - 1]
-        for a in np.nonzero(mi > 0.0)[0]:
-            if blj[a] > 0.0:
-                pairs.append((j, int(a)))
-                covered += float(mi[a])
-    if covered <= 0.0:
-        return UpdateWeights(1.0, {})
-    mu = (1.0 - spec.alpha) / covered
-    for j, a in pairs:
-        beta[(j, a)] = mu * float(mi[a])
-    return UpdateWeights(spec.alpha, beta)
+
+    alpha: np.ndarray
+    agent: np.ndarray
+    neighbor: np.ndarray
+    subset: np.ndarray
+    beta: np.ndarray
+    slot: np.ndarray
 
 
-def general_step(state: NetworkState, pruned: PrunedView | None = None) -> NetworkState:
-    """One synchronous conditional update of every agent (any opinion class)."""
-    if pruned is None:
-        pruned = state.pruned()
-    n, k = state.masses.shape
-    full = state.frame.full_set
+def conditional_weights(masses: np.ndarray, kept: np.ndarray, alphas: np.ndarray,
+                        receptive: np.ndarray, bl: np.ndarray | None = None
+                        ) -> ConditionalWeights:
+    """Weights every agent applies this step, given the kept receive matrix.
+
+    Receptive: each kept neighbor gets an equal share of ``1 - alpha``,
+    spread over that neighbor's focal elements in proportion to its masses.
+    Cautious: weights are proportional to the agent's own masses, restricted
+    to sets the neighbor assigns positive belief, with one common factor
+    solved from the normalization constraint.  No kept neighbor (or no
+    usable conditioning set) collapses to self-preservation.
+    """
+    n = len(alphas)
+    if bl is None:
+        bl = dst.belief_table(masses)
+    src, nbr = np.nonzero(kept)  # agent ascending, then neighbor ascending
+    rec = receptive[src]
+    pos = masses > 0.0
+    use = np.where(rec[:, None], pos[nbr], pos[src] & (bl[nbr] > 0.0))
+    edge, subset = np.nonzero(use)
+    agent, neighbor, rec = src[edge], nbr[edge], rec[edge]
+    terms = np.bincount(agent, minlength=n)
+    slot = np.arange(len(agent)) - (np.cumsum(terms) - terms)[agent]
+    own = masses[agent, subset]
+    # a cautious agent's normalizer: its covered own masses, summed in term
+    # order (over the slot axis, never the contiguous one: left to right)
+    covered = np.zeros((slot.max(initial=-1) + 1, n))
+    covered[slot, agent] = own
+    covered = np.add.reduce(covered, axis=0)
+    # a receptive agent splits 1 - alpha equally over its kept neighbors
+    parts = np.where(rec, np.bincount(src, minlength=n)[agent], covered[agent])
+    beta = (1.0 - alphas[agent]) / parts * np.where(rec, masses[neighbor, subset], own)
+    alpha = np.where(terms > 0, alphas, 1.0)
+    return ConditionalWeights(alpha, agent, neighbor, subset, beta, slot)
+
+
+def _general_update(masses: np.ndarray, kept: np.ndarray, alphas: np.ndarray,
+                    receptive: np.ndarray) -> np.ndarray:
+    """New mass table after one synchronous conditional update of every agent."""
+    n, k = masses.shape
+    bl = dst.belief_table(masses)
+    w = conditional_weights(masses, kept, alphas, receptive, bl)
+
+    # Fagin-Halpern conditionals Bl_j(b | a) = Bl_j(a & b) / (Bl_j(a & b) +
+    # Pl_j(a & ~b)) of the (neighbor j, subset a) pairs in use, keyed j * k + a,
+    # one row per pair and a last row of zeros
+    key = w.neighbor * k + w.subset
+    used = np.zeros(n * k, dtype=bool)
+    used[key] = True
+    pairs = np.flatnonzero(used)
+    row = np.zeros(n * k, dtype=np.intp)
+    row[pairs] = np.arange(len(pairs))
+    a = (pairs & (k - 1))[:, None]
     bs = np.arange(k)
-    bl_rows = dst.belief_table(state.masses)
-    pl_rows = dst.plausibility_table(bl_rows)
+    num = bl.take(pairs[:, None] - a + (a & bs))
+    den = num + dst.plausibility_table(bl).take(pairs[:, None] - a + (a & ~bs))
+    cond = np.zeros((len(pairs) + 1, k))
+    np.divide(num, den, out=cond[:-1], where=den > 0.0)
 
-    cond_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def conditional(j: int, a: int) -> np.ndarray:
-        key = (j, a)
-        if key not in cond_cache:
-            num = bl_rows[j - 1, a & bs]
-            den = num + pl_rows[j - 1, a & (full ^ bs)]
-            out = np.zeros(k)
-            np.divide(num, den, out=out, where=den > 0.0)
-            cond_cache[key] = out
-        return cond_cache[key]
-
-    new_bl = np.empty_like(bl_rows)
-    changed = np.zeros(n, dtype=bool)
-    for i in range(1, n + 1):
-        w = update_weights(i, state, pruned, bl_rows)
-        if not w.beta:
-            new_bl[i - 1] = bl_rows[i - 1]
-            continue
-        acc = w.alpha * bl_rows[i - 1]
-        for (j, a), b in w.beta.items():
-            acc = acc + b * conditional(j, a)
-        new_bl[i - 1] = acc
-        changed[i - 1] = True
+    # alpha * bl + sum of beta * conditional, term by term in the agent's
+    # order: padded (slot, agent) tables reduced over the leading axis
+    depth = int(w.slot.max(initial=-1)) + 1
+    pick = np.full((depth, n), len(pairs))
+    pick[w.slot, w.agent] = row[key]
+    beta = np.zeros((depth, n, 1))
+    beta[w.slot, w.agent, 0] = w.beta
+    new_bl = w.alpha[:, None] * bl
+    block = max(1, TERM_BLOCK // (n * k))
+    for lo in range(0, depth, block):
+        hi = min(lo + block, depth)
+        stack = np.empty((hi - lo + 1, n, k))
+        stack[0] = new_bl
+        np.take(cond, pick[lo:hi], axis=0, out=stack[1:])
+        stack[1:] *= beta[lo:hi]
+        new_bl = np.add.reduce(stack, axis=0)
 
     new_masses = dst.mass_table(new_bl)
     worst = new_masses.min()
@@ -223,8 +234,17 @@ def general_step(state: NetworkState, pruned: PrunedView | None = None) -> Netwo
     np.clip(new_masses, 0.0, None, out=new_masses)
     new_masses[:, 0] = 0.0
     new_masses /= new_masses.sum(axis=1, keepdims=True)
-    new_masses[~changed] = state.masses[~changed]
-    return state.with_masses(new_masses)
+    unchanged = np.bincount(w.agent, minlength=n) == 0
+    new_masses[unchanged] = masses[unchanged]
+    return new_masses
+
+
+def general_step(state: NetworkState, pruned: PrunedView | None = None) -> NetworkState:
+    """One synchronous conditional update of every agent (any opinion class)."""
+    if pruned is None:
+        pruned = state.pruned()
+    return state.with_masses(_general_update(state.masses, pruned.kept, state.alphas(),
+                                             _receptive(state.specs)))
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +379,11 @@ def theta_weight_matrix(state: NetworkState, pruned: PrunedView) -> np.ndarray:
     while every row sum stays at most rho < 1, the largest full-frame mass
     shrinks at least geometrically with ratio rho.
     """
-    n = state.graph.n
-    bl_rows = dst.belief_table(state.masses)
-    full = state.frame.full_set
-    gamma = np.zeros((n, n))
-    for i in range(1, n + 1):
-        w = update_weights(i, state, pruned, bl_rows)
-        gamma[i - 1, i - 1] = w.alpha
-        for (j, a), b in w.beta.items():
-            if a == full:
-                gamma[i - 1, j - 1] += b
+    w = conditional_weights(state.masses, pruned.kept, state.alphas(),
+                            _receptive(state.specs))
+    gamma = np.diag(w.alpha)
+    full = w.subset == state.frame.full_set
+    gamma[w.agent[full], w.neighbor[full]] = w.beta[full]
     return gamma
 
 
@@ -544,25 +559,45 @@ class ProfileRun:
 
 
 class GeneralRun:
-    """The general engine stepped like :class:`ProfileRun` (it has no weight matrix)."""
+    """A general-engine run, stepped like :class:`ProfileRun`.
+
+    State is the (N, 2**M) mass table; adjacency, bounds, self-weights and
+    strategies are fixed for the run.  Pruning is recomputed after every
+    step, so each step gives the masses and kept edges of
+    :func:`general_step`.
+    """
 
     def __init__(self, state: NetworkState):
-        self.state = state
-        self._view: PrunedView | None = None
+        self.frame = state.frame
+        self._m = state.masses
+        self._adj = state.graph.adjacency()
+        self._eps = state.epsilons()[:, None]
+        self._alphas = state.alphas()
+        self._receptive = _receptive(state.specs)
+        self._kept: np.ndarray | None = None
+        self._edges: frozenset | None = None
 
-    def _pruned(self) -> PrunedView:
-        if self._view is None:
-            self._view = self.state.pruned()
-        return self._view
+    @property
+    def kept(self) -> np.ndarray:
+        """Receive matrix of the edges kept at the current opinions."""
+        if self._kept is None:
+            dist = dst.pairwise_jousselme(self._m, self.frame.size)
+            self._kept = self._adj & (dist <= self._eps)
+        return self._kept
 
     def edges(self) -> frozenset[tuple[int, int]]:
-        return self._pruned().edges
+        if self._edges is None:
+            self._edges = kept_edges(self.kept)
+        return self._edges
 
     def step(self) -> float:
-        new = general_step(self.state, self._pruned())
-        change = float(np.max(np.abs(new.masses - self.state.masses)))
-        self.state, self._view = new, None
+        """Advance every agent one synchronous step; return the largest mass change."""
+        new = _general_update(self._m, self.kept, self._alphas, self._receptive)
+        change = float(np.max(np.abs(new - self._m)))
+        new.setflags(write=False)
+        self._m, self._kept, self._edges = new, None, None
         return change
 
     def masses(self) -> np.ndarray:
-        return self.state.masses
+        """Current opinions (read-only)."""
+        return self._m

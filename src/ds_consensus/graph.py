@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import dst
-from .errors import FrameMismatch, NodeOutOfRange
+from .errors import FrameMismatch, InvalidScenario, NodeOutOfRange
 
 
 @dataclass(frozen=True)
@@ -192,4 +192,4 @@ def erdos_renyi_connected(n: int, p: float, seed: int, max_attempts: int = 1000)
         g = erdos_renyi(n, p, seed + attempt)
         if is_connected(g):
             return g
-    raise RuntimeError(f"no connected sample in {max_attempts} attempts (n={n}, p={p})")
+    raise InvalidScenario(f"no connected sample in {max_attempts} attempts (n={n}, p={p})")

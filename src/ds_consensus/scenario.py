@@ -65,8 +65,8 @@ class SamplingSpec:
     def __post_init__(self):
         if len(self.concentrations) != len(self.targets):
             raise InvalidScenario("sampling needs one concentration per target")
-        if any(c <= 0 for c in self.concentrations):
-            raise InvalidScenario("dirichlet concentrations must be positive")
+        if not all(0.0 < c < np.inf for c in self.concentrations):
+            raise InvalidScenario("dirichlet concentrations must be positive and finite")
 
 
 def sample_boe(spec: SamplingSpec, frame: Frame, rng: np.random.Generator) -> BodyOfEvidence:
@@ -146,31 +146,62 @@ def _resolve(source: str) -> Path:
     raise ScenarioParseError(f"no such scenario file or asset: {source}")
 
 
-def _agent_from_config(cfg: dict, defaults: dict, frame: Frame,
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioParseError(f"{where} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _array(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioParseError(f"{where} must be an array, got {type(value).__name__}")
+    return value
+
+
+def _number(kind, value, where: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioParseError(f"{where} must be a number, got {value!r}") from None
+
+
+def _agent_from_config(cfg, defaults: dict, frame: Frame,
                        rng: np.random.Generator, where: str) -> AgentSpec:
     merged = dict(defaults)
-    merged.update(cfg)
+    merged.update(_object(cfg, where))
     try:
         strategy = Strategy(merged.get("strategy", "receptive"))
     except ValueError:
         raise InvalidScenario(f"{where}: unknown strategy {merged.get('strategy')!r}")
-    alpha = float(merged.get("alpha", 0.5))
-    epsilon = float(merged.get("epsilon", 1.0))
+    alpha = _number(float, merged.get("alpha", 0.5), f"{where}.alpha")
+    epsilon = _number(float, merged.get("epsilon", 1.0), f"{where}.epsilon")
     if "boe" in merged and "sample" in merged:
         raise InvalidScenario(f"{where}: give either masses or a sampling spec, not both")
     if "boe" in merged:
+        boe_cfg = _object(merged["boe"], f"{where}.boe")
+        if "masses" not in boe_cfg:
+            raise InvalidScenario(f"{where}: bad opinion: no masses")
+        entries = _object(boe_cfg["masses"], f"{where}.boe.masses")
         try:
-            boe = BodyOfEvidence(frame, dst.masses_from_dict(frame, merged["boe"]["masses"]))
-        except (KeyError, ValueError) as exc:
+            boe = BodyOfEvidence(frame, dst.masses_from_dict(frame, entries))
+        except TypeError:
+            raise ScenarioParseError(f"{where}: masses must be numbers") from None
+        except ValueError as exc:
             raise InvalidScenario(f"{where}: bad opinion: {exc}")
     elif "sample" in merged:
-        s = merged["sample"]
+        s = _object(merged["sample"], f"{where}.sample")
         try:
-            spec = SamplingSpec(tuple(float(c) for c in s["dirichlet"]),
-                                tuple(str(t) for t in s["targets"]))
+            concentrations = _array(s["dirichlet"], f"{where}.sample.dirichlet")
+            targets = _array(s["targets"], f"{where}.sample.targets")
         except KeyError as exc:
             raise InvalidScenario(f"{where}: sampling spec missing {exc}")
-        boe = sample_boe(spec, frame, rng)
+        spec = SamplingSpec(tuple(_number(float, c, f"{where}.sample.dirichlet")
+                                  for c in concentrations),
+                            tuple(str(t) for t in targets))
+        try:
+            boe = sample_boe(spec, frame, rng)
+        except ValueError as exc:
+            raise InvalidScenario(f"{where}: bad sample: {exc}")
     else:
         raise InvalidScenario(f"{where}: agent has neither masses nor a sampling spec")
     try:
@@ -190,50 +221,75 @@ def _build_graph(cfg: dict, base: Path, default_seed: int) -> DirectedGraph:
     return DirectedGraph.from_dict(cfg)
 
 
+def _graph(cfg, base: Path, seed: int) -> DirectedGraph:
+    cfg = _object(cfg, "graph")
+    try:
+        graph = _build_graph(cfg, base, seed)
+    except KeyError as exc:
+        raise ScenarioParseError(f"graph misses field {exc}")
+    except (TypeError, AttributeError, OverflowError) as exc:  # a value of the wrong JSON type
+        raise ScenarioParseError(f"malformed graph: {exc}")
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ScenarioParseError(f"graph file: {exc}")
+    except (ValueError, NodeOutOfRange) as exc:
+        raise InvalidScenario(f"graph: {exc}")
+    if graph.n < 1:
+        raise InvalidScenario(f"graph needs at least one node, got {graph.n}")
+    return graph
+
+
 def scenario_from_dict(data: dict, name: str, base: Path,
                        seed: int | None = None) -> Scenario:
-    if not isinstance(data, dict):
-        raise ScenarioParseError(f"scenario must be a JSON object, got {type(data).__name__}")
+    """Materialize a parsed scenario file.
+
+    A missing field or a value of the wrong JSON type raises
+    :class:`ScenarioParseError`; a well-typed value that breaks an invariant
+    raises :class:`InvalidScenario`.
+    """
+    data = _object(data, "scenario")
     if "alias" in data:
-        return load_scenario(data["alias"], seed=seed)
+        alias = data["alias"]
+        if not isinstance(alias, str):
+            raise ScenarioParseError(f"alias must be a string, got {type(alias).__name__}")
+        return load_scenario(alias, seed=seed)
     engine = data.get("engine", "auto")
     if engine not in ENGINE_NAMES:
         raise InvalidScenario(f"engine must be one of {ENGINE_NAMES}, got {engine!r}")
-    effective_seed = int(data.get("seed", 0)) if seed is None else int(seed)
+    effective_seed = _number(int, data.get("seed", 0) if seed is None else seed, "seed")
+    if effective_seed < 0:
+        raise InvalidScenario(f"seed must be >= 0, got {effective_seed}")
+    for key in ("frame_size", "graph"):
+        if key not in data:
+            raise ScenarioParseError(f"missing field {key!r}")
     try:
-        frame = Frame(int(data["frame_size"]))
-        graph_cfg = data["graph"]
-    except KeyError as exc:
-        raise ScenarioParseError(f"missing field {exc}")
-    if not isinstance(graph_cfg, dict):
-        raise ScenarioParseError(f"graph must be an object, got {type(graph_cfg).__name__}")
-    try:
-        graph = _build_graph(graph_cfg, base, effective_seed)
-    except KeyError as exc:
-        raise ScenarioParseError(f"graph misses field {exc}")
-    except (TypeError, AttributeError) as exc:  # a nested value of the wrong JSON type
-        raise ScenarioParseError(f"malformed graph: {exc}")
-    except NodeOutOfRange as exc:
-        raise InvalidScenario(f"graph: {exc}")
+        frame = Frame(_number(int, data["frame_size"], "frame_size"))
+    except ValueError as exc:
+        raise InvalidScenario(str(exc))
+    graph = _graph(data["graph"], base, effective_seed)
     rng = np.random.default_rng(effective_seed)
 
-    defaults = data.get("defaults", {})
+    defaults = _object(data.get("defaults", {}), "defaults")
     if "agents" in data:
-        agent_cfgs = data["agents"]
+        agent_cfgs = _array(data["agents"], "agents")
+        count = len(agent_cfgs)
     elif "n_agents" in data:
-        agent_cfgs = [{} for _ in range(int(data["n_agents"]))]
+        count = _number(int, data["n_agents"], "n_agents")
+        agent_cfgs = None
     else:
         raise ScenarioParseError("scenario needs 'agents' or 'n_agents'")
-    if len(agent_cfgs) != graph.n:
-        raise InvalidScenario(
-            f"agent count {len(agent_cfgs)} does not match node count {graph.n}")
+    if count != graph.n:
+        raise InvalidScenario(f"agent count {count} does not match node count {graph.n}")
+    if agent_cfgs is None:
+        agent_cfgs = [{} for _ in range(count)]
 
-    leaders: tuple[int, ...] = ()
     forced_cautious: set[int] = set()
     if "random_leaders" in data:
-        count = int(data["random_leaders"]["count"])
-        if count > graph.n:
-            raise InvalidScenario("more random leaders than agents")
+        leaders_cfg = _object(data["random_leaders"], "random_leaders")
+        if "count" not in leaders_cfg:
+            raise ScenarioParseError("random_leaders misses field 'count'")
+        count = _number(int, leaders_cfg["count"], "random_leaders.count")
+        if not 0 <= count <= graph.n:
+            raise InvalidScenario(f"random leader count {count} outside [0, {graph.n}]")
         chosen = rng.choice(graph.n, size=count, replace=False)
         forced_cautious = {int(c) + 1 for c in chosen}
 
@@ -246,17 +302,20 @@ def scenario_from_dict(data: dict, name: str, base: Path,
     leaders = tuple(i + 1 for i, a in enumerate(agents)
                     if a.strategy is Strategy.CAUTIOUS)
 
-    tol = data.get("tolerances", {})
+    tol = _object(data.get("tolerances", {}), "tolerances")
     return Scenario(
         name=data.get("name", name),
         frame=frame,
         graph=graph,
         agents=tuple(agents),
         engine=engine,
-        max_iterations=int(data.get("max_iterations", DEFAULT_MAX_ITERATIONS)),
-        step_tol=float(tol.get("step", DEFAULT_STEP_TOL)),
-        persistence=int(tol.get("persistence", DEFAULT_PERSISTENCE)),
-        cluster_tol=float(tol.get("cluster", DEFAULT_CLUSTER_TOL)),
+        max_iterations=_number(int, data.get("max_iterations", DEFAULT_MAX_ITERATIONS),
+                               "max_iterations"),
+        step_tol=_number(float, tol.get("step", DEFAULT_STEP_TOL), "tolerances.step"),
+        persistence=_number(int, tol.get("persistence", DEFAULT_PERSISTENCE),
+                            "tolerances.persistence"),
+        cluster_tol=_number(float, tol.get("cluster", DEFAULT_CLUSTER_TOL),
+                            "tolerances.cluster"),
         seed=effective_seed,
         leaders=leaders,
     )

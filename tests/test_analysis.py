@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from ds_consensus.analysis import (LeftProduct, check_consensus_rank_one,
-                                   classify_chain, detect_clusters, detect_convergence,
-                                   infinity_norm, left_product_accumulate,
+from ds_consensus.analysis import (LeftProduct, _cluster_ids, check_consensus_rank_one,
+                                   classify_chain, detect_clusters, infinity_norm,
+                                   left_product_accumulate,
                                    verify_one_group_chain, verify_two_group_chain)
+from ds_consensus import dst
 from ds_consensus.dst import BodyOfEvidence, Frame
 from ds_consensus.dynamics import AgentSpec, Strategy
 from ds_consensus.errors import NotDrivenChain, NotRankOne
 from ds_consensus.graph import DirectedGraph
 from ds_consensus.runner import run_simulation
 from ds_consensus.scenario import Scenario
+
+from conftest import random_general_boe
 
 
 F3 = Frame(3)
@@ -90,13 +93,61 @@ def test_detect_clusters_near_tolerance_flag():
     assert rep.cluster_count == 2 and rep.near_tolerance
 
 
-def test_detect_convergence():
-    a = np.zeros((2, 4))
-    assert detect_convergence([a, a.copy()])
-    drift = [a + k * 1e-3 for k in range(12)]
-    assert not detect_convergence(drift)
-    with pytest.raises(ValueError):
-        detect_convergence([a])
+def walk_clusters(close):
+    """Clusters by walking the closeness graph from the smallest unassigned agent."""
+    unassigned = set(range(len(close)))
+    clusters = []
+    while unassigned:
+        start = min(unassigned)
+        stack, members = [start], {start}
+        while stack:
+            u = stack.pop()
+            for v in np.nonzero(close[u])[0]:
+                if v in members or v not in unassigned:
+                    continue
+                members.add(int(v))
+                stack.append(int(v))
+        unassigned -= members
+        clusters.append(tuple(sorted(m + 1 for m in members)))
+    clusters.sort(key=lambda c: c[0])
+    return clusters
+
+
+def clusters_of(ids):
+    return sorted(tuple(int(a) + 1 for a in np.flatnonzero(ids == c)) for c in set(ids))
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_cluster_labels_match_the_walk(rng, symmetric):
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        close = rng.random((n, n)) < rng.uniform(0.0, 0.15)
+        if symmetric:
+            close |= close.T
+        close[np.diag_indices(n)] = rng.random() < 0.8
+        ids = _cluster_ids(close)
+        assert clusters_of(ids) == walk_clusters(close)
+        firsts = [np.flatnonzero(ids == c)[0] for c in range(ids.max() + 1)]
+        assert np.all(np.diff(firsts) > 0)  # clusters ordered by their first member
+
+
+def test_cluster_representatives_are_member_means(rng):
+    for _ in range(100):
+        frame = Frame(int(rng.integers(1, 4)))
+        centers = [random_general_boe(frame, rng).masses for _ in range(int(rng.integers(1, 6)))]
+        rows = np.vstack([centers[int(rng.integers(len(centers)))]
+                          + rng.normal(0.0, 1e-4, frame.n_subsets)
+                          for _ in range(int(rng.integers(1, 60)))])
+        rows = np.abs(rows)
+        rows[:, 0] = 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        tol = float(rng.choice([1e-4, 1e-3, 0.05]))
+        rep = detect_clusters(rows, tol, frame)
+        close = dst.pairwise_jousselme(rows, frame.size) <= tol
+        assert list(rep.clusters) == walk_clusters(close)
+        assert all(type(a) is int for c in rep.clusters for a in c)
+        want = np.vstack([rows[[m - 1 for m in c]].mean(axis=0) for c in rep.clusters])
+        assert rep.representatives.tobytes() == want.tobytes()
 
 
 def test_classify_chain_blocks():

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from ds_consensus.dst import BodyOfEvidence, Frame
-from ds_consensus.dynamics import (AgentSpec, NetworkState, Strategy,
+from ds_consensus.dynamics import (AgentSpec, NetworkState, Strategy, conditional_weights,
                                    dirichlet_confidence_matrix, dirichlet_step,
                                    general_step, pmf_confidence_matrix, pmf_step,
-                                   theta_weight_matrix, update_weights)
+                                   theta_weight_matrix)
 from ds_consensus.errors import NotBayesian, NotDirichlet
 from ds_consensus.graph import DirectedGraph
 
@@ -31,14 +31,20 @@ def state_of(boes, pairs, strategies=None, alpha=0.5, epsilon=1.0, frame=F3):
     return NetworkState.from_specs(frame, g, specs)
 
 
+def weights_of(st, pruned=None):
+    pruned = st.pruned() if pruned is None else pruned
+    receptive = np.array([s.strategy is Strategy.RECEPTIVE for s in st.specs])
+    return conditional_weights(st.masses, pruned.kept, st.alphas(), receptive)
+
+
 # ---------------------------------------------------------------------------
 # update weights
 # ---------------------------------------------------------------------------
 
 def test_isolated_agent_self_preserves():
     st = state_of([bayes(0.2), bayes(0.9)], [(1, 2)], epsilon=0.0)
-    w = update_weights(1, st, st.pruned())
-    assert w.alpha == 1.0 and not w.beta
+    w = weights_of(st)
+    assert w.alpha[0] == 1.0 and not np.any(w.agent == 0)
     assert np.array_equal(general_step(st).masses, st.masses)
 
 
@@ -46,8 +52,10 @@ def test_receptive_single_certain_neighbor():
     certain = np.zeros(8)
     certain[1] = 1.0
     st = state_of([bayes(0.5), BodyOfEvidence(F3, certain)], [(1, 2)])
-    w = update_weights(1, st, st.pruned())
-    assert w.beta == {(2, 1): pytest.approx(0.5)}
+    w = weights_of(st)
+    mine = w.agent == 0
+    assert list(zip(w.neighbor[mine] + 1, w.subset[mine])) == [(2, 1)]
+    assert w.beta[mine].tolist() == [pytest.approx(0.5)]
 
 
 def test_weights_normalize(rng):
@@ -57,9 +65,10 @@ def test_weights_normalize(rng):
         boes = [random_general_boe(frame, rng) for _ in range(4)]
         st = state_of(boes, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)],
                       strategies=list(strategies))
-        pruned = st.pruned()
-        for i in range(1, 5):
-            assert update_weights(i, st, pruned).total() == pytest.approx(1.0, abs=1e-12)
+        w = weights_of(st)
+        for i in range(4):
+            total = w.alpha[i] + w.beta[w.agent == i].sum()
+            assert total == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

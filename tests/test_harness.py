@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ds_consensus.cli import cli
 from ds_consensus.dst import Frame
 from ds_consensus.dynamics import Strategy
-from ds_consensus.errors import EngineMismatch, InvalidScenario, ScenarioParseError
+from ds_consensus.errors import (DSConsensusError, EngineMismatch, InvalidScenario,
+                                 ScenarioParseError)
 from ds_consensus.output import write_sweep_csv, write_sweep_json, write_sweep_svg
 from ds_consensus.runner import run_simulation, run_sweep, sweep_grid
 from ds_consensus.scenario import (SamplingSpec, list_assets, load_scenario,
@@ -369,3 +375,90 @@ def test_one_singleton_frame_dirichlet_run(tmp_path, capsys):
     code = cli(["run", "--scenario", str(path), "--epsilon", "1.0"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["consensus"] and out["iterations"] == 10
+
+
+@pytest.mark.parametrize("field", [
+    {"agents": 5},
+    {"tolerances": [1]},
+    {"defaults": [1]},
+    {"agents": [{"boe": {"masses": [0.5, 0.5]}}, {"boe": {"masses": {"2": 1.0}}}]},
+], ids=["agents-number", "tolerances-list", "defaults-list", "masses-list"])
+def test_wrongly_typed_field_is_a_parse_error(tmp_path, capsys, field):
+    data = dict(TINY, **field)
+    with pytest.raises(ScenarioParseError):
+        scenario_from_dict(data, "t", tmp_path)
+    assert _cli_run_file(tmp_path, data, capsys) == 1
+
+
+def test_er_graph_without_connected_sample_rejected(tmp_path, capsys):
+    data = dict(TINY, graph={"er": {"n": 6, "p": 0, "seed": 1}},
+                agents=[{"boe": {"masses": {"1": 1.0}}}] * 6)
+    with pytest.raises(InvalidScenario):
+        scenario_from_dict(data, "t", tmp_path)
+    assert _cli_run_file(tmp_path, data, capsys) == 1
+
+
+# Any JSON value, with small numbers: sizes stay small enough to run quickly.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(["", "1", "*", "x"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+_FUZZ_BASE = {"frame_size": 2, "engine": "auto", "seed": 0, "max_iterations": 50,
+              "graph": {"n": 3, "edges": [[1, 2], [2, 3]]},
+              "tolerances": {"step": 1e-10, "persistence": 2, "cluster": 1e-3},
+              "defaults": {"strategy": "receptive", "alpha": 0.5, "epsilon": 1.0},
+              "random_leaders": {"count": 1},
+              "agents": [{"boe": {"masses": {"1": 0.6, "2": 0.4}}},
+                         {"boe": {"masses": {"1,2": 0.5, "2": 0.5}}},
+                         {"sample": {"dirichlet": [1, 1], "targets": ["1", "*"]}}]}
+
+
+def _paths(value, prefix=()):
+    """Every path into a JSON document, to containers and to leaves."""
+    if isinstance(value, dict):
+        keys = list(value)
+    elif isinstance(value, list):
+        keys = range(len(value))
+    else:
+        return
+    for key in keys:
+        yield prefix + (key,)
+        yield from _paths(value[key], prefix + (key,))
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    """The valid base scenario with a few values replaced or fields dropped."""
+    data = json.loads(json.dumps(_FUZZ_BASE))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(data))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_json_values)
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_mutated_scenarios() | _json_values)
+def test_scenario_boundary_fuzz(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            scenario_from_dict(data, "fuzz", Path(tmp))
+        except DSConsensusError:
+            pass
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(data))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli(["run", "--scenario", str(path), "--epsilon", "0.5"])
+    assert code in (0, 1, 2)
