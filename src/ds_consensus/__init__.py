@@ -24,10 +24,7 @@ from .graph import (
     PrunedView,
     erdos_renyi,
     erdos_renyi_connected,
-    in_component,
     is_connected,
-    neighbors,
-    out_component,
     prune,
 )
 from .dynamics import (
@@ -39,23 +36,19 @@ from .dynamics import (
     dirichlet_confidence_matrix,
     dirichlet_step,
     general_step,
-    opinion_profile,
     pmf_confidence_matrix,
     pmf_step,
 )
 from .analysis import (
     ClusterReport,
     DrivenChain,
-    LeftProduct,
-    check_consensus_rank_one,
     classify_chain,
     detect_clusters,
     infinity_norm,
-    left_product_accumulate,
     verify_one_group_chain,
     verify_two_group_chain,
 )
 from .scenario import Scenario, SamplingSpec, list_assets, load_scenario, sample_boe
-from .runner import BifurcationResult, RunResult, run_simulation, run_sweep
+from .runner import BifurcationResult, RunResult, run_simulation, run_sweep, verify_run
 
 __version__ = "0.1.0"

@@ -41,29 +41,6 @@ def infinity_norm(x: np.ndarray) -> float:
     return float(np.abs(x).sum(axis=1).max())
 
 
-# ---------------------------------------------------------------------------
-# Left (backward) matrix products
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LeftProduct:
-    """Accumulated product of a matrix sequence, newest factor on the left."""
-
-    matrix: np.ndarray
-    count: int = 0
-
-    @staticmethod
-    def identity(n: int) -> "LeftProduct":
-        return LeftProduct(np.eye(n), 0)
-
-
-def left_product_accumulate(acc: LeftProduct, w: np.ndarray) -> LeftProduct:
-    w = np.asarray(w, dtype=float)
-    if w.shape != acc.matrix.shape:
-        raise ValueError(f"size mismatch: {w.shape} vs {acc.matrix.shape}")
-    return LeftProduct(w @ acc.matrix, acc.count + 1)
-
-
 def rank_one_rows(w: np.ndarray, tol: float = RANK_ONE_TOL) -> np.ndarray:
     """Common row of a numerically rank-one stochastic limit, else NotRankOne."""
     w = np.asarray(w, dtype=float)
@@ -71,26 +48,6 @@ def rank_one_rows(w: np.ndarray, tol: float = RANK_ONE_TOL) -> np.ndarray:
     if gap > tol:
         raise NotRankOne(f"rows differ by {gap!r} (tol {tol})")
     return w.mean(axis=0)
-
-
-def check_consensus_rank_one(w_inf: np.ndarray, pi0: np.ndarray,
-                             tol: float = RANK_ONE_TOL):
-    """Consensus value(s) implied by a rank-one limit product.
-
-    ``pi0`` holds one initial opinion profile per column; the return mirrors
-    its shape.  Also checks that iterating the limit matrix on the profile
-    actually lands on the consensus (within 1e-6).
-    """
-    v = rank_one_rows(w_inf, tol)
-    if v.min() < -tol or abs(v.sum() - 1.0) > 1e-8:
-        raise NotRankOne(f"limit row is not a stochastic vector: {v}")
-    pi0 = np.asarray(pi0, dtype=float)
-    eta = v @ pi0
-    iterated = np.asarray(w_inf) @ pi0
-    dev = float(np.max(np.abs(iterated - eta)))
-    if dev > 1e-6:
-        raise NotRankOne(f"iterated profile deviates from consensus by {dev!r}")
-    return float(eta) if np.ndim(eta) == 0 else eta
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +225,37 @@ def _contraction_profile(norms: list[float], product_norm: float) -> dict:
     }
 
 
+def _walk_chain(chain: DrivenChain, ws: Sequence[np.ndarray]):
+    """One pass over a recorded run, checking the chain structure at every step.
+
+    Returns each central group's left product (newest factor on the left),
+    the outer block's contraction profile, and every step's coupling blocks
+    (outer rows, one block per group's columns).
+    """
+    norms = []
+    a_prods = [None] * len(chain.groups)
+    d_prod = None
+    couplings = []
+    for w in ws:
+        # raises if the structure broke at this step
+        a_blocks, c_blocks, d = classify_chain(w, chain.groups).blocks(w)
+        norms.append(infinity_norm(d) if d.size else 0.0)
+        d_prod = d if d_prod is None else d @ d_prod
+        a_prods = [a if prod is None else a @ prod for a, prod in zip(a_blocks, a_prods)]
+        couplings.append(c_blocks)
+    contraction = _contraction_profile(
+        norms, infinity_norm(d_prod) if d_prod is not None and d_prod.size else 0.0)
+    return a_prods, contraction, couplings
+
+
+def _group_consensus(a_prod: np.ndarray, profiles: np.ndarray):
+    """A driving group's consensus profile, or None when its product is not rank one."""
+    try:
+        return rank_one_rows(a_prod) @ profiles
+    except NotRankOne:
+        return None
+
+
 def verify_one_group_chain(chain: DrivenChain, ws: Sequence[np.ndarray],
                            initial_profiles: np.ndarray,
                            final_profiles: np.ndarray,
@@ -282,31 +270,15 @@ def verify_one_group_chain(chain: DrivenChain, ws: Sequence[np.ndarray],
     """
     if chain.kind != "one-group":
         raise NotDrivenChain("expected a one-group chain")
-    norms = []
-    a_prod = None
-    d_prod = None
-    for w in ws:
-        chain_ok = classify_chain(w, chain.groups)  # raises if structure broke
-        a_blocks, _, d = chain_ok.blocks(w)
-        norms.append(infinity_norm(d) if d.size else 0.0)
-        a_prod = a_blocks[0] if a_prod is None else a_blocks[0] @ a_prod
-        d_prod = d if d_prod is None else d @ d_prod
-    contraction = _contraction_profile(
-        norms, infinity_norm(d_prod) if d_prod is not None and d_prod.size else 0.0)
-    central = chain.group_idx(0)
-    try:
-        v = rank_one_rows(a_prod)
-        central_rank_one = True
-        eta = v @ np.asarray(initial_profiles)[central]
-    except NotRankOne:
-        central_rank_one = False
-        eta = None
+    (a_prod,), contraction, _ = _walk_chain(chain, ws)
+    eta = _group_consensus(a_prod, np.asarray(initial_profiles)[chain.group_idx(0)])
+    central_rank_one = eta is not None
     satisfied = central_rank_one and contraction["product_vanishes"]
     report = {
         "kind": "one-group",
         "central": [list(g) for g in chain.groups],
         "outer": list(chain.outer),
-        "steps": len(list(ws)),
+        "steps": len(ws),
         "hypotheses": {
             "central_product_rank_one": central_rank_one,
             "outer_contraction": contraction,
@@ -357,19 +329,11 @@ def verify_two_group_chain(chain: DrivenChain, ws: Sequence[np.ndarray],
     """
     if chain.kind != "two-groups":
         raise NotDrivenChain("expected a two-groups chain")
-    norms = []
-    a_prods = [None, None]
-    d_prod = None
-    lambdas: list[float | None] = []
+    a_prods, contraction, couplings = _walk_chain(chain, ws)
+    lambdas: list[float] = []
     condition_every_step = True
     constrained_steps = 0
-    for w in ws:
-        chain_ok = classify_chain(w, chain.groups)
-        a_blocks, c_blocks, d = chain_ok.blocks(w)
-        norms.append(infinity_norm(d) if d.size else 0.0)
-        d_prod = d if d_prod is None else d @ d_prod
-        for g in range(2):
-            a_prods[g] = a_blocks[g] if a_prods[g] is None else a_blocks[g] @ a_prods[g]
+    for c_blocks in couplings:
         lam, constrained = _step_lambda(c_blocks)
         if constrained:
             constrained_steps += 1
@@ -377,29 +341,16 @@ def verify_two_group_chain(chain: DrivenChain, ws: Sequence[np.ndarray],
                 condition_every_step = False
             else:
                 lambdas.append(lam)
-    contraction = _contraction_profile(
-        norms, infinity_norm(d_prod) if d_prod is not None and d_prod.size else 0.0)
     initial = np.asarray(initial_profiles, dtype=float)
-    group_eta = []
-    groups_rank_one = True
-    for g in range(2):
-        try:
-            v = rank_one_rows(a_prods[g])
-            group_eta.append(v @ initial[chain.group_idx(g)])
-        except NotRankOne:
-            groups_rank_one = False
-            group_eta.append(None)
-    lam_values = [l for l in lambdas if l is not None]
-    lam_constant = bool(lam_values) and (max(lam_values) - min(lam_values) <= 1e-10)
-    lam_final = lam_values[-1] if lam_values else None
-    leaders_equal = None
-    if groups_rank_one:
-        leaders_equal = bool(np.max(np.abs(group_eta[0] - group_eta[1])) <= 1e-9)
+    group_eta = [_group_consensus(a_prods[g], initial[chain.group_idx(g)]) for g in range(2)]
+    groups_rank_one = all(eta is not None for eta in group_eta)
+    lam_constant = bool(lambdas) and (max(lambdas) - min(lambdas) <= 1e-10)
+    lam_final = lambdas[-1] if lambdas else None
     report = {
         "kind": "two-groups",
         "central": [list(g) for g in chain.groups],
         "outer": list(chain.outer),
-        "steps": len(list(ws)),
+        "steps": len(ws),
         "hypotheses": {
             "group_products_rank_one": groups_rank_one,
             "outer_contraction": contraction,
@@ -416,7 +367,7 @@ def verify_two_group_chain(chain: DrivenChain, ws: Sequence[np.ndarray],
         return report
     finals = np.asarray(final_profiles, dtype=float)
     eta1, eta2 = np.atleast_1d(group_eta[0]), np.atleast_1d(group_eta[1])
-    if leaders_equal:
+    if np.max(np.abs(eta1 - eta2)) <= 1e-9:  # equal leaders: full consensus
         report["prediction"] = {
             "full_consensus": True,
             "consensus_profile": [float(e) for e in eta1],

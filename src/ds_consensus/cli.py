@@ -18,11 +18,10 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import classify_chain, verify_one_group_chain, verify_two_group_chain
 from .errors import DSConsensusError, InvalidScenario, NotDrivenChain, ScenarioParseError
 from .graph import erdos_renyi_connected
 from .output import write_sweep_csv, write_sweep_json, write_sweep_svg
-from .runner import run_simulation, run_sweep
+from .runner import run_simulation, run_sweep, verify_run
 from .scenario import list_assets, load_scenario
 
 
@@ -83,15 +82,20 @@ def _cmd_run(args) -> int:
         "epsilon": args.epsilon,
         **result.report.to_dict(),
     }
+    _print_json(payload, args.out, "report.json")
+    if args.trace:
+        _write_trace(Path(args.out), scenario, result)
+    return 0
+
+
+def _print_json(payload: dict, out: str | None, filename: str) -> None:
+    """Print the payload as JSON and, given an output directory, write it there too."""
     text = json.dumps(payload, indent=2)
     print(text)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(text + "\n", encoding="utf-8")
-        if args.trace:
-            _write_trace(out, scenario, result)
-    return 0
+    if out:
+        path = Path(out)
+        path.mkdir(parents=True, exist_ok=True)
+        (path / filename).write_text(text + "\n", encoding="utf-8")
 
 
 def _write_trace(out: Path, scenario, result) -> None:
@@ -126,43 +130,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if not scenario.leaders:
-        print("ds-consensus verify: scenario has no cautious agents to anchor "
-              "a driven chain", file=sys.stderr)
-        return 1
-    if len(scenario.leaders) > 2:
-        print("ds-consensus verify: more than two cautious groups are not "
-              "supported", file=sys.stderr)
-        return 1
-    engine = scenario.resolved_engine()
-    if engine == "general":
-        print("ds-consensus verify: the general engine has no confidence "
-              "matrix to verify; use a pmf or dirichlet scenario", file=sys.stderr)
-        return 1
-    result = run_simulation(scenario, epsilon=args.epsilon, record_matrices=True)
-    groups = [[leader] for leader in scenario.leaders]
-    chain = classify_chain(result.matrices[0], groups)
-    initial = result.singleton_profiles(result.initial_masses)
-    final = result.singleton_profiles()
-    if chain.kind == "one-group":
-        report = verify_one_group_chain(chain, result.matrices, initial, final)
-    else:
-        report = verify_two_group_chain(chain, result.matrices, initial, final)
-    payload = {
-        "scenario": scenario.name,
-        "engine": result.engine,
-        "epsilon": args.epsilon,
-        "leaders": list(scenario.leaders),
-        "theorem": report,
-        "clusters": result.report.to_dict(),
-    }
-    text = json.dumps(payload, indent=2)
-    print(text)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "verify.json").write_text(text + "\n", encoding="utf-8")
+    _print_json(verify_run(load_scenario(args.scenario), args.epsilon), args.out, "verify.json")
     return 0
 
 

@@ -213,22 +213,6 @@ class BodyOfEvidence:
         den = num + bl[a & (self.frame.full_set ^ b)]
         return float(num / den) if den > 0.0 else 0.0
 
-    def focal_elements(self) -> tuple[int, ...]:
-        return tuple(int(a) for a in np.nonzero(self.masses > 0.0)[0])
-
-
-def conditional_belief_vector(boe: BodyOfEvidence, a: int) -> np.ndarray:
-    """``Bl(B|a)`` for every subset ``B`` at once."""
-    if boe.bl[a] <= 0.0:
-        raise ConditioningNotSupported(f"belief of conditioning set {a:#x} is zero")
-    full = boe.frame.full_set
-    bs = np.arange(boe.frame.n_subsets)
-    num = boe.bl[a & bs]
-    den = num + boe.pl[a & (full ^ bs)]
-    out = np.zeros_like(num)
-    np.divide(num, den, out=out, where=den > 0.0)
-    return out
-
 
 # ---------------------------------------------------------------------------
 # Validation and classification
@@ -433,22 +417,6 @@ def pairwise_jousselme(mass_rows: np.ndarray, size: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-def canonical_order(frame: Frame) -> tuple[int, ...]:
-    """Subset masks ordered by cardinality, then lexicographically by members.
-
-    This is the conventional mass-vector ordering (empty set, singletons,
-    pairs, ...); storage and the distance form use bitmask order instead, and
-    the distance value does not depend on the choice.
-    """
-    return tuple(sorted(range(frame.n_subsets),
-                        key=lambda a: (a.bit_count(), prop_to_indices(a))))
-
-
-def canonical_masses(boe: BodyOfEvidence) -> np.ndarray:
-    """The mass vector in canonical order (documentation/serialization view)."""
-    return boe.masses[list(canonical_order(boe.frame))]
-
 
 def masses_to_dict(frame: Frame, masses: np.ndarray) -> dict:
     """JSON form: propositions as comma-joined 1-based indices, ``*`` the frame."""

@@ -85,9 +85,6 @@ class NetworkState:
             rows.append(spec.boe.masses)
         return NetworkState(frame, graph, tuple(specs), np.vstack(rows))
 
-    def opinions(self) -> list[BodyOfEvidence]:
-        return [BodyOfEvidence(self.frame, row) for row in self.masses]
-
     def epsilons(self) -> np.ndarray:
         return np.array([s.epsilon for s in self.specs])
 
@@ -250,13 +247,6 @@ def general_step(state: NetworkState, pruned: PrunedView | None = None) -> Netwo
 # ---------------------------------------------------------------------------
 # Closed-form engines
 # ---------------------------------------------------------------------------
-
-def opinion_profile(state: NetworkState, proposition: int) -> np.ndarray:
-    """All agents' masses for one proposition, in node order."""
-    if not 0 <= proposition < state.frame.n_subsets:
-        raise ValueError(f"proposition {proposition:#x} outside the frame")
-    return state.masses[:, proposition].copy()
-
 
 def _receptive(specs: Sequence[AgentSpec]) -> np.ndarray:
     return np.array([s.strategy is Strategy.RECEPTIVE for s in specs])

@@ -1,4 +1,4 @@
-"""Directed network layer: base graphs, bounded-confidence pruning, reachability.
+"""Directed network layer: base graphs, bounded-confidence pruning, connectivity.
 
 Edge ``(i, j)`` means agent ``i`` receives information from agent ``j``.
 Node indices are 1-based.  Base topologies store mutual edges; asymmetry of
@@ -14,6 +14,10 @@ import numpy as np
 
 from . import dst
 from .errors import FrameMismatch, InvalidScenario, NodeOutOfRange
+
+# Largest Erdos-Renyi graph: an (N, N) float matrix, which pruning and the
+# weights form every step, stays within 128 MiB.
+MAX_ER_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -65,13 +69,6 @@ class DirectedGraph:
     @staticmethod
     def from_dict(data: dict) -> "DirectedGraph":
         return DirectedGraph.from_mutual_pairs(int(data["n"]), data["edges"])
-
-
-def neighbors(g: DirectedGraph, i: int) -> set[int]:
-    """Agents ``i`` can receive from (its in-neighborhood)."""
-    if not 1 <= i <= g.n:
-        raise NodeOutOfRange(f"node {i} outside [1, {g.n}]")
-    return {j for (a, j) in g.edges if a == i}
 
 
 def kept_edges(kept: np.ndarray) -> frozenset[tuple[int, int]]:
@@ -130,38 +127,6 @@ def prune(g: DirectedGraph, opinions, epsilon: Sequence[float],
     return PrunedView(g, tuple(float(e) for e in eps), kept)
 
 
-def _reach(n: int, arcs: dict[int, list[int]], start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in arcs.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
-def out_component(g: DirectedGraph, i: int) -> set[int]:
-    """Nodes reachable from ``i`` along the direction of information flow."""
-    if not 1 <= i <= g.n:
-        raise NodeOutOfRange(f"node {i} outside [1, {g.n}]")
-    arcs: dict[int, list[int]] = {}
-    for a, j in g.edges:  # j influences a
-        arcs.setdefault(j, []).append(a)
-    return _reach(g.n, arcs, i)
-
-
-def in_component(g: DirectedGraph, i: int) -> set[int]:
-    """Nodes from which ``i`` is reachable along the direction of information flow."""
-    if not 1 <= i <= g.n:
-        raise NodeOutOfRange(f"node {i} outside [1, {g.n}]")
-    arcs: dict[int, list[int]] = {}
-    for a, j in g.edges:
-        arcs.setdefault(a, []).append(j)
-    return _reach(g.n, arcs, i)
-
-
 def is_connected(g: DirectedGraph) -> bool:
     """Connectivity of the underlying undirected graph."""
     if g.n == 1:
@@ -170,20 +135,30 @@ def is_connected(g: DirectedGraph) -> bool:
     for i, j in g.edges:
         arcs.setdefault(i, []).append(j)
         arcs.setdefault(j, []).append(i)
-    return len(_reach(g.n, arcs, 1)) == g.n
+    seen = {1}
+    stack = [1]
+    while stack:
+        for v in arcs.get(stack.pop(), ()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == g.n
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> DirectedGraph:
-    """Mutual-link Erdos-Renyi graph: each pair joined with probability ``p``."""
+    """Mutual-link Erdos-Renyi graph: each pair joined with probability ``p``.
+
+    Pairs draw one uniform each, in row-major upper-triangle order.
+    """
+    if not 0 <= n <= MAX_ER_NODES:
+        raise InvalidScenario(f"n must be in [0, {MAX_ER_NODES}], got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    pairs = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if rng.random() < p:
-                pairs.append((i, j))
-    return DirectedGraph.from_mutual_pairs(n, pairs)
+    hit = rng.random(n * (n - 1) // 2) < p
+    rows, cols = np.triu_indices(n, 1)
+    return DirectedGraph.from_mutual_pairs(n, zip((rows[hit] + 1).tolist(),
+                                                  (cols[hit] + 1).tolist()))
 
 
 def erdos_renyi_connected(n: int, p: float, seed: int, max_attempts: int = 1000) -> DirectedGraph:

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import dst, dynamics
-from .analysis import ClusterReport, detect_clusters
-from .errors import EngineMismatch
+from .analysis import (ClusterReport, classify_chain, detect_clusters,
+                       verify_one_group_chain, verify_two_group_chain)
+from .errors import EngineMismatch, InvalidScenario
 from .scenario import Scenario
 
 
@@ -92,6 +94,41 @@ def run_simulation(scenario: Scenario, epsilon: float | None = None,
     )
 
 
+def verify_run(scenario: Scenario, epsilon: float) -> dict:
+    """Run the scenario with every step's matrix recorded and check its theorem.
+
+    The cautious agents are the driving groups, one group each: one leader
+    selects the one-group consensus theorem, two the two-groups theorem.
+    Returns the payload ``cli verify`` prints: the run's identification, the
+    theorem report and the cluster report.  A scenario with no cautious
+    agent, more than two, the general engine or no step raises
+    InvalidScenario; a run whose matrices lose the chain structure raises
+    NotDrivenChain.
+    """
+    if not scenario.leaders:
+        raise InvalidScenario("scenario has no cautious agents to anchor a driven chain")
+    if len(scenario.leaders) > 2:
+        raise InvalidScenario("more than two cautious groups are not supported")
+    if scenario.resolved_engine() == "general":
+        raise InvalidScenario("the general engine has no confidence matrix to verify; "
+                              "use a pmf or dirichlet scenario")
+    if scenario.max_iterations < 1:
+        raise InvalidScenario("max_iterations is 0, so there is no step to verify")
+    result = run_simulation(scenario, epsilon=epsilon, record_matrices=True)
+    chain = classify_chain(result.matrices[0], [[leader] for leader in scenario.leaders])
+    verify = verify_one_group_chain if chain.kind == "one-group" else verify_two_group_chain
+    report = verify(chain, result.matrices, result.singleton_profiles(result.initial_masses),
+                    result.singleton_profiles())
+    return {
+        "scenario": scenario.name,
+        "engine": result.engine,
+        "epsilon": epsilon,
+        "leaders": list(scenario.leaders),
+        "theorem": report,
+        "clusters": result.report.to_dict(),
+    }
+
+
 @dataclass(frozen=True)
 class BifurcationResult:
     """Limit opinions of one proposition across an epsilon grid."""
@@ -137,12 +174,16 @@ def run_sweep(scenario: Scenario, eps_min: float, eps_max: float, eps_step: floa
               proposition: str = "1", workers: int = 1) -> BifurcationResult:
     """Run the scenario once per grid point with identical initial conditions.
 
-    Grid points are independent; ``workers > 1`` fans them out to processes.
-    Results are assembled in grid order either way.
+    Grid points are independent; ``workers > 1`` fans them out to at most
+    one process per grid point and per CPU.  Results are assembled in grid
+    order either way.
     """
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     grid = sweep_grid(eps_min, eps_max, eps_step)
     mask = dst.prop_from_str(proposition, scenario.frame)
     jobs = [(scenario, eps, mask) for eps in grid]
+    workers = min(workers, len(grid), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, jobs))

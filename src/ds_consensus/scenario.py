@@ -244,14 +244,22 @@ def scenario_from_dict(data: dict, name: str, base: Path,
 
     A missing field or a value of the wrong JSON type raises
     :class:`ScenarioParseError`; a well-typed value that breaks an invariant
-    raises :class:`InvalidScenario`.
+    raises :class:`InvalidScenario`.  An ``alias`` field names the scenario
+    file or asset to load instead; aliases that lead back to a file already
+    on the chain are a :class:`ScenarioParseError`.
     """
     data = _object(data, "scenario")
-    if "alias" in data:
+    chain: list[Path] = []
+    while "alias" in data:
         alias = data["alias"]
         if not isinstance(alias, str):
             raise ScenarioParseError(f"alias must be a string, got {type(alias).__name__}")
-        return load_scenario(alias, seed=seed)
+        path = _resolve(alias)
+        seen = path.resolve() in chain
+        chain.append(path.resolve())
+        if seen:
+            raise ScenarioParseError("alias cycle: " + " -> ".join(map(str, chain)))
+        data, name, base = _object(_read(path), "scenario"), path.stem, path.parent
     engine = data.get("engine", "auto")
     if engine not in ENGINE_NAMES:
         raise InvalidScenario(f"engine must be one of {ENGINE_NAMES}, got {engine!r}")
@@ -321,12 +329,15 @@ def scenario_from_dict(data: dict, name: str, base: Path,
     )
 
 
+def _read(path: Path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ScenarioParseError(f"{path}: {exc}")
+
+
 def load_scenario(source: str, seed: int | None = None) -> Scenario:
     """Load and materialize a scenario from a file path or a built-in asset name."""
     path = _resolve(source)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ScenarioParseError(f"{path}: {exc}")
-    return scenario_from_dict(data, name=path.stem, base=path.parent, seed=seed)
+    return scenario_from_dict(_read(path), name=path.stem, base=path.parent, seed=seed)

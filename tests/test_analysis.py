@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from ds_consensus.analysis import (LeftProduct, _cluster_ids, check_consensus_rank_one,
-                                   classify_chain, detect_clusters, infinity_norm,
-                                   left_product_accumulate,
-                                   verify_one_group_chain, verify_two_group_chain)
+from ds_consensus.analysis import (_cluster_ids, _walk_chain, classify_chain,
+                                   detect_clusters, infinity_norm, rank_one_rows)
 from ds_consensus import dst
 from ds_consensus.dst import BodyOfEvidence, Frame
 from ds_consensus.dynamics import AgentSpec, Strategy
 from ds_consensus.errors import NotDrivenChain, NotRankOne
 from ds_consensus.graph import DirectedGraph
-from ds_consensus.runner import run_simulation
+from ds_consensus.runner import run_simulation, verify_run
 from ds_consensus.scenario import Scenario
 
 from conftest import random_general_boe
@@ -34,37 +32,38 @@ def test_infinity_norm():
 
 
 def test_left_product_identity_and_order():
-    acc = LeftProduct.identity(2)
-    assert np.array_equal(acc.matrix, np.eye(2))
-    a = np.array([[1.0, 1.0], [0.0, 1.0]])
-    b = np.array([[1.0, 0.0], [1.0, 1.0]])
-    acc = left_product_accumulate(acc, a)
-    acc = left_product_accumulate(acc, b)
-    assert np.array_equal(acc.matrix, b @ a)  # newest factor multiplies on the left
-    assert acc.count == 2
+    # a two-agent central group whose blocks do not commute
+    a = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 0.5]])
+    b = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.1, 0.1, 0.8]])
+    chain = classify_chain(a, [[1, 2]])
+    (prod,), _, _ = _walk_chain(chain, [a])
+    assert np.array_equal(prod, a[:2, :2])
+    (prod,), _, couplings = _walk_chain(chain, [a, b])
+    assert np.array_equal(prod, b[:2, :2] @ a[:2, :2])  # newest factor multiplies on the left
+    assert len(couplings) == 2 and np.array_equal(couplings[1][0], b[2:, :2])
 
 
 def test_left_product_rank_one_idempotent():
     v = np.array([0.3, 0.7])
-    w = np.outer(np.ones(2), v)
-    acc = LeftProduct.identity(2)
-    for _ in range(5):
-        acc = left_product_accumulate(acc, w)
-    assert np.allclose(acc.matrix, w)
+    w = np.zeros((3, 3))
+    w[:2, :2] = np.outer(np.ones(2), v)
+    w[2] = [0.25, 0.25, 0.5]
+    (prod,), contraction, _ = _walk_chain(classify_chain(w, [[1, 2]]), [w] * 5)
+    assert np.allclose(prod, w[:2, :2])
+    assert contraction["product_norm"] == pytest.approx(0.5 ** 5)
 
 
 def test_rank_one_consensus_value():
     v = np.array([0.3, 0.7])
     w = np.outer(np.ones(2), v)
-    eta = check_consensus_rank_one(w, np.array([1.0, 0.0]))
-    assert eta == pytest.approx(0.3)
-    eta = check_consensus_rank_one(np.outer(np.ones(2), [1.0, 0.0]), np.array([0.4, 0.9]))
+    assert rank_one_rows(w) @ np.array([1.0, 0.0]) == pytest.approx(0.3)
+    eta = rank_one_rows(np.outer(np.ones(2), [1.0, 0.0])) @ np.array([0.4, 0.9])
     assert eta == pytest.approx(0.4)  # single absorbing agent
 
 
 def test_rank_one_rejects_identity():
     with pytest.raises(NotRankOne):
-        check_consensus_rank_one(np.eye(2), np.array([1.0, 0.0]))
+        rank_one_rows(np.eye(2))
 
 
 def test_detect_clusters_identical_and_distinct():
@@ -185,24 +184,18 @@ def test_classify_chain_two_groups():
         classify_chain(w_bad, [[1], [2]])
 
 
-def _leader_run(leaders, epsilon, fig6a=False):
+def _leader_scenario(leaders, fig6a=False, pi1=(0.80, 0.78, 0.76, 0.40, 0.80, 0.10, 0.20)):
     pairs = [(1, 3), (2, 3), (3, 4), (3, 6), (3, 7), (4, 5)] if fig6a else \
         [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (3, 6), (4, 5), (5, 7), (6, 7)]
     g = DirectedGraph.from_mutual_pairs(7, pairs)
-    pi1 = [0.80, 0.78, 0.76, 0.40, 0.80, 0.10, 0.20]
     specs = tuple(AgentSpec(Strategy.CAUTIOUS if i + 1 in leaders else Strategy.RECEPTIVE,
                             0.5, 1.0, bayes(x)) for i, x in enumerate(pi1))
-    scenario = Scenario(name="t", frame=F3, graph=g, agents=specs, engine="pmf",
-                        leaders=tuple(sorted(leaders)))
-    return run_simulation(scenario, epsilon, record_matrices=True)
+    return Scenario(name="t", frame=F3, graph=g, agents=specs, engine="pmf",
+                    leaders=tuple(sorted(leaders)))
 
 
 def test_verify_one_group_chain_leader_adoption():
-    run = _leader_run({1}, 0.5)
-    chain = classify_chain(run.matrices[0], [[1]])
-    report = verify_one_group_chain(chain, run.matrices,
-                                    run.singleton_profiles(run.initial_masses),
-                                    run.singleton_profiles())
+    report = verify_run(_leader_scenario({1}), 0.5)["theorem"]
     assert report["hypotheses"]["central_product_rank_one"]
     assert report["hypotheses"]["outer_contraction"]["product_vanishes"]
     assert report["hypotheses"]["satisfied"]
@@ -212,7 +205,7 @@ def test_verify_one_group_chain_leader_adoption():
 
 def test_verify_one_group_block_recursion_equals_accumulated():
     # accumulated product blocks obey P_next = C_next @ A_prod + D_next @ P
-    run = _leader_run({1}, 0.5)
+    run = run_simulation(_leader_scenario({1}), 0.5, record_matrices=True)
     chain = classify_chain(run.matrices[0], [[1]])
     a_prod, p = None, None
     for w in run.matrices:
@@ -220,20 +213,16 @@ def test_verify_one_group_block_recursion_equals_accumulated():
         a, c = a_blocks[0], c_blocks[0]
         p = c if p is None else c @ a_prod + d @ p
         a_prod = a if a_prod is None else a @ a_prod
-    acc = LeftProduct.identity(7)
+    acc = np.eye(7)
     for w in run.matrices:
-        acc = left_product_accumulate(acc, w)
+        acc = w @ acc
     outer = chain.outer_idx
     central = chain.group_idx(0)
-    assert np.max(np.abs(acc.matrix[np.ix_(outer, central)] - p)) < 1e-10
+    assert np.max(np.abs(acc[np.ix_(outer, central)] - p)) < 1e-10
 
 
 def test_verify_two_group_chain_different_leaders():
-    run = _leader_run({1, 7}, 0.35)
-    chain = classify_chain(run.matrices[0], [[1], [7]])
-    report = verify_two_group_chain(chain, run.matrices,
-                                    run.singleton_profiles(run.initial_masses),
-                                    run.singleton_profiles())
+    report = verify_run(_leader_scenario({1, 7}), 0.35)["theorem"]
     assert report["hypotheses"]["group_products_rank_one"]
     assert report["prediction"]["full_consensus"] is False
     assert report["observed"]["no_consensus_observed"]
@@ -241,11 +230,7 @@ def test_verify_two_group_chain_different_leaders():
 
 
 def test_verify_two_group_chain_weight_proportion():
-    run = _leader_run({1, 7}, 0.5, fig6a=True)
-    chain = classify_chain(run.matrices[0], [[1], [7]])
-    report = verify_two_group_chain(chain, run.matrices,
-                                    run.singleton_profiles(run.initial_masses),
-                                    run.singleton_profiles())
+    report = verify_run(_leader_scenario({1, 7}, fig6a=True), 0.5)["theorem"]
     hyp = report["hypotheses"]
     assert hyp["weight_proportion_every_step"] and hyp["weight_proportion_constant"]
     assert hyp["lambda_1"] == pytest.approx(0.5)
@@ -256,18 +241,9 @@ def test_verify_two_group_chain_weight_proportion():
 
 def test_verify_two_group_chain_equal_leaders_consensus():
     # both leaders share the same opinion: everyone adopts it
-    pairs = [(1, 3), (2, 3), (3, 4), (3, 6), (3, 7), (4, 5)]
-    g = DirectedGraph.from_mutual_pairs(7, pairs)
-    pi1 = [0.80, 0.78, 0.76, 0.40, 0.80, 0.10, 0.80]
-    specs = tuple(AgentSpec(Strategy.CAUTIOUS if i + 1 in (1, 7) else Strategy.RECEPTIVE,
-                            0.5, 1.0, bayes(x)) for i, x in enumerate(pi1))
-    scenario = Scenario(name="t", frame=F3, graph=g, agents=specs, engine="pmf",
-                        leaders=(1, 7))
-    run = run_simulation(scenario, 0.9, record_matrices=True)
-    chain = classify_chain(run.matrices[0], [[1], [7]])
-    report = verify_two_group_chain(chain, run.matrices,
-                                    run.singleton_profiles(run.initial_masses),
-                                    run.singleton_profiles())
+    scenario = _leader_scenario({1, 7}, fig6a=True,
+                                pi1=(0.80, 0.78, 0.76, 0.40, 0.80, 0.10, 0.80))
+    report = verify_run(scenario, 0.9)["theorem"]
     assert report["prediction"]["full_consensus"] is True
     assert report["prediction"]["consensus_profile"] == pytest.approx([0.8, 0.1, 0.1])
     assert report["match"]

@@ -112,15 +112,6 @@ def test_conditional_requires_positive_belief():
         b.conditional_belief(0b01, 0b10)
 
 
-def test_conditional_vector_matches_scalar(rng):
-    frame = Frame(3)
-    b = random_general_boe(frame, rng)
-    a = 0b011
-    vec = dst.conditional_belief_vector(b, a)
-    for target in range(frame.n_subsets):
-        assert vec[target] == pytest.approx(b.conditional_belief(target, a), abs=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # Jousselme distance
 # ---------------------------------------------------------------------------
@@ -284,13 +275,3 @@ def test_proposition_strings():
     assert dst.prop_to_str(0b101, frame) == "1,3"
     assert dst.prop_from_str("2,3", frame) == 0b110
     assert dst.prop_from_str("*", frame) == 0b111
-
-
-def test_canonical_order():
-    frame = Frame(3)
-    order = dst.canonical_order(frame)
-    named = [dst.prop_to_str(a, frame) if a else "empty" for a in order]
-    assert named == ["empty", "1", "2", "3", "1,2", "1,3", "2,3", "*"]
-    b = boe(3, {"1": 0.3, "2": 0.2, "3": 0.1, "*": 0.4})
-    view = dst.canonical_masses(b)
-    assert view.tolist() == [0.0, 0.3, 0.2, 0.1, 0.0, 0.0, 0.0, 0.4]

@@ -229,11 +229,3 @@ def test_theta_weight_matrix_rows(rng):
     # cautious row: own theta mass spread over neighbors
     assert gamma[1, 0] == pytest.approx(0.25 * theta[1])
     assert gamma[1, 2] == pytest.approx(0.25 * theta[1])
-
-
-def test_opinion_profiles():
-    from ds_consensus.dynamics import opinion_profile
-    st = state_of([bayes(0.2), bayes(0.9)], [(1, 2)])
-    assert opinion_profile(st, 0b001).tolist() == [0.2, 0.9]
-    with pytest.raises(ValueError):
-        opinion_profile(st, 9)

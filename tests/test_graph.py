@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from ds_consensus.dst import BodyOfEvidence, Frame
-from ds_consensus.errors import FrameMismatch, NodeOutOfRange
-from ds_consensus.graph import (DirectedGraph, erdos_renyi, erdos_renyi_connected,
-                                in_component, is_connected, neighbors, out_component,
-                                prune)
+from ds_consensus.errors import FrameMismatch, InvalidScenario, NodeOutOfRange
+from ds_consensus.graph import (MAX_ER_NODES, DirectedGraph, erdos_renyi,
+                                erdos_renyi_connected, is_connected, prune)
 
 from conftest import random_general_boe
 
@@ -20,43 +19,19 @@ def bayes(frame, x):
 
 def test_neighbors_directionality():
     g = DirectedGraph.from_edges(2, [(1, 2)])  # 1 receives from 2
-    assert neighbors(g, 1) == {2}
-    assert neighbors(g, 2) == set()
+    assert g.adjacency().tolist() == [[False, True], [False, False]]
     with pytest.raises(NodeOutOfRange):
-        neighbors(g, 3)
+        DirectedGraph.from_edges(2, [(1, 3)])
 
 
 def test_neighbors_complete_graph():
     g = DirectedGraph.from_mutual_pairs(3, [(1, 2), (1, 3), (2, 3)])
-    assert neighbors(g, 1) == {2, 3}
+    assert np.array_equal(g.adjacency(), ~np.eye(3, dtype=bool))
 
 
 def test_no_self_loops():
     with pytest.raises(ValueError):
         DirectedGraph.from_edges(2, [(1, 1)])
-
-
-def test_components_chain():
-    # 1 feeds 2 feeds 3
-    g = DirectedGraph.from_edges(3, [(2, 1), (3, 2)])
-    assert out_component(g, 1) == {1, 2, 3}
-    assert in_component(g, 1) == {1}
-    assert in_component(g, 3) == {1, 2, 3}
-
-
-def test_components_isolated():
-    g = DirectedGraph.from_edges(3, [(2, 1)])
-    assert out_component(g, 3) == {3}
-    assert in_component(g, 3) == {3}
-
-
-def test_components_duality(rng):
-    for trial in range(10):
-        n = int(rng.integers(2, 15))
-        g = erdos_renyi(n, 0.3, int(rng.integers(0, 10_000)))
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                assert (i in out_component(g, j)) == (j in in_component(g, i))
 
 
 def test_prune_epsilon_one_keeps_everything(rng):
@@ -110,6 +85,26 @@ def test_erdos_renyi_extremes():
 def test_erdos_renyi_reproducible():
     assert erdos_renyi(30, 0.2, 42).edges == erdos_renyi(30, 0.2, 42).edges
     assert erdos_renyi(30, 0.2, 42).edges != erdos_renyi(30, 0.2, 43).edges
+
+
+def _erdos_renyi_pair_by_pair(n, p, seed):
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+             if rng.random() < p]
+    return DirectedGraph.from_mutual_pairs(n, pairs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 30, 100])
+def test_erdos_renyi_matches_pair_by_pair_draws(n):
+    for seed in range(10):
+        for p in (0.0, 0.1, 0.5, 1.0):
+            assert erdos_renyi(n, p, seed).edges == _erdos_renyi_pair_by_pair(n, p, seed).edges
+
+
+def test_erdos_renyi_size_cap():
+    for n in (-1, MAX_ER_NODES + 1, 10 ** 12):  # rejected before anything is drawn
+        with pytest.raises(InvalidScenario):
+            erdos_renyi(n, 0.1, 0)
 
 
 def test_erdos_renyi_connected_screening():

@@ -14,8 +14,11 @@ from ds_consensus.dynamics import Strategy
 from ds_consensus.errors import (DSConsensusError, EngineMismatch, InvalidScenario,
                                  ScenarioParseError)
 from ds_consensus.output import write_sweep_csv, write_sweep_json, write_sweep_svg
-from ds_consensus.runner import run_simulation, run_sweep, sweep_grid
-from ds_consensus.scenario import (SamplingSpec, list_assets, load_scenario,
+from ds_consensus import runner
+from ds_consensus.analysis import classify_chain, verify_one_group_chain, verify_two_group_chain
+from ds_consensus.graph import MAX_ER_NODES
+from ds_consensus.runner import run_simulation, run_sweep, sweep_grid, verify_run
+from ds_consensus.scenario import (SamplingSpec, assets_dir, list_assets, load_scenario,
                                    sample_boe, scenario_from_dict)
 
 
@@ -198,6 +201,41 @@ def test_sweep_deterministic_and_parallel_equal(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count, maps in-process."""
+
+    workers: list[int] = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_sweep_worker_count_bounds(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(_RecordingPool, "workers", [])
+    s = load_scenario("fig3a-pmf")
+    run_sweep(s, 0.4, 0.5, 0.05, workers=10 ** 6)   # 3 grid points
+    run_sweep(s, 0.0, 1.0, 0.05, workers=10 ** 6)   # 21 grid points, 4 CPUs
+    run_sweep(s, 0.0, 1.0, 0.05, workers=3)
+    run_sweep(s, 0.5, 0.5, 0.05, workers=8)         # one point runs in-process
+    assert _RecordingPool.workers == [3, 4, 3]
+    for bad in ("0", "-2"):
+        code = cli(["sweep", "--scenario", "fig3a-pmf", "--eps-min", "0.4", "--eps-max",
+                    "0.5", "--eps-step", "0.05", "--parallel", bad, "--out", str(tmp_path)])
+        assert code == 1 and "at least one worker" in capsys.readouterr().err
+    assert _RecordingPool.workers == [3, 4, 3]
+
+
 def test_empty_grid_csv(tmp_path):
     s = load_scenario("fig3a-pmf")
     result = run_sweep(s, 0.5, 0.5, 1.0)
@@ -262,6 +300,48 @@ def test_cli_verify_requires_leaders(capsys):
     code = cli(["verify", "--scenario", "fig3a-pmf", "--epsilon", "0.5"])
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize("name,epsilon", [("fig4a-pmf", 0.5), ("fig5a-pmf", 0.35),
+                                          ("fig6a-pmf", 0.5)])
+def test_verify_run_is_the_recorded_run_workflow(name, epsilon):
+    scenario = load_scenario(name)
+    run = run_simulation(scenario, epsilon=epsilon, record_matrices=True)
+    chain = classify_chain(run.matrices[0], [[leader] for leader in scenario.leaders])
+    verify = verify_one_group_chain if len(scenario.leaders) == 1 else verify_two_group_chain
+    theorem = verify(chain, run.matrices, run.singleton_profiles(run.initial_masses),
+                     run.singleton_profiles())
+    want = {"scenario": scenario.name, "engine": run.engine, "epsilon": epsilon,
+            "leaders": list(scenario.leaders), "theorem": theorem,
+            "clusters": run.report.to_dict()}
+    assert json.dumps(verify_run(scenario, epsilon)) == json.dumps(want)
+
+
+def _asset_with(tmp_path, name, **fields):
+    data = json.loads((assets_dir() / f"{name}.json").read_text())
+    path = tmp_path / f"{name}-changed.json"
+    path.write_text(json.dumps(dict(data, **fields)))
+    return str(path)
+
+
+def test_cli_verify_rejections_exit_one(tmp_path, capsys):
+    fig4a = json.loads((assets_dir() / "fig4a-pmf.json").read_text())
+    three = [dict(agent, strategy="cautious") if k in (0, 1, 6) else agent
+             for k, agent in enumerate(fig4a["agents"])]
+    cases = {
+        "fig3a-pmf": "scenario has no cautious agents to anchor a driven chain",
+        _asset_with(tmp_path, "fig4a-pmf", agents=three):
+            "more than two cautious groups are not supported",
+        "ds7-oneleader": "the general engine has no confidence matrix to verify",
+        _asset_with(tmp_path, "fig4a-pmf", max_iterations=0): "no step to verify",
+    }
+    for source, message in cases.items():
+        with pytest.raises(InvalidScenario, match=message):
+            verify_run(load_scenario(source), 0.5)
+        code = cli(["verify", "--scenario", source, "--epsilon", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("ds-consensus verify: ") and message in captured.err
 
 
 def test_cli_gen_graph(tmp_path, capsys):
@@ -396,6 +476,32 @@ def test_er_graph_without_connected_sample_rejected(tmp_path, capsys):
     with pytest.raises(InvalidScenario):
         scenario_from_dict(data, "t", tmp_path)
     assert _cli_run_file(tmp_path, data, capsys) == 1
+
+
+def test_er_graph_above_the_size_cap_rejected(tmp_path, capsys):
+    data = dict(TINY, graph={"er": {"n": MAX_ER_NODES + 1, "p": 0.1}},
+                n_agents=MAX_ER_NODES + 1, defaults={"boe": {"masses": {"1": 1.0}}})
+    del data["agents"]
+    with pytest.raises(InvalidScenario, match="n must be in"):
+        scenario_from_dict(data, "t", tmp_path)
+    assert _cli_run_file(tmp_path, data, capsys) == 1
+
+
+def test_alias_cycles_rejected(tmp_path, capsys):
+    a, b, own = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "own.json"
+    a.write_text(json.dumps({"alias": str(b)}))
+    b.write_text(json.dumps({"alias": str(a)}))
+    own.write_text(json.dumps({"alias": str(own)}))
+    for path in (a, b, own):
+        with pytest.raises(ScenarioParseError, match="alias cycle"):
+            load_scenario(str(path))
+        code = cli(["run", "--scenario", str(path), "--epsilon", "0.5"])
+        assert code == 1 and "alias cycle" in capsys.readouterr().err
+    # an alias chain that ends in a scenario still loads it
+    (tmp_path / "c.json").write_text(json.dumps({"alias": str(tmp_path / "d.json")}))
+    (tmp_path / "d.json").write_text(json.dumps({"alias": "fig3a-pmf"}))
+    loaded, target = load_scenario(str(tmp_path / "c.json")), load_scenario("fig3a-pmf")
+    assert loaded.name == target.name and loaded.graph == target.graph
 
 
 # Any JSON value, with small numbers: sizes stay small enough to run quickly.

@@ -76,8 +76,8 @@ def test_jousselme_metric_axioms(triple):
 @given(boes())
 def test_conditioning_on_frame_is_identity(b):
     full = b.frame.full_set
-    vec = dst.conditional_belief_vector(b, full)
-    assert np.max(np.abs(vec - b.bl)) < 1e-12
+    for target in range(b.frame.n_subsets):
+        assert abs(b.conditional_belief(target, full) - b.bl[target]) < 1e-12
 
 
 @given(boes(max_size=6))
