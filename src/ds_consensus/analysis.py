@@ -195,7 +195,7 @@ def classify_chain(w: np.ndarray, central_groups: Sequence[Sequence[int]],
                 if block.size and block.max() > tol:
                     raise NotDrivenChain(
                         f"central group {g + 1} hears outside agents "
-                        f"(weight {block.max()!r})")
+                        f"(weight {float(block.max())!r})")
     return chain
 
 

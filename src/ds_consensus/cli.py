@@ -74,8 +74,7 @@ def _cmd_run(args) -> int:
         print("ds-consensus run: --trace requires --out", file=sys.stderr)
         return 1
     result = run_simulation(scenario, epsilon=args.epsilon,
-                            record_edges=args.trace,
-                            record_trajectory=1 if args.trace else 0)
+                            record_edges=args.trace, record_trajectory=args.trace)
     payload = {
         "scenario": scenario.name,
         "engine": result.engine,

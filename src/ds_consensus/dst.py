@@ -46,13 +46,10 @@ class Frame:
     """A frame of discernment: ``size`` mutually exclusive singletons."""
 
     size: int
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not 1 <= self.size <= MAX_FRAME_SIZE:
             raise ValueError(f"frame size must be in [1, {MAX_FRAME_SIZE}], got {self.size}")
-        if self.labels is not None and len(self.labels) != self.size:
-            raise ValueError("label count must equal frame size")
 
     @property
     def n_subsets(self) -> int:
@@ -215,65 +212,34 @@ class BodyOfEvidence:
 
 
 # ---------------------------------------------------------------------------
-# Validation and classification
+# Validation and opinion classes
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
     issues: tuple[str, ...]
-    category: str  # "vacuous" | "bayesian" | "dirichlet" | "general" | "invalid"
-    is_bayesian: bool
-    is_dirichlet: bool
-    is_vacuous: bool
-
-
-def _classify(frame: Frame, masses: np.ndarray) -> tuple[str, bool, bool, bool]:
-    focal = np.nonzero(masses > 0.0)[0]
-    singletons = {1 << p for p in range(frame.size)}
-    vacuous = set(focal) == {frame.full_set}
-    bayesian = all(int(a) in singletons for a in focal)
-    dirichlet = all(int(a) in singletons or int(a) == frame.full_set for a in focal)
-    if vacuous:
-        category = "vacuous"
-    elif bayesian:
-        category = "bayesian"
-    elif dirichlet:
-        category = "dirichlet"
-    else:
-        category = "general"
-    return category, bayesian, dirichlet, vacuous
 
 
 def validate_masses(frame: Frame, masses: np.ndarray) -> ValidationReport:
-    """Report-style check of the mass axioms plus a class label.
+    """Report-style check of the mass axioms.
 
-    Classes: vacuous (all mass on the frame), bayesian (singleton focal
-    elements only), dirichlet (singletons plus the frame), general.
-    A vacuous or bayesian assignment is also dirichlet.
+    Which engine an opinion table needs is decided by
+    :func:`is_bayesian_table` and :func:`is_dirichlet_table`.
     """
     m = np.asarray(masses, dtype=float)
-    issues = []
     if m.shape != (frame.n_subsets,):
-        return ValidationReport(False, (f"expected {frame.n_subsets} masses",), "invalid",
-                                False, False, False)
+        return ValidationReport(False, (f"expected {frame.n_subsets} masses",))
     if not np.all(np.isfinite(m)):
-        return ValidationReport(False, ("masses must be finite",), "invalid",
-                                False, False, False)
+        return ValidationReport(False, ("masses must be finite",))
+    issues = []
     if m[0] != 0.0:
         issues.append(f"mass of the empty set must be 0, got {m[0]!r}")
     if abs(m.sum() - 1.0) > ALGEBRAIC_TOL:
         issues.append(f"total mass must be 1, got {m.sum()!r}")
     if m.min() < -ALGEBRAIC_TOL:
         issues.append(f"negative mass {m.min()!r}")
-    if issues:
-        return ValidationReport(False, tuple(issues), "invalid", False, False, False)
-    category, bayesian, dirichlet, vacuous = _classify(frame, m)
-    return ValidationReport(True, (), category, bayesian, dirichlet, vacuous)
-
-
-def validate(boe: BodyOfEvidence) -> ValidationReport:
-    return validate_masses(boe.frame, boe.masses)
+    return ValidationReport(not issues, tuple(issues))
 
 
 def support_columns(frame: Frame, with_full: bool = False) -> np.ndarray:

@@ -252,63 +252,65 @@ def _receptive(specs: Sequence[AgentSpec]) -> np.ndarray:
     return np.array([s.strategy is Strategy.RECEPTIVE for s in specs])
 
 
-def _profiles(masses: np.ndarray, frame: Frame,
-              dirichlet: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Singleton profiles (N, M) and, for Dirichlet, the full-frame masses (N,).
+def _profile(masses: np.ndarray, frame: Frame, dirichlet: bool
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The profile columns and the (N, K) column-major profile of a mass table.
 
-    A frame of size 1 has no full-frame column apart from its singleton, so
-    its Dirichlet opinions are Bayesian and carry no separate full-frame mass.
+    The columns are the singletons, then for Dirichlet the full frame (which
+    a one-singleton frame lacks: its Dirichlet opinions are Bayesian).
+    Column-major, the singleton columns meet every weight matrix in the same
+    BLAS kernel, so the engines round alike.
     """
     cols = dst.support_columns(frame, with_full=dirichlet)
-    p = masses[:, cols[:frame.size]]
-    theta = masses[:, cols[frame.size]] if len(cols) > frame.size else None
-    return p, theta
+    return cols, np.asfortranarray(masses[:, cols])
 
 
-def _pmf_weights(i: np.ndarray, flat: np.ndarray, alphas: np.ndarray,
-                 receptive: np.ndarray) -> ConfidenceMatrix:
-    """Weights of the kept edges: agent i[e] hears j[e], flat[e] = i[e] * N + j[e]."""
+def _weights(i: np.ndarray, flat: np.ndarray, alphas: np.ndarray, receptive: np.ndarray,
+             theta: np.ndarray | None = None) -> ConfidenceMatrix:
+    """Weights of the kept edges: agent i[e] hears j[e], flat[e] = i[e] * N + j[e].
+
+    A receptive agent with kept neighbours keeps self-weight alpha and gives
+    each neighbour an equal share of 1 - alpha; every other diagonal is 1.
+    Given the full-frame masses ``theta`` (Dirichlet), receptive rows amplify
+    each share by that neighbour's full-frame mass and cautious rows leak in
+    their neighbours by their own; without them (pmf) cautious rows are
+    identity rows and every row sums to 1.
+    """
     n = len(alphas)
     counts = np.bincount(i, minlength=n)
-    active = receptive & (counts > 0)
-    share = np.where(active, (1.0 - alphas) / np.maximum(counts, 1), 0.0)
+    safe = np.maximum(counts, 1)
+    share = (1.0 - alphas) / safe
+    if theta is None:
+        edge = np.where(receptive, share, 0.0).take(i)
+    else:
+        leak = (1.0 - alphas) * theta / safe
+        edge = np.where(receptive.take(i), share.take(i) * (1.0 + theta.take(flat - i * n)),
+                        leak.take(i))
     w = np.zeros((n, n))
     cells = w.reshape(-1)  # a view: writes land in w
-    cells[flat] = share[i]
-    cells[::n + 1] = np.where(active, alphas, 1.0)
-    return ConfidenceMatrix(w, row_stochastic=True)
+    cells[flat] = edge
+    cells[::n + 1] = np.where(receptive & (counts > 0), alphas, 1.0)
+    return ConfidenceMatrix(w, row_stochastic=theta is None)
 
 
-def _pmf_matrix(kept: np.ndarray, alphas: np.ndarray,
-                receptive: np.ndarray) -> ConfidenceMatrix:
-    """:func:`_pmf_weights` of the edges a receive matrix keeps."""
-    flat = np.flatnonzero(kept)
-    return _pmf_weights(flat // len(kept), flat, alphas, receptive)
+def _update(w: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
+    """The profile after one step: ``w`` moves the ``size`` singleton columns,
+    and a full-frame column takes the mass they leave over."""
+    p = w @ x[:, :size]
+    new = np.empty_like(x)
+    new[:, :size] = p
+    if x.shape[1] > size:
+        leftover = 1.0 - p.sum(axis=1)
+        if leftover.min() < -1e-10:
+            raise NotDirichlet(f"mass conservation violated by {leftover.min()!r}")
+        new[:, size] = np.clip(leftover, 0.0, None)
+    return new
 
 
-def _dirichlet_weights(kept: np.ndarray, alphas: np.ndarray, receptive: np.ndarray,
-                       theta: np.ndarray) -> ConfidenceMatrix:
-    n = kept.shape[0]
-    counts = kept.sum(axis=1)
-    has = counts > 0
-    safe = np.maximum(counts, 1)
-    # receptive rows amplify each neighbor by that neighbor's full-frame mass;
-    # cautious rows keep the diagonal at 1 and leak by their own full-frame mass
-    rec_rows = (kept * ((1.0 - alphas) / safe)[:, None]) * (1.0 + theta)[None, :]
-    cau_rows = kept * ((1.0 - alphas) * theta / safe)[:, None]
-    w = np.where((receptive & has)[:, None], rec_rows,
-                 np.where(has[:, None], cau_rows, 0.0))
-    w[np.arange(n), np.arange(n)] = np.where(receptive & has, alphas, 1.0)
-    return ConfidenceMatrix(w, row_stochastic=False)
-
-
-def _dirichlet_update(w: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """New singleton profiles and the full-frame mass they leave over."""
-    new_p = w @ p
-    leftover = 1.0 - new_p.sum(axis=1)
-    if leftover.min() < -1e-10:
-        raise NotDirichlet(f"mass conservation violated by {leftover.min()!r}")
-    return new_p, np.clip(leftover, 0.0, None)
+def _kept_weights(state: NetworkState, pruned: PrunedView,
+                  theta: np.ndarray | None = None) -> ConfidenceMatrix:
+    flat = np.flatnonzero(pruned.kept)
+    return _weights(flat // state.graph.n, flat, state.alphas(), _receptive(state.specs), theta)
 
 
 def pmf_confidence_matrix(state: NetworkState, pruned: PrunedView) -> ConfidenceMatrix:
@@ -320,7 +322,7 @@ def pmf_confidence_matrix(state: NetworkState, pruned: PrunedView) -> Confidence
     """
     if not dst.is_bayesian_table(state.masses, state.frame):
         raise NotBayesian("pmf engine requires Bayesian opinions")
-    return _pmf_matrix(pruned.kept, state.alphas(), _receptive(state.specs))
+    return _kept_weights(state, pruned)
 
 
 def dirichlet_confidence_matrix(state: NetworkState, pruned: PrunedView) -> ConfidenceMatrix:
@@ -332,34 +334,28 @@ def dirichlet_confidence_matrix(state: NetworkState, pruned: PrunedView) -> Conf
     """
     if not dst.is_dirichlet_table(state.masses, state.frame):
         raise NotDirichlet("dirichlet engine requires Dirichlet opinions")
-    _, theta = _profiles(state.masses, state.frame, dirichlet=True)
-    if theta is None:
-        return _pmf_matrix(pruned.kept, state.alphas(), _receptive(state.specs))
-    return _dirichlet_weights(pruned.kept, state.alphas(), _receptive(state.specs), theta)
+    theta = state.masses[:, state.frame.full_set] if state.frame.size > 1 else None
+    return _kept_weights(state, pruned, theta)
+
+
+def _closed_form_step(state: NetworkState, pruned: PrunedView | None,
+                      dirichlet: bool) -> NetworkState:
+    if pruned is None:
+        pruned = state.pruned()
+    confidence = dirichlet_confidence_matrix if dirichlet else pmf_confidence_matrix
+    w = confidence(state, pruned).matrix
+    cols, x = _profile(state.masses, state.frame, dirichlet)
+    new_masses = np.zeros_like(state.masses)
+    new_masses[:, cols] = _update(w, x, state.frame.size)
+    return state.with_masses(new_masses)
 
 
 def pmf_step(state: NetworkState, pruned: PrunedView | None = None) -> NetworkState:
-    if pruned is None:
-        pruned = state.pruned()
-    w = pmf_confidence_matrix(state, pruned).matrix
-    p, _ = _profiles(state.masses, state.frame, dirichlet=False)
-    new_masses = np.zeros_like(state.masses)
-    new_masses[:, dst.support_columns(state.frame)] = w @ p
-    return state.with_masses(new_masses)
+    return _closed_form_step(state, pruned, dirichlet=False)
 
 
 def dirichlet_step(state: NetworkState, pruned: PrunedView | None = None) -> NetworkState:
-    if pruned is None:
-        pruned = state.pruned()
-    w = dirichlet_confidence_matrix(state, pruned).matrix
-    p, theta = _profiles(state.masses, state.frame, dirichlet=True)
-    if theta is None:
-        return pmf_step(state, pruned)
-    new_p, new_theta = _dirichlet_update(w, p)
-    new_masses = np.zeros_like(state.masses)
-    new_masses[:, dst.support_columns(state.frame)] = new_p
-    new_masses[:, state.frame.full_set] = new_theta
-    return state.with_masses(new_masses)
+    return _closed_form_step(state, pruned, dirichlet=True)
 
 
 def theta_weight_matrix(state: NetworkState, pruned: PrunedView) -> np.ndarray:
@@ -419,17 +415,18 @@ MOVE_ROUNDING = 2.0 ** -52
 class ProfileRun:
     """A pmf or Dirichlet run on singleton profiles, stepped one step at a time.
 
-    State is the (N, M) singleton profile, plus the full-frame masses for
-    Dirichlet.  The opinion class is checked once, here; adjacency, bounds,
-    self-weights, strategies and the Jaccard block of the profile columns
-    are fixed for the run.  Pruning computes distances on the base edges
-    only, and is recomputed only when the certificate above no longer holds;
-    the pmf weight matrix is rebuilt only when the kept edges change.  So
-    every step gives the same masses, kept edges and weights as
-    :func:`pmf_step` / :func:`dirichlet_step` would.  (Distances on the
-    profile columns equal those of the dense mass table bit for bit up to
-    four singletons; beyond that they agree to about 4e-16, so a kept edge
-    could differ only for a distance that close to its bound.)
+    State is one (N, K) profile array ``x``: the singleton columns, plus the
+    full-frame column for Dirichlet.  The opinion class is checked once,
+    here; adjacency, bounds, self-weights, strategies and the Jaccard block
+    of the profile columns are fixed for the run.  Pruning computes
+    distances on the base edges only, and is recomputed only when the
+    certificate above no longer holds; the pmf weight matrix is rebuilt only
+    when the kept edges change.  So every step gives the same masses, kept
+    edges and weights as :func:`pmf_step` / :func:`dirichlet_step` would.
+    (Distances on the profile columns equal those of the dense mass table
+    bit for bit up to four singletons; beyond that they agree to about
+    4e-16, so a kept edge could differ only for a distance that close to its
+    bound.)
     """
 
     def __init__(self, state: NetworkState, engine: str):
@@ -441,8 +438,8 @@ class ProfileRun:
         if not dirichlet and not dst.is_bayesian_table(state.masses, state.frame):
             raise EngineMismatch("pmf engine requires Bayesian opinions")
         self.frame = state.frame
-        self.p, self.theta = _profiles(state.masses, state.frame, dirichlet)
-        self._cols = dst.support_columns(state.frame, with_full=self.theta is not None)
+        self._cols, self.x = _profile(state.masses, state.frame, dirichlet)
+        self._full = len(self._cols) > self.frame.size  # a full-frame column to carry
         self._jaccard = dst.jaccard_block(self._cols)
         self._adj = state.graph.adjacency()
         src, nbr = np.nonzero(self._adj)     # base edge e: agent src[e] hears nbr[e]
@@ -451,6 +448,7 @@ class ProfileRun:
         self._alphas = state.alphas()
         self._receptive = _receptive(state.specs)
         self._kept_mask: np.ndarray | None = None  # per base edge, at the last pruning
+        self._kept_pairs: tuple[np.ndarray, np.ndarray] | None = None  # (i, i * N + j)
         self._kept: np.ndarray | None = None       # the same as a receive matrix, on demand
         # per base edge: whether an endpoint moves, and 2 if only one of them does
         self._watched = np.ones(len(src), dtype=bool)
@@ -463,18 +461,18 @@ class ProfileRun:
         self._stale = True
         self.prunes = 0
 
-    def _rows(self) -> np.ndarray:
-        return self.p if self.theta is None else np.column_stack((self.p, self.theta))
-
     def _certify(self) -> None:
         """Redo the pruning unless the certificate still holds."""
         if not self._stale:
             return
-        dist = dst.gram_distances(self._rows(), self._jaccard, self._pairs)
+        dist = dst.gram_distances(self.x, self._jaccard, self._pairs)
         kept = dist <= self._edge_eps
         if self._kept_mask is None or kept.tobytes() != self._kept_mask.tobytes():
+            src, _, flat = self._pairs
+            on = np.flatnonzero(kept)
             self._kept_mask, self._kept, self._edges = kept, None, None
-            if self.theta is None:
+            self._kept_pairs = src.take(on), flat.take(on)
+            if not self._full:
                 self._adopt_pmf_weights()
         gaps = np.abs(dist - self._edge_eps)
         gaps -= 2.0 * DISTANCE_ERROR
@@ -485,14 +483,12 @@ class ProfileRun:
 
     def _adopt_pmf_weights(self) -> None:
         """Weights of the new kept edges, and the edges whose distance they can move."""
-        src, _, flat = self._pairs
-        kept = np.flatnonzero(self._kept_mask)
-        self._w = _pmf_weights(src.take(kept), flat.take(kept), self._alphas,
-                               self._receptive).matrix
+        self._w = _weights(*self._kept_pairs, self._alphas, self._receptive).matrix
         # a diagonal of 1 leaves every neighbour a share of exactly 0: the row
-        # is the identity and w @ p returns that agent's profile bit for bit
+        # is the identity and w @ x returns that agent's profile bit for bit
         moves = (self._w.diagonal() != 1.0).view(np.int8)
-        movers = moves[src] + moves[self._pairs[1]]
+        src, nbr, _ = self._pairs
+        movers = moves[src] + moves[nbr]
         self._watched = movers > 0
         self._gap_scale = 2.0 / np.maximum(movers, 1)
 
@@ -514,36 +510,25 @@ class ProfileRun:
 
     def weights(self) -> np.ndarray:
         """This step's confidence matrix (read-only)."""
-        if self.theta is not None:
-            return _dirichlet_weights(self.kept, self._alphas, self._receptive,
-                                      self.theta).matrix
         self._certify()
+        if self._full:
+            return _weights(*self._kept_pairs, self._alphas, self._receptive,
+                            self.x[:, -1]).matrix
         return self._w
 
     def step(self) -> float:
         """Advance every agent one synchronous step; return the largest mass change."""
-        w = self.weights()
-        if self.theta is None:
-            new_p = w @ self.p
-            change = float(np.max(np.abs(new_p - self.p)))
-        else:
-            new_p, new_theta = _dirichlet_update(w, self.p)
-            change = max(float(np.max(np.abs(new_p - self.p))),
-                         float(np.max(np.abs(new_theta - self.theta))))
-            self.theta = new_theta
-        # column-major like the column selection in pmf_step, so the matrix
-        # product runs the same BLAS kernel and rounds the same way
-        self.p = np.asfortranarray(new_p)
+        new = _update(self.weights(), self.x, self.frame.size)
+        change = float(np.max(np.abs(new - self.x)))
+        self.x = new
         self._budget -= self._spend_per_change * change + MOVE_ROUNDING
         self._stale = self._budget <= 0.0
         return change
 
     def masses(self) -> np.ndarray:
         """Current opinions as a dense (N, 2**M) mass table."""
-        out = np.zeros((self.p.shape[0], self.frame.n_subsets))
-        out[:, self._cols[:self.frame.size]] = self.p
-        if self.theta is not None:
-            out[:, self.frame.full_set] = self.theta
+        out = np.zeros((len(self.x), self.frame.n_subsets))
+        out[:, self._cols] = self.x
         out.setflags(write=False)
         return out
 

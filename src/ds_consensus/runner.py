@@ -36,14 +36,14 @@ class RunResult:
 
 def run_simulation(scenario: Scenario, epsilon: float | None = None,
                    record_matrices: bool = False, record_edges: bool = False,
-                   record_trajectory: int = 0) -> RunResult:
+                   record_trajectory: bool = False) -> RunResult:
     """Iterate the scenario's engine until convergence or the iteration cap.
 
     Convergence means the largest per-step mass change stayed below the step
     tolerance for ``persistence`` consecutive steps.  ``record_trajectory``
-    keeps every k-th state's masses (0 disables).  The pmf and Dirichlet
-    engines run on singleton profiles (:class:`dynamics.ProfileRun`); the
-    general engine steps the full mass table.
+    keeps every state's masses, the final one included.  The pmf and
+    Dirichlet engines run on singleton profiles (:class:`dynamics.ProfileRun`);
+    the general engine steps the full mass table.
     """
     engine_name = scenario.resolved_engine()
     state = scenario.initial_state(epsilon)
@@ -63,7 +63,7 @@ def run_simulation(scenario: Scenario, epsilon: float | None = None,
     while steps < scenario.max_iterations:
         if record_edges:
             edges.append(run.edges())
-        if record_trajectory and steps % record_trajectory == 0:
+        if record_trajectory:
             frames.append(run.masses())
         if record_matrices and engine_name != "general":
             matrices.append(run.weights())
@@ -111,7 +111,8 @@ def verify_run(scenario: Scenario, epsilon: float) -> dict:
         raise InvalidScenario("more than two cautious groups are not supported")
     if scenario.resolved_engine() == "general":
         raise InvalidScenario("the general engine has no confidence matrix to verify; "
-                              "use a pmf or dirichlet scenario")
+                              "use a pmf scenario, or a dirichlet one whose cautious "
+                              "agents hold no full-frame mass")
     if scenario.max_iterations < 1:
         raise InvalidScenario("max_iterations is 0, so there is no step to verify")
     result = run_simulation(scenario, epsilon=epsilon, record_matrices=True)

@@ -232,12 +232,13 @@ def test_bad_endpoint_beliefs_rejected():
 # ---------------------------------------------------------------------------
 
 def test_validate_classes():
-    vac = dst.validate(boe(3, {"*": 1.0}))
-    assert vac.ok and vac.category == "vacuous" and vac.is_dirichlet
-    bay = dst.validate(boe(3, {"1": 0.6, "2": 0.4}))
-    assert bay.ok and bay.category == "bayesian" and bay.is_bayesian and bay.is_dirichlet
-    gen = dst.validate(boe(3, {"1": 0.5, "2,3": 0.5}))
-    assert gen.ok and gen.category == "general" and not gen.is_dirichlet
+    frame = Frame(3)
+    vac = boe(3, {"*": 1.0}).masses
+    assert not dst.is_bayesian_table(vac, frame) and dst.is_dirichlet_table(vac, frame)
+    bay = boe(3, {"1": 0.6, "2": 0.4}).masses
+    assert dst.is_bayesian_table(bay, frame) and dst.is_dirichlet_table(bay, frame)
+    gen = boe(3, {"1": 0.5, "2,3": 0.5}).masses
+    assert not dst.is_bayesian_table(gen, frame) and not dst.is_dirichlet_table(gen, frame)
 
 
 def test_validate_rejects_empty_set_mass():
@@ -255,7 +256,7 @@ def test_validate_rejects_non_finite_mass(bad):
     frame = Frame(2)
     m = np.array([0.0, 0.5, bad, 0.0])
     report = dst.validate_masses(frame, m)
-    assert not report.ok and report.category == "invalid"
+    assert not report.ok
     with pytest.raises(ValueError):
         BodyOfEvidence(frame, m)
 

@@ -344,6 +344,35 @@ def test_cli_verify_rejections_exit_one(tmp_path, capsys):
         assert captured.err.startswith("ds-consensus verify: ") and message in captured.err
 
 
+def test_cli_verify_general_engine_hint(capsys):
+    code = cli(["verify", "--scenario", "ds7-oneleader", "--epsilon", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.endswith("use a pmf scenario, or a dirichlet one whose cautious "
+                                 "agents hold no full-frame mass\n")
+
+
+def test_cli_verify_undriven_chain_prints_a_plain_weight(capsys):
+    # a cautious Dirichlet leader hears its neighbours through its own
+    # full-frame mass, so its row leaves the chain's zero block
+    code = cli(["verify", "--scenario", "fig4a-dirichlet", "--epsilon", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("ds-consensus verify: central group 1 hears outside agents "
+                            "(weight 0.0125)\n")
+
+
+def test_cli_verify_dirichlet_leader_without_full_frame_mass(tmp_path, capsys):
+    data = json.loads((assets_dir() / "fig4a-dirichlet.json").read_text())
+    data["agents"][0]["boe"]["masses"] = {"1": 0.8, "2": 0.1, "3": 0.1}
+    path = tmp_path / "fig4a-dirichlet-bayesian-leader.json"
+    path.write_text(json.dumps(data))
+    code = cli(["verify", "--scenario", str(path), "--epsilon", "1.0"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["engine"] == "dirichlet"
+    assert out["theorem"]["match"] is True
+
+
 def test_cli_gen_graph(tmp_path, capsys):
     target = tmp_path / "g.json"
     code = cli(["gen-graph", "--er", "30", "0.2", "7", "--out", str(target)])

@@ -11,7 +11,8 @@ import pytest
 
 from ds_consensus.dst import BodyOfEvidence, Frame, pairwise_jousselme
 from ds_consensus.dynamics import (DISTANCE_ERROR, AgentSpec, NetworkState, ProfileRun,
-                                   Strategy, dirichlet_step, pmf_step)
+                                   Strategy, _weights, dirichlet_confidence_matrix,
+                                   dirichlet_step, pmf_confidence_matrix, pmf_step)
 from ds_consensus.errors import EngineMismatch
 from ds_consensus.graph import DirectedGraph
 from ds_consensus.runner import run_simulation
@@ -169,3 +170,90 @@ def test_kernel_rejects_the_wrong_class():
     run = ProfileRun(state, "dirichlet")
     run.step()
     assert run.edges() == graph.edges
+
+
+# ---------------------------------------------------------------------------
+# The weight builder against the receive-matrix formulas
+# ---------------------------------------------------------------------------
+
+def oracle_pmf_matrix(kept, alphas, receptive):
+    """Row-stochastic pmf weights, written on the dense receive matrix."""
+    n = len(alphas)
+    counts = kept.sum(axis=1)
+    active = receptive & (counts > 0)
+    share = np.where(active, (1.0 - alphas) / np.maximum(counts, 1), 0.0)
+    w = np.where(kept, share[:, None], 0.0)
+    w[np.arange(n), np.arange(n)] = np.where(active, alphas, 1.0)
+    return w
+
+
+def oracle_dirichlet_weights(kept, alphas, receptive, theta):
+    """Dirichlet weights, written on the dense receive matrix."""
+    n = kept.shape[0]
+    counts = kept.sum(axis=1)
+    has = counts > 0
+    safe = np.maximum(counts, 1)
+    rec_rows = (kept * ((1.0 - alphas) / safe)[:, None]) * (1.0 + theta)[None, :]
+    cau_rows = kept * ((1.0 - alphas) * theta / safe)[:, None]
+    w = np.where((receptive & has)[:, None], rec_rows,
+                 np.where(has[:, None], cau_rows, 0.0))
+    w[np.arange(n), np.arange(n)] = np.where(receptive & has, alphas, 1.0)
+    return w
+
+
+def random_weight_inputs(rng, n):
+    kept = rng.random((n, n)) < rng.uniform(0.0, 0.7)
+    kept[np.arange(n), np.arange(n)] = False
+    kept[rng.random(n) < 0.2] = False  # isolated agents
+    kind = rng.integers(4)
+    alphas = (np.full(n, (0.0, 0.5, 1.0)[kind]) if kind < 3 else rng.random(n))
+    receptive = rng.random(n) < 0.7
+    theta = rng.random(n) * (rng.random(n) < 0.7)  # some full-frame masses are 0
+    return kept, alphas, receptive, theta
+
+
+def test_weight_builder_matches_the_receive_matrix_formulas():
+    rng = np.random.default_rng(4103)
+    for case in range(400):
+        n = 1 + case % 30
+        kept, alphas, receptive, theta = random_weight_inputs(rng, n)
+        flat = np.flatnonzero(kept)
+        pmf = _weights(flat // n, flat, alphas, receptive)
+        assert pmf.row_stochastic and not pmf.matrix.flags.writeable
+        assert pmf.matrix.tobytes() == oracle_pmf_matrix(kept, alphas, receptive).tobytes()
+        dirichlet = _weights(flat // n, flat, alphas, receptive, theta)
+        assert not dirichlet.row_stochastic and not dirichlet.matrix.flags.writeable
+        assert dirichlet.matrix.tobytes() == \
+            oracle_dirichlet_weights(kept, alphas, receptive, theta).tobytes()
+
+
+@pytest.mark.parametrize("engine", ["pmf", "dirichlet"])
+def test_confidence_matrices_match_the_receive_matrix_formulas(engine):
+    rng = np.random.default_rng(4104 if engine == "pmf" else 4105)
+    confidence = pmf_confidence_matrix if engine == "pmf" else dirichlet_confidence_matrix
+    for case in range(60):
+        size = 1 if case % 4 == 0 else int(rng.integers(2, 5))  # one-singleton frames too
+        frame, graph, specs = random_network(rng, engine if size > 1 else "pmf",
+                                             int(rng.integers(3, 20)), size)
+        state = NetworkState.from_specs(frame, graph, specs).with_epsilon(
+            float(rng.uniform(0.0, 1.0)))
+        pruned = state.pruned()
+        receptive = np.array([s.strategy is Strategy.RECEPTIVE for s in specs])
+        got = confidence(state, pruned)
+        if engine == "dirichlet" and size > 1:
+            want = oracle_dirichlet_weights(pruned.kept, state.alphas(), receptive,
+                                            state.masses[:, frame.full_set])
+        else:  # a one-singleton Dirichlet opinion is Bayesian
+            want = oracle_pmf_matrix(pruned.kept, state.alphas(), receptive)
+        assert got.row_stochastic == (engine == "pmf" or size == 1)
+        assert got.matrix.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("engine", ["pmf", "dirichlet"])
+def test_profile_run_weights_are_read_only(engine):
+    rng = np.random.default_rng(4106)
+    frame, graph, specs = random_network(rng, engine, 8, 3)
+    run = ProfileRun(NetworkState.from_specs(frame, graph, specs), engine)
+    for _ in range(3):
+        assert not run.weights().flags.writeable
+        run.step()
