@@ -18,7 +18,8 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import DSConsensusError, InvalidScenario, NotDrivenChain, ScenarioParseError
+from .errors import (DSConsensusError, EngineMismatch, InvalidScenario, NotDrivenChain,
+                     ScenarioParseError)
 from .graph import erdos_renyi_connected
 from .output import write_sweep_csv, write_sweep_json, write_sweep_svg
 from .runner import run_simulation, run_sweep, verify_run
@@ -160,7 +161,8 @@ def cli(argv=None) -> int:
             for name in list_assets():
                 print(name)
             return 0
-    except (ScenarioParseError, InvalidScenario, NotDrivenChain, ValueError) as exc:
+    except (ScenarioParseError, InvalidScenario, EngineMismatch, NotDrivenChain,
+            ValueError) as exc:
         print(f"ds-consensus {args.command}: {exc}", file=sys.stderr)
         return 1
     except DSConsensusError as exc:

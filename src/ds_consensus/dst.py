@@ -368,16 +368,19 @@ def gram_distances(rows: np.ndarray, jaccard: np.ndarray,
     return np.sqrt(sq)
 
 
-def pairwise_jousselme(mass_rows: np.ndarray, size: int) -> np.ndarray:
-    """All pairwise distances between stacked mass rows (shape N x 2**size).
+def pairwise_jousselme(mass_rows: np.ndarray, size: int,
+                       pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+                       ) -> np.ndarray:
+    """All pairwise distances between stacked mass rows (shape N x 2**size),
+    or only those of ``pairs``, as in :func:`gram_distances`.
 
     Frames above the dense limit use only the columns that carry mass in
     some row; columns no row uses add nothing to the quadratic form.
     """
     if size <= _DENSE_JACCARD_LIMIT:
-        return gram_distances(mass_rows, jaccard_matrix(size))
+        return gram_distances(mass_rows, jaccard_matrix(size), pairs)
     cols = np.flatnonzero(np.any(mass_rows != 0.0, axis=0))
-    return gram_distances(mass_rows[:, cols], jaccard_block(cols))
+    return gram_distances(mass_rows[:, cols], jaccard_block(cols), pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,11 @@ bounded-confidence pruning recomputed from current opinions each step):
   and the full frame; the confidence matrix need not be row-stochastic and
   the full-frame mass is whatever the singletons leave over.
 
-A step is a pure function; states are immutable and shareable.
+A step is a pure function; states are immutable and shareable.  Whole runs
+of all three engines go through :class:`ProfileRun`, which holds one state
+array and recomputes the pruning only when a metric certificate can no
+longer vouch for the kept edges; every step gives what the step functions
+give.
 """
 
 from __future__ import annotations
@@ -378,21 +382,23 @@ def theta_weight_matrix(state: NetworkState, pruned: PrunedView) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Certified pruning.  A full pruning keeps edge (i, j) iff the computed
-# distance d_ij <= eps_i.  DISTANCE_ERROR bounds the error of one computed
-# distance: profile rows are non-negative with sum 1 and Jaccard entries lie
-# in [0, 1], so every Gram entry g_ij = x_i J x_j lies in [0, 1] and is off
-# by at most 2 gamma_K <= 4e-15 for K <= 17 columns (gamma_K = K u / (1 - K u),
-# u = 2**-53).  The squared distance 0.5 (g_ii + g_jj - 2 g_ij) is then off by
-# at most 0.5 (4 * 4e-15 + 2 * 2u) < 8.3e-15, and since
-# |sqrt(a) - sqrt(b)| <= sqrt(|a - b|) the distance by less than 9.2e-8;
-# clipping to [0, 1] only moves toward the exact value.  The rest of
-# DISTANCE_ERROR covers the rounding of the gaps below.
+# distance d_ij <= eps_i.  distance_error(K) bounds the error of one distance
+# computed over K columns, for any K up to 2**16: rows are non-negative with
+# sum 1 and Jaccard entries lie in [0, 1], so every Gram entry
+# g_ij = x_i J x_j lies in [0, 1] and, as two chained sums of K products, is
+# off by at most gamma_2K (gamma_n = n u / (1 - n u), u = 2**-53).  The
+# squared distance 0.5 (g_ii + g_jj - 2 g_ij) is then off by at most
+# 0.5 (4 gamma_2K + 2 * 2u), and since |sqrt(a) - sqrt(b)| <= sqrt(|a - b|)
+# the distance by at most the root of that: 8.8e-8 at K = 17, 1.2e-7 at
+# K = 32, 5.4e-6 at K = 2**16.  Clipping to [0, 1] only moves toward the
+# exact value, and the 4u added covers the rounding of the root and of the
+# gaps below.
 #
 # The Jousselme distance is a metric, so if every agent has moved along a
 # path of length at most r since the last pruning, the exact d_ij has moved
 # by at most 2 r, or by r when one of i and j has not moved, and the
-# computed one by at most that plus 2 DISTANCE_ERROR.  So with gap_ij =
-# |d_ij - eps_i| - 2 DISTANCE_ERROR, no computed distance can have crossed
+# computed one by at most that plus 2 distance_error(K).  So with gap_ij =
+# |d_ij - eps_i| - 2 distance_error(K), no computed distance can have crossed
 # its bound while 2 r stays below gap_ij on edges between two moving agents
 # and below 2 gap_ij on edges with one: the kept edges are those a full
 # pruning would give, and the pruning is skipped.  An edge between two
@@ -400,47 +406,65 @@ def theta_weight_matrix(state: NetworkState, pruned: PrunedView) -> np.ndarray:
 # rows give the same Gram entries) and needs no budget.  A pmf agent does
 # not move while its weight row is the identity (it is cautious, keeps no
 # edge or has self-weight 1), which holds until the kept edges change;
-# Dirichlet agents are all counted as moving.  One step moves an agent by
-# sqrt(0.5 dx J dx) <= sqrt(0.5 K lambda_max(J)) max|dx|, and lambda_max(J)
-# is at most J's largest row sum (its entries are non-negative), so each
-# step spends twice that bound times the step's largest mass change.
-# MOVE_SLACK covers the relative rounding of that product, and
-# MOVE_ROUNDING the rounding of each subtraction, at most 2**-53 while the
-# budget is positive (it starts below 2).
-DISTANCE_ERROR = 1e-7
+# Dirichlet and general agents are all counted as moving.  One step moves an
+# agent by sqrt(0.5 dx J dx) <= sqrt(0.5 K lambda_max(J)) max|dx|, and
+# lambda_max(J) is at most J's largest row sum (its entries are
+# non-negative), so each step spends twice that bound times the step's
+# largest mass change.  Over all 2**M subsets that row sum is the full
+# frame's, 2**(M-1), so the general engine never forms J: the row of a
+# subset of size a sums to a 2**(a-1) * integral_0^1 t**(a-1) (1+t)**(M-a) dt,
+# at most 2**(M-1).  MOVE_SLACK covers the relative rounding of that
+# product, and MOVE_ROUNDING the rounding of each subtraction, at most
+# 2**-53 while the budget is positive (it starts below 2).
 MOVE_SLACK = 1e-6
 MOVE_ROUNDING = 2.0 ** -52
 
 
-class ProfileRun:
-    """A pmf or Dirichlet run on singleton profiles, stepped one step at a time.
+def distance_error(k: int) -> float:
+    """Bound on the error of one Jousselme distance computed over ``k`` columns."""
+    u = 2.0 ** -53
+    gamma = 2 * k * u / (1.0 - 2 * k * u)
+    return float(np.sqrt(2.0 * gamma + 2.0 * u)) + 4.0 * u
 
-    State is one (N, K) profile array ``x``: the singleton columns, plus the
-    full-frame column for Dirichlet.  The opinion class is checked once,
-    here; adjacency, bounds, self-weights, strategies and the Jaccard block
-    of the profile columns are fixed for the run.  Pruning computes
-    distances on the base edges only, and is recomputed only when the
-    certificate above no longer holds; the pmf weight matrix is rebuilt only
-    when the kept edges change.  So every step gives the same masses, kept
-    edges and weights as :func:`pmf_step` / :func:`dirichlet_step` would.
-    (Distances on the profile columns equal those of the dense mass table
-    bit for bit up to four singletons; beyond that they agree to about
-    4e-16, so a kept edge could differ only for a distance that close to its
-    bound.)
+
+class ProfileRun:
+    """A run of any engine, stepped one step at a time.
+
+    State is one (N, K) array ``x`` of the columns the engine can fill: the
+    M singletons for pmf, plus the full frame for Dirichlet, and all 2**M
+    subsets for general.  The general ``x`` is the C-order mass table that
+    :func:`_general_update` returns, as a column-major copy could round the
+    Gram product differently; the closed-form profiles are column-major
+    (see :func:`_profile`).  The opinion class is checked once,
+    here; adjacency, bounds, self-weights and strategies are fixed for the
+    run.  Pruning computes distances on the base edges only, and is
+    recomputed only when the certificate above no longer holds; the pmf
+    weight matrix is rebuilt only when the kept edges change.  So every step
+    gives the same masses and kept edges as :func:`pmf_step` /
+    :func:`dirichlet_step` / :func:`general_step` would, and for pmf and
+    Dirichlet the same weights.  (Distances on the profile columns equal
+    those of the dense mass table bit for bit up to four singletons; beyond
+    that they agree to about 4e-16, so a kept edge could differ only for a
+    distance that close to its bound.)
     """
 
     def __init__(self, state: NetworkState, engine: str):
-        if engine not in ("pmf", "dirichlet"):
-            raise EngineMismatch(f"no profile engine {engine!r}")
-        dirichlet = engine == "dirichlet"
-        if dirichlet and not dst.is_dirichlet_table(state.masses, state.frame):
+        if engine not in ("pmf", "dirichlet", "general"):
+            raise EngineMismatch(f"unknown engine {engine!r}")
+        if engine == "dirichlet" and not dst.is_dirichlet_table(state.masses, state.frame):
             raise EngineMismatch("dirichlet engine requires Dirichlet opinions")
-        if not dirichlet and not dst.is_bayesian_table(state.masses, state.frame):
+        if engine == "pmf" and not dst.is_bayesian_table(state.masses, state.frame):
             raise EngineMismatch("pmf engine requires Bayesian opinions")
         self.frame = state.frame
-        self._cols, self.x = _profile(state.masses, state.frame, dirichlet)
+        self._general = engine == "general"
+        if self._general:
+            self._cols, self.x = np.arange(self.frame.n_subsets), state.masses
+            row_sum = 2.0 ** (self.frame.size - 1)  # the full frame's (see above)
+        else:
+            self._cols, self.x = _profile(state.masses, state.frame, engine == "dirichlet")
+            self._jaccard = dst.jaccard_block(self._cols)
+            row_sum = self._jaccard.sum(axis=1).max()
         self._full = len(self._cols) > self.frame.size  # a full-frame column to carry
-        self._jaccard = dst.jaccard_block(self._cols)
         self._adj = state.graph.adjacency()
         src, nbr = np.nonzero(self._adj)     # base edge e: agent src[e] hears nbr[e]
         self._pairs = src, nbr, src * len(self._adj) + nbr
@@ -455,7 +479,8 @@ class ProfileRun:
         self._gap_scale = np.ones(len(src))
         self._w: np.ndarray | None = None      # pmf weights of the kept edges
         self._edges: frozenset | None = None
-        bound = np.sqrt(0.5 * len(self._cols) * self._jaccard.sum(axis=1).max())
+        self._distance_error = distance_error(len(self._cols))
+        bound = np.sqrt(0.5 * len(self._cols) * row_sum)
         self._spend_per_change = 2.0 * (1.0 + MOVE_SLACK) * float(bound)
         self._budget = 0.0  # what 2 r may still grow to before a re-pruning
         self._stale = True
@@ -465,7 +490,10 @@ class ProfileRun:
         """Redo the pruning unless the certificate still holds."""
         if not self._stale:
             return
-        dist = dst.gram_distances(self.x, self._jaccard, self._pairs)
+        if self._general:  # dst picks the dense table or the used columns
+            dist = dst.pairwise_jousselme(self.x, self.frame.size, self._pairs)
+        else:
+            dist = dst.gram_distances(self.x, self._jaccard, self._pairs)
         kept = dist <= self._edge_eps
         if self._kept_mask is None or kept.tobytes() != self._kept_mask.tobytes():
             src, _, flat = self._pairs
@@ -475,7 +503,7 @@ class ProfileRun:
             if not self._full:
                 self._adopt_pmf_weights()
         gaps = np.abs(dist - self._edge_eps)
-        gaps -= 2.0 * DISTANCE_ERROR
+        gaps -= 2.0 * self._distance_error
         gaps *= self._gap_scale
         self._budget = float(np.min(gaps, where=self._watched, initial=np.inf))
         self._stale = False
@@ -509,7 +537,9 @@ class ProfileRun:
         return self._edges
 
     def weights(self) -> np.ndarray:
-        """This step's confidence matrix (read-only)."""
+        """This step's confidence matrix (read-only); pmf and Dirichlet only."""
+        if self._general:
+            raise EngineMismatch("the general engine has no confidence matrix")
         self._certify()
         if self._full:
             return _weights(*self._kept_pairs, self._alphas, self._receptive,
@@ -518,7 +548,10 @@ class ProfileRun:
 
     def step(self) -> float:
         """Advance every agent one synchronous step; return the largest mass change."""
-        new = _update(self.weights(), self.x, self.frame.size)
+        if self._general:
+            new = _general_update(self.x, self.kept, self._alphas, self._receptive)
+        else:
+            new = _update(self.weights(), self.x, self.frame.size)
         change = float(np.max(np.abs(new - self.x)))
         self.x = new
         self._budget -= self._spend_per_change * change + MOVE_ROUNDING
@@ -526,53 +559,8 @@ class ProfileRun:
         return change
 
     def masses(self) -> np.ndarray:
-        """Current opinions as a dense (N, 2**M) mass table."""
+        """Current opinions as a dense (N, 2**M) mass table (read-only)."""
         out = np.zeros((len(self.x), self.frame.n_subsets))
         out[:, self._cols] = self.x
         out.setflags(write=False)
         return out
-
-
-class GeneralRun:
-    """A general-engine run, stepped like :class:`ProfileRun`.
-
-    State is the (N, 2**M) mass table; adjacency, bounds, self-weights and
-    strategies are fixed for the run.  Pruning is recomputed after every
-    step, so each step gives the masses and kept edges of
-    :func:`general_step`.
-    """
-
-    def __init__(self, state: NetworkState):
-        self.frame = state.frame
-        self._m = state.masses
-        self._adj = state.graph.adjacency()
-        self._eps = state.epsilons()[:, None]
-        self._alphas = state.alphas()
-        self._receptive = _receptive(state.specs)
-        self._kept: np.ndarray | None = None
-        self._edges: frozenset | None = None
-
-    @property
-    def kept(self) -> np.ndarray:
-        """Receive matrix of the edges kept at the current opinions."""
-        if self._kept is None:
-            dist = dst.pairwise_jousselme(self._m, self.frame.size)
-            self._kept = self._adj & (dist <= self._eps)
-        return self._kept
-
-    def edges(self) -> frozenset[tuple[int, int]]:
-        if self._edges is None:
-            self._edges = kept_edges(self.kept)
-        return self._edges
-
-    def step(self) -> float:
-        """Advance every agent one synchronous step; return the largest mass change."""
-        new = _general_update(self._m, self.kept, self._alphas, self._receptive)
-        change = float(np.max(np.abs(new - self._m)))
-        new.setflags(write=False)
-        self._m, self._kept, self._edges = new, None, None
-        return change
-
-    def masses(self) -> np.ndarray:
-        """Current opinions (read-only)."""
-        return self._m

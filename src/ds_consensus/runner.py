@@ -11,7 +11,7 @@ import numpy as np
 from . import dst, dynamics
 from .analysis import (ClusterReport, classify_chain, detect_clusters,
                        verify_one_group_chain, verify_two_group_chain)
-from .errors import EngineMismatch, InvalidScenario
+from .errors import InvalidScenario
 from .scenario import Scenario
 
 
@@ -41,18 +41,13 @@ def run_simulation(scenario: Scenario, epsilon: float | None = None,
 
     Convergence means the largest per-step mass change stayed below the step
     tolerance for ``persistence`` consecutive steps.  ``record_trajectory``
-    keeps every state's masses, the final one included.  The pmf and
-    Dirichlet engines run on singleton profiles (:class:`dynamics.ProfileRun`);
-    the general engine steps the full mass table.
+    keeps every state's masses, the final one included.  Every engine runs
+    through :class:`dynamics.ProfileRun`, which prunes under its certificate:
+    pmf and Dirichlet on singleton profiles, general on the full mass table.
     """
     engine_name = scenario.resolved_engine()
     state = scenario.initial_state(epsilon)
-    if engine_name == "general":
-        run = dynamics.GeneralRun(state)
-    elif engine_name in ("pmf", "dirichlet"):
-        run = dynamics.ProfileRun(state, engine_name)
-    else:
-        raise EngineMismatch(f"unknown engine {engine_name!r}")
+    run = dynamics.ProfileRun(state, engine_name)
 
     matrices: list[np.ndarray] = []
     edges: list[frozenset] = []

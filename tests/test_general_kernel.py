@@ -11,7 +11,7 @@ import pytest
 
 from ds_consensus import dst, dynamics
 from ds_consensus.dst import BodyOfEvidence, Frame
-from ds_consensus.dynamics import (AgentSpec, GeneralRun, NetworkState, Strategy,
+from ds_consensus.dynamics import (AgentSpec, NetworkState, ProfileRun, Strategy,
                                    general_step, theta_weight_matrix)
 from ds_consensus.errors import NotABeliefFunction
 from ds_consensus.graph import DirectedGraph
@@ -192,10 +192,34 @@ def test_term_blocks_keep_the_summation_order(monkeypatch):
 def test_run_state_is_read_only_and_tracks_edges():
     rng = np.random.default_rng(3)
     state = random_network(rng, 0.37)
-    run = GeneralRun(state)
+    run = ProfileRun(state, "general")
     assert run.edges() == state.pruned().edges
     run.step()
     after = reference_step(state, state.pruned().kept)
     assert run.masses().tobytes() == after.masses.tobytes()
     assert not run.masses().flags.writeable
     assert run.edges() == after.pruned().edges
+
+
+def test_run_above_the_dense_jaccard_limit_matches_the_step_loop():
+    # at M = 11 distances use only the columns in use, and the certificate
+    # its error bound for K = 2**11 columns
+    rng = np.random.default_rng(41)
+    frame = Frame(11)
+    specs = []
+    for eps in (0.22, 0.2, 0.26, 1.0):
+        m = np.zeros(frame.n_subsets)
+        m[rng.choice(np.arange(1, frame.n_subsets), size=20, replace=False)] = rng.random(20)
+        specs.append(AgentSpec(Strategy.RECEPTIVE, 0.5, eps, BodyOfEvidence(frame, m / m.sum())))
+    graph = DirectedGraph.from_mutual_pairs(4, [(1, 2), (1, 3), (2, 3), (3, 4), (1, 4)])
+    scenario = Scenario(name="m11", frame=frame, graph=graph, agents=tuple(specs),
+                        engine="general", max_iterations=3)
+    run = run_simulation(scenario, record_edges=True)
+    state, edges = scenario.initial_state(), []
+    for _ in range(3):
+        pruned = state.pruned()
+        edges.append(pruned.edges)
+        state = general_step(state, pruned)
+    assert run.final_masses.tobytes() == state.masses.tobytes()
+    assert run.pruned_edges == tuple(edges)
+    assert set() < edges[0] < graph.edges  # some edges pruned, some kept

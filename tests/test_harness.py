@@ -434,6 +434,19 @@ def test_non_finite_mass_rejected(tmp_path, capsys):
     assert _cli_run_file(tmp_path, data, capsys) == 1
 
 
+def test_cli_engine_mismatch_exits_one(tmp_path, capsys):
+    # a full-frame mass does not fit the declared pmf engine: the input is invalid
+    data = dict(TINY, agents=[{"strategy": "cautious", "boe": {"masses": {"1": 0.5, "*": 0.5}}},
+                              {"boe": {"masses": {"2": 1.0}}}])
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(data))
+    for command in ("run", "verify"):  # verify passes its leader checks first
+        code = cli([command, "--scenario", str(path), "--epsilon", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"ds-consensus {command}: pmf engine requires Bayesian opinions\n"
+
+
 def test_graph_of_wrong_type_rejected(tmp_path, capsys):
     data = dict(TINY, graph=[1, 2])
     with pytest.raises(ScenarioParseError):

@@ -1,22 +1,23 @@
-"""Differential tests: the profile-space run kernel against the plain step loop.
+"""Differential tests: the run kernel against the plain step loop.
 
-The reference loop prunes, steps with ``pmf_step`` / ``dirichlet_step`` and
-applies the same convergence rule as ``run_simulation``; the kernel must give
-the same iteration count, convergence flag, kept edges and bit-identical
-masses.
+The reference loop prunes, steps with ``pmf_step`` / ``dirichlet_step`` (or
+``general_step``) and applies the same convergence rule as
+``run_simulation``; the kernel must give the same iteration count,
+convergence flag, kept edges and bit-identical masses.
 """
 
 import numpy as np
 import pytest
 
-from ds_consensus.dst import BodyOfEvidence, Frame, pairwise_jousselme
-from ds_consensus.dynamics import (DISTANCE_ERROR, AgentSpec, NetworkState, ProfileRun,
-                                   Strategy, _weights, dirichlet_confidence_matrix,
-                                   dirichlet_step, pmf_confidence_matrix, pmf_step)
+from ds_consensus.dst import BodyOfEvidence, Frame, jaccard_matrix, pairwise_jousselme
+from ds_consensus.dynamics import (AgentSpec, NetworkState, ProfileRun, Strategy, _weights,
+                                   dirichlet_confidence_matrix, dirichlet_step,
+                                   distance_error, general_step, pmf_confidence_matrix,
+                                   pmf_step)
 from ds_consensus.errors import EngineMismatch
 from ds_consensus.graph import DirectedGraph
 from ds_consensus.runner import run_simulation
-from ds_consensus.scenario import Scenario
+from ds_consensus.scenario import Scenario, load_scenario
 
 STEPS = {"pmf": pmf_step, "dirichlet": dirichlet_step}
 
@@ -141,18 +142,54 @@ def agent_near_its_bound(gap):
 
 
 def test_edge_near_its_bound_forces_reprune():
-    near = ProfileRun(agent_near_its_bound(gap=DISTANCE_ERROR / 2), "pmf")
+    near = ProfileRun(agent_near_its_bound(gap=distance_error(2) / 2), "pmf")
     far = ProfileRun(agent_near_its_bound(gap=1e-3), "pmf")
     for run in (near, far):
         for _ in range(20):
             assert run.kept[0, 2] and not run.kept[0, 1]
             run.step()
-    assert near.prunes == 20  # within 2 * DISTANCE_ERROR of the bound: never skipped
+    assert near.prunes == 20  # within 2 * distance_error(K) of the bound: never skipped
     assert far.prunes == 1    # certified once, nobody moves
 
 
+def step_with_general_loop(run, state, steps):
+    """Step ``run`` beside the ``general_step`` loop: same kept edges and masses."""
+    for _ in range(steps):
+        pruned = state.pruned()
+        assert run.edges() == pruned.edges
+        run.step()
+        state = general_step(state, pruned)
+        assert run.masses().tobytes() == state.masses.tobytes()
+
+
+def test_general_edge_near_its_bound_forces_reprune():
+    # the dense M = 2 table has K = 4 columns; every general agent counts as moving
+    near_state = agent_near_its_bound(distance_error(4) / 2)
+    far_state = agent_near_its_bound(1e-3)
+    near, far = ProfileRun(near_state, "general"), ProfileRun(far_state, "general")
+    for run, state in ((near, near_state), (far, far_state)):
+        step_with_general_loop(run, state, 20)
+        assert run.kept[0, 2] and not run.kept[0, 1]
+    assert near.prunes == 21  # every step, and once more for the last kept edges
+    assert far.prunes < 20
+
+
+def test_general_run_far_from_its_bounds_skips_prunings():
+    scenario = load_scenario("ds7-oneleader", seed=1)
+    for eps in (0.2, 0.5, 1.0):
+        run = ProfileRun(scenario.initial_state(eps), "general")
+        step_with_general_loop(run, scenario.initial_state(eps), 60)
+        assert run.prunes < 60
+
+
+def test_full_frame_has_the_largest_jaccard_row_sum():
+    # the general engine's certificate spends per step by this row sum
+    for size in range(1, 9):
+        assert jaccard_matrix(size).sum(axis=1).max() == pytest.approx(2.0 ** (size - 1))
+
+
 def test_edge_between_agents_that_cannot_move_needs_no_reprune():
-    run = ProfileRun(two_still_agents(gap=DISTANCE_ERROR / 2), "pmf")
+    run = ProfileRun(two_still_agents(gap=distance_error(2) / 2), "pmf")
     for _ in range(20):
         assert run.kept[0, 1]
         run.step()
