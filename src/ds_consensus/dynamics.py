@@ -18,9 +18,10 @@ bounded-confidence pruning recomputed from current opinions each step):
 
 A step is a pure function; states are immutable and shareable.  Whole runs
 of all three engines go through :class:`ProfileRun`, which holds one state
-array and recomputes the pruning only when a metric certificate can no
-longer vouch for the kept edges; every step gives what the step functions
-give.
+array, recomputes the pruning only when a metric certificate can no longer
+vouch for the kept edges, and rebuilds the pmf weights or the general
+engine's term structure only when what they depend on changes; every step
+gives what the step functions give.
 """
 
 from __future__ import annotations
@@ -129,9 +130,15 @@ class ConfidenceMatrix:
 # ---------------------------------------------------------------------------
 
 # The update sums its conditional terms in blocks of slots, so its working
-# set does not grow with the number of terms: a block holds at most this many
-# (slot, agent, subset) products, or one slot when that is already more.
-TERM_BLOCK = 1 << 20
+# set stays in cache: a block holds at most this many (slot, agent, subset)
+# products, or one slot when that is already more.  Each block's sum is
+# carried into the next in slot order, so the block size never changes the
+# bits.  The gather writes straight into its block: with numpy's default
+# mode a take into ``out`` is buffered, and at N = 100, M = 3 (2-vCPU host)
+# a buffered 2**20 block made the update cost 1.4 ms against 0.37 ms at
+# 2**16; unbuffered ("clip": every index is in range) it costs 0.25-0.31 ms
+# at any block size from 2**14 to 2**20.
+TERM_BLOCK = 1 << 16
 
 
 class ConditionalWeights(NamedTuple):
@@ -152,9 +159,110 @@ class ConditionalWeights(NamedTuple):
     slot: np.ndarray
 
 
+class _Terms(NamedTuple):
+    """Where every conditional term of a step sits; its weight comes per step.
+
+    The structure depends on the kept edges, the agents' supports and the
+    positive-belief pattern only, so a run builds it once per change of
+    those (:meth:`ProfileRun._general_terms`) and every step only reads
+    masses and beliefs through its indices.
+
+    Term t is agent ``agent[t]`` conditioning neighbor ``neighbor[t]`` on
+    ``subset[t]``, at ``slot[t]`` among its agent's terms (``cell[t]`` =
+    slot * N + agent in the padded (slot, agent) tables, ``depth`` slots
+    deep).  Its weight is ``share[t]`` times the mass at flat index
+    ``mass_at[t]``: a receptive agent's equal share of ``1 - alpha`` times
+    the neighbor's mass.  A cautious term (``cautious`` lists them, with
+    their agents, cells and ``1 - alpha``) weighs its agent's own mass,
+    scaled by ``1 - alpha`` over the own masses its terms cover.  The
+    conditionals of the (neighbor, subset) pairs in use gather beliefs at
+    ``num_at`` and plausibilities at ``den_at``; ``pick`` is the pair row
+    of each padded cell, the last row for an empty one.
+    """
+
+    alphas: np.ndarray
+    agent: np.ndarray
+    neighbor: np.ndarray
+    subset: np.ndarray
+    slot: np.ndarray
+    cell: np.ndarray
+    depth: int
+    mass_at: np.ndarray
+    share: np.ndarray
+    cautious: np.ndarray
+    cautious_agent: np.ndarray
+    cautious_cell: np.ndarray
+    cautious_share: np.ndarray
+    moves: np.ndarray     # receptive agents with a kept neighbor: they always move
+    num_at: np.ndarray
+    den_at: np.ndarray
+    pick: np.ndarray
+
+
+def _term_structure(kept: np.ndarray, support: np.ndarray, bl_pos: np.ndarray,
+                    alphas: np.ndarray, receptive: np.ndarray) -> _Terms:
+    """The terms of every agent, given the kept receive matrix and mass supports.
+
+    A receptive agent gets a term for each subset in a kept neighbor's
+    support; a cautious one for each subset in its own support where the
+    neighbor's belief is positive (``bl_pos``).
+    """
+    n, k = support.shape
+    src, nbr = np.nonzero(kept)  # agent ascending, then neighbor ascending
+    rec = receptive[src]
+    use = np.where(rec[:, None], support[nbr], support[src] & bl_pos[nbr])
+    edge, subset = np.nonzero(use)
+    agent, neighbor, rec = src[edge], nbr[edge], rec[edge]
+    terms = np.bincount(agent, minlength=n)
+    slot = np.arange(len(agent)) - (np.cumsum(terms) - terms)[agent]
+    depth = int(slot.max(initial=-1)) + 1
+    heard = np.bincount(src, minlength=n)
+    share = np.where(rec, (1.0 - alphas[agent]) / heard[agent], 0.0)
+
+    # the (neighbor j, subset a) pairs in use, keyed j * k + a, one row each
+    key = neighbor * k + subset
+    used = np.zeros(n * k, dtype=bool)
+    used[key] = True
+    pairs = np.flatnonzero(used)
+    row = np.zeros(n * k, dtype=np.intp)
+    row[pairs] = np.arange(len(pairs))
+    a = (pairs & (k - 1))[:, None]
+    bs = np.arange(k)
+    pick = np.full((depth, n), len(pairs))
+    pick[slot, agent] = row[key]
+    cell = slot * n + agent
+    cautious = np.flatnonzero(~rec)
+    return _Terms(alphas, agent, neighbor, subset, slot, cell, depth,
+                  np.where(rec, key, agent * k + subset), share, cautious, agent[cautious],
+                  cell[cautious], 1.0 - alphas[agent[cautious]], receptive & (heard > 0),
+                  pairs[:, None] - a + (a & bs), pairs[:, None] - a + (a & ~bs), pick)
+
+
+def _term_weights(terms: _Terms, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each term's weight at these masses, and which agents move.
+
+    A cautious agent moves only while the own masses its terms cover sum
+    above 0; otherwise its terms weigh 0 and it keeps its opinion.
+    """
+    n = len(terms.alphas)
+    mass = masses.take(terms.mass_at)
+    beta = terms.share * mass
+    moving = terms.moves
+    if len(terms.cautious):
+        own = mass[terms.cautious]
+        # the covered own masses, summed in term order (over the slot axis,
+        # never the contiguous one: left to right)
+        covered = np.zeros((terms.depth, n))
+        covered.reshape(-1)[terms.cautious_cell] = own
+        covered = np.add.reduce(covered, axis=0)
+        moving = moving | (covered > 0.0)
+        parts = covered[terms.cautious_agent]
+        beta[terms.cautious] = terms.cautious_share / np.where(parts > 0.0, parts, 1.0) * own
+    return beta, moving
+
+
 def conditional_weights(masses: np.ndarray, kept: np.ndarray, alphas: np.ndarray,
-                        receptive: np.ndarray, bl: np.ndarray | None = None
-                        ) -> ConditionalWeights:
+                        receptive: np.ndarray) -> ConditionalWeights:
     """Weights every agent applies this step, given the kept receive matrix.
 
     Receptive: each kept neighbor gets an equal share of ``1 - alpha``,
@@ -164,79 +272,56 @@ def conditional_weights(masses: np.ndarray, kept: np.ndarray, alphas: np.ndarray
     solved from the normalization constraint.  No kept neighbor (or no
     usable conditioning set) collapses to self-preservation.
     """
-    n = len(alphas)
-    if bl is None:
-        bl = dst.belief_table(masses)
-    src, nbr = np.nonzero(kept)  # agent ascending, then neighbor ascending
-    rec = receptive[src]
-    pos = masses > 0.0
-    use = np.where(rec[:, None], pos[nbr], pos[src] & (bl[nbr] > 0.0))
-    edge, subset = np.nonzero(use)
-    agent, neighbor, rec = src[edge], nbr[edge], rec[edge]
-    terms = np.bincount(agent, minlength=n)
-    slot = np.arange(len(agent)) - (np.cumsum(terms) - terms)[agent]
-    own = masses[agent, subset]
-    # a cautious agent's normalizer: its covered own masses, summed in term
-    # order (over the slot axis, never the contiguous one: left to right)
-    covered = np.zeros((slot.max(initial=-1) + 1, n))
-    covered[slot, agent] = own
-    covered = np.add.reduce(covered, axis=0)
-    # a receptive agent splits 1 - alpha equally over its kept neighbors
-    parts = np.where(rec, np.bincount(src, minlength=n)[agent], covered[agent])
-    beta = (1.0 - alphas[agent]) / parts * np.where(rec, masses[neighbor, subset], own)
-    alpha = np.where(terms > 0, alphas, 1.0)
-    return ConditionalWeights(alpha, agent, neighbor, subset, beta, slot)
+    terms = _term_structure(kept, masses > 0.0, dst.belief_table(masses) > 0.0,
+                            alphas, receptive)
+    beta, moving = _term_weights(terms, masses)
+    return ConditionalWeights(np.where(moving, alphas, 1.0), terms.agent, terms.neighbor,
+                              terms.subset, beta, terms.slot)
 
 
-def _general_update(masses: np.ndarray, kept: np.ndarray, alphas: np.ndarray,
-                    receptive: np.ndarray) -> np.ndarray:
-    """New mass table after one synchronous conditional update of every agent."""
+def _general_update(masses: np.ndarray, bl: np.ndarray, terms: _Terms) -> np.ndarray:
+    """New mass table after one synchronous conditional update of every agent.
+
+    ``bl`` is the belief table of ``masses``; ``terms`` may hold terms whose
+    mass is now 0.  Such a term adds a signed zero to a running sum that
+    starts at alpha * bl >= +0.0 and only grows, so it is never -0.0 and
+    the zero leaves every bit as it was.
+    """
     n, k = masses.shape
-    bl = dst.belief_table(masses)
-    w = conditional_weights(masses, kept, alphas, receptive, bl)
+    beta, moving = _term_weights(terms, masses)
 
     # Fagin-Halpern conditionals Bl_j(b | a) = Bl_j(a & b) / (Bl_j(a & b) +
-    # Pl_j(a & ~b)) of the (neighbor j, subset a) pairs in use, keyed j * k + a,
-    # one row per pair and a last row of zeros
-    key = w.neighbor * k + w.subset
-    used = np.zeros(n * k, dtype=bool)
-    used[key] = True
-    pairs = np.flatnonzero(used)
-    row = np.zeros(n * k, dtype=np.intp)
-    row[pairs] = np.arange(len(pairs))
-    a = (pairs & (k - 1))[:, None]
-    bs = np.arange(k)
-    num = bl.take(pairs[:, None] - a + (a & bs))
-    den = num + dst.plausibility_table(bl).take(pairs[:, None] - a + (a & ~bs))
-    cond = np.zeros((len(pairs) + 1, k))
+    # Pl_j(a & ~b)) of the pairs in use, one row per pair and a last row of zeros
+    num = bl.take(terms.num_at)
+    den = num + dst.plausibility_table(bl).take(terms.den_at)
+    cond = np.zeros((len(num) + 1, k))
     np.divide(num, den, out=cond[:-1], where=den > 0.0)
 
     # alpha * bl + sum of beta * conditional, term by term in the agent's
-    # order: padded (slot, agent) tables reduced over the leading axis
-    depth = int(w.slot.max(initial=-1)) + 1
-    pick = np.full((depth, n), len(pairs))
-    pick[w.slot, w.agent] = row[key]
-    beta = np.zeros((depth, n, 1))
-    beta[w.slot, w.agent, 0] = w.beta
-    new_bl = w.alpha[:, None] * bl
+    # order: padded (slot, agent) tables reduced over the leading axis, which
+    # adds left to right.  np.add.reduceat over the unpadded terms would not:
+    # on random segments about a third of its sums differ from a left-to-right loop.
+    weight = np.zeros((terms.depth, n, 1))
+    weight.reshape(-1)[terms.cell] = beta
+    new_bl = np.where(moving, terms.alphas, 1.0)[:, None] * bl
     block = max(1, TERM_BLOCK // (n * k))
-    for lo in range(0, depth, block):
-        hi = min(lo + block, depth)
-        stack = np.empty((hi - lo + 1, n, k))
+    blocks = np.empty((min(block, terms.depth) + 1, n, k))  # one buffer for every block
+    for lo in range(0, terms.depth, block):
+        hi = min(lo + block, terms.depth)
+        stack = blocks[:hi - lo + 1]
         stack[0] = new_bl
-        np.take(cond, pick[lo:hi], axis=0, out=stack[1:])
-        stack[1:] *= beta[lo:hi]
+        np.take(cond, terms.pick[lo:hi], axis=0, out=stack[1:], mode="clip")
+        stack[1:] *= weight[lo:hi]
         new_bl = np.add.reduce(stack, axis=0)
 
     new_masses = dst.mass_table(new_bl)
     worst = new_masses.min()
     if worst < -dst.ITERATED_TOL:
         raise NotABeliefFunction(f"update produced mass {worst!r}")
-    np.clip(new_masses, 0.0, None, out=new_masses)
+    np.maximum(new_masses, 0.0, out=new_masses)
     new_masses[:, 0] = 0.0
     new_masses /= new_masses.sum(axis=1, keepdims=True)
-    unchanged = np.bincount(w.agent, minlength=n) == 0
-    new_masses[unchanged] = masses[unchanged]
+    np.copyto(new_masses, masses, where=~moving[:, None])
     return new_masses
 
 
@@ -244,8 +329,10 @@ def general_step(state: NetworkState, pruned: PrunedView | None = None) -> Netwo
     """One synchronous conditional update of every agent (any opinion class)."""
     if pruned is None:
         pruned = state.pruned()
-    return state.with_masses(_general_update(state.masses, pruned.kept, state.alphas(),
-                                             _receptive(state.specs)))
+    bl = dst.belief_table(state.masses)
+    terms = _term_structure(pruned.kept, state.masses > 0.0, bl > 0.0, state.alphas(),
+                            _receptive(state.specs))
+    return state.with_masses(_general_update(state.masses, bl, terms))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +526,12 @@ class ProfileRun:
     here; adjacency, bounds, self-weights and strategies are fixed for the
     run.  Pruning computes distances on the base edges only, and is
     recomputed only when the certificate above no longer holds; the pmf
-    weight matrix is rebuilt only when the kept edges change.  So every step
+    weight matrix is rebuilt only when the kept edges change, and the
+    general term structure only when its key changes (see
+    :meth:`_general_terms`).  ``prunes`` counts the prunings and
+    ``rebuilds`` those rebuilds (Dirichlet weights scale with the
+    full-frame masses and are formed every step, so it counts none of
+    them).  So every step
     gives the same masses and kept edges as :func:`pmf_step` /
     :func:`dirichlet_step` / :func:`general_step` would, and for pmf and
     Dirichlet the same weights.  (Distances on the profile columns equal
@@ -484,7 +576,11 @@ class ProfileRun:
         self._spend_per_change = 2.0 * (1.0 + MOVE_SLACK) * float(bound)
         self._budget = 0.0  # what 2 r may still grow to before a re-pruning
         self._stale = True
+        self._terms: _Terms | None = None  # general terms, dropped when the kept edges change
+        self._support = np.zeros(self.x.shape, dtype=bool)
+        self._bl_pos: np.ndarray | None = None
         self.prunes = 0
+        self.rebuilds = 0
 
     def _certify(self) -> None:
         """Redo the pruning unless the certificate still holds."""
@@ -500,6 +596,7 @@ class ProfileRun:
             on = np.flatnonzero(kept)
             self._kept_mask, self._kept, self._edges = kept, None, None
             self._kept_pairs = src.take(on), flat.take(on)
+            self._terms = None
             if not self._full:
                 self._adopt_pmf_weights()
         gaps = np.abs(dist - self._edge_eps)
@@ -512,6 +609,7 @@ class ProfileRun:
     def _adopt_pmf_weights(self) -> None:
         """Weights of the new kept edges, and the edges whose distance they can move."""
         self._w = _weights(*self._kept_pairs, self._alphas, self._receptive).matrix
+        self.rebuilds += 1
         # a diagonal of 1 leaves every neighbour a share of exactly 0: the row
         # is the identity and w @ x returns that agent's profile bit for bit
         moves = (self._w.diagonal() != 1.0).view(np.int8)
@@ -546,10 +644,34 @@ class ProfileRun:
                             self.x[:, -1]).matrix
         return self._w
 
+    def _general_terms(self, bl: np.ndarray) -> _Terms:
+        """The term structure at the current masses, rebuilt only when its key changes.
+
+        The key is the kept edges, the positive-belief pattern and each
+        agent's support: every subset where its mass has been positive at
+        some step of the run.  Moebius round-off leaves masses of about 1e-17
+        that come and go, so the exact positive-mass pattern would change on
+        most steps; a grow-only support changes a few times per run, and a
+        term whose mass is back at 0 weighs 0 and leaves the bits unchanged
+        (see :func:`_general_update`).  The table-1 and ``ds7-*`` reference
+        runs (231 runs, 47592 steps) build it 509 times, 231 of them at the
+        first step.
+        """
+        kept = self.kept  # a new kept set drops the structure
+        bl_pos = bl > 0.0
+        support = self._support | (self.x > 0.0)
+        if (self._terms is None or support.tobytes() != self._support.tobytes()
+                or bl_pos.tobytes() != self._bl_pos.tobytes()):
+            self._support, self._bl_pos = support, bl_pos
+            self._terms = _term_structure(kept, support, bl_pos, self._alphas, self._receptive)
+            self.rebuilds += 1
+        return self._terms
+
     def step(self) -> float:
         """Advance every agent one synchronous step; return the largest mass change."""
         if self._general:
-            new = _general_update(self.x, self.kept, self._alphas, self._receptive)
+            bl = dst.belief_table(self.x)
+            new = _general_update(self.x, bl, self._general_terms(bl))
         else:
             new = _update(self.weights(), self.x, self.frame.size)
         change = float(np.max(np.abs(new - self.x)))

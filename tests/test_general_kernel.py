@@ -6,6 +6,8 @@ then subset order, and each conditional formed on first use.  The engine
 must reproduce it bit for bit: masses, kept edges, iteration counts.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from ds_consensus.dynamics import (AgentSpec, NetworkState, ProfileRun, Strategy
 from ds_consensus.errors import NotABeliefFunction
 from ds_consensus.graph import DirectedGraph
 from ds_consensus.runner import run_simulation
-from ds_consensus.scenario import Scenario
+from ds_consensus.scenario import Scenario, assets_dir, load_scenario, scenario_from_dict
 
 
 def reference_weights(i, state, kept, bl_rows):
@@ -223,3 +225,153 @@ def test_run_above_the_dense_jaccard_limit_matches_the_step_loop():
     assert run.final_masses.tobytes() == state.masses.tobytes()
     assert run.pruned_edges == tuple(edges)
     assert set() < edges[0] < graph.edges  # some edges pruned, some kept
+
+
+# ---------------------------------------------------------------------------
+# The cached term structure
+# ---------------------------------------------------------------------------
+
+def reference_trajectory(scenario, eps):
+    """Every state of the reference loop, the final one included, with the
+    kept edges of each step and whether the run converged."""
+    states, edges, quiet = [scenario.initial_state(eps)], [], 0
+    while len(edges) < scenario.max_iterations:
+        current = states[-1]
+        pruned = current.pruned()
+        edges.append(pruned.edges)
+        states.append(reference_step(current, pruned.kept))
+        diff = float(np.max(np.abs(states[-1].masses - current.masses)))
+        quiet = quiet + 1 if diff < scenario.step_tol else 0
+        if quiet >= scenario.persistence:
+            return states, edges, True
+    return states, edges, False
+
+
+def check_cached_run(scenario, eps=None):
+    """Run the scenario against the reference loop, bit for bit, and check
+    that the term structure is rebuilt exactly on the steps where its key
+    (kept edges, grow-only support, positive-belief pattern) changes.
+    Returns the reference states and each step's key."""
+    states, edges, converged = reference_trajectory(scenario, eps)
+    result = run_simulation(scenario, eps, record_edges=True)
+    assert result.final_masses.tobytes() == states[-1].masses.tobytes()
+    assert (result.iterations, result.converged) == (len(edges), converged)
+    assert result.pruned_edges == tuple(edges)
+
+    run = ProfileRun(scenario.initial_state(eps), "general")
+    keys, support = [], np.zeros_like(states[0].masses, dtype=bool)
+    for state, kept in zip(states, edges):
+        support = support | (state.masses > 0.0)
+        keys.append((kept, support.tobytes(), (dst.belief_table(state.masses) > 0.0).tobytes()))
+        before = run.rebuilds
+        run.step()
+        assert run.rebuilds - before == (len(keys) == 1 or keys[-1] != keys[-2])
+    assert run.masses().tobytes() == states[-1].masses.tobytes()
+    return states, keys
+
+
+def directed_scenario(frame, edges, agents, max_iterations):
+    """Agents given as (strategy, alpha, {subset mask: mass}), bound 1."""
+    specs = []
+    for strategy, alpha, masses in agents:
+        m = np.zeros(frame.n_subsets)
+        for mask, mass in masses.items():
+            m[mask] = mass
+        specs.append(AgentSpec(strategy, alpha, 1.0, BodyOfEvidence(frame, m)))
+    graph = DirectedGraph.from_edges(len(specs), edges)
+    return Scenario(name="directed", frame=frame, graph=graph, agents=tuple(specs),
+                    engine="general", max_iterations=max_iterations)
+
+
+def kept_set_changes():
+    return load_scenario("ds7-noleader", seed=2), 0.2
+
+
+def belief_pattern_flips():
+    # agents 1 and 2 (alpha 0) swap their certain opinions every step; the
+    # cautious agent 3 conditions agent 1 on {1} and on {2} in turn, so the
+    # positive-belief pattern changes while supports and kept edges do not
+    frame = Frame(2)
+    agents = [(Strategy.RECEPTIVE, 0.0, {1: 1.0}), (Strategy.RECEPTIVE, 0.0, {2: 1.0}),
+              (Strategy.CAUTIOUS, 0.5, {1: 0.5, 2: 0.5})]
+    return directed_scenario(frame, [(1, 2), (2, 1), (3, 1)], agents, 12), None
+
+
+def uncovered_cautious_agent():
+    # step 0: cautious agent 1 ({1, 2}) conditions agent 2 ({1}) on {1, 2}
+    # and becomes certain of {1}, while agent 2 adopts agent 3's {2}.  From
+    # step 1 agent 1's mass lies only where agent 2 believes nothing, and its
+    # support still holds {1, 2}: a term of mass 0, covered sum 0
+    frame = Frame(2)
+    agents = [(Strategy.CAUTIOUS, 0.0, {3: 1.0}), (Strategy.RECEPTIVE, 0.0, {1: 1.0}),
+              (Strategy.RECEPTIVE, 0.5, {2: 1.0})]
+    return directed_scenario(frame, [(1, 2), (2, 3)], agents, 8), None
+
+
+def mass_flickers():
+    return load_scenario("ds7-noleader", seed=13), 0.2
+
+
+def changed(keys, part):
+    return [a[part] != b[part] for a, b in zip(keys, keys[1:])]
+
+
+def check_kept_set_changes(states, keys):
+    assert any(changed(keys, 0))
+
+
+def check_belief_pattern_flips(states, keys):
+    only_beliefs = [b and not (k or s) for k, s, b in
+                    zip(changed(keys, 0), changed(keys, 1), changed(keys, 2))]
+    assert sum(only_beliefs) >= 5
+
+
+def check_uncovered_cautious_agent(states, keys):
+    first = states[1].masses
+    assert first[0].tolist() == [0.0, 1.0, 0.0, 0.0] and first[1].tolist() == [0.0, 0.0, 1.0, 0.0]
+    for state in states[1:]:  # agent 1 keeps its opinion from then on
+        assert state.masses[0].tobytes() == first[0].tobytes()
+
+
+def check_mass_flickers(states, keys):
+    masses = np.stack([s.masses for s in states])
+    tiny = (masses > 0.0) & (masses < 1e-15)
+    flicker = tiny.any(axis=0) & (masses == 0.0).any(axis=0)
+    assert flicker.any()
+
+
+CASES = {"kept-set-changes": (kept_set_changes, check_kept_set_changes),
+         "belief-pattern-flips": (belief_pattern_flips, check_belief_pattern_flips),
+         "uncovered-cautious-agent": (uncovered_cautious_agent, check_uncovered_cautious_agent),
+         "mass-flickers": (mass_flickers, check_mass_flickers)}
+
+
+@pytest.mark.parametrize("block", [dynamics.TERM_BLOCK, 1])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cached_terms_match_the_reference_loop(case, block, monkeypatch):
+    monkeypatch.setattr(dynamics, "TERM_BLOCK", block)
+    build, check = CASES[case]
+    check(*check_cached_run(*build()))
+
+
+def test_term_structure_is_rebuilt_far_less_often_than_steps():
+    scenario = load_scenario("ds7-oneleader", seed=1)
+    steps = run_simulation(scenario, 0.5).iterations
+    run = ProfileRun(scenario.initial_state(0.5), "general")
+    for _ in range(steps):
+        run.step()
+    assert steps > 400 and run.rebuilds <= 5
+
+
+def test_term_blocks_keep_the_bits_at_a_hundred_agents(monkeypatch):
+    data = json.loads((assets_dir() / "er100-noleader.json").read_text())
+    ds7 = json.loads((assets_dir() / "ds7-noleader.json").read_text())
+    data["engine"] = "general"
+    data["defaults"]["sample"] = ds7["agents"][0]["sample"]
+    state = scenario_from_dict(data, "er100-general", assets_dir(), seed=1).initial_state(0.5)
+    pruned = state.pruned()
+    default = general_step(state, pruned)
+    depth = pruned.kept.sum(axis=1).max() * 7  # every agent holds mass on all 7 subsets
+    assert depth * state.masses.size > dynamics.TERM_BLOCK  # more than one block
+    monkeypatch.setattr(dynamics, "TERM_BLOCK", 1)
+    assert general_step(state, pruned).masses.tobytes() == default.masses.tobytes()

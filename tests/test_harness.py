@@ -151,6 +151,24 @@ def test_sweep_grid():
         sweep_grid(0.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("step", [float("nan"), float("inf"), 1e-12, 5e-324])
+def test_sweep_grid_rejects_unbounded_steps(step, tmp_path, capsys):
+    # rejected before the grid is formed: 1e-12 would ask for 10**12 points
+    with pytest.raises(ValueError, match="eps_step"):
+        sweep_grid(0.0, 1.0, step)
+    code = cli(["sweep", "--scenario", "fig3a-pmf", "--eps-min", "0", "--eps-max", "1",
+                "--eps-step", repr(step), "--out", str(tmp_path / "out")])
+    assert code == 1 and "eps_step" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_grid_cap(monkeypatch):
+    monkeypatch.setattr(runner, "MAX_SWEEP_POINTS", 5)
+    assert sweep_grid(0.0, 1.0, 0.25) == (0.0, 0.25, 0.5, 0.75, 1.0)
+    with pytest.raises(ValueError, match="more than 5 grid points"):
+        sweep_grid(0.0, 1.0, 0.2)
+
+
 def test_run_simulation_fig3a_consensus_at_half():
     r = run_simulation(load_scenario("fig3a-pmf"), 0.5)
     assert r.report.consensus and r.converged

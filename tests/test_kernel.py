@@ -113,6 +113,17 @@ def test_late_edge_recorded_step_by_step():
     assert run.final_masses.tobytes() == ref.masses.tobytes()
 
 
+def test_pmf_weights_rebuilt_once_per_kept_set():
+    frame, graph, specs = line_state(alpha2=0.95)
+    run = ProfileRun(NetworkState.from_specs(frame, graph, specs), "pmf")
+    edges = []
+    for _ in range(60):
+        edges.append(run.edges())
+        run.step()
+    changes = sum(a != b for a, b in zip(edges, edges[1:]))
+    assert changes >= 1 and run.rebuilds == 1 + changes < run.prunes
+
+
 def two_still_agents(gap):
     """Two cautious Bayesian agents (they never move), agent 1's bound set
     ``gap`` above their computed distance."""
