@@ -6,8 +6,6 @@ from .dst import (
     BodyOfEvidence,
     Frame,
     belief_table,
-    boe_from_dict,
-    boe_to_dict,
     jaccard_matrix,
     jousselme_distance,
     mass_table,
@@ -31,7 +29,6 @@ from .dynamics import (
     ConfidenceMatrix,
     NetworkState,
     Strategy,
-    conditional_weights,
     dirichlet_confidence_matrix,
     dirichlet_step,
     general_step,

@@ -111,15 +111,11 @@ def _cluster_ids(close: np.ndarray) -> np.ndarray:
         labels = new
 
 
-def detect_clusters(opinions, tol: float, frame: Frame | None = None) -> ClusterReport:
-    """Partition agents by transitive closure of pairwise distance <= tol."""
-    if isinstance(opinions, np.ndarray):
-        if frame is None:
-            frame = Frame(int(np.log2(opinions.shape[1])))
-        rows = opinions
-    else:
-        frame = opinions[0].frame
-        rows = np.vstack([b.masses for b in opinions])
+def detect_clusters(rows: np.ndarray, tol: float, frame: Frame) -> ClusterReport:
+    """Partition agents by transitive closure of pairwise distance <= tol.
+
+    ``rows`` is the (N, 2**M) mass table on ``frame``, one row per agent.
+    """
     ids = _cluster_ids(dst.pairwise_jousselme(rows, frame.size) <= tol)
     sizes = np.bincount(ids)
     agents = (np.argsort(ids, kind="stable") + 1).tolist()

@@ -395,18 +395,8 @@ def masses_to_dict(frame: Frame, masses: np.ndarray) -> dict:
     return out
 
 
-def boe_to_dict(boe: BodyOfEvidence) -> dict:
-    return {"frame_size": boe.frame.size, "masses": masses_to_dict(boe.frame, boe.masses)}
-
-
 def masses_from_dict(frame: Frame, entries: Mapping[str, float]) -> np.ndarray:
     m = np.zeros(frame.n_subsets)
     for key, value in entries.items():
         m[prop_from_str(key, frame)] = float(value)
     return m
-
-
-def boe_from_dict(data: Mapping, frame: Frame | None = None) -> BodyOfEvidence:
-    if frame is None:
-        frame = Frame(int(data["frame_size"]))
-    return BodyOfEvidence(frame, masses_from_dict(frame, data["masses"]))

@@ -16,12 +16,13 @@ bounded-confidence pruning recomputed from current opinions each step):
   and the full frame; the confidence matrix need not be row-stochastic and
   the full-frame mass is whatever the singletons leave over.
 
-A step is a pure function; states are immutable and shareable.  Whole runs
-of all three engines go through :class:`ProfileRun`, which holds one state
-array, recomputes the pruning only when a metric certificate can no longer
-vouch for the kept edges, and rebuilds the pmf weights or the general
-engine's term structure only when what they depend on changes; every step
-gives what the step functions give.
+A step is a pure function that takes its kept edges from the receive
+matrix of :func:`graph.prune`; states are immutable and shareable.  Whole
+runs of all three engines go through :class:`ProfileRun`, which holds one
+state array and its kept edges as index pairs only, recomputes the pruning
+only when a metric certificate can no longer vouch for the kept edges, and
+rebuilds the pmf weights or the general engine's term structure only when
+what they depend on changes; every step gives what the step functions give.
 """
 
 from __future__ import annotations
@@ -141,24 +142,6 @@ class ConfidenceMatrix:
 TERM_BLOCK = 1 << 16
 
 
-class ConditionalWeights(NamedTuple):
-    """Self-weights of all agents plus their conditional terms, one per entry.
-
-    Agent ``agent[t]`` (0-based) weights the conditional of neighbor
-    ``neighbor[t]`` given subset ``subset[t]`` by ``beta[t]``.  Terms are
-    ordered by agent, then neighbor, then subset mask; ``slot[t]`` is the
-    term's position among its agent's terms.  ``alpha`` is 1 for agents
-    with no term (they keep their opinion).
-    """
-
-    alpha: np.ndarray
-    agent: np.ndarray
-    neighbor: np.ndarray
-    subset: np.ndarray
-    beta: np.ndarray
-    slot: np.ndarray
-
-
 class _Terms(NamedTuple):
     """Where every conditional term of a step sits; its weight comes per step.
 
@@ -199,16 +182,17 @@ class _Terms(NamedTuple):
     pick: np.ndarray
 
 
-def _term_structure(kept: np.ndarray, support: np.ndarray, bl_pos: np.ndarray,
-                    alphas: np.ndarray, receptive: np.ndarray) -> _Terms:
-    """The terms of every agent, given the kept receive matrix and mass supports.
+def _term_structure(src: np.ndarray, nbr: np.ndarray, support: np.ndarray,
+                    bl_pos: np.ndarray, alphas: np.ndarray, receptive: np.ndarray) -> _Terms:
+    """The terms of every agent, given the kept edges and mass supports.
 
-    A receptive agent gets a term for each subset in a kept neighbor's
+    Kept edge e is agent ``src[e]`` hearing ``nbr[e]`` (0-based), ordered by
+    agent, then neighbor, as ``np.nonzero`` lists a receive matrix.  A
+    receptive agent gets a term for each subset in a kept neighbor's
     support; a cautious one for each subset in its own support where the
     neighbor's belief is positive (``bl_pos``).
     """
     n, k = support.shape
-    src, nbr = np.nonzero(kept)  # agent ascending, then neighbor ascending
     rec = receptive[src]
     use = np.where(rec[:, None], support[nbr], support[src] & bl_pos[nbr])
     edge, subset = np.nonzero(use)
@@ -241,8 +225,10 @@ def _term_structure(kept: np.ndarray, support: np.ndarray, bl_pos: np.ndarray,
 def _term_weights(terms: _Terms, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each term's weight at these masses, and which agents move.
 
-    A cautious agent moves only while the own masses its terms cover sum
-    above 0; otherwise its terms weigh 0 and it keeps its opinion.
+    With its self-weight (alpha for an agent that moves, 1 otherwise) an
+    agent's weights sum to 1.  An agent with no kept neighbor keeps its
+    opinion, and a cautious agent moves only while the own masses its terms
+    cover sum above 0; otherwise its terms weigh 0.
     """
     n = len(terms.alphas)
     mass = masses.take(terms.mass_at)
@@ -259,24 +245,6 @@ def _term_weights(terms: _Terms, masses: np.ndarray) -> tuple[np.ndarray, np.nda
         parts = covered[terms.cautious_agent]
         beta[terms.cautious] = terms.cautious_share / np.where(parts > 0.0, parts, 1.0) * own
     return beta, moving
-
-
-def conditional_weights(masses: np.ndarray, kept: np.ndarray, alphas: np.ndarray,
-                        receptive: np.ndarray) -> ConditionalWeights:
-    """Weights every agent applies this step, given the kept receive matrix.
-
-    Receptive: each kept neighbor gets an equal share of ``1 - alpha``,
-    spread over that neighbor's focal elements in proportion to its masses.
-    Cautious: weights are proportional to the agent's own masses, restricted
-    to sets the neighbor assigns positive belief, with one common factor
-    solved from the normalization constraint.  No kept neighbor (or no
-    usable conditioning set) collapses to self-preservation.
-    """
-    terms = _term_structure(kept, masses > 0.0, dst.belief_table(masses) > 0.0,
-                            alphas, receptive)
-    beta, moving = _term_weights(terms, masses)
-    return ConditionalWeights(np.where(moving, alphas, 1.0), terms.agent, terms.neighbor,
-                              terms.subset, beta, terms.slot)
 
 
 def _general_update(masses: np.ndarray, bl: np.ndarray, terms: _Terms) -> np.ndarray:
@@ -330,8 +298,8 @@ def general_step(state: NetworkState, pruned: PrunedView | None = None) -> Netwo
     if pruned is None:
         pruned = state.pruned()
     bl = dst.belief_table(state.masses)
-    terms = _term_structure(pruned.kept, state.masses > 0.0, bl > 0.0, state.alphas(),
-                            _receptive(state.specs))
+    terms = _term_structure(*np.nonzero(pruned.kept), state.masses > 0.0, bl > 0.0,
+                            state.alphas(), _receptive(state.specs))
     return state.with_masses(_general_update(state.masses, bl, terms))
 
 
@@ -456,11 +424,14 @@ def theta_weight_matrix(state: NetworkState, pruned: PrunedView) -> np.ndarray:
     while every row sum stays at most rho < 1, the largest full-frame mass
     shrinks at least geometrically with ratio rho.
     """
-    w = conditional_weights(state.masses, pruned.kept, state.alphas(),
+    masses = state.masses
+    terms = _term_structure(*np.nonzero(pruned.kept), masses > 0.0,
+                            dst.belief_table(masses) > 0.0, state.alphas(),
                             _receptive(state.specs))
-    gamma = np.diag(w.alpha)
-    full = w.subset == state.frame.full_set
-    gamma[w.agent[full], w.neighbor[full]] = w.beta[full]
+    beta, moving = _term_weights(terms, masses)
+    gamma = np.diag(np.where(moving, terms.alphas, 1.0))
+    full = terms.subset == state.frame.full_set
+    gamma[terms.agent[full], terms.neighbor[full]] = beta[full]
     return gamma
 
 
@@ -528,16 +499,19 @@ class ProfileRun:
     recomputed only when the certificate above no longer holds; the pmf
     weight matrix is rebuilt only when the kept edges change, and the
     general term structure only when its key changes (see
-    :meth:`_general_terms`).  ``prunes`` counts the prunings and
-    ``rebuilds`` those rebuilds (Dirichlet weights scale with the
-    full-frame masses and are formed every step, so it counts none of
-    them).  So every step
-    gives the same masses and kept edges as :func:`pmf_step` /
-    :func:`dirichlet_step` / :func:`general_step` would, and for pmf and
-    Dirichlet the same weights.  (Distances on the profile columns equal
-    those of the dense mass table bit for bit up to four singletons; beyond
-    that they agree to about 4e-16, so a kept edge could differ only for a
-    distance that close to its bound.)
+    :meth:`_general_terms`).  The kept set is held as a mask over the base
+    edges and, taken when it changes, the kept edges as index pairs, in the
+    row-major order of ``np.nonzero`` on a receive matrix: the weights, the
+    term structure and :meth:`edges` are all built from those pairs.
+    ``prunes`` counts the prunings and ``rebuilds`` those rebuilds
+    (Dirichlet weights scale with the full-frame masses and are formed every
+    step, so it counts none of them).  So every step gives the same masses
+    and kept edges as :func:`pmf_step` / :func:`dirichlet_step` /
+    :func:`general_step` would, and for pmf and Dirichlet the same weights.
+    (Distances on the profile columns equal those of the dense mass table
+    bit for bit up to four singletons; beyond that they agree to about
+    4e-16, so a kept edge could differ only for a distance that close to its
+    bound.)
     """
 
     def __init__(self, state: NetworkState, engine: str):
@@ -557,15 +531,13 @@ class ProfileRun:
             self._jaccard = dst.jaccard_block(self._cols)
             row_sum = self._jaccard.sum(axis=1).max()
         self._full = len(self._cols) > self.frame.size  # a full-frame column to carry
-        self._adj = state.graph.adjacency()
-        src, nbr = np.nonzero(self._adj)     # base edge e: agent src[e] hears nbr[e]
-        self._pairs = src, nbr, src * len(self._adj) + nbr
+        src, nbr = np.nonzero(state.graph.adjacency())  # base edge e: src[e] hears nbr[e]
+        self._pairs = src, nbr, src * state.graph.n + nbr
         self._edge_eps = state.epsilons()[src]
         self._alphas = state.alphas()
         self._receptive = _receptive(state.specs)
         self._kept_mask: np.ndarray | None = None  # per base edge, at the last pruning
-        self._kept_pairs: tuple[np.ndarray, np.ndarray] | None = None  # (i, i * N + j)
-        self._kept: np.ndarray | None = None       # the same as a receive matrix, on demand
+        self._kept: tuple[np.ndarray, ...] | None = None  # (i, j, i * N + j) of the kept edges
         # per base edge: whether an endpoint moves, and 2 if only one of them does
         self._watched = np.ones(len(src), dtype=bool)
         self._gap_scale = np.ones(len(src))
@@ -592,11 +564,9 @@ class ProfileRun:
             dist = dst.gram_distances(self.x, self._jaccard, self._pairs)
         kept = dist <= self._edge_eps
         if self._kept_mask is None or kept.tobytes() != self._kept_mask.tobytes():
-            src, _, flat = self._pairs
             on = np.flatnonzero(kept)
-            self._kept_mask, self._kept, self._edges = kept, None, None
-            self._kept_pairs = src.take(on), flat.take(on)
-            self._terms = None
+            self._kept_mask, self._edges, self._terms = kept, None, None
+            self._kept = tuple(index.take(on) for index in self._pairs)
             if not self._full:
                 self._adopt_pmf_weights()
         gaps = np.abs(dist - self._edge_eps)
@@ -608,7 +578,8 @@ class ProfileRun:
 
     def _adopt_pmf_weights(self) -> None:
         """Weights of the new kept edges, and the edges whose distance they can move."""
-        self._w = _weights(*self._kept_pairs, self._alphas, self._receptive).matrix
+        i, _, flat = self._kept
+        self._w = _weights(i, flat, self._alphas, self._receptive).matrix
         self.rebuilds += 1
         # a diagonal of 1 leaves every neighbour a share of exactly 0: the row
         # is the identity and w @ x returns that agent's profile bit for bit
@@ -618,20 +589,11 @@ class ProfileRun:
         self._watched = movers > 0
         self._gap_scale = 2.0 / np.maximum(movers, 1)
 
-    @property
-    def kept(self) -> np.ndarray:
-        """Receive matrix of the edges kept at the current opinions."""
-        self._certify()
-        if self._kept is None:
-            src, nbr, _ = self._pairs
-            self._kept = np.zeros_like(self._adj)
-            self._kept[src[self._kept_mask], nbr[self._kept_mask]] = True
-        return self._kept
-
     def edges(self) -> frozenset[tuple[int, int]]:
-        kept = self.kept
+        """1-based ``(i, j)`` pairs of the edges kept at the current opinions."""
+        self._certify()
         if self._edges is None:
-            self._edges = kept_edges(kept)
+            self._edges = kept_edges(*self._kept[:2])
         return self._edges
 
     def weights(self) -> np.ndarray:
@@ -640,8 +602,8 @@ class ProfileRun:
             raise EngineMismatch("the general engine has no confidence matrix")
         self._certify()
         if self._full:
-            return _weights(*self._kept_pairs, self._alphas, self._receptive,
-                            self.x[:, -1]).matrix
+            i, _, flat = self._kept
+            return _weights(i, flat, self._alphas, self._receptive, self.x[:, -1]).matrix
         return self._w
 
     def _general_terms(self, bl: np.ndarray) -> _Terms:
@@ -657,13 +619,14 @@ class ProfileRun:
         runs (231 runs, 47592 steps) build it 509 times, 231 of them at the
         first step.
         """
-        kept = self.kept  # a new kept set drops the structure
+        self._certify()  # a new kept set drops the structure
         bl_pos = bl > 0.0
         support = self._support | (self.x > 0.0)
         if (self._terms is None or support.tobytes() != self._support.tobytes()
                 or bl_pos.tobytes() != self._bl_pos.tobytes()):
             self._support, self._bl_pos = support, bl_pos
-            self._terms = _term_structure(kept, support, bl_pos, self._alphas, self._receptive)
+            self._terms = _term_structure(*self._kept[:2], support, bl_pos, self._alphas,
+                                          self._receptive)
             self.rebuilds += 1
         return self._terms
 

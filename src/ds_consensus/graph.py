@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import dst
-from .errors import FrameMismatch, InvalidScenario, NodeOutOfRange
+from .errors import InvalidScenario, NodeOutOfRange
 
 # Largest Erdos-Renyi graph: an (N, N) float matrix, which pruning and the
 # weights form every step, stays within 128 MiB.
@@ -64,67 +64,46 @@ class DirectedGraph:
         return pairs
 
     def to_dict(self) -> dict:
+        """The graph-file form that a scenario's ``graph`` field reads back."""
         return {"n": self.n, "edges": [list(p) for p in self.mutual_pairs()]}
 
-    @staticmethod
-    def from_dict(data: dict) -> "DirectedGraph":
-        return DirectedGraph.from_mutual_pairs(int(data["n"]), data["edges"])
 
-
-def kept_edges(kept: np.ndarray) -> frozenset[tuple[int, int]]:
-    """1-based ``(i, j)`` pairs of a boolean receive matrix."""
-    rows, cols = np.nonzero(kept)
-    return frozenset((int(i) + 1, int(j) + 1) for i, j in zip(rows, cols))
+def kept_edges(rows: np.ndarray, cols: np.ndarray) -> frozenset[tuple[int, int]]:
+    """1-based ``(i, j)`` pairs of the 0-based edges ``rows[e]`` hears ``cols[e]``."""
+    return frozenset(zip((rows + 1).tolist(), (cols + 1).tolist()))
 
 
 @dataclass(frozen=True)
 class PrunedView:
     """Bounded-confidence view: only edges whose opinion distance fits the bound."""
 
-    base: DirectedGraph
-    epsilon: tuple[float, ...]
     kept: np.ndarray  # boolean receive matrix, 0-based
     _edges: frozenset[tuple[int, int]] | None = field(default=None, repr=False, compare=False)
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         if self._edges is None:
-            object.__setattr__(self, "_edges", kept_edges(self.kept))
+            object.__setattr__(self, "_edges", kept_edges(*np.nonzero(self.kept)))
         return self._edges
 
     def neighbors(self, i: int) -> set[int]:
         return {int(j) + 1 for j in np.nonzero(self.kept[i - 1])[0]}
 
 
-def _mass_rows(opinions, frame_size: int | None = None) -> tuple[np.ndarray, int]:
-    if isinstance(opinions, np.ndarray):
-        if frame_size is None:
-            frame_size = int(np.log2(opinions.shape[1]))
-        return opinions, frame_size
-    frames = {boe.frame for boe in opinions}
-    if len(frames) != 1:
-        raise FrameMismatch("opinions live on different frames")
-    frame = frames.pop()
-    return np.vstack([boe.masses for boe in opinions]), frame.size
-
-
-def prune(g: DirectedGraph, opinions, epsilon: Sequence[float],
-          frame_size: int | None = None) -> PrunedView:
+def prune(g: DirectedGraph, masses: np.ndarray, epsilon: Sequence[float],
+          frame_size: int) -> PrunedView:
     """Keep edge ``(i, j)`` iff the opinion distance is within agent i's bound.
 
-    ``opinions`` is either a list of bodies of evidence or a stacked mass
-    matrix (rows in node order).  Retention can be asymmetric when bounds
-    differ per agent.
+    ``masses`` is the (N, 2**frame_size) mass table, rows in node order.
+    Retention can be asymmetric when bounds differ per agent.
     """
-    rows, size = _mass_rows(opinions, frame_size)
-    if rows.shape[0] != g.n:
-        raise ValueError(f"need {g.n} opinions, got {rows.shape[0]}")
+    if masses.shape[0] != g.n:
+        raise ValueError(f"need {g.n} opinions, got {masses.shape[0]}")
     eps = np.asarray(epsilon, dtype=float)
     if eps.shape != (g.n,):
         raise ValueError(f"need {g.n} bounds, got shape {eps.shape}")
-    dist = dst.pairwise_jousselme(rows, size)
-    kept = g.adjacency() & (dist <= eps[:, None])
-    return PrunedView(g, tuple(float(e) for e in eps), kept)
+    dist = dst.pairwise_jousselme(masses, frame_size)
+    return PrunedView(g.adjacency() & (dist <= eps[:, None]))
 
 
 def is_connected(g: DirectedGraph) -> bool:

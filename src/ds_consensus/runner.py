@@ -184,12 +184,15 @@ def run_sweep(scenario: Scenario, eps_min: float, eps_max: float, eps_step: floa
 
     Grid points are independent; ``workers > 1`` fans them out to at most
     one process per grid point and per CPU.  Results are assembled in grid
-    order either way.
+    order either way.  An empty proposition, whose mass is always 0, raises
+    ValueError before any run.
     """
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     grid = sweep_grid(eps_min, eps_max, eps_step)
     mask = dst.prop_from_str(proposition, scenario.frame)
+    if mask == 0:
+        raise ValueError(f"proposition {proposition!r} is the empty set, whose mass is always 0")
     jobs = [(scenario, eps, mask) for eps in grid]
     workers = min(workers, len(grid), os.cpu_count() or 1)
     if workers > 1:

@@ -103,6 +103,11 @@ class Scenario:
             raise InvalidScenario(f"max_iterations must be >= 0, got {self.max_iterations}")
         if self.persistence < 1:
             raise InvalidScenario(f"persistence must be >= 1, got {self.persistence}")
+        if not (np.isfinite(self.step_tol) and self.step_tol > 0.0):
+            raise InvalidScenario(f"step tolerance must be finite and > 0, got {self.step_tol}")
+        if not (np.isfinite(self.cluster_tol) and self.cluster_tol >= 0.0):
+            raise InvalidScenario(
+                f"cluster tolerance must be finite and >= 0, got {self.cluster_tol}")
 
     def initial_state(self, epsilon: float | None = None) -> NetworkState:
         state = NetworkState.from_specs(self.frame, self.graph, self.agents)
@@ -165,6 +170,13 @@ def _number(kind, value, where: str):
         raise ScenarioParseError(f"{where} must be a number, got {value!r}") from None
 
 
+def _integer(value, where: str) -> int:
+    """An integer field: a boolean or a number with a fractional part is a parse error."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ScenarioParseError(f"{where} must be an integer, got {value!r}")
+    return _number(int, value, where)
+
+
 def _agent_from_config(cfg, defaults: dict, frame: Frame,
                        rng: np.random.Generator, where: str) -> AgentSpec:
     merged = dict(defaults)
@@ -213,12 +225,14 @@ def _agent_from_config(cfg, defaults: dict, frame: Frame,
 def _build_graph(cfg: dict, base: Path, default_seed: int) -> DirectedGraph:
     if "er" in cfg:
         er = cfg["er"]
-        seed = int(er.get("seed", default_seed))
-        return erdos_renyi_connected(int(er["n"]), float(er["p"]), seed)
+        seed = _integer(er.get("seed", default_seed), "graph.er.seed")
+        return erdos_renyi_connected(_integer(er["n"], "graph.er.n"), float(er["p"]), seed)
     if "file" in cfg:
         with open(base / cfg["file"], encoding="utf-8") as fh:
-            return DirectedGraph.from_dict(json.load(fh))
-    return DirectedGraph.from_dict(cfg)
+            cfg = json.load(fh)
+    return DirectedGraph.from_mutual_pairs(
+        _integer(cfg["n"], "graph.n"),
+        [[_integer(node, "graph.edges") for node in pair] for pair in cfg["edges"]])
 
 
 def _graph(cfg, base: Path, seed: int) -> DirectedGraph:
@@ -263,14 +277,14 @@ def scenario_from_dict(data: dict, name: str, base: Path,
     engine = data.get("engine", "auto")
     if engine not in ENGINE_NAMES:
         raise InvalidScenario(f"engine must be one of {ENGINE_NAMES}, got {engine!r}")
-    effective_seed = _number(int, data.get("seed", 0) if seed is None else seed, "seed")
+    effective_seed = _integer(data.get("seed", 0) if seed is None else seed, "seed")
     if effective_seed < 0:
         raise InvalidScenario(f"seed must be >= 0, got {effective_seed}")
     for key in ("frame_size", "graph"):
         if key not in data:
             raise ScenarioParseError(f"missing field {key!r}")
     try:
-        frame = Frame(_number(int, data["frame_size"], "frame_size"))
+        frame = Frame(_integer(data["frame_size"], "frame_size"))
     except ValueError as exc:
         raise InvalidScenario(str(exc))
     graph = _graph(data["graph"], base, effective_seed)
@@ -281,7 +295,7 @@ def scenario_from_dict(data: dict, name: str, base: Path,
         agent_cfgs = _array(data["agents"], "agents")
         count = len(agent_cfgs)
     elif "n_agents" in data:
-        count = _number(int, data["n_agents"], "n_agents")
+        count = _integer(data["n_agents"], "n_agents")
         agent_cfgs = None
     else:
         raise ScenarioParseError("scenario needs 'agents' or 'n_agents'")
@@ -295,7 +309,7 @@ def scenario_from_dict(data: dict, name: str, base: Path,
         leaders_cfg = _object(data["random_leaders"], "random_leaders")
         if "count" not in leaders_cfg:
             raise ScenarioParseError("random_leaders misses field 'count'")
-        count = _number(int, leaders_cfg["count"], "random_leaders.count")
+        count = _integer(leaders_cfg["count"], "random_leaders.count")
         if not 0 <= count <= graph.n:
             raise InvalidScenario(f"random leader count {count} outside [0, {graph.n}]")
         chosen = rng.choice(graph.n, size=count, replace=False)
@@ -317,11 +331,11 @@ def scenario_from_dict(data: dict, name: str, base: Path,
         graph=graph,
         agents=tuple(agents),
         engine=engine,
-        max_iterations=_number(int, data.get("max_iterations", DEFAULT_MAX_ITERATIONS),
-                               "max_iterations"),
+        max_iterations=_integer(data.get("max_iterations", DEFAULT_MAX_ITERATIONS),
+                                "max_iterations"),
         step_tol=_number(float, tol.get("step", DEFAULT_STEP_TOL), "tolerances.step"),
-        persistence=_number(int, tol.get("persistence", DEFAULT_PERSISTENCE),
-                            "tolerances.persistence"),
+        persistence=_integer(tol.get("persistence", DEFAULT_PERSISTENCE),
+                             "tolerances.persistence"),
         cluster_tol=_number(float, tol.get("cluster", DEFAULT_CLUSTER_TOL),
                             "tolerances.cluster"),
         seed=effective_seed,

@@ -25,6 +25,10 @@ def bayes(x, frame=F3):
     return BodyOfEvidence(frame, m)
 
 
+def table(opinions):
+    return np.vstack([boe.masses for boe in opinions])
+
+
 def test_infinity_norm():
     assert infinity_norm(np.eye(4)) == 1.0
     assert infinity_norm(np.array([[0.2, 0.3], [0.4, 0.5]])) == pytest.approx(0.9)
@@ -68,27 +72,27 @@ def test_rank_one_rejects_identity():
 
 def test_detect_clusters_identical_and_distinct():
     same = [bayes(0.5)] * 4
-    rep = detect_clusters(same, 1e-3)
+    rep = detect_clusters(table(same), 1e-3, F3)
     assert rep.consensus and rep.cluster_count == 1
     distinct = [bayes(x) for x in (0.1, 0.5, 0.9)]
-    rep = detect_clusters(distinct, 1e-3)
+    rep = detect_clusters(table(distinct), 1e-3, F3)
     assert rep.cluster_count == 3 and not rep.consensus
 
 
 def test_detect_clusters_partition_and_order_invariance(rng):
     frame = Frame(3)
     boes = [bayes(0.10), bayes(0.11), bayes(0.60), bayes(0.61), bayes(0.95)]
-    rep = detect_clusters(boes, 0.05)
+    rep = detect_clusters(table(boes), 0.05, F3)
     members = sorted(a for c in rep.clusters for a in c)
     assert members == [1, 2, 3, 4, 5]
     assert rep.clusters == ((1, 2), (3, 4), (5,))
     perm = [boes[i] for i in (4, 2, 0, 3, 1)]
-    rep2 = detect_clusters(perm, 0.05)
+    rep2 = detect_clusters(table(perm), 0.05, F3)
     assert sorted(len(c) for c in rep2.clusters) == sorted(len(c) for c in rep.clusters)
 
 
 def test_detect_clusters_near_tolerance_flag():
-    rep = detect_clusters([bayes(0.500), bayes(0.5015)], 1e-3)
+    rep = detect_clusters(table([bayes(0.500), bayes(0.5015)]), 1e-3, F3)
     assert rep.cluster_count == 2 and rep.near_tolerance
 
 

@@ -264,10 +264,9 @@ def test_validate_rejects_non_finite_mass(bad):
 def test_serialization_round_trip(rng):
     frame = Frame(3)
     b = random_general_boe(frame, rng)
-    data = dst.boe_to_dict(b)
-    assert data["frame_size"] == 3
-    back = dst.boe_from_dict(data)
-    assert np.max(np.abs(back.masses - b.masses)) < 1e-15
+    data = dst.masses_to_dict(frame, b.masses)
+    back = dst.masses_from_dict(frame, data)
+    assert np.max(np.abs(back - b.masses)) < 1e-15
 
 
 def test_proposition_strings():

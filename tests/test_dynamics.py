@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from ds_consensus.dst import BodyOfEvidence, Frame
-from ds_consensus.dynamics import (AgentSpec, NetworkState, Strategy, conditional_weights,
-                                   dirichlet_confidence_matrix, dirichlet_step,
+from ds_consensus.dst import BodyOfEvidence, Frame, belief_table
+from ds_consensus.dynamics import (AgentSpec, NetworkState, Strategy, _term_structure,
+                                   _term_weights, dirichlet_confidence_matrix, dirichlet_step,
                                    general_step, pmf_confidence_matrix, pmf_step,
                                    theta_weight_matrix)
 from ds_consensus.errors import NotBayesian, NotDirichlet
@@ -32,9 +34,14 @@ def state_of(boes, pairs, strategies=None, alpha=0.5, epsilon=1.0, frame=F3):
 
 
 def weights_of(st, pruned=None):
+    """Self-weights (``alpha``) and conditional terms of one general step."""
     pruned = st.pruned() if pruned is None else pruned
     receptive = np.array([s.strategy is Strategy.RECEPTIVE for s in st.specs])
-    return conditional_weights(st.masses, pruned.kept, st.alphas(), receptive)
+    terms = _term_structure(*np.nonzero(pruned.kept), st.masses > 0.0,
+                            belief_table(st.masses) > 0.0, st.alphas(), receptive)
+    beta, moving = _term_weights(terms, st.masses)
+    return SimpleNamespace(alpha=np.where(moving, terms.alphas, 1.0), agent=terms.agent,
+                           neighbor=terms.neighbor, subset=terms.subset, beta=beta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
+from ds_consensus import scenario
 from ds_consensus.dst import BodyOfEvidence, Frame
-from ds_consensus.errors import FrameMismatch, InvalidScenario, NodeOutOfRange
+from ds_consensus.errors import InvalidScenario, NodeOutOfRange
 from ds_consensus.graph import (MAX_ER_NODES, DirectedGraph, erdos_renyi,
                                 erdos_renyi_connected, is_connected, prune)
 
@@ -15,6 +18,10 @@ def bayes(frame, x):
     m[2] = (1 - x) / 2
     m[4] = (1 - x) / 2
     return BodyOfEvidence(frame, m)
+
+
+def table(opinions):
+    return np.vstack([boe.masses for boe in opinions])
 
 
 def test_neighbors_directionality():
@@ -38,7 +45,7 @@ def test_prune_epsilon_one_keeps_everything(rng):
     frame = Frame(3)
     g = DirectedGraph.from_mutual_pairs(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
     opinions = [random_general_boe(frame, rng) for _ in range(4)]
-    view = prune(g, opinions, [1.0] * 4)
+    view = prune(g, table(opinions), [1.0] * 4, 3)
     assert view.edges == g.edges
 
 
@@ -46,7 +53,7 @@ def test_prune_epsilon_zero_distinct_opinions():
     frame = Frame(3)
     g = DirectedGraph.from_mutual_pairs(3, [(1, 2), (2, 3)])
     opinions = [bayes(frame, x) for x in (0.2, 0.5, 0.8)]
-    view = prune(g, opinions, [0.0] * 3)
+    view = prune(g, table(opinions), [0.0] * 3, 3)
     assert view.edges == frozenset()
 
 
@@ -55,8 +62,8 @@ def test_prune_monotone_in_epsilon(rng):
     g = DirectedGraph.from_mutual_pairs(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
     opinions = [random_general_boe(frame, rng) for _ in range(5)]
     eps = rng.uniform(0, 1, size=5)
-    small = prune(g, opinions, eps)
-    large = prune(g, opinions, np.minimum(eps + 0.2, 1.0))
+    small = prune(g, table(opinions), eps, 3)
+    large = prune(g, table(opinions), np.minimum(eps + 0.2, 1.0), 3)
     assert small.edges <= large.edges
 
 
@@ -64,16 +71,8 @@ def test_prune_asymmetric_bounds():
     frame = Frame(3)
     g = DirectedGraph.from_mutual_pairs(2, [(1, 2)])
     opinions = [bayes(frame, 0.2), bayes(frame, 0.8)]
-    view = prune(g, opinions, [1.0, 0.1])
+    view = prune(g, table(opinions), [1.0, 0.1], 3)
     assert (1, 2) in view.edges and (2, 1) not in view.edges
-
-
-def test_prune_frame_mismatch():
-    g = DirectedGraph.from_mutual_pairs(2, [(1, 2)])
-    a = bayes(Frame(3), 0.5)
-    b = BodyOfEvidence(Frame(2), np.array([0.0, 1.0, 0.0, 0.0]))
-    with pytest.raises(FrameMismatch):
-        prune(g, [a, b], [1.0, 1.0])
 
 
 def test_erdos_renyi_extremes():
@@ -118,8 +117,9 @@ def test_is_connected_cases():
     assert is_connected(DirectedGraph.from_mutual_pairs(3, [(1, 2), (2, 3)]))
 
 
-def test_graph_json_round_trip():
+def test_graph_json_round_trip(tmp_path):
     g = DirectedGraph.from_mutual_pairs(4, [(1, 2), (3, 4)])
-    back = DirectedGraph.from_dict(g.to_dict())
+    (tmp_path / "g.json").write_text(json.dumps(g.to_dict()))
+    back = scenario._graph({"file": "g.json"}, tmp_path, 0)  # a scenario's graph file
     assert back == DirectedGraph(back.n, g.edges)
     assert g.to_dict() == {"n": 4, "edges": [[1, 2], [3, 4]]}

@@ -16,7 +16,7 @@ from ds_consensus.errors import (DSConsensusError, EngineMismatch, InvalidScenar
 from ds_consensus.output import write_sweep_csv, write_sweep_json, write_sweep_svg
 from ds_consensus import runner
 from ds_consensus.analysis import classify_chain, verify_one_group_chain, verify_two_group_chain
-from ds_consensus.graph import MAX_ER_NODES
+from ds_consensus.graph import MAX_ER_NODES, DirectedGraph
 from ds_consensus.runner import run_simulation, run_sweep, sweep_grid, verify_run
 from ds_consensus.scenario import (SamplingSpec, assets_dir, list_assets, load_scenario,
                                    sample_boe, scenario_from_dict)
@@ -159,6 +159,19 @@ def test_sweep_grid_rejects_unbounded_steps(step, tmp_path, capsys):
     code = cli(["sweep", "--scenario", "fig3a-pmf", "--eps-min", "0", "--eps-max", "1",
                 "--eps-step", repr(step), "--out", str(tmp_path / "out")])
     assert code == 1 and "eps_step" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("prop", ["", "  "])
+def test_sweep_of_the_empty_set_rejected(prop, tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(runner, "run_simulation", no_run)
+    with pytest.raises(ValueError, match="empty set"):
+        run_sweep(load_scenario("fig3a-pmf"), 0.0, 1.0, 0.5, proposition=prop)
+    code = cli(["sweep", "--scenario", "fig3a-pmf", "--eps-min", "0", "--eps-max", "1",
+                "--eps-step", "0.5", "--prop", prop, "--out", str(tmp_path / "out")])
+    assert code == 1 and "empty set" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -481,12 +494,56 @@ def test_out_of_range_edge_is_a_validation_failure(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field", [{"max_iterations": -1},
-                                   {"tolerances": {"persistence": 0}}])
+                                   {"tolerances": {"persistence": 0}},
+                                   # a NaN or negative step tolerance ran to the cap
+                                   {"tolerances": {"step": float("nan")}},
+                                   {"tolerances": {"step": -1e-10}},
+                                   {"tolerances": {"step": 0.0}},
+                                   {"tolerances": {"step": float("inf")}},
+                                   # one made every agent its own cluster
+                                   {"tolerances": {"cluster": float("nan")}},
+                                   {"tolerances": {"cluster": -1e-3}},
+                                   {"tolerances": {"cluster": float("inf")}}])
 def test_iteration_limits_validated(tmp_path, capsys, field):
     data = dict(TINY, **field)
     with pytest.raises(InvalidScenario):
         scenario_from_dict(data, "t", tmp_path)
     assert _cli_run_file(tmp_path, data, capsys) == 1
+
+
+@pytest.mark.parametrize("field", [
+    {"frame_size": 2.5},
+    {"frame_size": True},
+    {"seed": 2.5},
+    {"max_iterations": 2.7},
+    {"max_iterations": True},
+    {"tolerances": {"persistence": 1.5}},
+    {"graph": {"n": 2.5, "edges": [[1, 2]]}},
+    {"graph": {"n": 2, "edges": [[1.5, 2]]}},
+    {"graph": {"n": 2, "edges": [[1, True]]}},
+    {"graph": {"er": {"n": 100.9, "p": 0.1}}},
+    {"graph": {"er": {"n": 2, "p": 1.0, "seed": 0.5}}},
+    {"random_leaders": {"count": 0.5}},
+    {"random_leaders": {"count": False}},
+    {"agents": None, "n_agents": 2.5, "defaults": {"boe": {"masses": {"1": 1.0}}}},
+], ids=["frame-size", "frame-size-bool", "seed", "max-iterations", "max-iterations-bool",
+        "persistence", "graph-n", "graph-edge", "graph-edge-bool", "er-n", "er-seed",
+        "leader-count", "leader-count-bool", "n-agents"])
+def test_integer_fields_are_not_truncated(tmp_path, capsys, field):
+    data = {key: value for key, value in dict(TINY, **field).items() if value is not None}
+    with pytest.raises(ScenarioParseError, match="must be an integer"):
+        scenario_from_dict(data, "t", tmp_path)
+    assert _cli_run_file(tmp_path, data, capsys) == 1
+
+
+def test_boundary_values_accepted(tmp_path):
+    # whole numbers written as floats, and a cluster tolerance of 0
+    scenario = scenario_from_dict(dict(TINY, frame_size=2.0, seed=3.0, max_iterations=7.0,
+                                       graph={"n": 2.0, "edges": [[1.0, 2.0]]},
+                                       tolerances={"cluster": 0.0}), "t", tmp_path)
+    assert (scenario.frame.size, scenario.seed, scenario.max_iterations) == (2, 3, 7)
+    assert scenario.graph == DirectedGraph.from_mutual_pairs(2, [(1, 2)])
+    assert scenario.cluster_tol == 0.0
 
 
 @pytest.mark.parametrize("engine,extra", [("pmf", {}), ("dirichlet", {"*": 0.2})])
