@@ -21,8 +21,9 @@ matrix of :func:`graph.prune`; states are immutable and shareable.  Whole
 runs of all three engines go through :class:`ProfileRun`, which holds one
 state array and its kept edges as index pairs only, recomputes the pruning
 only when a metric certificate can no longer vouch for the kept edges, and
-rebuilds the pmf weights or the general engine's term structure only when
-what they depend on changes; every step gives what the step functions give.
+plans the pmf and Dirichlet weights once per kept set (a Dirichlet step only
+refills the edge cells) and the general term structure only when its key
+changes; every step gives what the step functions give.
 """
 
 from __future__ import annotations
@@ -324,32 +325,42 @@ def _profile(masses: np.ndarray, frame: Frame, dirichlet: bool
     return cols, np.asfortranarray(masses[:, cols])
 
 
-def _weights(i: np.ndarray, flat: np.ndarray, alphas: np.ndarray, receptive: np.ndarray,
-             theta: np.ndarray | None = None) -> ConfidenceMatrix:
-    """Weights of the kept edges: agent i[e] hears j[e], flat[e] = i[e] * N + j[e].
+class _WeightPlan:
+    """The weights of one kept set but for the full-frame masses.
 
-    A receptive agent with kept neighbours keeps self-weight alpha and gives
-    each neighbour an equal share of 1 - alpha; every other diagonal is 1.
-    Given the full-frame masses ``theta`` (Dirichlet), receptive rows amplify
-    each share by that neighbour's full-frame mass and cautious rows leak in
-    their neighbours by their own; without them (pmf) cautious rows are
-    identity rows and every row sums to 1.
+    Agent i[e] hears j[e], flat[e] = i[e] * N + j[e].  A receptive agent
+    with kept neighbours keeps self-weight alpha and gives each neighbour an
+    equal share of 1 - alpha; every other diagonal is 1.  ``matrix`` starts
+    as the pmf weights, where cautious rows are identity rows and every row
+    sums to 1; Dirichlet weights differ on the edges only, and :meth:`fill`
+    rewrites those cells in place.
     """
-    n = len(alphas)
-    counts = np.bincount(i, minlength=n)
-    safe = np.maximum(counts, 1)
-    share = (1.0 - alphas) / safe
-    if theta is None:
-        edge = np.where(receptive, share, 0.0).take(i)
-    else:
-        leak = (1.0 - alphas) * theta / safe
-        edge = np.where(receptive.take(i), share.take(i) * (1.0 + theta.take(flat - i * n)),
-                        leak.take(i))
-    w = np.zeros((n, n))
-    cells = w.reshape(-1)  # a view: writes land in w
-    cells[flat] = edge
-    cells[::n + 1] = np.where(receptive & (counts > 0), alphas, 1.0)
-    return ConfidenceMatrix(w, row_stochastic=theta is None)
+
+    def __init__(self, i: np.ndarray, flat: np.ndarray, alphas: np.ndarray,
+                 receptive: np.ndarray):
+        n = len(alphas)
+        counts = np.bincount(i, minlength=n)
+        safe = np.maximum(counts, 1)
+        rec = receptive.take(i)
+        i_rec, i_cau = i[rec], i[~rec]
+        share = ((1.0 - alphas) / safe).take(i_rec)
+        self.matrix = np.zeros((n, n))
+        cells = self.matrix.reshape(-1)  # a view: writes land in the matrix
+        at = flat[rec]
+        cells[at] = share
+        cells[::n + 1] = np.where(receptive & (counts > 0), alphas, 1.0)
+        self._receptive = at, at - i_rec * n, share
+        self._cautious = flat[~rec], i_cau, (1.0 - alphas).take(i_cau), safe.take(i_cau)
+
+    def fill(self, theta: np.ndarray) -> None:
+        """Write the Dirichlet edge weights at the full-frame masses ``theta``:
+        receptive rows amplify each share by that neighbour's full-frame mass,
+        cautious rows leak in their neighbours by their own."""
+        cells = self.matrix.reshape(-1)
+        at, neighbor, share = self._receptive
+        cells[at] = share * (1.0 + theta.take(neighbor))
+        at, agent, keep, count = self._cautious
+        cells[at] = keep * theta.take(agent) / count
 
 
 def _update(w: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
@@ -362,14 +373,17 @@ def _update(w: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
         leftover = 1.0 - p.sum(axis=1)
         if leftover.min() < -1e-10:
             raise NotDirichlet(f"mass conservation violated by {leftover.min()!r}")
-        new[:, size] = np.clip(leftover, 0.0, None)
+        np.maximum(leftover, 0.0, out=new[:, size])
     return new
 
 
 def _kept_weights(state: NetworkState, pruned: PrunedView,
                   theta: np.ndarray | None = None) -> ConfidenceMatrix:
     flat = np.flatnonzero(pruned.kept)
-    return _weights(flat // state.graph.n, flat, state.alphas(), _receptive(state.specs), theta)
+    plan = _WeightPlan(flat // state.graph.n, flat, state.alphas(), _receptive(state.specs))
+    if theta is not None:
+        plan.fill(theta)
+    return ConfidenceMatrix(plan.matrix, row_stochastic=theta is None)
 
 
 def pmf_confidence_matrix(state: NetworkState, pruned: PrunedView) -> ConfidenceMatrix:
@@ -496,16 +510,16 @@ class ProfileRun:
     (see :func:`_profile`).  The opinion class is checked once,
     here; adjacency, bounds, self-weights and strategies are fixed for the
     run.  Pruning computes distances on the base edges only, and is
-    recomputed only when the certificate above no longer holds; the pmf
-    weight matrix is rebuilt only when the kept edges change, and the
-    general term structure only when its key changes (see
-    :meth:`_general_terms`).  The kept set is held as a mask over the base
-    edges and, taken when it changes, the kept edges as index pairs, in the
-    row-major order of ``np.nonzero`` on a receive matrix: the weights, the
-    term structure and :meth:`edges` are all built from those pairs.
-    ``prunes`` counts the prunings and ``rebuilds`` those rebuilds
-    (Dirichlet weights scale with the full-frame masses and are formed every
-    step, so it counts none of them).  So every step gives the same masses
+    recomputed only when the certificate above no longer holds; the weight
+    plan (:class:`_WeightPlan`) is built only when the kept edges change,
+    and a Dirichlet step only refills its edge cells at the new full-frame
+    masses; the general term structure is rebuilt only when its key changes
+    (see :meth:`_general_terms`).  The kept set is held as a mask over the
+    base edges and, taken when it changes, the kept edges as index pairs, in
+    the row-major order of ``np.nonzero`` on a receive matrix: the weights,
+    the term structure and :meth:`edges` are all built from those pairs.
+    ``prunes`` counts the prunings and ``rebuilds`` the plans and term
+    structures built.  So every step gives the same masses
     and kept edges as :func:`pmf_step` / :func:`dirichlet_step` /
     :func:`general_step` would, and for pmf and Dirichlet the same weights.
     (Distances on the profile columns equal those of the dense mass table
@@ -530,7 +544,8 @@ class ProfileRun:
             self._cols, self.x = _profile(state.masses, state.frame, engine == "dirichlet")
             self._jaccard = dst.jaccard_block(self._cols)
             row_sum = self._jaccard.sum(axis=1).max()
-        self._full = len(self._cols) > self.frame.size  # a full-frame column to carry
+        # weights that scale with a full-frame column (one-singleton Dirichlet has none)
+        self._scaled = engine == "dirichlet" and len(self._cols) > self.frame.size
         src, nbr = np.nonzero(state.graph.adjacency())  # base edge e: src[e] hears nbr[e]
         self._pairs = src, nbr, src * state.graph.n + nbr
         self._edge_eps = state.epsilons()[src]
@@ -541,7 +556,8 @@ class ProfileRun:
         # per base edge: whether an endpoint moves, and 2 if only one of them does
         self._watched = np.ones(len(src), dtype=bool)
         self._gap_scale = np.ones(len(src))
-        self._w: np.ndarray | None = None      # pmf weights of the kept edges
+        self._plan: _WeightPlan | None = None  # weights of the kept edges
+        self._change = np.empty_like(self.x)   # the last step's |new - x|
         self._edges: frozenset | None = None
         self._distance_error = distance_error(len(self._cols))
         bound = np.sqrt(0.5 * len(self._cols) * row_sum)
@@ -567,8 +583,8 @@ class ProfileRun:
             on = np.flatnonzero(kept)
             self._kept_mask, self._edges, self._terms = kept, None, None
             self._kept = tuple(index.take(on) for index in self._pairs)
-            if not self._full:
-                self._adopt_pmf_weights()
+            if not self._general:
+                self._plan_weights()
         gaps = np.abs(dist - self._edge_eps)
         gaps -= 2.0 * self._distance_error
         gaps *= self._gap_scale
@@ -576,14 +592,19 @@ class ProfileRun:
         self._stale = False
         self.prunes += 1
 
-    def _adopt_pmf_weights(self) -> None:
-        """Weights of the new kept edges, and the edges whose distance they can move."""
+    def _plan_weights(self) -> None:
+        """Plan the new kept edges' weights; for pmf, watch the edges they can move."""
         i, _, flat = self._kept
-        self._w = _weights(i, flat, self._alphas, self._receptive).matrix
+        self._plan = _WeightPlan(i, flat, self._alphas, self._receptive)
         self.rebuilds += 1
+        if self._scaled:  # every Dirichlet agent counts as moving
+            self._plan.fill(self.x[:, -1])
+            return
+        w = self._plan.matrix
+        w.setflags(write=False)
         # a diagonal of 1 leaves every neighbour a share of exactly 0: the row
         # is the identity and w @ x returns that agent's profile bit for bit
-        moves = (self._w.diagonal() != 1.0).view(np.int8)
+        moves = (w.diagonal() != 1.0).view(np.int8)
         src, nbr, _ = self._pairs
         movers = moves[src] + moves[nbr]
         self._watched = movers > 0
@@ -601,10 +622,8 @@ class ProfileRun:
         if self._general:
             raise EngineMismatch("the general engine has no confidence matrix")
         self._certify()
-        if self._full:
-            i, _, flat = self._kept
-            return _weights(i, flat, self._alphas, self._receptive, self.x[:, -1]).matrix
-        return self._w
+        w = self._plan.matrix  # copied when the next step rewrites it
+        return ConfidenceMatrix(w, row_stochastic=False).matrix if self._scaled else w
 
     def _general_terms(self, bl: np.ndarray) -> _Terms:
         """The term structure at the current masses, rebuilt only when its key changes.
@@ -636,9 +655,13 @@ class ProfileRun:
             bl = dst.belief_table(self.x)
             new = _general_update(self.x, bl, self._general_terms(bl))
         else:
-            new = _update(self.weights(), self.x, self.frame.size)
-        change = float(np.max(np.abs(new - self.x)))
+            self._certify()
+            new = _update(self._plan.matrix, self.x, self.frame.size)
+        d = np.subtract(new, self.x, out=self._change)
+        change = float(np.abs(d, out=d).max())
         self.x = new
+        if self._scaled:  # the plan's matrix follows the full-frame masses
+            self._plan.fill(new[:, -1])
         self._budget -= self._spend_per_change * change + MOVE_ROUNDING
         self._stale = self._budget <= 0.0
         return change

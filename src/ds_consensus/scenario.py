@@ -164,6 +164,8 @@ def _array(value, where: str) -> list:
 
 
 def _number(kind, value, where: str):
+    if isinstance(value, bool):  # Python would read true as 1
+        raise ScenarioParseError(f"{where} must be a number, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -193,11 +195,10 @@ def _agent_from_config(cfg, defaults: dict, frame: Frame,
         boe_cfg = _object(merged["boe"], f"{where}.boe")
         if "masses" not in boe_cfg:
             raise InvalidScenario(f"{where}: bad opinion: no masses")
-        entries = _object(boe_cfg["masses"], f"{where}.boe.masses")
+        entries = {key: _number(float, value, f"{where}.boe.masses")
+                   for key, value in _object(boe_cfg["masses"], f"{where}.boe.masses").items()}
         try:
             boe = BodyOfEvidence(frame, dst.masses_from_dict(frame, entries))
-        except TypeError:
-            raise ScenarioParseError(f"{where}: masses must be numbers") from None
         except ValueError as exc:
             raise InvalidScenario(f"{where}: bad opinion: {exc}")
     elif "sample" in merged:
@@ -226,7 +227,8 @@ def _build_graph(cfg: dict, base: Path, default_seed: int) -> DirectedGraph:
     if "er" in cfg:
         er = cfg["er"]
         seed = _integer(er.get("seed", default_seed), "graph.er.seed")
-        return erdos_renyi_connected(_integer(er["n"], "graph.er.n"), float(er["p"]), seed)
+        n = _integer(er["n"], "graph.er.n")
+        return erdos_renyi_connected(n, _number(float, er["p"], "graph.er.p"), seed)
     if "file" in cfg:
         with open(base / cfg["file"], encoding="utf-8") as fh:
             cfg = json.load(fh)

@@ -536,6 +536,23 @@ def test_integer_fields_are_not_truncated(tmp_path, capsys, field):
     assert _cli_run_file(tmp_path, data, capsys) == 1
 
 
+@pytest.mark.parametrize("field", [
+    {"defaults": {"alpha": True}},
+    {"defaults": {"epsilon": False}},
+    {"agents": [{"sample": {"dirichlet": [1.0, True], "targets": ["1", "2"]}},
+                {"boe": {"masses": {"2": 1.0}}}]},
+    {"tolerances": {"step": True}},
+    {"tolerances": {"cluster": False}},
+    {"graph": {"er": {"n": 2, "p": True}}},
+    {"agents": [{"boe": {"masses": {"1": True}}}, {"boe": {"masses": {"2": 1.0}}}]},
+], ids=["alpha", "epsilon", "sample-dirichlet", "step-tol", "cluster-tol", "er-p", "mass"])
+def test_boolean_in_a_float_field_is_a_parse_error(tmp_path, capsys, field):
+    data = dict(TINY, **field)
+    with pytest.raises(ScenarioParseError, match="must be a number, got (True|False)"):
+        scenario_from_dict(data, "t", tmp_path)
+    assert _cli_run_file(tmp_path, data, capsys) == 1
+
+
 def test_boundary_values_accepted(tmp_path):
     # whole numbers written as floats, and a cluster tolerance of 0
     scenario = scenario_from_dict(dict(TINY, frame_size=2.0, seed=3.0, max_iterations=7.0,

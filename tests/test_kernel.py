@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from ds_consensus.dst import BodyOfEvidence, Frame, jaccard_matrix, pairwise_jousselme
-from ds_consensus.dynamics import (AgentSpec, NetworkState, ProfileRun, Strategy, _weights,
-                                   dirichlet_confidence_matrix, dirichlet_step,
+from ds_consensus.dynamics import (AgentSpec, NetworkState, ProfileRun, Strategy, _update,
+                                   _WeightPlan, dirichlet_confidence_matrix, dirichlet_step,
                                    distance_error, general_step, pmf_confidence_matrix,
                                    pmf_step)
-from ds_consensus.errors import EngineMismatch
+from ds_consensus.errors import EngineMismatch, NotDirichlet
 from ds_consensus.graph import DirectedGraph
 from ds_consensus.runner import run_simulation
 from ds_consensus.scenario import Scenario, load_scenario
@@ -83,13 +83,28 @@ def test_kernel_matches_reference_loop(engine):
             assert run.pruned_edges == tuple(edges)
 
 
-def line_state(alpha2):
+@pytest.mark.parametrize("figure", ["fig3a", "fig4a", "fig5a", "fig6a"])
+def test_kernel_matches_reference_loop_on_shipped_dirichlet_figures(figure):
+    scenario = load_scenario(f"{figure}-dirichlet")
+    for eps in (0.1, 0.3, 0.5, 0.9):
+        ref, converged, edges = reference_run(scenario.initial_state(eps), "dirichlet",
+                                              scenario.max_iterations, scenario.step_tol,
+                                              scenario.persistence)
+        run = run_simulation(scenario, eps, record_edges=True)
+        assert run.iterations == ref.step and run.converged == converged
+        assert run.final_masses.tobytes() == ref.masses.tobytes()
+        assert run.pruned_edges == tuple(edges)
+
+
+def line_state(alpha2, theta=0.0):
     """Agent 2 drifts from 0.6 toward cautious agent 4 at 0.32 and only late
-    comes within reach of agent 1 at 0.05 (bound 0.3, M = 2, d = |dp|)."""
+    comes within reach of agent 1 at 0.05 (bound 0.3, M = 2, d = |dp| when
+    no agent puts the mass ``theta`` on the full frame)."""
     frame = Frame(2)
 
     def boe(p):
-        return BodyOfEvidence(frame, np.array([0.0, p, 1.0 - p, 0.0]))
+        return BodyOfEvidence(frame, np.array([0.0, p, 1.0 - p, 0.0]) * (1.0 - theta)
+                              + np.array([0.0, 0.0, 0.0, theta]))
 
     graph = DirectedGraph.from_mutual_pairs(4, [(1, 2), (2, 3), (2, 4)])
     specs = (AgentSpec(Strategy.CAUTIOUS, 0.5, 0.3, boe(0.05)),
@@ -113,15 +128,57 @@ def test_late_edge_recorded_step_by_step():
     assert run.final_masses.tobytes() == ref.masses.tobytes()
 
 
-def test_pmf_weights_rebuilt_once_per_kept_set():
-    frame, graph, specs = line_state(alpha2=0.95)
-    run = ProfileRun(NetworkState.from_specs(frame, graph, specs), "pmf")
+def assert_weights_planned_once_per_kept_set(engine, theta):
+    frame, graph, specs = line_state(alpha2=0.95, theta=theta)
+    run = ProfileRun(NetworkState.from_specs(frame, graph, specs), engine)
     edges = []
     for _ in range(60):
         edges.append(run.edges())
         run.step()
     changes = sum(a != b for a, b in zip(edges, edges[1:]))
     assert changes >= 1 and run.rebuilds == 1 + changes < run.prunes
+
+
+def test_pmf_weights_rebuilt_once_per_kept_set():
+    assert_weights_planned_once_per_kept_set("pmf", 0.0)
+
+
+def test_dirichlet_weights_planned_once_per_kept_set():
+    # every step refills the plan at the new full-frame masses, none rebuilds it
+    assert_weights_planned_once_per_kept_set("dirichlet", 0.1)
+
+
+def test_recorded_dirichlet_matrices_are_each_steps_weights():
+    # the recorded matrix is a read-only copy of the plan's, never the plan's
+    # matrix itself, which the next step rewrites
+    rng = np.random.default_rng(4108)
+    late_changes = 0
+    for _ in range(4):
+        frame, graph, specs = random_network(rng, "dirichlet", 12, 3)
+        scenario = scenario_of(frame, graph, specs, "dirichlet", max_iterations=300)
+        for eps in (0.3, 0.37):
+            run = run_simulation(scenario, eps, record_matrices=True, record_edges=True)
+            state = scenario.initial_state(eps)
+            for matrix in run.matrices:
+                pruned = state.pruned()
+                want = dirichlet_confidence_matrix(state, pruned).matrix
+                assert not matrix.flags.writeable and matrix.tobytes() == want.tobytes()
+                state = dirichlet_step(state, pruned)
+            assert not any(np.shares_memory(a, b) for a, b in zip(run.matrices, run.matrices[1:]))
+            edges = run.pruned_edges
+            late_changes += sum(a != b for a, b in zip(edges[10:], edges[11:]))
+    assert late_changes > 0  # kept sets that change mid-run
+
+
+def test_update_guards_the_full_frame_column():
+    x = np.asfortranarray([[0.25, 0.75, 0.0], [0.5, 0.25, 0.25]])
+    new = _update(np.eye(2), x, 2)  # leftovers of exactly 0 and 0.25
+    assert new.tobytes() == x.tobytes() and not np.signbit(new[:, 2]).any()
+    # a row sum 1e-12 above 1 is round-off: its leftover is clipped to +0.0
+    new = _update(np.diag([1.0 + 1e-12, 1.0]), x, 2)
+    assert new[0, 2] == 0.0 and not np.signbit(new[0, 2])
+    with pytest.raises(NotDirichlet, match="mass conservation"):
+        _update(np.diag([1.0 + 2e-10, 1.0]), x, 2)
 
 
 def two_still_agents(gap):
@@ -266,13 +323,14 @@ def test_weight_builder_matches_the_receive_matrix_formulas():
         n = 1 + case % 30
         kept, alphas, receptive, theta = random_weight_inputs(rng, n)
         flat = np.flatnonzero(kept)
-        pmf = _weights(flat // n, flat, alphas, receptive)
-        assert pmf.row_stochastic and not pmf.matrix.flags.writeable
-        assert pmf.matrix.tobytes() == oracle_pmf_matrix(kept, alphas, receptive).tobytes()
-        dirichlet = _weights(flat // n, flat, alphas, receptive, theta)
-        assert not dirichlet.row_stochastic and not dirichlet.matrix.flags.writeable
-        assert dirichlet.matrix.tobytes() == \
+        plan = _WeightPlan(flat // n, flat, alphas, receptive)
+        assert plan.matrix.tobytes() == oracle_pmf_matrix(kept, alphas, receptive).tobytes()
+        plan.fill(theta)
+        assert plan.matrix.tobytes() == \
             oracle_dirichlet_weights(kept, alphas, receptive, theta).tobytes()
+        plan.fill(theta[::-1].copy())  # a refill leaves no trace of the last one
+        assert plan.matrix.tobytes() == \
+            oracle_dirichlet_weights(kept, alphas, receptive, theta[::-1]).tobytes()
 
 
 @pytest.mark.parametrize("engine", ["pmf", "dirichlet"])
@@ -294,6 +352,7 @@ def test_confidence_matrices_match_the_receive_matrix_formulas(engine):
         else:  # a one-singleton Dirichlet opinion is Bayesian
             want = oracle_pmf_matrix(pruned.kept, state.alphas(), receptive)
         assert got.row_stochastic == (engine == "pmf" or size == 1)
+        assert not got.matrix.flags.writeable
         assert got.matrix.tobytes() == want.tobytes()
 
 
