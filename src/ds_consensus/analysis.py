@@ -21,7 +21,7 @@ Reports are plain dicts, JSON-serializable as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -138,6 +138,13 @@ def detect_clusters(rows: np.ndarray, tol: float, frame: Frame) -> ClusterReport
 # Group-driven chain structure
 # ---------------------------------------------------------------------------
 
+def _agent_index(agents: Sequence[int]) -> np.ndarray:
+    """Read-only 0-based integer index of 1-based agent ids (empty stays integer)."""
+    idx = np.array([a - 1 for a in agents], dtype=np.intp)
+    idx.flags.writeable = False
+    return idx
+
+
 @dataclass(frozen=True)
 class DrivenChain:
     """Index bookkeeping for a block-triangular confidence structure."""
@@ -145,50 +152,60 @@ class DrivenChain:
     kind: str                                 # "one-group" | "two-groups"
     groups: tuple[tuple[int, ...], ...]       # central groups, 1-based ids
     outer: tuple[int, ...]                    # remaining agents, 1-based
+    _group_idx: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _outer_idx: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_group_idx", tuple(_agent_index(g) for g in self.groups))
+        object.__setattr__(self, "_outer_idx", _agent_index(self.outer))
 
     def group_idx(self, g: int) -> np.ndarray:
-        return np.array([a - 1 for a in self.groups[g]])
+        return self._group_idx[g]
 
     @property
     def outer_idx(self) -> np.ndarray:
-        return np.array([a - 1 for a in self.outer])
+        return self._outer_idx
 
     def blocks(self, w: np.ndarray):
         """Extract (central blocks, coupling blocks, outer block) of one matrix."""
         w = np.asarray(w, dtype=float)
-        out = self.outer_idx
-        a_blocks = [w[np.ix_(self.group_idx(g), self.group_idx(g))]
-                    for g in range(len(self.groups))]
-        c_blocks = [w[np.ix_(out, self.group_idx(g))] for g in range(len(self.groups))]
+        out = self._outer_idx
+        a_blocks = [w[np.ix_(idx, idx)] for idx in self._group_idx]
+        c_blocks = [w[np.ix_(out, idx)] for idx in self._group_idx]
         d = w[np.ix_(out, out)]
         return a_blocks, c_blocks, d
 
 
-def classify_chain(w: np.ndarray, central_groups: Sequence[Sequence[int]],
+def classify_chain(w: np.ndarray, central_groups: Sequence[Sequence[int]] | DrivenChain,
                    tol: float = ZERO_BLOCK_TOL) -> DrivenChain:
     """Check the zero blocks that make ``central_groups`` driving groups.
 
     Every central agent must give zero weight to all outer agents and (for
     two groups) to the other central group.  Raises NotDrivenChain otherwise.
+    ``central_groups`` may also be a chain built before, which is then
+    checked against ``w`` as it stands.
     """
     w = np.asarray(w, dtype=float)
     n = w.shape[0]
-    groups = tuple(tuple(sorted(int(a) for a in g)) for g in central_groups)
-    if not 1 <= len(groups) <= 2:
-        raise NotDrivenChain(f"need one or two central groups, got {len(groups)}")
-    central = [a for g in groups for a in g]
-    if len(set(central)) != len(central):
-        raise NotDrivenChain("central groups overlap")
-    outer = tuple(a for a in range(1, n + 1) if a not in set(central))
-    chain = DrivenChain("one-group" if len(groups) == 1 else "two-groups", groups, outer)
-    for g in range(len(groups)):
-        rows = chain.group_idx(g)
-        forbidden = [chain.outer_idx] if len(groups) == 1 else \
-            [chain.outer_idx, chain.group_idx(1 - g)]
-        for cols in forbidden:
+    if isinstance(central_groups, DrivenChain):
+        chain = central_groups
+        if len(chain.outer) + sum(len(g) for g in chain.groups) != n:
+            raise NotDrivenChain(f"the chain does not cover the matrix's {n} agents")
+    else:
+        groups = tuple(tuple(sorted(int(a) for a in g)) for g in central_groups)
+        if not 1 <= len(groups) <= 2:
+            raise NotDrivenChain(f"need one or two central groups, got {len(groups)}")
+        central = {a for g in groups for a in g}
+        if len(central) != sum(len(g) for g in groups):
+            raise NotDrivenChain("central groups overlap")
+        outer = tuple(a for a in range(1, n + 1) if a not in central)
+        chain = DrivenChain("one-group" if len(groups) == 1 else "two-groups", groups, outer)
+    idx = chain._group_idx
+    for g, rows in enumerate(idx):
+        for cols in (chain._outer_idx, *idx[:g], *idx[g + 1:]):
             if cols.size and rows.size:
                 block = np.abs(w[np.ix_(rows, cols)])
-                if block.size and block.max() > tol:
+                if block.max() > tol:
                     raise NotDrivenChain(
                         f"central group {g + 1} hears outside agents "
                         f"(weight {float(block.max())!r})")
@@ -204,15 +221,13 @@ def _contraction_profile(norms: list[float], product_norm: float) -> dict:
     condition: the accumulated product of outer blocks tends to zero, i.e.
     central influence reaches every outer agent through paths over time.
     """
-    contractive = [n < 1.0 - CONTRACTION_SLACK for n in norms]
-    holds_from = None
-    for k in range(len(norms)):
-        if all(contractive[k:]):
-            holds_from = k
-            break
-    rho = max(norms[holds_from:]) if holds_from is not None and norms[holds_from:] else None
+    start = len(norms)  # first step of the contractive tail
+    while start and norms[start - 1] < 1.0 - CONTRACTION_SLACK:
+        start -= 1
+    holds_from = start if start < len(norms) else None
+    rho = max(norms[start:]) if holds_from is not None else None
     return {
-        "per_step": bool(norms) and all(contractive),
+        "per_step": holds_from == 0,
         "holds_from_step": holds_from,
         "rho": rho,
         "max_norm": max(norms) if norms else None,
@@ -226,16 +241,26 @@ def _walk_chain(chain: DrivenChain, ws: Sequence[np.ndarray]):
 
     Returns each central group's left product (newest factor on the left),
     the outer block's contraction profile, and every step's coupling blocks
-    (outer rows, one block per group's columns).
+    (outer rows, one block per group's columns).  The structure check, the
+    block extraction and the outer norm run once per run of consecutive
+    byte-equal matrices (a pmf simulation's matrix changes only when its
+    kept edges do); the steps of such a run share one list of coupling
+    blocks.
     """
     norms = []
     a_prods = [None] * len(chain.groups)
     d_prod = None
     couplings = []
+    key = None
     for w in ws:
-        # raises if the structure broke at this step
-        a_blocks, c_blocks, d = classify_chain(w, chain.groups).blocks(w)
-        norms.append(infinity_norm(d) if d.size else 0.0)
+        w = np.asarray(w, dtype=float)
+        step_key = (w.shape, w.tobytes())
+        if step_key != key:
+            key = step_key
+            # raises if the structure broke at this step
+            a_blocks, c_blocks, d = classify_chain(w, chain).blocks(w)
+            norm = infinity_norm(d) if d.size else 0.0
+        norms.append(norm)
         d_prod = d if d_prod is None else d @ d_prod
         a_prods = [a if prod is None else a @ prod for a, prod in zip(a_blocks, a_prods)]
         couplings.append(c_blocks)
@@ -329,8 +354,11 @@ def verify_two_group_chain(chain: DrivenChain, ws: Sequence[np.ndarray],
     lambdas: list[float] = []
     condition_every_step = True
     constrained_steps = 0
+    shared = None
     for c_blocks in couplings:
-        lam, constrained = _step_lambda(c_blocks)
+        if c_blocks is not shared:  # the walk shares one list per run of equal matrices
+            shared = c_blocks
+            lam, constrained = _step_lambda(c_blocks)
         if constrained:
             constrained_steps += 1
             if lam is None:

@@ -142,6 +142,8 @@ def erdos_renyi(n: int, p: float, seed: int) -> DirectedGraph:
 
 def erdos_renyi_connected(n: int, p: float, seed: int, max_attempts: int = 1000) -> DirectedGraph:
     """Regenerate with incremented seed until the sample is connected."""
+    if n < 1:  # no graph without agents is connected: fail before drawing
+        raise InvalidScenario(f"a connected graph needs at least one agent, got n={n}")
     for attempt in range(max_attempts):
         g = erdos_renyi(n, p, seed + attempt)
         if is_connected(g):

@@ -1,15 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 
-from ds_consensus.analysis import (_cluster_ids, _walk_chain, classify_chain,
-                                   detect_clusters, infinity_norm, rank_one_rows)
-from ds_consensus import dst
+from ds_consensus.analysis import (CONTRACTION_SLACK, _cluster_ids, _contraction_profile,
+                                   _step_lambda, _walk_chain, classify_chain, detect_clusters,
+                                   infinity_norm, rank_one_rows, verify_one_group_chain,
+                                   verify_two_group_chain)
+from ds_consensus import analysis, dst
 from ds_consensus.dst import BodyOfEvidence, Frame
 from ds_consensus.dynamics import AgentSpec, Strategy
 from ds_consensus.errors import NotDrivenChain, NotRankOne
 from ds_consensus.graph import DirectedGraph
 from ds_consensus.runner import run_simulation, verify_run
-from ds_consensus.scenario import Scenario
+from ds_consensus.scenario import Scenario, assets_dir, load_scenario, scenario_from_dict
 
 from conftest import random_general_boe
 
@@ -251,3 +255,208 @@ def test_verify_two_group_chain_equal_leaders_consensus():
     assert report["prediction"]["full_consensus"] is True
     assert report["prediction"]["consensus_profile"] == pytest.approx([0.8, 0.1, 0.1])
     assert report["match"]
+
+
+# ---------------------------------------------------------------------------
+# The segmented walk against the per-step walk
+# ---------------------------------------------------------------------------
+
+def contraction_profile_by_suffix(norms, product_norm):
+    """The contraction profile with the tail found by testing every suffix."""
+    contractive = [n < 1.0 - CONTRACTION_SLACK for n in norms]
+    holds_from = None
+    for k in range(len(norms)):
+        if all(contractive[k:]):
+            holds_from = k
+            break
+    rho = max(norms[holds_from:]) if holds_from is not None and norms[holds_from:] else None
+    return {
+        "per_step": bool(norms) and all(contractive),
+        "holds_from_step": holds_from,
+        "rho": rho,
+        "max_norm": max(norms) if norms else None,
+        "product_norm": product_norm,
+        "product_vanishes": product_norm < 1e-6,
+    }
+
+
+def per_step_walk(chain, ws):
+    """The walk with the structure rebuilt, checked and cut into blocks at every step."""
+    norms = []
+    a_prods = [None] * len(chain.groups)
+    d_prod = None
+    couplings = []
+    for w in ws:
+        a_blocks, c_blocks, d = classify_chain(w, chain.groups).blocks(w)
+        norms.append(infinity_norm(d) if d.size else 0.0)
+        d_prod = d if d_prod is None else d @ d_prod
+        a_prods = [a if prod is None else a @ prod for a, prod in zip(a_blocks, a_prods)]
+        couplings.append(c_blocks)
+    contraction = contraction_profile_by_suffix(
+        norms, infinity_norm(d_prod) if d_prod is not None and d_prod.size else 0.0)
+    return a_prods, contraction, couplings
+
+
+def runs_of_equal(ws):
+    """Number of runs of consecutive byte-equal matrices."""
+    return 1 + sum(a.tobytes() != b.tobytes() for a, b in zip(ws, ws[1:]))
+
+
+def split_by_step(couplings):
+    """The two-group weight-proportion fields with the split taken at every step."""
+    lambdas, every_step, constrained_steps = [], True, 0
+    for c_blocks in couplings:
+        lam, constrained = _step_lambda(c_blocks)
+        constrained_steps += constrained
+        if constrained and lam is None:
+            every_step = False
+        elif constrained:
+            lambdas.append(lam)
+    return {"weight_proportion_every_step": every_step,
+            "weight_proportion_constant": bool(lambdas) and max(lambdas) - min(lambdas) <= 1e-10,
+            "constrained_steps": constrained_steps,
+            "lambda_1": lambdas[-1] if lambdas else None}
+
+
+def verify_both_ways(monkeypatch, groups, ws, initial, final):
+    """The theorem report (or NotDrivenChain message) of the walk and of the oracle."""
+    chain = classify_chain(ws[0], groups)
+    verify = verify_one_group_chain if chain.kind == "one-group" else verify_two_group_chain
+    outcomes = []
+    for walk in (_walk_chain, per_step_walk):
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "_walk_chain", walk)
+            try:
+                outcomes.append(json.dumps(verify(chain, ws, initial, final)))
+            except NotDrivenChain as exc:
+                outcomes.append(f"NotDrivenChain: {exc}")
+    if chain.kind == "two-groups" and not outcomes[0].startswith("NotDrivenChain"):
+        want = split_by_step(per_step_walk(chain, ws)[2])
+        hypotheses = json.loads(outcomes[0])["hypotheses"]
+        assert {key: hypotheses[key] for key in want} == want
+    return outcomes
+
+
+def walk_calls(monkeypatch, groups, ws):
+    """classify_chain calls made by one walk over ``ws``."""
+    chain = classify_chain(ws[0], groups)
+    calls = []
+    real = analysis.classify_chain
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "classify_chain", counting)
+        try:
+            _walk_chain(chain, ws)
+        except NotDrivenChain:
+            pass
+    return len(calls)
+
+
+def recorded(scenario, epsilon):
+    run = run_simulation(scenario, epsilon, record_matrices=True)
+    return ([[leader] for leader in scenario.leaders], list(run.matrices),
+            run.singleton_profiles(run.initial_masses), run.singleton_profiles())
+
+
+def bayesian_leader_dirichlet():
+    data = json.loads((assets_dir() / "fig4a-dirichlet.json").read_text())
+    data["agents"][0]["boe"]["masses"] = {"1": 0.8, "2": 0.1, "3": 0.1}
+    return scenario_from_dict(data, "fig4a-dirichlet-bayesian-leader", assets_dir())
+
+
+@pytest.mark.parametrize("name", ["fig4a-pmf", "fig5a-pmf", "fig6a-pmf"])
+def test_walk_matches_per_step_walk_on_recorded_runs(monkeypatch, name):
+    scenario = load_scenario(name)
+    for epsilon in (0.0, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0):
+        groups, ws, initial, final = recorded(scenario, epsilon)
+        got, want = verify_both_ways(monkeypatch, groups, ws, initial, final)
+        assert got == want, (name, epsilon)
+        assert walk_calls(monkeypatch, groups, ws) == runs_of_equal(ws)
+
+
+def test_walk_matches_per_step_walk_on_fresh_copies(monkeypatch):
+    # the Dirichlet engine records a fresh matrix object at every step
+    for epsilon in (0.3, 1.0):
+        groups, ws, initial, final = recorded(bayesian_leader_dirichlet(), epsilon)
+        assert len({id(w) for w in ws}) == len(ws)
+        got, want = verify_both_ways(monkeypatch, groups, ws, initial, final)
+        assert got == want
+        assert walk_calls(monkeypatch, groups, ws) == runs_of_equal(ws) < len(ws)
+
+
+def _hand_matrices():
+    a = np.array([[1.0, 0.0, 0.0], [0.3, 0.5, 0.2], [0.1, 0.4, 0.5]])
+    b = np.array([[1.0, 0.0, 0.0], [0.2, 0.8, 0.0], [0.0, 0.5, 0.5]])
+    b_neg = b.copy()
+    b_neg[1, 2] = -0.0  # equal to b under ==, not byte-equal
+    broken = a.copy()
+    broken[0] = [0.875, 0.125, 0.0]
+    return a, b, b_neg, broken
+
+
+def _hand_sequences():
+    a, b, b_neg, broken = _hand_matrices()
+    return {
+        "A A B A": [a, a, b, a],
+        "equal but distinct objects": [a, a.copy(), a.copy(), np.array(a.tolist())],
+        "+-0.0": [b, b, b_neg, b_neg, b],
+        "break in a later run": [a, a, b, b, broken, broken, a],
+    }
+
+
+@pytest.mark.parametrize("label", list(_hand_sequences()))
+def test_walk_matches_per_step_walk_on_hand_built_sequences(monkeypatch, label):
+    ws = _hand_sequences()[label]
+    initial = np.array([[0.8, 0.2], [0.5, 0.5], [0.1, 0.9]])
+    final = np.array([[0.8, 0.2]] * 3)
+    got, want = verify_both_ways(monkeypatch, [[1]], ws, initial, final)
+    assert got == want
+    assert walk_calls(monkeypatch, [[1]], ws) == (
+        3 if label == "break in a later run" else runs_of_equal(ws))  # stops at the break
+
+
+def test_walk_names_the_breaking_weight():
+    ws = _hand_sequences()["break in a later run"]
+    with pytest.raises(NotDrivenChain, match=r"^central group 1 hears outside agents "
+                                             r"\(weight 0\.125\)$"):
+        _walk_chain(classify_chain(ws[0], [[1]]), ws)
+
+
+def test_walk_keys_runs_on_bytes(monkeypatch):
+    a, b, b_neg, _ = _hand_matrices()
+    assert walk_calls(monkeypatch, [[1]], [a, a.copy(), a.copy()]) == 1
+    assert walk_calls(monkeypatch, [[1]], [a, a, b, a]) == 3
+    assert walk_calls(monkeypatch, [[1]], [b, b_neg, b_neg]) == 2
+    _, _, couplings = _walk_chain(classify_chain(a, [[1]]), [a, a.copy(), b, b])
+    assert couplings[0] is couplings[1] and couplings[2] is couplings[3]
+    assert couplings[1] is not couplings[2]
+    with pytest.raises(NotDrivenChain, match="does not cover the matrix's 4 agents"):
+        _walk_chain(classify_chain(a, [[1]]), [np.eye(4)])
+
+
+def test_two_group_walk_matches_per_step_walk_on_hand_built_sequences(monkeypatch):
+    w = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                  [0.2, 0.2, 0.5, 0.1], [0.1, 0.1, 0.3, 0.5]])
+    v = w.copy()
+    v[2] = [0.3, 0.1, 0.6, 0.0]
+    initial = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5], [0.4, 0.6]])
+    final = np.array([[0.9, 0.1], [0.2, 0.8], [0.55, 0.45], [0.55, 0.45]])
+    for ws in ([w, w, v, w.copy(), w], [w] * 6, [v, v.copy()]):
+        got, want = verify_both_ways(monkeypatch, [[1], [2]], ws, initial, final)
+        assert got == want
+        assert walk_calls(monkeypatch, [[1], [2]], ws) == runs_of_equal(ws)
+
+
+def test_contraction_profile_matches_the_suffix_definition(rng):
+    patterns = [[], [0.5] * 4, [0.5, 0.5, 1.0], [1.0, 0.5], [1.0 - CONTRACTION_SLACK / 2],
+                [0.2, 1.0, 0.3, 0.4], [1.0, 1.0]]
+    for _ in range(300):
+        n = int(rng.integers(0, 30))
+        patterns.append(rng.choice([0.0, 0.4, 0.9, 1.0, 1.0 - CONTRACTION_SLACK, 1.2],
+                                   size=n).tolist())
+    for norms in patterns:
+        assert _contraction_profile(norms, 0.5) == contraction_profile_by_suffix(norms, 0.5)

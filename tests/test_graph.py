@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ds_consensus import scenario
+from ds_consensus import graph, scenario
 from ds_consensus.dst import BodyOfEvidence, Frame
 from ds_consensus.errors import InvalidScenario, NodeOutOfRange
 from ds_consensus.graph import (MAX_ER_NODES, DirectedGraph, erdos_renyi,
@@ -104,6 +104,16 @@ def test_erdos_renyi_size_cap():
     for n in (-1, MAX_ER_NODES + 1, 10 ** 12):  # rejected before anything is drawn
         with pytest.raises(InvalidScenario):
             erdos_renyi(n, 0.1, 0)
+
+
+def test_erdos_renyi_connected_rejects_no_agents(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew a graph")
+
+    monkeypatch.setattr(graph, "erdos_renyi", no_draw)
+    for n in (0, -3):
+        with pytest.raises(InvalidScenario, match=f"at least one agent, got n={n}"):
+            erdos_renyi_connected(n, 0.5, 1)
 
 
 def test_erdos_renyi_connected_screening():

@@ -404,6 +404,37 @@ def test_cli_verify_dirichlet_leader_without_full_frame_mass(tmp_path, capsys):
     assert out["theorem"]["match"] is True
 
 
+@pytest.mark.parametrize("opinions,kind", [([{"1": 0.7, "2": 0.3}], "one-group"),
+                                            ([{"1": 0.7, "2": 0.3}, {"1": 0.4, "2": 0.6}],
+                                             "two-groups")])
+def test_cli_verify_without_outer_agents(tmp_path, capsys, opinions, kind):
+    # every agent is cautious, so the chain has no outer agent at all
+    path = tmp_path / "all-cautious.json"
+    n = len(opinions)
+    path.write_text(json.dumps({
+        "frame_size": 2, "graph": {"n": n, "edges": [[1, 2]] if n == 2 else []}, "engine": "pmf",
+        "agents": [{"strategy": "cautious", "boe": {"masses": m}} for m in opinions]}))
+    code = cli(["verify", "--scenario", str(path), "--epsilon", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    theorem = json.loads(captured.out)["theorem"]
+    assert theorem["kind"] == kind and theorem["outer"] == []
+    assert theorem["hypotheses"]["outer_contraction"]["product_vanishes"] is True
+    assert theorem["match"] is True
+    if kind == "one-group":
+        assert theorem["hypotheses"]["satisfied"] is True
+        assert theorem["prediction"]["consensus_profile"] == pytest.approx([0.7, 0.3])
+
+
+def test_cli_gen_graph_rejects_no_agents(tmp_path, capsys):
+    target = tmp_path / "g.json"
+    code = cli(["gen-graph", "--er", "0", "0.5", "1", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not target.exists()
+    assert captured.err == ("ds-consensus gen-graph: a connected graph needs at least one "
+                            "agent, got n=0\n")
+
+
 def test_cli_gen_graph(tmp_path, capsys):
     target = tmp_path / "g.json"
     code = cli(["gen-graph", "--er", "30", "0.2", "7", "--out", str(target)])
