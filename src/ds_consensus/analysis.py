@@ -196,6 +196,9 @@ def classify_chain(w: np.ndarray, central_groups: Sequence[Sequence[int]] | Driv
         if not 1 <= len(groups) <= 2:
             raise NotDrivenChain(f"need one or two central groups, got {len(groups)}")
         central = {a for g in groups for a in g}
+        for a in sorted(central):
+            if not 1 <= a <= n:
+                raise NotDrivenChain(f"central agent {a} is not one of the agents 1..{n}")
         if len(central) != sum(len(g) for g in groups):
             raise NotDrivenChain("central groups overlap")
         outer = tuple(a for a in range(1, n + 1) if a not in central)

@@ -23,11 +23,15 @@ state array and its kept edges as index pairs only, recomputes the pruning
 only when a metric certificate can no longer vouch for the kept edges, and
 plans the pmf and Dirichlet weights once per kept set (a Dirichlet step only
 refills the edge cells) and the general term structure only when its key
-changes; every step gives what the step functions give.
+changes.  While a pmf run's kept set holds, its weight matrix is fixed, so
+:meth:`ProfileRun.advance` forms a chunk of steps' products at once and
+then walks the pruning certificate and the convergence rule over them step
+by step; every step gives what the step functions give.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -345,7 +349,7 @@ class _WeightPlan:
         i_rec, i_cau = i[rec], i[~rec]
         share = ((1.0 - alphas) / safe).take(i_rec)
         self.matrix = np.zeros((n, n))
-        cells = self.matrix.reshape(-1)  # a view: writes land in the matrix
+        self._cells = cells = self.matrix.reshape(-1)  # a view: writes land in the matrix
         at = flat[rec]
         cells[at] = share
         cells[::n + 1] = np.where(receptive & (counts > 0), alphas, 1.0)
@@ -356,25 +360,30 @@ class _WeightPlan:
         """Write the Dirichlet edge weights at the full-frame masses ``theta``:
         receptive rows amplify each share by that neighbour's full-frame mass,
         cautious rows leak in their neighbours by their own."""
-        cells = self.matrix.reshape(-1)
+        cells = self._cells
         at, neighbor, share = self._receptive
         cells[at] = share * (1.0 + theta.take(neighbor))
         at, agent, keep, count = self._cautious
         cells[at] = keep * theta.take(agent) / count
 
 
-def _update(w: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
-    """The profile after one step: ``w`` moves the ``size`` singleton columns,
-    and a full-frame column takes the mass they leave over."""
-    p = w @ x[:, :size]
-    new = np.empty_like(x)
-    new[:, :size] = p
-    if x.shape[1] > size:
-        leftover = 1.0 - p.sum(axis=1)
-        if leftover.min() < -1e-10:
-            raise NotDirichlet(f"mass conservation violated by {leftover.min()!r}")
-        np.maximum(leftover, 0.0, out=new[:, size])
-    return new
+def _update(w: np.ndarray, x: np.ndarray, out: np.ndarray, full: np.ndarray | None,
+            prod: np.ndarray) -> None:
+    """One step: ``w`` moves the singleton columns ``x`` of a profile into
+    ``out``, the same columns of the next one, and ``full``, the next one's
+    full-frame column (None when it has none), takes the mass they leave
+    over.  The product lands in the C-order scratch ``prod`` first, as
+    ``w @ x`` would return it, so its bits do not depend on ``out``'s layout.
+    """
+    np.matmul(w, x, out=prod)
+    np.copyto(out, prod)
+    if full is not None:
+        np.add.reduce(prod, axis=1, out=full)
+        np.subtract(1.0, full, out=full)
+        worst = np.minimum.reduce(full)
+        if worst < -1e-10:
+            raise NotDirichlet(f"mass conservation violated by {worst!r}")
+        np.maximum(full, 0.0, out=full)
 
 
 def _kept_weights(state: NetworkState, pruned: PrunedView,
@@ -418,8 +427,12 @@ def _closed_form_step(state: NetworkState, pruned: PrunedView | None,
     confidence = dirichlet_confidence_matrix if dirichlet else pmf_confidence_matrix
     w = confidence(state, pruned).matrix
     cols, x = _profile(state.masses, state.frame, dirichlet)
+    size = state.frame.size
+    new = np.empty_like(x)
+    _update(w, x[:, :size], new[:, :size], new[:, size] if len(cols) > size else None,
+            np.empty((len(x), size)))
     new_masses = np.zeros_like(state.masses)
-    new_masses[:, cols] = _update(w, x, state.frame.size)
+    new_masses[:, cols] = new
     return state.with_masses(new_masses)
 
 
@@ -492,6 +505,10 @@ MOVE_SLACK = 1e-6
 MOVE_ROUNDING = 2.0 ** -52
 
 
+# The longest chunk of steps a pmf run forms ahead (see ProfileRun.advance).
+CHUNK = 64
+
+
 def distance_error(k: int) -> float:
     """Bound on the error of one Jousselme distance computed over ``k`` columns."""
     u = 2.0 ** -53
@@ -500,7 +517,7 @@ def distance_error(k: int) -> float:
 
 
 class ProfileRun:
-    """A run of any engine, stepped one step at a time.
+    """A run of any engine, stepped by :meth:`advance` (:meth:`step` is one step).
 
     State is one (N, K) array ``x`` of the columns the engine can fill: the
     M singletons for pmf, plus the full frame for Dirichlet, and all 2**M
@@ -518,8 +535,14 @@ class ProfileRun:
     base edges and, taken when it changes, the kept edges as index pairs, in
     the row-major order of ``np.nonzero`` on a receive matrix: the weights,
     the term structure and :meth:`edges` are all built from those pairs.
-    ``prunes`` counts the prunings and ``rebuilds`` the plans and term
-    structures built.  So every step gives the same masses
+    ``prunes`` counts the prunings, ``rebuilds`` the plans and term
+    structures built and ``discarded`` the pmf products formed ahead but
+    never taken.  The closed-form profiles live in the rows of one C-order
+    ``(CHUNK + 1, K * N)`` stack, each row's transpose an F-order ``(N, K)``
+    profile with the strides of a single step's, so a chunk of pmf steps
+    (:meth:`advance`) runs the same ``np.matmul`` on the same layouts, and
+    re-prunes at a row inside a chunk on the same Gram product, as single
+    steps would.  So every step gives the same masses
     and kept edges as :func:`pmf_step` / :func:`dirichlet_step` /
     :func:`general_step` would, and for pmf and Dirichlet the same weights.
     (Distances on the profile columns equal those of the dense mass table
@@ -546,6 +569,20 @@ class ProfileRun:
             row_sum = self._jaccard.sum(axis=1).max()
         # weights that scale with a full-frame column (one-singleton Dirichlet has none)
         self._scaled = engine == "dirichlet" and len(self._cols) > self.frame.size
+        if not self._general:
+            # profiles as the C-order rows of a stack, each row's transpose an
+            # F-order (N, K) profile; the run's profile is row ``_at``
+            (n, k), m = self.x.shape, self.frame.size
+            self._stack = np.empty((CHUNK + 1, k * n))
+            self._rows = list(self._stack)
+            self._profiles = [row.reshape(k, n).T for row in self._rows]
+            self._singles = [p[:, :m] for p in self._profiles]
+            self._fulls = [p[:, m] if self._scaled else None for p in self._profiles]
+            self._diff = np.empty((1 if self._scaled else CHUNK, k * n))
+            self._diff_one = self._diff[0]
+            self._prod = np.empty((n, m))
+            np.copyto(self._profiles[0], self.x)
+            self.x, self._at = self._profiles[0], 0
         src, nbr = np.nonzero(state.graph.adjacency())  # base edge e: src[e] hears nbr[e]
         self._pairs = src, nbr, src * state.graph.n + nbr
         self._edge_eps = state.epsilons()[src]
@@ -557,7 +594,6 @@ class ProfileRun:
         self._watched = np.ones(len(src), dtype=bool)
         self._gap_scale = np.ones(len(src))
         self._plan: _WeightPlan | None = None  # weights of the kept edges
-        self._change = np.empty_like(self.x)   # the last step's |new - x|
         self._edges: frozenset | None = None
         self._distance_error = distance_error(len(self._cols))
         bound = np.sqrt(0.5 * len(self._cols) * row_sum)
@@ -569,6 +605,8 @@ class ProfileRun:
         self._bl_pos: np.ndarray | None = None
         self.prunes = 0
         self.rebuilds = 0
+        self.discarded = 0  # products formed ahead but never taken
+        self.change = 0.0   # the largest mass change of the last step taken
 
     def _certify(self) -> None:
         """Redo the pruning unless the certificate still holds."""
@@ -649,22 +687,111 @@ class ProfileRun:
             self.rebuilds += 1
         return self._terms
 
+    def _products(self, count: int) -> list[float]:
+        """Form the next ``count`` profiles with the current weights into the
+        stack; return each step's largest mass change."""
+        if self._at + count > CHUNK:  # back to the first row: the chunk fits
+            np.copyto(self._profiles[0], self.x)
+            self.x, self._at = self._profiles[0], 0
+        at, w, singles, fulls = self._at, self._plan.matrix, self._singles, self._fulls
+        for s in range(at, at + count):
+            _update(w, singles[s], singles[s + 1], fulls[s + 1], self._prod)
+        if self._scaled:  # the plan's matrix follows the full-frame masses
+            self._plan.fill(fulls[at + 1])
+        if count == 1:  # every Dirichlet step: one row, without the chunk's slicing
+            d = np.subtract(self._rows[at + 1], self._rows[at], out=self._diff_one)
+            return [float(np.maximum.reduce(np.abs(d, out=d)))]
+        stack, d = self._stack, self._diff[:count]
+        np.subtract(stack[at + 1:at + count + 1], stack[at:at + count], out=d)
+        return np.maximum.reduce(np.abs(d, out=d), axis=1).tolist()
+
+    def _general_step(self) -> list[float]:
+        """One general step, as a chunk of one: return its largest mass change."""
+        bl = dst.belief_table(self.x)
+        new = _general_update(self.x, bl, self._general_terms(bl))
+        d = np.subtract(new, self.x)
+        self.x = new
+        return [float(np.abs(d, out=d).max())]
+
+    def advance(self, limit: int, step_tol: float = 0.0, persistence: int = 1,
+                edges: list | None = None, matrices: list | None = None,
+                frames: list | None = None) -> tuple[int, bool]:
+        """Step until the largest mass change stayed below ``step_tol`` for
+        ``persistence`` steps in a row, or for ``limit`` steps; return the
+        steps taken and whether the run converged.
+
+        The lists given are extended, per step taken, by the kept edges, the
+        confidence matrix and the dense masses it started from.  A pmf run
+        steps in chunks: while the kept set holds its weights are fixed, so
+        it forms a chunk's products at once, takes every step's largest change
+        in one reduction and then walks the certificate budget and the
+        convergence rule over those changes step by step, in the one-step
+        order.  Where the budget runs out inside a chunk, it re-prunes at that
+        step's profile, as the next step would: an unchanged kept set leaves
+        the same plan, so the later products stand; a new one drops them
+        (``discarded`` counts those, and those past convergence).  Every
+        product is the same ``np.matmul`` on the same layouts as a single
+        step, so a chunk keeps every bit.  Chunks start at one step after a
+        change of the kept set and double up to CHUNK while it holds.  They
+        end where the run would converge: after the quiet steps still needed
+        once the last steps were quiet, and where the largest change would
+        fall below ``step_tol`` if it kept shrinking at its last ratio
+        otherwise (a guess: a chunk that ends early is followed by another).
+        Dirichlet and general weights follow the state, and their update
+        guards must not fire on a step never taken, so they step one at a time.
+        """
+        steps = quiet = 0
+        change = before = 0.0  # the largest changes of the last two steps
+        span, plan = 1, None
+        ahead = not (self._general or self._scaled) and frames is None
+        while steps < limit:
+            self._certify()
+            kept = self.edges() if edges is not None else None
+            w = self.weights() if matrices is not None else None
+            if frames is not None:
+                frames.append(self.masses())
+            count = 1
+            if ahead:
+                span, plan = (min(2 * span, CHUNK) if self._plan is plan else 1), self._plan
+                count = min(span, limit - steps)
+                if quiet:  # all quiet, the run converges in persistence - quiet steps
+                    count = min(count, persistence - quiet)
+                elif 0.0 < step_tol <= change < before:  # where a steady decay would converge
+                    count = min(count, persistence + int(math.log(step_tol / change)
+                                                         / math.log(change / before)))
+            changes = self._general_step() if self._general else self._products(count)
+            taken = 0
+            for new in changes:
+                before, change = change, new
+                taken += 1
+                self._budget -= self._spend_per_change * change + MOVE_ROUNDING
+                self._stale = self._budget <= 0.0
+                quiet = quiet + 1 if change < step_tol else 0
+                if quiet >= persistence or taken == count:
+                    break
+                if self._stale:  # re-prune here, as the next single step would
+                    self.x = self._profiles[self._at + taken]
+                    self._certify()
+                    if self._plan is not plan:
+                        break
+            self.change = change
+            self.discarded += count - taken
+            if not self._general:
+                self._at += taken
+                self.x = self._profiles[self._at]
+            steps += taken
+            if edges is not None:
+                edges += [kept] * taken
+            if matrices is not None:
+                matrices += [w] * taken
+            if quiet >= persistence:
+                return steps, True
+        return steps, False
+
     def step(self) -> float:
         """Advance every agent one synchronous step; return the largest mass change."""
-        if self._general:
-            bl = dst.belief_table(self.x)
-            new = _general_update(self.x, bl, self._general_terms(bl))
-        else:
-            self._certify()
-            new = _update(self._plan.matrix, self.x, self.frame.size)
-        d = np.subtract(new, self.x, out=self._change)
-        change = float(np.abs(d, out=d).max())
-        self.x = new
-        if self._scaled:  # the plan's matrix follows the full-frame masses
-            self._plan.fill(new[:, -1])
-        self._budget -= self._spend_per_change * change + MOVE_ROUNDING
-        self._stale = self._budget <= 0.0
-        return change
+        self.advance(1)
+        return self.change
 
     def masses(self) -> np.ndarray:
         """Current opinions as a dense (N, 2**M) mass table (read-only)."""

@@ -49,25 +49,12 @@ def run_simulation(scenario: Scenario, epsilon: float | None = None,
     state = scenario.initial_state(epsilon)
     run = dynamics.ProfileRun(state, engine_name)
 
-    matrices: list[np.ndarray] = []
-    edges: list[frozenset] = []
-    frames: list[np.ndarray] = []
-    quiet = 0
-    converged = False
-    steps = 0
-    while steps < scenario.max_iterations:
-        if record_edges:
-            edges.append(run.edges())
-        if record_trajectory:
-            frames.append(run.masses())
-        if record_matrices and engine_name != "general":
-            matrices.append(run.weights())
-        diff = run.step()
-        steps += 1
-        quiet = quiet + 1 if diff < scenario.step_tol else 0
-        if quiet >= scenario.persistence:
-            converged = True
-            break
+    matrices = [] if record_matrices else None
+    edges = [] if record_edges else None
+    frames = [] if record_trajectory else None
+    steps, converged = run.advance(scenario.max_iterations, scenario.step_tol,
+                                   scenario.persistence, edges,
+                                   matrices if engine_name != "general" else None, frames)
     final = run.masses()
     if record_trajectory:
         frames.append(final)

@@ -192,6 +192,15 @@ def test_classify_chain_two_groups():
         classify_chain(w_bad, [[1], [2]])
 
 
+@pytest.mark.parametrize("groups, bad", [
+    ([[5]], 5), ([[0]], 0), ([[-1]], -1),        # one group
+    ([[1], [4]], 4), ([[0], [2]], 0), ([[1, 2], [-3]], -3),  # two groups
+])
+def test_classify_chain_rejects_unknown_agents(groups, bad):
+    with pytest.raises(NotDrivenChain, match=rf"^central agent {bad} is not one of the agents 1\.\.3$"):
+        classify_chain(np.eye(3), groups)
+
+
 def _leader_scenario(leaders, fig6a=False, pi1=(0.80, 0.78, 0.76, 0.40, 0.80, 0.10, 0.20)):
     pairs = [(1, 3), (2, 3), (3, 4), (3, 6), (3, 7), (4, 5)] if fig6a else \
         [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (3, 6), (4, 5), (5, 7), (6, 7)]

@@ -172,13 +172,19 @@ def test_recorded_dirichlet_matrices_are_each_steps_weights():
 
 def test_update_guards_the_full_frame_column():
     x = np.asfortranarray([[0.25, 0.75, 0.0], [0.5, 0.25, 0.25]])
-    new = _update(np.eye(2), x, 2)  # leftovers of exactly 0 and 0.25
+
+    def update(w):
+        new = np.full_like(x, np.nan)
+        _update(w, x[:, :2], new[:, :2], new[:, 2], np.empty((2, 2)))
+        return new
+
+    new = update(np.eye(2))  # leftovers of exactly 0 and 0.25
     assert new.tobytes() == x.tobytes() and not np.signbit(new[:, 2]).any()
     # a row sum 1e-12 above 1 is round-off: its leftover is clipped to +0.0
-    new = _update(np.diag([1.0 + 1e-12, 1.0]), x, 2)
+    new = update(np.diag([1.0 + 1e-12, 1.0]))
     assert new[0, 2] == 0.0 and not np.signbit(new[0, 2])
     with pytest.raises(NotDirichlet, match="mass conservation"):
-        _update(np.diag([1.0 + 2e-10, 1.0]), x, 2)
+        update(np.diag([1.0 + 2e-10, 1.0]))
 
 
 def two_still_agents(gap):
@@ -275,6 +281,117 @@ def test_kernel_rejects_the_wrong_class():
     run = ProfileRun(state, "dirichlet")
     run.step()
     assert run.edges() == graph.edges
+
+
+# ---------------------------------------------------------------------------
+# Chunked stepping against single steps, every record flag off
+# ---------------------------------------------------------------------------
+
+def single_step_run(state, engine, limit, step_tol, persistence):
+    """The convergence rule over ``ProfileRun.step``: one step per call, so no
+    product is ever formed ahead."""
+    run = ProfileRun(state, engine)
+    steps = quiet = 0
+    while steps < limit:
+        change = run.step()
+        steps += 1
+        quiet = quiet + 1 if change < step_tol else 0
+        if quiet >= persistence:
+            return run, steps, True
+    return run, steps, False
+
+
+def assert_advance_matches_single_steps(state, engine, limit=1500, step_tol=1e-10,
+                                        persistence=10):
+    """``advance`` against single steps (prunings and plans too) and, for the
+    closed-form engines, against the ``pmf_step`` / ``dirichlet_step`` loop."""
+    run = ProfileRun(state, engine)
+    steps, converged = run.advance(limit, step_tol, persistence)
+    one, one_steps, one_converged = single_step_run(state, engine, limit, step_tol, persistence)
+    assert (steps, converged) == (one_steps, one_converged)
+    assert run.masses().tobytes() == one.masses().tobytes()
+    assert (run.prunes, run.rebuilds) == (one.prunes, one.rebuilds)
+    assert one.discarded == 0
+    if engine in STEPS:
+        ref, ref_converged, _ = reference_run(state, engine, limit, step_tol, persistence)
+        assert (ref.step, ref_converged) == (steps, converged)
+        assert ref.masses.tobytes() == run.masses().tobytes()
+    return run, one, steps, converged
+
+
+def test_chunks_match_single_steps_on_random_networks():
+    rng = np.random.default_rng(4111)
+    discarded = 0
+    for _ in range(6):
+        frame, graph, specs = random_network(rng, "pmf", int(rng.integers(12, 25)),
+                                             int(rng.integers(2, 5)))
+        scenario = scenario_of(frame, graph, specs, "pmf")
+        for eps in (None, 0.0, 0.37, 1.0):  # None keeps the per-agent bounds
+            state = scenario.initial_state(eps)
+            run, _, steps, converged = assert_advance_matches_single_steps(state, "pmf")
+            discarded += run.discarded
+            result = run_simulation(scenario, eps)
+            assert (result.iterations, result.converged) == (steps, converged)
+            assert result.final_masses.tobytes() == run.masses().tobytes()
+    assert discarded > 0  # some chunks did look past a kept-set change
+
+
+def test_chunks_drop_the_products_past_a_late_kept_set_change():
+    frame, graph, specs = line_state(alpha2=0.95)
+    state = NetworkState.from_specs(frame, graph, specs)
+    run, one, steps, _ = assert_advance_matches_single_steps(state, "pmf")
+    assert run.rebuilds == one.rebuilds > 1  # the kept set changed mid-run
+    assert run.discarded > 0                 # inside a chunk: its later products went
+    # a recorded trajectory holds every state, the last one included
+    trajectory = run_simulation(scenario_of(frame, graph, specs, "pmf"),
+                                record_trajectory=True).trajectory
+    assert len(trajectory) == steps + 1
+    one = ProfileRun(state, "pmf")
+    for masses in trajectory[:-1]:
+        assert masses.tobytes() == one.masses().tobytes()
+        one.step()
+    assert trajectory[-1].tobytes() == one.masses().tobytes()
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 37, 100])
+def test_iteration_cap_cuts_a_chunk_short(limit):
+    frame, graph, specs = line_state(alpha2=0.95)
+    state = NetworkState.from_specs(frame, graph, specs)
+    run, _, _, _ = assert_advance_matches_single_steps(state, "pmf", limit=limit)
+    scenario = scenario_of(frame, graph, specs, "pmf", max_iterations=limit)
+    result = run_simulation(scenario)
+    assert (result.iterations, result.converged) == (limit, False)
+    assert result.final_masses.tobytes() == run.masses().tobytes()
+
+
+@pytest.mark.parametrize("persistence", [1, 2, 10])
+def test_chunks_match_single_steps_at_any_persistence(persistence):
+    rng = np.random.default_rng(4112)
+    for _ in range(3):
+        frame, graph, specs = random_network(rng, "pmf", 16, 3)
+        state = NetworkState.from_specs(frame, graph, specs).with_epsilon(0.37)
+        for step_tol in (1e-10, 1e-4):
+            assert_advance_matches_single_steps(state, "pmf", step_tol=step_tol,
+                                                persistence=persistence)
+
+
+def test_budget_that_runs_out_on_the_converging_step_prunes_no_more():
+    # agent 1 sits within 2 distance_error(K) of its bound: every step spends
+    # the budget, and nobody moves, so the run converges after 10 quiet steps
+    run, one, _, _ = assert_advance_matches_single_steps(
+        agent_near_its_bound(distance_error(2) / 2), "pmf")
+    assert run._stale and one._stale  # the last step spent the budget too
+    assert run.prunes == one.prunes == 10
+
+
+@pytest.mark.parametrize("engine", ["dirichlet", "general"])
+def test_state_dependent_weights_step_one_at_a_time(engine):
+    rng = np.random.default_rng(4113)
+    for _ in range(3):
+        frame, graph, specs = random_network(rng, "dirichlet", 10, 2)
+        state = NetworkState.from_specs(frame, graph, specs).with_epsilon(0.37)
+        run, _, _, _ = assert_advance_matches_single_steps(state, engine, limit=300)
+        assert run.discarded == 0
 
 
 # ---------------------------------------------------------------------------
