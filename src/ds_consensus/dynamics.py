@@ -31,7 +31,6 @@ by step; every step gives what the step functions give.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -538,12 +537,13 @@ class ProfileRun:
     ``prunes`` counts the prunings, ``rebuilds`` the plans and term
     structures built and ``discarded`` the pmf products formed ahead but
     never taken.  The closed-form profiles live in the rows of one C-order
-    ``(CHUNK + 1, K * N)`` stack, each row's transpose an F-order ``(N, K)``
-    profile with the strides of a single step's, so a chunk of pmf steps
-    (:meth:`advance`) runs the same ``np.matmul`` on the same layouts, and
-    re-prunes at a row inside a chunk on the same Gram product, as single
-    steps would.  So every step gives the same masses
-    and kept edges as :func:`pmf_step` / :func:`dirichlet_step` /
+    ``(CHUNK + 1, K * N)`` stack (two rows when the Dirichlet weights follow
+    the full-frame masses, as such a run steps one at a time), each row's
+    transpose an F-order ``(N, K)`` profile with the strides of a single
+    step's, so a chunk of pmf steps (:meth:`advance`) runs the same
+    ``np.matmul`` on the same layouts, and re-prunes at a row inside a chunk
+    on the same Gram product, as single steps would.  So every step gives
+    the same masses and kept edges as :func:`pmf_step` / :func:`dirichlet_step` /
     :func:`general_step` would, and for pmf and Dirichlet the same weights.
     (Distances on the profile columns equal those of the dense mass table
     bit for bit up to four singletons; beyond that they agree to about
@@ -571,15 +571,16 @@ class ProfileRun:
         self._scaled = engine == "dirichlet" and len(self._cols) > self.frame.size
         if not self._general:
             # profiles as the C-order rows of a stack, each row's transpose an
-            # F-order (N, K) profile; the run's profile is row ``_at``
+            # F-order (N, K) profile; the run's profile is row ``_at``.  Runs
+            # that step one at a time need only two rows.
             (n, k), m = self.x.shape, self.frame.size
-            self._stack = np.empty((CHUNK + 1, k * n))
-            self._rows = list(self._stack)
-            self._profiles = [row.reshape(k, n).T for row in self._rows]
-            self._singles = [p[:, :m] for p in self._profiles]
-            self._fulls = [p[:, m] if self._scaled else None for p in self._profiles]
-            self._diff = np.empty((1 if self._scaled else CHUNK, k * n))
-            self._diff_one = self._diff[0]
+            self._stack = np.empty((2 if self._scaled else CHUNK + 1, k * n))
+            self._profiles = list(self._stack.reshape(-1, k, n).transpose(0, 2, 1))
+            self._singles = ([p[:, :m] for p in self._profiles] if self._scaled
+                             else self._profiles)  # pmf profiles hold only singletons
+            self._fulls = ([p[:, m] for p in self._profiles] if self._scaled
+                           else [None] * len(self._profiles))
+            self._diff = np.empty((len(self._stack) - 1, k * n))
             self._prod = np.empty((n, m))
             np.copyto(self._profiles[0], self.x)
             self.x, self._at = self._profiles[0], 0
@@ -606,7 +607,7 @@ class ProfileRun:
         self.prunes = 0
         self.rebuilds = 0
         self.discarded = 0  # products formed ahead but never taken
-        self.change = 0.0   # the largest mass change of the last step taken
+        self._change = 0.0  # the largest mass change of the last step taken, for step()
 
     def _certify(self) -> None:
         """Redo the pruning unless the certificate still holds."""
@@ -690,7 +691,7 @@ class ProfileRun:
     def _products(self, count: int) -> list[float]:
         """Form the next ``count`` profiles with the current weights into the
         stack; return each step's largest mass change."""
-        if self._at + count > CHUNK:  # back to the first row: the chunk fits
+        if self._at + count >= len(self._stack):  # back to the first row: the chunk fits
             np.copyto(self._profiles[0], self.x)
             self.x, self._at = self._profiles[0], 0
         at, w, singles, fulls = self._at, self._plan.matrix, self._singles, self._fulls
@@ -698,9 +699,6 @@ class ProfileRun:
             _update(w, singles[s], singles[s + 1], fulls[s + 1], self._prod)
         if self._scaled:  # the plan's matrix follows the full-frame masses
             self._plan.fill(fulls[at + 1])
-        if count == 1:  # every Dirichlet step: one row, without the chunk's slicing
-            d = np.subtract(self._rows[at + 1], self._rows[at], out=self._diff_one)
-            return [float(np.maximum.reduce(np.abs(d, out=d)))]
         stack, d = self._stack, self._diff[:count]
         np.subtract(stack[at + 1:at + count + 1], stack[at:at + count], out=d)
         return np.maximum.reduce(np.abs(d, out=d), axis=1).tolist()
@@ -732,16 +730,13 @@ class ProfileRun:
         (``discarded`` counts those, and those past convergence).  Every
         product is the same ``np.matmul`` on the same layouts as a single
         step, so a chunk keeps every bit.  Chunks start at one step after a
-        change of the kept set and double up to CHUNK while it holds.  They
-        end where the run would converge: after the quiet steps still needed
-        once the last steps were quiet, and where the largest change would
-        fall below ``step_tol`` if it kept shrinking at its last ratio
-        otherwise (a guess: a chunk that ends early is followed by another).
-        Dirichlet and general weights follow the state, and their update
-        guards must not fire on a step never taken, so they step one at a time.
+        change of the kept set and double up to CHUNK while it holds; once the
+        last steps were quiet, a chunk is no longer than the quiet steps still
+        needed to converge.  Dirichlet and general weights follow the state,
+        and their update guards must not fire on a step never taken, so they
+        step one at a time.
         """
         steps = quiet = 0
-        change = before = 0.0  # the largest changes of the last two steps
         span, plan = 1, None
         ahead = not (self._general or self._scaled) and frames is None
         while steps < limit:
@@ -756,13 +751,9 @@ class ProfileRun:
                 count = min(span, limit - steps)
                 if quiet:  # all quiet, the run converges in persistence - quiet steps
                     count = min(count, persistence - quiet)
-                elif 0.0 < step_tol <= change < before:  # where a steady decay would converge
-                    count = min(count, persistence + int(math.log(step_tol / change)
-                                                         / math.log(change / before)))
             changes = self._general_step() if self._general else self._products(count)
             taken = 0
-            for new in changes:
-                before, change = change, new
+            for change in changes:
                 taken += 1
                 self._budget -= self._spend_per_change * change + MOVE_ROUNDING
                 self._stale = self._budget <= 0.0
@@ -774,7 +765,7 @@ class ProfileRun:
                     self._certify()
                     if self._plan is not plan:
                         break
-            self.change = change
+            self._change = change
             self.discarded += count - taken
             if not self._general:
                 self._at += taken
@@ -791,7 +782,7 @@ class ProfileRun:
     def step(self) -> float:
         """Advance every agent one synchronous step; return the largest mass change."""
         self.advance(1)
-        return self.change
+        return self._change
 
     def masses(self) -> np.ndarray:
         """Current opinions as a dense (N, 2**M) mass table (read-only)."""
