@@ -109,33 +109,53 @@ def prop_from_str(text: str, frame: Frame) -> int:
 # Mass / belief table transforms (vectorized over leading axes)
 # ---------------------------------------------------------------------------
 
-def _lattice_steps(table: np.ndarray):
-    """Per bit b, views of the entries with bit b set and of those without it.
+def _lattice_steps(table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The plan of the fast subset-lattice transforms on ``table`` (Kennes,
+    "Computational aspects of the Moebius transformation of graphs", IEEE
+    SMC 1992): per bit b, views of the entries with bit b set and of those
+    without it.
 
     Entry ``hi * 2**(b+1) + 2**b + lo`` of the last axis faces entry
-    ``hi * 2**(b+1) + lo``: the same subset without singleton b+1.  The
-    table must be C-contiguous, so that the views write through to it.
+    ``hi * 2**(b+1) + lo``: the same subset without singleton b+1.  As the
+    last axis is a multiple of ``2**(b+1)``, the leading axes fold into
+    ``hi``, so every view is 2-d, whatever the table's shape.  The table must
+    be C-contiguous, so that the views write through to it; a buffer that is
+    transformed again and again keeps its plan.
     """
-    n = table.shape[-1]
+    n = table.shape[-1] if table.ndim else 0
+    if n < 1 or n & (n - 1):
+        raise FrameMismatch(f"a subset table needs a power-of-two last axis, got shape {table.shape}")
+    steps = []
     for b in range(n.bit_length() - 1):
         step = 1 << b
-        pairs = table.reshape(table.shape[:-1] + (n // (2 * step), 2, step))
-        yield pairs[..., 1, :], pairs[..., 0, :]
+        pairs = table.reshape(table.size // (2 * step), 2, step)
+        steps.append((pairs[:, 1], pairs[:, 0]))
+    return steps
+
+
+def _zeta(steps: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Turn the planned table's masses into beliefs, in place."""
+    for has, src in steps:
+        has += src
+
+
+def _moebius(steps: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Turn the planned table's beliefs into masses, in place."""
+    for has, src in steps:
+        has -= src
 
 
 def belief_table(masses: np.ndarray) -> np.ndarray:
     """Belief of every subset from a mass table (subset-sum zeta transform)."""
     bl = np.array(masses, dtype=float, copy=True, order="C")
-    for has, src in _lattice_steps(bl):
-        has += src
+    _zeta(_lattice_steps(bl))
     return bl
 
 
 def mass_table(beliefs: np.ndarray) -> np.ndarray:
     """Invert :func:`belief_table` (Moebius inversion over the subset lattice)."""
     m = np.array(beliefs, dtype=float, copy=True, order="C")
-    for has, src in _lattice_steps(m):
-        has -= src
+    _moebius(_lattice_steps(m))
     return m
 
 

@@ -155,23 +155,27 @@ class _Terms(NamedTuple):
     masses and beliefs through its indices.
 
     Term t is agent ``agent[t]`` conditioning neighbor ``neighbor[t]`` on
-    ``subset[t]``, at ``slot[t]`` among its agent's terms (``cell[t]`` =
-    slot * N + agent in the padded (slot, agent) tables, ``depth`` slots
-    deep).  Its weight is ``share[t]`` times the mass at flat index
+    ``subset[t]``, at ``cell[t]`` = slot * N + agent in the padded (slot,
+    agent) tables, ``depth`` slots deep (its slot is its rank among its
+    agent's terms).  Its weight is ``share[t]`` times the mass at flat index
     ``mass_at[t]``: a receptive agent's equal share of ``1 - alpha`` times
     the neighbor's mass.  A cautious term (``cautious`` lists them, with
     their agents, cells and ``1 - alpha``) weighs its agent's own mass,
     scaled by ``1 - alpha`` over the own masses its terms cover.  The
     conditionals of the (neighbor, subset) pairs in use gather beliefs at
-    ``num_at`` and plausibilities at ``den_at``; ``pick`` is the pair row
-    of each padded cell, the last row for an empty one.
+    ``num_at`` and, for the plausibilities, the beliefs of the complements
+    at ``den_at``; ``pick`` is the pair row of each padded cell, the last
+    row for an empty one.  The rest are the update's buffers, which every
+    step with this structure overwrites: ``num`` and ``den`` per pair,
+    ``cond`` with its last row of zeros, the padded ``weight`` table (its
+    empty cells stay 0) and the ``stack`` of a block of at most ``block``
+    slots under the running sum.
     """
 
     alphas: np.ndarray
     agent: np.ndarray
     neighbor: np.ndarray
     subset: np.ndarray
-    slot: np.ndarray
     cell: np.ndarray
     depth: int
     mass_at: np.ndarray
@@ -184,6 +188,12 @@ class _Terms(NamedTuple):
     num_at: np.ndarray
     den_at: np.ndarray
     pick: np.ndarray
+    num: np.ndarray
+    den: np.ndarray
+    cond: np.ndarray
+    weight: np.ndarray
+    block: int
+    stack: np.ndarray
 
 
 def _term_structure(src: np.ndarray, nbr: np.ndarray, support: np.ndarray,
@@ -207,7 +217,8 @@ def _term_structure(src: np.ndarray, nbr: np.ndarray, support: np.ndarray,
     heard = np.bincount(src, minlength=n)
     share = np.where(rec, (1.0 - alphas[agent]) / heard[agent], 0.0)
 
-    # the (neighbor j, subset a) pairs in use, keyed j * k + a, one row each
+    # the (neighbor j, subset a) pairs in use, keyed j * k + a, one row each;
+    # Pl_j(c) = 1 - Bl_j(~c), and ~c is c ^ (k - 1), at flat index key ^ (k - 1)
     key = neighbor * k + subset
     used = np.zeros(n * k, dtype=bool)
     used[key] = True
@@ -220,10 +231,14 @@ def _term_structure(src: np.ndarray, nbr: np.ndarray, support: np.ndarray,
     pick[slot, agent] = row[key]
     cell = slot * n + agent
     cautious = np.flatnonzero(~rec)
-    return _Terms(alphas, agent, neighbor, subset, slot, cell, depth,
+    block = max(1, TERM_BLOCK // (n * k))
+    return _Terms(alphas, agent, neighbor, subset, cell, depth,
                   np.where(rec, key, agent * k + subset), share, cautious, agent[cautious],
                   cell[cautious], 1.0 - alphas[agent[cautious]], receptive & (heard > 0),
-                  pairs[:, None] - a + (a & bs), pairs[:, None] - a + (a & ~bs), pick)
+                  pairs[:, None] - a + (a & bs), (pairs[:, None] - a + (a & ~bs)) ^ (k - 1),
+                  pick, np.empty((len(pairs), k)), np.empty((len(pairs), k)),
+                  np.zeros((len(pairs) + 1, k)), np.zeros((depth, n, 1)), block,
+                  np.empty((min(block, depth) + 1, n, k)))
 
 
 def _term_weights(terms: _Terms, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,50 +266,53 @@ def _term_weights(terms: _Terms, masses: np.ndarray) -> tuple[np.ndarray, np.nda
     return beta, moving
 
 
-def _general_update(masses: np.ndarray, bl: np.ndarray, terms: _Terms) -> np.ndarray:
-    """New mass table after one synchronous conditional update of every agent.
+def _general_update(masses: np.ndarray, bl: np.ndarray, terms: _Terms, out: np.ndarray,
+                    lattice: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Write the mass table after one synchronous conditional update of every
+    agent into ``out``, a C-order table whose lattice plan is ``lattice``.
 
     ``bl`` is the belief table of ``masses``; ``terms`` may hold terms whose
     mass is now 0.  Such a term adds a signed zero to a running sum that
     starts at alpha * bl >= +0.0 and only grows, so it is never -0.0 and
-    the zero leaves every bit as it was.
+    the zero leaves every bit as it was.  ``out`` shares no memory with
+    ``masses`` or ``bl``.
     """
-    n, k = masses.shape
     beta, moving = _term_weights(terms, masses)
 
     # Fagin-Halpern conditionals Bl_j(b | a) = Bl_j(a & b) / (Bl_j(a & b) +
-    # Pl_j(a & ~b)) of the pairs in use, one row per pair and a last row of zeros
-    num = bl.take(terms.num_at)
-    den = num + dst.plausibility_table(bl).take(terms.den_at)
-    cond = np.zeros((len(num) + 1, k))
+    # Pl_j(a & ~b)) of the pairs in use, one row per pair and a last row of
+    # zeros; Pl is 1 - Bl at the complement, as dst.plausibility_table forms it
+    num, den, cond = terms.num, terms.den, terms.cond
+    bl.take(terms.num_at, out=num, mode="clip")
+    bl.take(terms.den_at, out=den, mode="clip")
+    np.subtract(1.0, den, out=den)
+    den += num  # num + Pl, the same sum (addition commutes bit for bit)
+    cond.fill(0.0)
     np.divide(num, den, out=cond[:-1], where=den > 0.0)
 
     # alpha * bl + sum of beta * conditional, term by term in the agent's
     # order: padded (slot, agent) tables reduced over the leading axis, which
     # adds left to right.  np.add.reduceat over the unpadded terms would not:
     # on random segments about a third of its sums differ from a left-to-right loop.
-    weight = np.zeros((terms.depth, n, 1))
+    weight = terms.weight
     weight.reshape(-1)[terms.cell] = beta
-    new_bl = np.where(moving, terms.alphas, 1.0)[:, None] * bl
-    block = max(1, TERM_BLOCK // (n * k))
-    blocks = np.empty((min(block, terms.depth) + 1, n, k))  # one buffer for every block
-    for lo in range(0, terms.depth, block):
-        hi = min(lo + block, terms.depth)
-        stack = blocks[:hi - lo + 1]
-        stack[0] = new_bl
+    np.multiply(np.where(moving, terms.alphas, 1.0)[:, None], bl, out=out)
+    for lo in range(0, terms.depth, terms.block):
+        hi = min(lo + terms.block, terms.depth)
+        stack = terms.stack[:hi - lo + 1]
+        stack[0] = out
         np.take(cond, terms.pick[lo:hi], axis=0, out=stack[1:], mode="clip")
         stack[1:] *= weight[lo:hi]
-        new_bl = np.add.reduce(stack, axis=0)
+        np.add.reduce(stack, axis=0, out=out)
 
-    new_masses = dst.mass_table(new_bl)
-    worst = new_masses.min()
+    dst._moebius(lattice)
+    worst = np.minimum.reduce(out, axis=None)
     if worst < -dst.ITERATED_TOL:
         raise NotABeliefFunction(f"update produced mass {worst!r}")
-    np.maximum(new_masses, 0.0, out=new_masses)
-    new_masses[:, 0] = 0.0
-    new_masses /= new_masses.sum(axis=1, keepdims=True)
-    np.copyto(new_masses, masses, where=~moving[:, None])
-    return new_masses
+    np.maximum(out, 0.0, out=out)
+    out[:, 0] = 0.0
+    out /= np.add.reduce(out, axis=1, keepdims=True)
+    np.copyto(out, masses, where=~moving[:, None])
 
 
 def general_step(state: NetworkState, pruned: PrunedView | None = None) -> NetworkState:
@@ -304,7 +322,9 @@ def general_step(state: NetworkState, pruned: PrunedView | None = None) -> Netwo
     bl = dst.belief_table(state.masses)
     terms = _term_structure(*np.nonzero(pruned.kept), state.masses > 0.0, bl > 0.0,
                             state.alphas(), _receptive(state.specs))
-    return state.with_masses(_general_update(state.masses, bl, terms))
+    out = np.empty_like(bl)
+    _general_update(state.masses, bl, terms, out, dst._lattice_steps(out))
+    return state.with_masses(out)
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +540,12 @@ class ProfileRun:
 
     State is one (N, K) array ``x`` of the columns the engine can fill: the
     M singletons for pmf, plus the full frame for Dirichlet, and all 2**M
-    subsets for general.  The general ``x`` is the C-order mass table that
-    :func:`_general_update` returns, as a column-major copy could round the
-    Gram product differently; the closed-form profiles are column-major
-    (see :func:`_profile`).  The opinion class is checked once,
+    subsets for general.  The general ``x`` is a C-order mass table, as a
+    column-major copy could round the Gram product differently; it is one of
+    two tables the run owns, and each step's :func:`_general_update` writes
+    the other one, so a step that raises leaves ``x`` as it was and a table
+    taken by :meth:`masses` is a copy.  The closed-form profiles are
+    column-major (see :func:`_profile`).  The opinion class is checked once,
     here; adjacency, bounds, self-weights and strategies are fixed for the
     run.  Pruning computes distances on the base edges only, and is
     recomputed only when the certificate above no longer holds; the weight
@@ -561,7 +583,13 @@ class ProfileRun:
         self.frame = state.frame
         self._general = engine == "general"
         if self._general:
-            self._cols, self.x = np.arange(self.frame.n_subsets), state.masses
+            # the state alternates between two C-order tables, each with its
+            # lattice plan: a step writes the other one.  Its beliefs and its
+            # change from the state go to two more tables of the run's own.
+            self.x, after, self._bl, self._diff = np.array([state.masses] * 4, dtype=float)
+            self._tables = [(t, dst._lattice_steps(t)) for t in (self.x, after)]
+            self._bl_steps = dst._lattice_steps(self._bl)
+            self._cols = np.arange(self.frame.n_subsets)
             row_sum = 2.0 ** (self.frame.size - 1)  # the full frame's (see above)
         else:
             self._cols, self.x = _profile(state.masses, state.frame, engine == "dirichlet")
@@ -705,11 +733,15 @@ class ProfileRun:
 
     def _general_step(self) -> list[float]:
         """One general step, as a chunk of one: return its largest mass change."""
-        bl = dst.belief_table(self.x)
-        new = _general_update(self.x, bl, self._general_terms(bl))
-        d = np.subtract(new, self.x)
+        bl = self._bl
+        np.copyto(bl, self.x)
+        dst._zeta(self._bl_steps)
+        new, lattice = self._tables[1]
+        _general_update(self.x, bl, self._general_terms(bl), new, lattice)
+        d = np.subtract(new, self.x, out=self._diff)
+        self._tables.reverse()
         self.x = new
-        return [float(np.abs(d, out=d).max())]
+        return [float(np.maximum.reduce(np.abs(d, out=d), axis=None))]
 
     def advance(self, limit: int, step_tol: float = 0.0, persistence: int = 1,
                 edges: list | None = None, matrices: list | None = None,

@@ -14,15 +14,24 @@ from .runner import BifurcationResult
 CSV_HEADER = "epsilon,agent_id,proposition,limit_mass,cluster_id,cluster_count,consensus,iterations"
 
 
+def _csv_field(text: str) -> str:
+    """A CSV field as RFC 4180 writes it: in double quotes, its own quotes
+    doubled, when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_sweep_csv(result: BifurcationResult, path) -> None:
     lines = [CSV_HEADER]
+    prop = _csv_field(result.proposition)  # a compound proposition such as 1,2
     for gi, eps in enumerate(result.grid):
         count = result.cluster_counts[gi]
         consensus = "true" if result.consensus[gi] else "false"
         iters = result.iterations[gi]
         for agent in range(result.n_agents):
             lines.append(
-                f"{float(eps)!r},{agent + 1},{result.proposition},"
+                f"{float(eps)!r},{agent + 1},{prop},"
                 f"{float(result.limit_masses[gi, agent])!r},"
                 f"{int(result.cluster_ids[gi, agent])},{count},{consensus},{iters}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

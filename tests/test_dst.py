@@ -208,6 +208,45 @@ def test_mobius_round_trip(rng):
         assert np.max(np.abs(rebuilt.masses - b.masses)) < 1e-12
 
 
+def generator_transform(table, sign):
+    """The zeta (+1) or Moebius (-1) transform as a per-call generator of
+    views, one reshape per bit: the form the planned views replaced."""
+    t = np.array(table, dtype=float, copy=True, order="C")
+    n = t.shape[-1]
+    for b in range(n.bit_length() - 1):
+        step = 1 << b
+        pairs = t.reshape(t.shape[:-1] + (n // (2 * step), 2, step))
+        has, src = pairs[..., 1, :], pairs[..., 0, :]
+        if sign > 0:
+            has += src
+        else:
+            has -= src
+    return t
+
+
+@pytest.mark.parametrize("size", range(9))
+def test_planned_lattice_views_match_the_generator(size, rng):
+    k = 1 << size
+    for shape in [(k,), (5, k), (2, 3, k)]:
+        table = rng.standard_normal(shape)
+        table[rng.random(shape) < 0.2] = -0.0
+        table[rng.random(shape) < 0.1] = 0.0
+        for given in (table, np.asfortranarray(table), table.tolist()):
+            assert dst.belief_table(given).tobytes() == generator_transform(table, 1).tobytes()
+            assert dst.mass_table(given).tobytes() == generator_transform(table, -1).tobytes()
+    # signed zeros: -0.0 - -0.0 is +0.0, -0.0 + -0.0 stays -0.0
+    zeros = np.full((3, k), -0.0)
+    assert dst.belief_table(zeros).tobytes() == generator_transform(zeros, 1).tobytes()
+    assert dst.mass_table(zeros).tobytes() == generator_transform(zeros, -1).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(6,), (2, 6), (3, 0), ()])
+def test_lattice_transforms_need_a_power_of_two_axis(shape):
+    for transform in (dst.belief_table, dst.mass_table):
+        with pytest.raises(FrameMismatch, match="power-of-two"):
+            transform(np.zeros(shape))
+
+
 def test_non_monotone_beliefs_rejected():
     # Bl({1,2}) < Bl({1}) cannot come from non-negative masses
     frame = Frame(3)

@@ -191,6 +191,77 @@ def test_term_blocks_keep_the_summation_order(monkeypatch):
         assert general_step(state, pruned).masses.tobytes() == want.masses.tobytes()
 
 
+def test_complement_beliefs_give_the_plausibilities():
+    # the update reads Pl_j(a & ~b) as 1 - Bl_j at the complement's column
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        state = random_network(rng, 1.0)
+        bl = dst.belief_table(state.masses)
+        terms = dynamics._term_structure(*np.nonzero(state.pruned().kept), state.masses > 0.0,
+                                         bl > 0.0, state.alphas(),
+                                         dynamics._receptive(state.specs))
+        k = bl.shape[1]
+        key = terms.num_at[:, -1]  # the pair (j, a) of each row, as j * k + a
+        j, a = (key // k)[:, None], (key % k)[:, None]
+        want = dst.plausibility_table(bl)[j, a & ~np.arange(k)]
+        assert (1.0 - bl.take(terms.den_at)).tobytes() == want.tobytes()
+
+
+def test_conditionals_keep_nothing_from_the_last_step():
+    # the buffers of a term structure serve every step; a conditional whose
+    # denominator is not positive is 0, whatever the last step left there
+    state = load_scenario("ds7-oneleader", seed=1).initial_state(1.0)
+    bl = dst.belief_table(state.masses)
+    terms = dynamics._term_structure(*np.nonzero(state.pruned().kept), state.masses > 0.0,
+                                     bl > 0.0, state.alphas(), dynamics._receptive(state.specs))
+    out = np.empty_like(bl)
+    dynamics._general_update(state.masses, bl, terms, out, dst._lattice_steps(out))
+    # next, every agent certain of singleton 1: given a set without it,
+    # Bl(a & b) and Pl(a & ~b) are 0
+    certain = np.zeros_like(bl)
+    certain[:, 1] = 1.0
+    bl = dst.belief_table(certain)
+    unformed = bl.take(terms.num_at) + (1.0 - bl.take(terms.den_at)) <= 0.0
+    assert terms.cond[:-1][unformed].any()
+    dynamics._general_update(state.masses, bl, terms, out, dst._lattice_steps(out))
+    assert not terms.cond[:-1][unformed].any() and not terms.cond[-1].any()
+
+
+def test_run_buffers_do_not_alias(monkeypatch):
+    scenario, eps = load_scenario("ds7-oneleader", seed=3), 0.5
+    states, _, _ = reference_trajectory(scenario, eps)
+    result = run_simulation(scenario, eps, record_trajectory=True)
+    assert len(result.trajectory) == len(states)
+    for frame, state in zip(result.trajectory, states):
+        assert frame.tobytes() == state.masses.tobytes()
+    assert result.initial_masses.tobytes() == states[0].masses.tobytes()
+
+    # a table taken from the run is never written by a later step
+    run = ProfileRun(scenario.initial_state(eps), "general")
+    taken = []
+    for _ in range(3):
+        taken.append(run.masses())
+        run.step()
+    for masses, state in zip(taken, states):
+        assert masses.tobytes() == state.masses.tobytes()
+
+    # a failed step leaves the last good state, and the run goes on from it
+    monkeypatch.setattr(dst, "ITERATED_TOL", -2.0)  # every update fails its check
+    with pytest.raises(NotABeliefFunction):
+        run.step()
+    assert run.masses().tobytes() == states[3].masses.tobytes()
+    monkeypatch.undo()
+    run.step()
+    assert run.masses().tobytes() == states[4].masses.tobytes()
+
+    # general_step writes a fresh table and leaves its input alone
+    state = states[5]
+    pruned, before = state.pruned(), state.masses.tobytes()
+    first, second = general_step(state, pruned), general_step(state, pruned)
+    assert first.masses.tobytes() == second.masses.tobytes() == states[6].masses.tobytes()
+    assert state.masses.tobytes() == before
+
+
 def test_run_state_is_read_only_and_tracks_edges():
     rng = np.random.default_rng(3)
     state = random_network(rng, 0.37)

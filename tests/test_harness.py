@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -13,7 +14,7 @@ from ds_consensus.dst import Frame
 from ds_consensus.dynamics import Strategy
 from ds_consensus.errors import (DSConsensusError, EngineMismatch, InvalidScenario,
                                  ScenarioParseError)
-from ds_consensus.output import write_sweep_csv, write_sweep_json, write_sweep_svg
+from ds_consensus.output import CSV_HEADER, write_sweep_csv, write_sweep_json, write_sweep_svg
 from ds_consensus import runner
 from ds_consensus.analysis import classify_chain, verify_one_group_chain, verify_two_group_chain
 from ds_consensus.graph import MAX_ER_NODES, DirectedGraph
@@ -220,6 +221,25 @@ def test_sweep_outputs(tmp_path):
     write_sweep_json(result, tmp_path / "sweep.json")
     data = json.loads((tmp_path / "sweep.json").read_text())
     assert data["smallest_consensus_epsilon"] == 0.5
+
+
+def test_sweep_csv_quotes_a_compound_proposition(tmp_path, capsys):
+    # RFC 4180: the proposition 1,2 is written in double quotes, so every row
+    # keeps the header's 8 fields; a one-singleton proposition stays bare
+    scenario = load_scenario("table1-general")
+    for prop in ("1,2", "2"):
+        out = tmp_path / prop
+        assert cli(["sweep", "--scenario", "table1-general", "--eps-min", "0.4",
+                    "--eps-max", "0.5", "--eps-step", "0.1", "--prop", prop,
+                    "--out", str(out)]) == 0
+        text = (out / "sweep.csv").read_text(encoding="utf-8")
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == CSV_HEADER.split(",")
+        assert len(rows) == 1 + 2 * 7 and all(len(row) == 8 for row in rows)
+        assert {row[2] for row in rows[1:]} == {prop}
+        assert ('"' in text) == ("," in prop)
+        result = run_sweep(scenario, 0.4, 0.5, 0.1, proposition=prop)
+        assert [float(row[3]) for row in rows[1:]] == result.limit_masses.reshape(-1).tolist()
 
 
 def test_sweep_deterministic_and_parallel_equal(tmp_path):
