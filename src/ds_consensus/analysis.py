@@ -183,9 +183,14 @@ def classify_chain(w: np.ndarray, central_groups: Sequence[Sequence[int]] | Driv
     Every central agent must give zero weight to all outer agents and (for
     two groups) to the other central group.  Raises NotDrivenChain otherwise.
     ``central_groups`` may also be a chain built before, which is then
-    checked against ``w`` as it stands.
+    checked against ``w`` as it stands.  A ``w`` that is not a square matrix,
+    or holds a value that is not finite, raises NotDrivenChain too.
     """
     w = np.asarray(w, dtype=float)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise NotDrivenChain(f"the confidence matrix must be square, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise NotDrivenChain("the confidence matrix holds a value that is not finite")
     n = w.shape[0]
     if isinstance(central_groups, DrivenChain):
         chain = central_groups
@@ -239,6 +244,17 @@ def _contraction_profile(norms: list[float], product_norm: float) -> dict:
     }
 
 
+def _object_runs(ws: Sequence[np.ndarray]) -> list[list]:
+    """``[w, count]`` for each run of consecutive steps recording the same object."""
+    runs = []
+    for w in ws:
+        if runs and w is runs[-1][0]:
+            runs[-1][1] += 1
+        else:
+            runs.append([w, 1])
+    return runs
+
+
 def _walk_chain(chain: DrivenChain, ws: Sequence[np.ndarray]):
     """One pass over a recorded run, checking the chain structure at every step.
 
@@ -247,29 +263,49 @@ def _walk_chain(chain: DrivenChain, ws: Sequence[np.ndarray]):
     (outer rows, one block per group's columns).  The structure check, the
     block extraction and the outer norm run once per run of consecutive
     byte-equal matrices (a pmf simulation's matrix changes only when its
-    kept edges do); the steps of such a run share one list of coupling
-    blocks.
+    kept edges do, and it records one object per kept set, so a step whose
+    matrix is the previous step's object is not even compared); the steps of
+    such a run share one list of coupling blocks.  Each left product
+    alternates between two buffers of its own.  A product that is still
+    exactly the identity is kept, with no product formed, while its blocks
+    are byte-equal to the identity (a cautious pmf leader's 1x1 block):
+    identity times identity is exact, so every bit is as the plain products
+    give.
     """
+    sizes = [len(idx) for idx in (*chain._group_idx, chain._outer_idx)]
+    eyes = [np.eye(n).tobytes() for n in sizes]
+    bufs = [(np.empty((n, n)), np.empty((n, n))) for n in sizes]
+    prods = [None] * len(sizes)   # each central group's left product, then the outer block's
+    unit = [False] * len(sizes)   # the product is still exactly the identity
     norms = []
-    a_prods = [None] * len(chain.groups)
-    d_prod = None
     couplings = []
     key = None
-    for w in ws:
+    for w, count in _object_runs(ws):
         w = np.asarray(w, dtype=float)
         step_key = (w.shape, w.tobytes())
         if step_key != key:
             key = step_key
             # raises if the structure broke at this step
             a_blocks, c_blocks, d = classify_chain(w, chain).blocks(w)
+            blocks = (*a_blocks, d)
+            eye = [b.tobytes() == e for b, e in zip(blocks, eyes)]
             norm = infinity_norm(d) if d.size else 0.0
-        norms.append(norm)
-        d_prod = d if d_prod is None else d @ d_prod
-        a_prods = [a if prod is None else a @ prod for a, prod in zip(a_blocks, a_prods)]
-        couplings.append(c_blocks)
+        norms += [norm] * count
+        couplings += [c_blocks] * count
+        for g, block in enumerate(blocks):
+            prod, todo = prods[g], count
+            if prod is None:
+                prod, todo, unit[g] = block, count - 1, eye[g]
+            if todo and not (unit[g] and eye[g]):
+                unit[g] = False
+                one, two = bufs[g]
+                for _ in range(todo):
+                    prod = np.dot(block, prod, two if prod is one else one)
+            prods[g] = prod
+    d_prod = prods.pop()
     contraction = _contraction_profile(
         norms, infinity_norm(d_prod) if d_prod is not None and d_prod.size else 0.0)
-    return a_prods, contraction, couplings
+    return prods, contraction, couplings
 
 
 def _group_consensus(a_prod: np.ndarray, profiles: np.ndarray):

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 validation/usage failure, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 from .errors import (DSConsensusError, EngineMismatch, InvalidScenario, NotDrivenChain,
                      ScenarioParseError)
 from .graph import erdos_renyi_connected
-from .output import write_sweep_csv, write_sweep_json, write_sweep_svg
+from .output import _csv_field, write_sweep_csv, write_sweep_json, write_sweep_svg
 from .runner import run_simulation, run_sweep, verify_run
 from .scenario import list_assets, load_scenario
 
@@ -106,7 +107,7 @@ def _write_trace(out: Path, scenario, result) -> None:
             for mask in range(1, masses.shape[1]):
                 if masses[agent, mask] != 0.0:
                     lines.append(f"{step},{agent + 1},"
-                                 f"{prop_to_str(mask, scenario.frame)},"
+                                 f"{_csv_field(prop_to_str(mask, scenario.frame))},"
                                  f"{float(masses[agent, mask])!r}")
     (out / "trajectory.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     edges = [sorted(list(e)) for e in result.pruned_edges]
@@ -142,10 +143,16 @@ def _cmd_gen_graph(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on first use: parsing leaves no state in it, and
+    building it costs about a millisecond, as much as a short run."""
+    return _build_parser()
+
+
 def cli(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -12,7 +12,7 @@ from ds_consensus.dst import BodyOfEvidence, Frame
 from ds_consensus.dynamics import AgentSpec, Strategy
 from ds_consensus.errors import NotDrivenChain, NotRankOne
 from ds_consensus.graph import DirectedGraph
-from ds_consensus.runner import run_simulation, verify_run
+from ds_consensus.runner import run_simulation, sweep_grid, verify_run
 from ds_consensus.scenario import Scenario, assets_dir, load_scenario, scenario_from_dict
 
 from conftest import random_general_boe
@@ -201,6 +201,31 @@ def test_classify_chain_rejects_unknown_agents(groups, bad):
         classify_chain(np.eye(3), groups)
 
 
+@pytest.mark.parametrize("w, message", [
+    (np.eye(3)[:, :2], r"must be square, got shape \(3, 2\)"),
+    (np.zeros((3, 4)), r"must be square, got shape \(3, 4\)"),
+    (np.ones(3), r"must be square, got shape \(3,\)"),
+    (np.float64(1.0), r"must be square, got shape \(\)"),
+    (np.full((3, 3), np.nan), "holds a value that is not finite"),
+    (np.where(np.eye(3) == 1, 1.0, np.inf), "holds a value that is not finite"),
+    (np.array([[np.nan, 0, 0], [0.5, 0.5, 0], [0, 0.5, 0.5]]), "holds a value that is not finite"),
+])
+def test_classify_chain_rejects_malformed_matrices(w, message):
+    with pytest.raises(NotDrivenChain, match=message):
+        classify_chain(w, [[1]])
+    chain = classify_chain(np.eye(3), [[1]])
+    with pytest.raises(NotDrivenChain, match=message):
+        classify_chain(w, chain)
+
+
+def test_walk_checks_malformed_matrices_once_per_run(monkeypatch):
+    w = np.eye(3)
+    bad = np.full((3, 3), np.nan)
+    assert walk_calls(monkeypatch, [[1]], [w, w, bad, bad, w]) == 2
+    with pytest.raises(NotDrivenChain, match="not finite"):
+        _walk_chain(classify_chain(w, [[1]]), [w, w, bad, bad, w])
+
+
 def _leader_scenario(leaders, fig6a=False, pi1=(0.80, 0.78, 0.76, 0.40, 0.80, 0.10, 0.20)):
     pairs = [(1, 3), (2, 3), (3, 4), (3, 6), (3, 7), (4, 5)] if fig6a else \
         [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (3, 6), (4, 5), (5, 7), (6, 7)]
@@ -339,11 +364,20 @@ def verify_both_ways(monkeypatch, groups, ws, initial, final):
                 outcomes.append(json.dumps(verify(chain, ws, initial, final)))
             except NotDrivenChain as exc:
                 outcomes.append(f"NotDrivenChain: {exc}")
-    if chain.kind == "two-groups" and not outcomes[0].startswith("NotDrivenChain"):
-        want = split_by_step(per_step_walk(chain, ws)[2])
-        hypotheses = json.loads(outcomes[0])["hypotheses"]
-        assert {key: hypotheses[key] for key in want} == want
+    if not outcomes[0].startswith("NotDrivenChain"):
+        assert walk_bits(_walk_chain(chain, ws)) == walk_bits(per_step_walk(chain, ws))
+        if chain.kind == "two-groups":
+            want = split_by_step(per_step_walk(chain, ws)[2])
+            hypotheses = json.loads(outcomes[0])["hypotheses"]
+            assert {key: hypotheses[key] for key in want} == want
     return outcomes
+
+
+def walk_bits(walk):
+    """A walk's left products, contraction profile and coupling blocks, as bytes."""
+    prods, contraction, couplings = walk
+    return ([p.tobytes() for p in prods], json.dumps(contraction),
+            [[c.tobytes() for c in cs] for cs in couplings])
 
 
 def walk_calls(monkeypatch, groups, ws):
@@ -377,11 +411,13 @@ def bayesian_leader_dirichlet():
     return scenario_from_dict(data, "fig4a-dirichlet-bayesian-leader", assets_dir())
 
 
-@pytest.mark.parametrize("name", ["fig4a-pmf", "fig5a-pmf", "fig6a-pmf"])
+@pytest.mark.parametrize("name", ["fig3a-pmf", "fig4a-pmf", "fig5a-pmf", "fig6a-pmf"])
 def test_walk_matches_per_step_walk_on_recorded_runs(monkeypatch, name):
+    # fig3a has no cautious agent: the whole network is one receptive central group
     scenario = load_scenario(name)
-    for epsilon in (0.0, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0):
+    for epsilon in (*sweep_grid(0.0, 1.0, 0.1), 0.35, 0.75):
         groups, ws, initial, final = recorded(scenario, epsilon)
+        groups = groups or [range(1, len(scenario.agents) + 1)]
         got, want = verify_both_ways(monkeypatch, groups, ws, initial, final)
         assert got == want, (name, epsilon)
         assert walk_calls(monkeypatch, groups, ws) == runs_of_equal(ws)
@@ -458,6 +494,77 @@ def test_two_group_walk_matches_per_step_walk_on_hand_built_sequences(monkeypatc
         got, want = verify_both_ways(monkeypatch, [[1], [2]], ws, initial, final)
         assert got == want
         assert walk_calls(monkeypatch, [[1], [2]], ws) == runs_of_equal(ws)
+
+
+def _two_agent_group_matrices():
+    """Central group {1, 2} (cautious, receptive, == but not byte-equal to
+    cautious) over the outer agents 3, 4, 5."""
+    cautious = np.array([[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0],
+                         [0.2, 0.1, 0.5, 0.2, 0.0], [0.0, 0.3, 0.3, 0.4, 0.0],
+                         [0.1, 0.0, 0.0, 0.4, 0.5]])
+    receptive = cautious.copy()
+    receptive[:2, :2] = [[0.5, 0.5], [0.25, 0.75]]
+    other = cautious.copy()
+    other[:2, :2] = [[0.875, 0.125], [0.375, 0.625]]
+    signed = cautious.copy()
+    signed[0, 1] = -0.0
+    return cautious, receptive, other, signed
+
+
+def _two_agent_group_sequences():
+    c, r, o, s = _two_agent_group_matrices()
+    return {
+        "cautious throughout": [c] * 6,
+        "cautious, then receptive, then cautious": [c, c, c.copy(), r, r, c, c, r],
+        "receptive throughout": [r, r, r.copy(), o, o, r],
+        "receptive, then cautious": [r, c, c.copy(), r],
+        "signed zero": [c, s, s, c],
+    }
+
+
+def walk_products(monkeypatch, groups, ws):
+    """Shapes of the left products one walk over ``ws`` forms, in order."""
+    shapes = []
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def dot(self, a, b, out):
+            shapes.append(a.shape)
+            return np.dot(a, b, out)
+
+    chain = classify_chain(ws[0], groups)
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "np", Counting())
+        _walk_chain(chain, ws)
+    return shapes
+
+
+@pytest.mark.parametrize("label", list(_two_agent_group_sequences()))
+def test_two_agent_group_walk_matches_per_step_walk(monkeypatch, label):
+    ws = _two_agent_group_sequences()[label]
+    initial = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5], [0.4, 0.6], [0.3, 0.7]])
+    final = np.array([[0.9, 0.1], [0.2, 0.8], [0.55, 0.45], [0.55, 0.45], [0.6, 0.4]])
+    got, want = verify_both_ways(monkeypatch, [[1, 2]], ws, initial, final)
+    assert got == want
+    # the outer block multiplies at every step after the first; the central
+    # block only once its product or its block is no longer exactly the identity
+    central = {"cautious throughout": 0, "cautious, then receptive, then cautious": 5,
+               "receptive throughout": 5, "receptive, then cautious": 3,
+               "signed zero": 3}[label]
+    shapes = walk_products(monkeypatch, [[1, 2]], ws)
+    assert shapes.count((3, 3)) == len(ws) - 1
+    assert shapes.count((2, 2)) == central
+
+
+def test_identity_skip_stops_at_the_first_other_block():
+    c, r, _, _ = _two_agent_group_matrices()
+    (prod,), _, _ = _walk_chain(classify_chain(c, [[1, 2]]), [c, c, c])
+    assert prod.tobytes() == np.eye(2).tobytes()
+    (prod,), _, _ = _walk_chain(classify_chain(c, [[1, 2]]), [c, c, r, c, c, r])
+    eye, a = np.eye(2), r[:2, :2]
+    assert prod.tobytes() == (a @ (eye @ (eye @ (a @ eye)))).tobytes()
 
 
 def test_contraction_profile_matches_the_suffix_definition(rng):

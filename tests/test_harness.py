@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,7 +18,7 @@ from ds_consensus.dynamics import Strategy
 from ds_consensus.errors import (DSConsensusError, EngineMismatch, InvalidScenario,
                                  ScenarioParseError)
 from ds_consensus.output import CSV_HEADER, write_sweep_csv, write_sweep_json, write_sweep_svg
-from ds_consensus import runner
+from ds_consensus import cli as cli_module, runner
 from ds_consensus.analysis import classify_chain, verify_one_group_chain, verify_two_group_chain
 from ds_consensus.graph import MAX_ER_NODES, DirectedGraph
 from ds_consensus.runner import run_simulation, run_sweep, sweep_grid, verify_run
@@ -315,6 +318,65 @@ def test_cli_run_trace(tmp_path, capsys):
     first = {tuple(e) for e in edges[0]}
     base = {tuple(e) for e in edges[1]}
     assert base - first == {(3, 6), (6, 3), (5, 7), (7, 5)}
+
+
+def test_trajectory_csv_quotes_a_compound_proposition(tmp_path, capsys):
+    # table-1 opinions hold mass on sets such as {1, 2}: the proposition is
+    # quoted as in sweep.csv, so every row keeps the header's 4 fields
+    assert cli(["run", "--scenario", "table1-general", "--epsilon", "0.3",
+                "--out", str(tmp_path), "--trace"]) == 0
+    capsys.readouterr()
+    text = (tmp_path / "trajectory.csv").read_text(encoding="utf-8")
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["step", "agent_id", "proposition", "mass"]
+    assert all(len(row) == 4 for row in rows)
+    compound = [row for row in rows[1:] if "," in row[2]]
+    assert compound and len(compound) < len(rows) - 1
+    assert text.count('"') == 2 * len(compound)
+
+
+def _cli_outcomes(capsys, calls):
+    outcomes = []
+    for argv in calls:
+        code = cli(argv)
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    return outcomes
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
+    calls = [["verify", "--scenario", "fig4a-pmf"],  # usage error
+             ["--help"],
+             ["verify", "--scenario", "fig4a-pmf", "--epsilon", "0.5"],
+             ["run", "--scenario", "fig3a-pmf", "--epsilon", "0.5"],
+             ["assets", "list"],
+             ["verify", "--scenario", "fig4a-pmf"]]
+    with monkeypatch.context() as m:  # the oracle: a fresh parser for every call
+        m.setattr(cli_module, "_parser", cli_module._build_parser)
+        fresh = _cli_outcomes(capsys, calls)
+    assert [code for code, _, _ in fresh] == [1, 0, 0, 0, 0, 1]
+    assert fresh[0][2].startswith("usage: ds-consensus") and "--epsilon" in fresh[0][2]
+    assert fresh[1][1].startswith("usage: ds-consensus")
+    built = []
+    build = cli_module._build_parser
+    monkeypatch.setattr(cli_module, "_build_parser", lambda: built.append(1) or build())
+    cli_module._parser.cache_clear()
+    try:
+        assert _cli_outcomes(capsys, calls) == fresh
+        assert len(built) == 1
+    finally:
+        cli_module._parser.cache_clear()
+
+
+def test_cli_module_entry_point_prints_what_cli_prints(capsys):
+    argv = ["verify", "--scenario", "fig4a-pmf", "--epsilon", "0.5"]
+    assert cli(argv) == 0
+    in_process = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(Path(cli_module.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "ds_consensus.cli", *argv], env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stdout == in_process.encode("utf-8")
 
 
 def test_cli_sweep_and_exit_codes(tmp_path, capsys):
