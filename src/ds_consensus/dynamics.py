@@ -1,24 +1,22 @@
 """Opinion-update engines.
 
-Three engines share one contract (state in, state out, synchronous update,
-bounded-confidence pruning recomputed from current opinions each step):
+Three engines share one contract (synchronous update, bounded-confidence
+pruning recomputed from current opinions each step):
 
-- ``general_step``: the conditional update rule for arbitrary opinions.
+- ``general``: the conditional update rule for arbitrary opinions.
   Each agent mixes its own belief table with Fagin-Halpern-conditioned
   neighbor beliefs; updated masses are recovered by Moebius inversion.
   Update weights are proportional to the neighbor's masses (receptive
   agents) or the agent's own masses (cautious agents), normalized so that
   self-weight plus all conditional weights equals 1.
-- ``pmf_step``: closed form when every opinion is Bayesian; reduces to a
+- ``pmf``: closed form when every opinion is Bayesian; reduces to a
   row-stochastic confidence-matrix product per singleton profile.
   Cautious Bayesian agents are invariant (identity rows).
-- ``dirichlet_step``: closed form when opinions put mass only on singletons
+- ``dirichlet``: closed form when opinions put mass only on singletons
   and the full frame; the confidence matrix need not be row-stochastic and
   the full-frame mass is whatever the singletons leave over.
 
-A step is a pure function that takes its kept edges from the receive
-matrix of :func:`graph.prune`; states are immutable and shareable.  Whole
-runs of all three engines go through :class:`ProfileRun`, which holds one
+All three step through one kernel, :class:`ProfileRun`, which holds one
 state array and its kept edges as index pairs only, recomputes the pruning
 only when a metric certificate can no longer vouch for the kept edges, and
 plans the pmf and Dirichlet weights once per kept set (a Dirichlet step only
@@ -26,7 +24,10 @@ refills the edge cells) and the general term structure only when its key
 changes.  While a pmf run's kept set holds, its weight matrix is fixed, so
 :meth:`ProfileRun.advance` forms a chunk of steps' products at once and
 then walks the pruning certificate and the convergence rule over them step
-by step; every step gives what the step functions give.
+by step.  :func:`pmf_step`, :func:`dirichlet_step`, :func:`general_step`
+and the confidence-matrix builders are one-step views of that kernel on an
+immutable :class:`NetworkState`; the dense prune-then-multiply loop lives
+only in the tests, as the oracle the kernel is checked against.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import dst
 from .dst import BodyOfEvidence, Frame
-from .errors import EngineMismatch, NotABeliefFunction, NotBayesian, NotDirichlet
+from .errors import EngineMismatch, NotABeliefFunction, NotDirichlet
 from .graph import DirectedGraph, PrunedView, kept_edges, prune
 
 
@@ -315,18 +316,6 @@ def _general_update(masses: np.ndarray, bl: np.ndarray, terms: _Terms, out: np.n
     np.copyto(out, masses, where=~moving[:, None])
 
 
-def general_step(state: NetworkState, pruned: PrunedView | None = None) -> NetworkState:
-    """One synchronous conditional update of every agent (any opinion class)."""
-    if pruned is None:
-        pruned = state.pruned()
-    bl = dst.belief_table(state.masses)
-    terms = _term_structure(*np.nonzero(pruned.kept), state.masses > 0.0, bl > 0.0,
-                            state.alphas(), _receptive(state.specs))
-    out = np.empty_like(bl)
-    _general_update(state.masses, bl, terms, out, dst._lattice_steps(out))
-    return state.with_masses(out)
-
-
 # ---------------------------------------------------------------------------
 # Closed-form engines
 # ---------------------------------------------------------------------------
@@ -403,82 +392,6 @@ def _update(w: np.ndarray, x: np.ndarray, out: np.ndarray, full: np.ndarray | No
         if worst < -1e-10:
             raise NotDirichlet(f"mass conservation violated by {worst!r}")
         np.maximum(full, 0.0, out=full)
-
-
-def _kept_weights(state: NetworkState, pruned: PrunedView,
-                  theta: np.ndarray | None = None) -> ConfidenceMatrix:
-    flat = np.flatnonzero(pruned.kept)
-    plan = _WeightPlan(flat // state.graph.n, flat, state.alphas(), _receptive(state.specs))
-    if theta is not None:
-        plan.fill(theta)
-    return ConfidenceMatrix(plan.matrix, row_stochastic=theta is None)
-
-
-def pmf_confidence_matrix(state: NetworkState, pruned: PrunedView) -> ConfidenceMatrix:
-    """Row-stochastic weights for Bayesian opinions.
-
-    Receptive row: self-weight on the diagonal, the rest split equally over
-    in-bound neighbors; with no neighbors the row is the identity row.
-    Cautious row: identity (a cautious Bayesian agent never moves).
-    """
-    if not dst.is_bayesian_table(state.masses, state.frame):
-        raise NotBayesian("pmf engine requires Bayesian opinions")
-    return _kept_weights(state, pruned)
-
-
-def dirichlet_confidence_matrix(state: NetworkState, pruned: PrunedView) -> ConfidenceMatrix:
-    """Singleton-profile weights for Dirichlet opinions (not row-stochastic).
-
-    Receptive rows amplify each neighbor share by that neighbor's
-    full-frame mass; cautious rows keep the diagonal at 1 and leak in
-    neighbor opinions scaled by the agent's own full-frame mass.
-    """
-    if not dst.is_dirichlet_table(state.masses, state.frame):
-        raise NotDirichlet("dirichlet engine requires Dirichlet opinions")
-    theta = state.masses[:, state.frame.full_set] if state.frame.size > 1 else None
-    return _kept_weights(state, pruned, theta)
-
-
-def _closed_form_step(state: NetworkState, pruned: PrunedView | None,
-                      dirichlet: bool) -> NetworkState:
-    if pruned is None:
-        pruned = state.pruned()
-    confidence = dirichlet_confidence_matrix if dirichlet else pmf_confidence_matrix
-    w = confidence(state, pruned).matrix
-    cols, x = _profile(state.masses, state.frame, dirichlet)
-    size = state.frame.size
-    new = np.empty_like(x)
-    _update(w, x[:, :size], new[:, :size], new[:, size] if len(cols) > size else None,
-            np.empty((len(x), size)))
-    new_masses = np.zeros_like(state.masses)
-    new_masses[:, cols] = new
-    return state.with_masses(new_masses)
-
-
-def pmf_step(state: NetworkState, pruned: PrunedView | None = None) -> NetworkState:
-    return _closed_form_step(state, pruned, dirichlet=False)
-
-
-def dirichlet_step(state: NetworkState, pruned: PrunedView | None = None) -> NetworkState:
-    return _closed_form_step(state, pruned, dirichlet=True)
-
-
-def theta_weight_matrix(state: NetworkState, pruned: PrunedView) -> np.ndarray:
-    """Self-weights plus full-frame conditional weights, as one matrix.
-
-    Row sums bound the decay of the full-frame ("complete ambiguity") mass:
-    while every row sum stays at most rho < 1, the largest full-frame mass
-    shrinks at least geometrically with ratio rho.
-    """
-    masses = state.masses
-    terms = _term_structure(*np.nonzero(pruned.kept), masses > 0.0,
-                            dst.belief_table(masses) > 0.0, state.alphas(),
-                            _receptive(state.specs))
-    beta, moving = _term_weights(terms, masses)
-    gamma = np.diag(np.where(moving, terms.alphas, 1.0))
-    full = terms.subset == state.frame.full_set
-    gamma[terms.agent[full], terms.neighbor[full]] = beta[full]
-    return gamma
 
 
 # ---------------------------------------------------------------------------
@@ -564,13 +477,14 @@ class ProfileRun:
     transpose an F-order ``(N, K)`` profile with the strides of a single
     step's, so a chunk of pmf steps (:meth:`advance`) runs the same
     ``np.matmul`` on the same layouts, and re-prunes at a row inside a chunk
-    on the same Gram product, as single steps would.  So every step gives
-    the same masses and kept edges as :func:`pmf_step` / :func:`dirichlet_step` /
-    :func:`general_step` would, and for pmf and Dirichlet the same weights.
-    (Distances on the profile columns equal those of the dense mass table
-    bit for bit up to four singletons; beyond that they agree to about
-    4e-16, so a kept edge could differ only for a distance that close to its
-    bound.)
+    on the same Gram product, as single steps would.  So a chunk gives the
+    same masses, kept edges and weights as single steps, and the tests check
+    single steps bit for bit against a dense loop that prunes with
+    :func:`graph.prune` and multiplies by the weights written on its receive
+    matrix (the general engine against a per-agent loop).  (Distances on the
+    profile columns equal those of the dense mass table bit for bit up to
+    four singletons; beyond that they agree to about 4e-16, so a kept edge
+    could differ only for a distance that close to its bound.)
     """
 
     def __init__(self, state: NetworkState, engine: str):
@@ -822,3 +736,51 @@ class ProfileRun:
         out[:, self._cols] = self.x
         out.setflags(write=False)
         return out
+
+
+# ---------------------------------------------------------------------------
+# One-step views of the kernel
+# ---------------------------------------------------------------------------
+
+def _one_step(state: NetworkState, engine: str) -> NetworkState:
+    run = ProfileRun(state, engine)
+    run.step()
+    return state.with_masses(run.masses())
+
+
+def general_step(state: NetworkState) -> NetworkState:
+    """One synchronous conditional update of every agent (any opinion class)."""
+    return _one_step(state, "general")
+
+
+def pmf_step(state: NetworkState) -> NetworkState:
+    """One step of the pmf engine: the singleton profile times its weights."""
+    return _one_step(state, "pmf")
+
+
+def dirichlet_step(state: NetworkState) -> NetworkState:
+    """One step of the Dirichlet engine: the singleton profile times its
+    weights, the full frame taking the mass they leave over."""
+    return _one_step(state, "dirichlet")
+
+
+def pmf_confidence_matrix(state: NetworkState) -> ConfidenceMatrix:
+    """Row-stochastic weights for Bayesian opinions.
+
+    Receptive row: self-weight on the diagonal, the rest split equally over
+    in-bound neighbors; with no neighbors the row is the identity row.
+    Cautious row: identity (a cautious Bayesian agent never moves).
+    """
+    return ConfidenceMatrix(ProfileRun(state, "pmf").weights(), row_stochastic=True)
+
+
+def dirichlet_confidence_matrix(state: NetworkState) -> ConfidenceMatrix:
+    """Singleton-profile weights for Dirichlet opinions (not row-stochastic).
+
+    Receptive rows amplify each neighbor share by that neighbor's
+    full-frame mass; cautious rows keep the diagonal at 1 and leak in
+    neighbor opinions scaled by the agent's own full-frame mass.  On a
+    one-singleton frame the opinions are Bayesian and the weights the pmf ones.
+    """
+    return ConfidenceMatrix(ProfileRun(state, "dirichlet").weights(),
+                            row_stochastic=state.frame.size == 1)

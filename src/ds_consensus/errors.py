@@ -21,10 +21,6 @@ class NodeOutOfRange(DSConsensusError):
     """Node index outside [1, N]."""
 
 
-class NotBayesian(DSConsensusError):
-    """Operation requires all opinions to be Bayesian (singleton focal elements)."""
-
-
 class NotDirichlet(DSConsensusError):
     """Operation requires all opinions to be Dirichlet (singletons plus the full frame)."""
 

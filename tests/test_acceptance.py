@@ -16,10 +16,12 @@ from ds_consensus import dst
 from ds_consensus.analysis import classify_chain, verify_one_group_chain, verify_two_group_chain
 from ds_consensus.dst import BodyOfEvidence, Frame
 from ds_consensus.dynamics import (AgentSpec, NetworkState, Strategy, dirichlet_step,
-                                   general_step, pmf_step, theta_weight_matrix)
+                                   general_step, pmf_step)
 from ds_consensus.graph import DirectedGraph, prune
 from ds_consensus.runner import run_simulation, run_sweep
 from ds_consensus.scenario import load_scenario
+
+from conftest import theta_weight_matrix
 
 GRID = (0.0, 1.0, 0.01)
 FOLLOWERS_7 = {2, 3, 4, 5, 6}
@@ -381,10 +383,9 @@ def test_criterion_8h_block_recursion():
         ws = []
         current = state
         for _ in range(20):
-            pruned = current.pruned()
             from ds_consensus.dynamics import pmf_confidence_matrix
-            ws.append(pmf_confidence_matrix(current, pruned).matrix)
-            current = pmf_step(current, pruned)
+            ws.append(pmf_confidence_matrix(current).matrix)
+            current = pmf_step(current)
         chain = classify_chain(ws[0], [[leader]])
         outer, central = chain.outer_idx, chain.group_idx(0)
         a_prod, p, full = None, None, None
@@ -409,10 +410,9 @@ def test_criterion_8i_rank_one_limit():
         acc = np.eye(state.graph.n)
         current = state
         for _ in range(400):
-            pruned = current.pruned()
             from ds_consensus.dynamics import pmf_confidence_matrix
-            acc = pmf_confidence_matrix(current, pruned).matrix @ acc
-            new = pmf_step(current, pruned)
+            acc = pmf_confidence_matrix(current).matrix @ acc
+            new = pmf_step(current)
             if np.max(np.abs(new.masses - current.masses)) < 1e-14:
                 current = new
                 break

@@ -6,12 +6,12 @@ import pytest
 from ds_consensus.dst import BodyOfEvidence, Frame, belief_table
 from ds_consensus.dynamics import (AgentSpec, NetworkState, Strategy, _term_structure,
                                    _term_weights, dirichlet_confidence_matrix, dirichlet_step,
-                                   general_step, pmf_confidence_matrix, pmf_step,
-                                   theta_weight_matrix)
-from ds_consensus.errors import NotBayesian, NotDirichlet
+                                   general_step, pmf_confidence_matrix, pmf_step)
+from ds_consensus.errors import EngineMismatch
 from ds_consensus.graph import DirectedGraph
 
-from conftest import random_bayesian_boe, random_dirichlet_boe, random_general_boe
+from conftest import (random_bayesian_boe, random_dirichlet_boe, random_general_boe,
+                      theta_weight_matrix)
 
 F3 = Frame(3)
 
@@ -84,22 +84,22 @@ def test_weights_normalize(rng):
 
 def test_pmf_matrix_two_mutual_agents():
     st = state_of([bayes(0.4), bayes(0.6)], [(1, 2)])
-    w = pmf_confidence_matrix(st, st.pruned())
+    w = pmf_confidence_matrix(st)
     assert np.allclose(w.matrix, [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_pmf_matrix_cautious_row_is_identity():
     st = state_of([bayes(0.4), bayes(0.6)], [(1, 2)],
                   strategies=[Strategy.CAUTIOUS, Strategy.RECEPTIVE])
-    w = pmf_confidence_matrix(st, st.pruned())
+    w = pmf_confidence_matrix(st)
     assert np.allclose(w.matrix[0], [1.0, 0.0])
     assert np.allclose(w.matrix.sum(axis=1), 1.0)
 
 
 def test_pmf_matrix_requires_bayesian(rng):
     st = state_of([random_general_boe(F3, rng), bayes(0.5)], [(1, 2)])
-    with pytest.raises(NotBayesian):
-        pmf_confidence_matrix(st, st.pruned())
+    with pytest.raises(EngineMismatch):
+        pmf_confidence_matrix(st)
 
 
 def dirichlet(t1, t2, t3, theta, frame=F3):
@@ -112,7 +112,7 @@ def test_dirichlet_matrix_receptive_amplification():
     a = dirichlet(0.5, 0.2, 0.2, 0.1)
     b = dirichlet(0.3, 0.3, 0.2, 0.2)
     st = state_of([a, b], [(1, 2)])
-    w = dirichlet_confidence_matrix(st, st.pruned())
+    w = dirichlet_confidence_matrix(st)
     assert w.matrix[0, 0] == pytest.approx(0.5)
     assert w.matrix[0, 1] == pytest.approx(0.5 * 1.2)   # row sum 1.1 is legal
     assert w.matrix[1, 0] == pytest.approx(0.5 * 1.1)
@@ -123,7 +123,7 @@ def test_dirichlet_matrix_cautious_leak():
     b = dirichlet(0.3, 0.3, 0.2, 0.2)
     st = state_of([a, b], [(1, 2)],
                   strategies=[Strategy.CAUTIOUS, Strategy.RECEPTIVE])
-    w = dirichlet_confidence_matrix(st, st.pruned())
+    w = dirichlet_confidence_matrix(st)
     assert w.matrix[0, 0] == pytest.approx(1.0)
     assert w.matrix[0, 1] == pytest.approx(0.5 * 0.1)
 
@@ -131,15 +131,15 @@ def test_dirichlet_matrix_cautious_leak():
 def test_dirichlet_matrix_degenerates_to_pmf():
     a, b = bayes(0.4), bayes(0.7)
     st = state_of([a, b], [(1, 2)])
-    wd = dirichlet_confidence_matrix(st, st.pruned())
-    wp = pmf_confidence_matrix(st, st.pruned())
+    wd = dirichlet_confidence_matrix(st)
+    wp = pmf_confidence_matrix(st)
     assert np.allclose(wd.matrix, wp.matrix)
 
 
 def test_dirichlet_matrix_requires_dirichlet(rng):
     st = state_of([random_general_boe(F3, rng), bayes(0.5)], [(1, 2)])
-    with pytest.raises(NotDirichlet):
-        dirichlet_confidence_matrix(st, st.pruned())
+    with pytest.raises(EngineMismatch):
+        dirichlet_confidence_matrix(st)
 
 
 # ---------------------------------------------------------------------------

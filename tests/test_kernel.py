@@ -1,9 +1,12 @@
-"""Differential tests: the run kernel against the plain step loop.
+"""Differential tests: the run kernel against a dense oracle loop.
 
-The reference loop prunes, steps with ``pmf_step`` / ``dirichlet_step`` (or
-``general_step``) and applies the same convergence rule as
-``run_simulation``; the kernel must give the same iteration count,
-convergence flag, kept edges and bit-identical masses.
+The oracle loop prunes with ``graph.prune``, writes the closed-form weights
+on the dense receive matrix and multiplies the singleton profile by them
+(``oracle_step``), or for the general engine steps the per-agent loop
+``test_general_kernel.reference_step``, and applies the same convergence
+rule as ``run_simulation``; the kernel, and the one-step views of it, must
+give the same iteration count, convergence flag, kept edges and
+bit-identical masses.  No step code of the package is called.
 """
 
 import numpy as np
@@ -19,18 +22,68 @@ from ds_consensus.graph import DirectedGraph
 from ds_consensus.runner import run_simulation
 from ds_consensus.scenario import Scenario, load_scenario
 
-STEPS = {"pmf": pmf_step, "dirichlet": dirichlet_step}
+from test_general_kernel import random_network as random_general_network, reference_step
+
+
+def oracle_pmf_matrix(kept, alphas, receptive):
+    """Row-stochastic pmf weights, written on the dense receive matrix."""
+    n = len(alphas)
+    counts = kept.sum(axis=1)
+    active = receptive & (counts > 0)
+    share = np.where(active, (1.0 - alphas) / np.maximum(counts, 1), 0.0)
+    w = np.where(kept, share[:, None], 0.0)
+    w[np.arange(n), np.arange(n)] = np.where(active, alphas, 1.0)
+    return w
+
+
+def oracle_dirichlet_weights(kept, alphas, receptive, theta):
+    """Dirichlet weights, written on the dense receive matrix."""
+    n = kept.shape[0]
+    counts = kept.sum(axis=1)
+    has = counts > 0
+    safe = np.maximum(counts, 1)
+    rec_rows = (kept * ((1.0 - alphas) / safe)[:, None]) * (1.0 + theta)[None, :]
+    cau_rows = kept * ((1.0 - alphas) * theta / safe)[:, None]
+    w = np.where((receptive & has)[:, None], rec_rows,
+                 np.where(has[:, None], cau_rows, 0.0))
+    w[np.arange(n), np.arange(n)] = np.where(receptive & has, alphas, 1.0)
+    return w
+
+
+def oracle_weights(state, engine, kept):
+    """The pmf or Dirichlet weights of ``state`` on the receive matrix ``kept``."""
+    frame, alphas = state.frame, state.alphas()
+    receptive = np.array([s.strategy is Strategy.RECEPTIVE for s in state.specs])
+    if engine == "dirichlet" and frame.size > 1:
+        return oracle_dirichlet_weights(kept, alphas, receptive,
+                                        state.masses[:, frame.full_set])
+    return oracle_pmf_matrix(kept, alphas, receptive)  # one singleton: Bayesian
+
+
+def oracle_step(state, engine, kept):
+    """One synchronous step on the receive matrix ``kept``.  A closed-form
+    step multiplies the column-major singleton profile by the oracle
+    weights; a Dirichlet full frame takes the mass the singletons leave over."""
+    if engine == "general":
+        return reference_step(state, kept)
+    frame = state.frame
+    cols = [1 << p for p in range(frame.size)]
+    prod = oracle_weights(state, engine, kept) @ np.asfortranarray(state.masses[:, cols])
+    masses = np.zeros_like(state.masses)
+    masses[:, cols] = prod
+    if engine == "dirichlet" and frame.size > 1:
+        masses[:, frame.full_set] = np.maximum(1.0 - prod.sum(axis=1), 0.0)
+    return state.with_masses(masses)
 
 
 def reference_run(state, engine, max_iterations, step_tol, persistence):
-    step = STEPS[engine]
     edges = []
     quiet = 0
     converged = False
     for _ in range(max_iterations):
         pruned = state.pruned()
         edges.append(pruned.edges)
-        new = step(state, pruned)
+        new = oracle_step(state, engine, pruned.kept)
         diff = float(np.max(np.abs(new.masses - state.masses)))
         state = new
         quiet = quiet + 1 if diff < step_tol else 0
@@ -38,6 +91,10 @@ def reference_run(state, engine, max_iterations, step_tol, persistence):
             converged = True
             break
     return state, converged, edges
+
+
+VIEWS = {"pmf": pmf_step, "dirichlet": dirichlet_step, "general": general_step}
+CONFIDENCE = {"pmf": pmf_confidence_matrix, "dirichlet": dirichlet_confidence_matrix}
 
 
 def random_network(rng, engine, n, size):
@@ -160,10 +217,10 @@ def test_recorded_dirichlet_matrices_are_each_steps_weights():
             run = run_simulation(scenario, eps, record_matrices=True, record_edges=True)
             state = scenario.initial_state(eps)
             for matrix in run.matrices:
-                pruned = state.pruned()
-                want = dirichlet_confidence_matrix(state, pruned).matrix
+                kept = state.pruned().kept
+                want = oracle_weights(state, "dirichlet", kept)
                 assert not matrix.flags.writeable and matrix.tobytes() == want.tobytes()
-                state = dirichlet_step(state, pruned)
+                state = oracle_step(state, "dirichlet", kept)
             assert not any(np.shares_memory(a, b) for a, b in zip(run.matrices, run.matrices[1:]))
             edges = run.pruned_edges
             late_changes += sum(a != b for a, b in zip(edges[10:], edges[11:]))
@@ -227,12 +284,12 @@ def test_edge_near_its_bound_forces_reprune():
 
 
 def step_with_general_loop(run, state, steps):
-    """Step ``run`` beside the ``general_step`` loop: same kept edges and masses."""
+    """Step ``run`` beside the per-agent reference loop: same kept edges and masses."""
     for _ in range(steps):
         pruned = state.pruned()
         assert run.edges() == pruned.edges
         run.step()
-        state = general_step(state, pruned)
+        state = reference_step(state, pruned.kept)
         assert run.masses().tobytes() == state.masses.tobytes()
 
 
@@ -303,8 +360,8 @@ def single_step_run(state, engine, limit, step_tol, persistence):
 
 def assert_advance_matches_single_steps(state, engine, limit=1500, step_tol=1e-10,
                                         persistence=10):
-    """``advance`` against single steps (prunings and plans too) and, for the
-    closed-form engines, against the ``pmf_step`` / ``dirichlet_step`` loop."""
+    """``advance`` against single steps (prunings and plans too) and against
+    the oracle loop."""
     run = ProfileRun(state, engine)
     steps, converged = run.advance(limit, step_tol, persistence)
     one, one_steps, one_converged = single_step_run(state, engine, limit, step_tol, persistence)
@@ -312,10 +369,9 @@ def assert_advance_matches_single_steps(state, engine, limit=1500, step_tol=1e-1
     assert run.masses().tobytes() == one.masses().tobytes()
     assert (run.prunes, run.rebuilds) == (one.prunes, one.rebuilds)
     assert one.discarded == 0
-    if engine in STEPS:
-        ref, ref_converged, _ = reference_run(state, engine, limit, step_tol, persistence)
-        assert (ref.step, ref_converged) == (steps, converged)
-        assert ref.masses.tobytes() == run.masses().tobytes()
+    ref, ref_converged, _ = reference_run(state, engine, limit, step_tol, persistence)
+    assert (ref.step, ref_converged) == (steps, converged)
+    assert ref.masses.tobytes() == run.masses().tobytes()
     return run, one, steps, converged
 
 
@@ -398,31 +454,6 @@ def test_state_dependent_weights_step_one_at_a_time(engine):
 # The weight builder against the receive-matrix formulas
 # ---------------------------------------------------------------------------
 
-def oracle_pmf_matrix(kept, alphas, receptive):
-    """Row-stochastic pmf weights, written on the dense receive matrix."""
-    n = len(alphas)
-    counts = kept.sum(axis=1)
-    active = receptive & (counts > 0)
-    share = np.where(active, (1.0 - alphas) / np.maximum(counts, 1), 0.0)
-    w = np.where(kept, share[:, None], 0.0)
-    w[np.arange(n), np.arange(n)] = np.where(active, alphas, 1.0)
-    return w
-
-
-def oracle_dirichlet_weights(kept, alphas, receptive, theta):
-    """Dirichlet weights, written on the dense receive matrix."""
-    n = kept.shape[0]
-    counts = kept.sum(axis=1)
-    has = counts > 0
-    safe = np.maximum(counts, 1)
-    rec_rows = (kept * ((1.0 - alphas) / safe)[:, None]) * (1.0 + theta)[None, :]
-    cau_rows = kept * ((1.0 - alphas) * theta / safe)[:, None]
-    w = np.where((receptive & has)[:, None], rec_rows,
-                 np.where(has[:, None], cau_rows, 0.0))
-    w[np.arange(n), np.arange(n)] = np.where(receptive & has, alphas, 1.0)
-    return w
-
-
 def random_weight_inputs(rng, n):
     kept = rng.random((n, n)) < rng.uniform(0.0, 0.7)
     kept[np.arange(n), np.arange(n)] = False
@@ -453,21 +484,15 @@ def test_weight_builder_matches_the_receive_matrix_formulas():
 @pytest.mark.parametrize("engine", ["pmf", "dirichlet"])
 def test_confidence_matrices_match_the_receive_matrix_formulas(engine):
     rng = np.random.default_rng(4104 if engine == "pmf" else 4105)
-    confidence = pmf_confidence_matrix if engine == "pmf" else dirichlet_confidence_matrix
+    confidence = CONFIDENCE[engine]
     for case in range(60):
         size = 1 if case % 4 == 0 else int(rng.integers(2, 5))  # one-singleton frames too
         frame, graph, specs = random_network(rng, engine if size > 1 else "pmf",
                                              int(rng.integers(3, 20)), size)
         state = NetworkState.from_specs(frame, graph, specs).with_epsilon(
             float(rng.uniform(0.0, 1.0)))
-        pruned = state.pruned()
-        receptive = np.array([s.strategy is Strategy.RECEPTIVE for s in specs])
-        got = confidence(state, pruned)
-        if engine == "dirichlet" and size > 1:
-            want = oracle_dirichlet_weights(pruned.kept, state.alphas(), receptive,
-                                            state.masses[:, frame.full_set])
-        else:  # a one-singleton Dirichlet opinion is Bayesian
-            want = oracle_pmf_matrix(pruned.kept, state.alphas(), receptive)
+        got = confidence(state)
+        want = oracle_weights(state, engine, state.pruned().kept)
         assert got.row_stochastic == (engine == "pmf" or size == 1)
         assert not got.matrix.flags.writeable
         assert got.matrix.tobytes() == want.tobytes()
@@ -481,3 +506,49 @@ def test_profile_run_weights_are_read_only(engine):
     for _ in range(3):
         assert not run.weights().flags.writeable
         run.step()
+
+
+# ---------------------------------------------------------------------------
+# The one-step views against the oracle
+# ---------------------------------------------------------------------------
+
+def twins_at_their_bound(engine):
+    """Agents 1 and 2 hold one opinion and hear each other at bound 0: their
+    distance is 0, so each of their edges sits exactly at its bound (kept is
+    ``<=``).  Agent 3, cautious, holds another opinion and hears agent 1."""
+    frame = Frame(2)
+    twin = [0.0, 0.3, 0.7, 0.0] if engine == "pmf" else [0.0, 0.3, 0.5, 0.2]
+    other = [0.0, 0.6, 0.4, 0.0] if engine == "pmf" else [0.0, 0.6, 0.2, 0.2]
+    graph = DirectedGraph.from_mutual_pairs(3, [(1, 2), (1, 3)])
+    specs = (AgentSpec(Strategy.RECEPTIVE, 0.4, 0.0, BodyOfEvidence(frame, np.array(twin))),
+             AgentSpec(Strategy.RECEPTIVE, 0.4, 0.0, BodyOfEvidence(frame, np.array(twin))),
+             AgentSpec(Strategy.CAUTIOUS, 0.5, 0.0, BodyOfEvidence(frame, np.array(other))))
+    return NetworkState.from_specs(frame, graph, specs)
+
+
+@pytest.mark.parametrize("engine", sorted(VIEWS))
+def test_step_views_match_the_oracle(engine):
+    rng = np.random.default_rng(4114)
+    states = [twins_at_their_bound(engine)]
+    assert states[0].pruned().edges == {(1, 2), (2, 1)}
+    for eps in (None, 0.0, 0.3, 0.37, 1.0):  # None keeps the per-agent bounds
+        for size in (1, 2, 3, 4):
+            if engine == "general":  # its networks draw their own frame size
+                state = random_general_network(rng, 1.0 if eps is None else eps)
+            else:
+                frame, graph, specs = random_network(rng, engine if size > 1 else "pmf",
+                                                     int(rng.integers(3, 16)), size)
+                state = NetworkState.from_specs(frame, graph, specs)
+                state = state if eps is None else state.with_epsilon(eps)
+            states.append(state)
+    for state in states:
+        for _ in range(20):
+            kept = state.pruned().kept
+            want = oracle_step(state, engine, kept)
+            got = VIEWS[engine](state)
+            assert got.step == want.step
+            assert got.masses.tobytes() == want.masses.tobytes()
+            if engine in CONFIDENCE:
+                weights = CONFIDENCE[engine](state).matrix
+                assert weights.tobytes() == oracle_weights(state, engine, kept).tobytes()
+            state = want
