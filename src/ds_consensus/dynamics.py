@@ -16,18 +16,21 @@ pruning recomputed from current opinions each step):
   and the full frame; the confidence matrix need not be row-stochastic and
   the full-frame mass is whatever the singletons leave over.
 
-All three step through one kernel, :class:`ProfileRun`, which holds one
-state array and its kept edges as index pairs only, recomputes the pruning
-only when a metric certificate can no longer vouch for the kept edges, and
-plans the pmf and Dirichlet weights once per kept set (a Dirichlet step only
-refills the edge cells) and the general term structure only when its key
-changes.  While a pmf run's kept set holds, its weight matrix is fixed, so
-:meth:`ProfileRun.advance` forms a chunk of steps' products at once and
-then walks the pruning certificate and the convergence rule over them step
-by step.  :func:`pmf_step`, :func:`dirichlet_step`, :func:`general_step`
-and the confidence-matrix builders are one-step views of that kernel on an
-immutable :class:`NetworkState`; the dense prune-then-multiply loop lives
-only in the tests, as the oracle the kernel is checked against.
+All three step through one kernel, :class:`ProfileRun`, which holds every
+state it forms in the rows of one stack and its kept edges as index pairs
+only, recomputes the pruning only when a metric certificate can no longer
+vouch for the kept edges, and plans the pmf and Dirichlet weights once per
+kept set (a Dirichlet step only refills the edge cells) and the general term
+structure only when its key changes.  One routine forms every step of every
+engine, into the row after its state's.  While a pmf run's kept set holds,
+its weight matrix is fixed, so :meth:`ProfileRun.advance` forms a chunk of
+steps' products at once and then walks the pruning certificate and the
+convergence rule over them step by step; runs whose weights follow the state
+keep two rows and take one step per chunk.  :func:`pmf_step`,
+:func:`dirichlet_step`, :func:`general_step` and the confidence-matrix
+builders are one-step views of that kernel on an immutable
+:class:`NetworkState`; the dense prune-then-multiply loop lives only in the
+tests, as the oracle the kernel is checked against.
 """
 
 from __future__ import annotations
@@ -324,19 +327,6 @@ def _receptive(specs: Sequence[AgentSpec]) -> np.ndarray:
     return np.array([s.strategy is Strategy.RECEPTIVE for s in specs])
 
 
-def _profile(masses: np.ndarray, frame: Frame, dirichlet: bool
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """The profile columns and the (N, K) column-major profile of a mass table.
-
-    The columns are the singletons, then for Dirichlet the full frame (which
-    a one-singleton frame lacks: its Dirichlet opinions are Bayesian).
-    Column-major, the singleton columns meet every weight matrix in the same
-    BLAS kernel, so the engines round alike.
-    """
-    cols = dst.support_columns(frame, with_full=dirichlet)
-    return cols, np.asfortranarray(masses[:, cols])
-
-
 class _WeightPlan:
     """The weights of one kept set but for the full-frame masses.
 
@@ -453,38 +443,41 @@ class ProfileRun:
 
     State is one (N, K) array ``x`` of the columns the engine can fill: the
     M singletons for pmf, plus the full frame for Dirichlet, and all 2**M
-    subsets for general.  The general ``x`` is a C-order mass table, as a
-    column-major copy could round the Gram product differently; it is one of
-    two tables the run owns, and each step's :func:`_general_update` writes
-    the other one, so a step that raises leaves ``x`` as it was and a table
-    taken by :meth:`masses` is a copy.  The closed-form profiles are
-    column-major (see :func:`_profile`).  The opinion class is checked once,
-    here; adjacency, bounds, self-weights and strategies are fixed for the
-    run.  Pruning computes distances on the base edges only, and is
-    recomputed only when the certificate above no longer holds; the weight
-    plan (:class:`_WeightPlan`) is built only when the kept edges change,
-    and a Dirichlet step only refills its edge cells at the new full-frame
-    masses; the general term structure is rebuilt only when its key changes
-    (see :meth:`_general_terms`).  The kept set is held as a mask over the
-    base edges and, taken when it changes, the kept edges as index pairs, in
-    the row-major order of ``np.nonzero`` on a receive matrix: the weights,
-    the term structure and :meth:`edges` are all built from those pairs.
+    subsets for general.  Every state the run forms is a row of one C-order
+    ``(R, K * N)`` stack, and ``x`` is the view of row ``_at``.  A general
+    row is a C-order mass table with its own lattice plan, as a column-major
+    copy could round the Gram product differently.  A closed-form row's
+    transpose is an F-order (N, K) profile, so the singleton columns meet
+    every weight matrix in the same BLAS kernel and the engines round alike.
+    A step writes the row after its state's (:meth:`_products`), so a step
+    that raises leaves ``x`` as it was, and a table taken by :meth:`masses`
+    is a copy.  A pmf run keeps CHUNK + 1 rows, so a chunk of its steps
+    (:meth:`advance`) runs the same ``np.matmul`` on the same layouts, and
+    re-prunes at a row inside a chunk on the same Gram product, as single
+    steps would.  Runs whose weights follow the state (Dirichlet with a
+    full-frame column, general) keep two rows, so their chunks are one step.
+
+    The opinion class is checked once, here; adjacency, bounds,
+    self-weights and strategies are fixed for the run.  Pruning computes
+    distances on the base edges only, and is recomputed only when the
+    certificate above no longer holds; the weight plan (:class:`_WeightPlan`)
+    is built only when the kept edges change, and a Dirichlet step only
+    refills its edge cells at the new full-frame masses; the general term
+    structure is rebuilt only when its key changes (see
+    :meth:`_general_terms`).  The kept set is held as a mask over the base
+    edges and, taken when it changes, the kept edges as index pairs, in the
+    row-major order of ``np.nonzero`` on a receive matrix: the weights, the
+    term structure and :meth:`edges` are all built from those pairs.
     ``prunes`` counts the prunings, ``rebuilds`` the plans and term
-    structures built and ``discarded`` the pmf products formed ahead but
-    never taken.  The closed-form profiles live in the rows of one C-order
-    ``(CHUNK + 1, K * N)`` stack (two rows when the Dirichlet weights follow
-    the full-frame masses, as such a run steps one at a time), each row's
-    transpose an F-order ``(N, K)`` profile with the strides of a single
-    step's, so a chunk of pmf steps (:meth:`advance`) runs the same
-    ``np.matmul`` on the same layouts, and re-prunes at a row inside a chunk
-    on the same Gram product, as single steps would.  So a chunk gives the
-    same masses, kept edges and weights as single steps, and the tests check
-    single steps bit for bit against a dense loop that prunes with
-    :func:`graph.prune` and multiplies by the weights written on its receive
-    matrix (the general engine against a per-agent loop).  (Distances on the
-    profile columns equal those of the dense mass table bit for bit up to
-    four singletons; beyond that they agree to about 4e-16, so a kept edge
-    could differ only for a distance that close to its bound.)
+    structures built and ``discarded`` the products formed ahead but never
+    taken.  A chunk gives the same masses, kept edges and weights as single
+    steps, and the tests check single steps bit for bit against a dense loop
+    that prunes with :func:`graph.prune` and multiplies by the weights
+    written on its receive matrix (the general engine against a per-agent
+    loop).  (Distances on the profile columns equal those of the dense mass
+    table bit for bit up to four singletons; beyond that they agree to about
+    4e-16, so a kept edge could differ only for a distance that close to its
+    bound.)
     """
 
     def __init__(self, state: NetworkState, engine: str):
@@ -497,35 +490,32 @@ class ProfileRun:
         self.frame = state.frame
         self._general = engine == "general"
         if self._general:
-            # the state alternates between two C-order tables, each with its
-            # lattice plan: a step writes the other one.  Its beliefs and its
-            # change from the state go to two more tables of the run's own.
-            self.x, after, self._bl, self._diff = np.array([state.masses] * 4, dtype=float)
-            self._tables = [(t, dst._lattice_steps(t)) for t in (self.x, after)]
-            self._bl_steps = dst._lattice_steps(self._bl)
             self._cols = np.arange(self.frame.n_subsets)
             row_sum = 2.0 ** (self.frame.size - 1)  # the full frame's (see above)
         else:
-            self._cols, self.x = _profile(state.masses, state.frame, engine == "dirichlet")
+            self._cols = dst.support_columns(self.frame, with_full=engine == "dirichlet")
             self._jaccard = dst.jaccard_block(self._cols)
             row_sum = self._jaccard.sum(axis=1).max()
         # weights that scale with a full-frame column (one-singleton Dirichlet has none)
         self._scaled = engine == "dirichlet" and len(self._cols) > self.frame.size
-        if not self._general:
-            # profiles as the C-order rows of a stack, each row's transpose an
-            # F-order (N, K) profile; the run's profile is row ``_at``.  Runs
-            # that step one at a time need only two rows.
-            (n, k), m = self.x.shape, self.frame.size
-            self._stack = np.empty((2 if self._scaled else CHUNK + 1, k * n))
+        (n, k), m = (len(state.masses), len(self._cols)), self.frame.size
+        self._stack = np.empty((2 if self._general or self._scaled else CHUNK + 1, k * n))
+        if self._general:  # a step's beliefs go to a table of the run's own
+            self._profiles = list(self._stack.reshape(-1, n, k))
+            self._lattices = [dst._lattice_steps(t) for t in self._profiles]
+            self._bl = np.empty((n, k))
+            self._bl_steps = dst._lattice_steps(self._bl)
+            self._views = self._profiles, self._lattices
+        else:
             self._profiles = list(self._stack.reshape(-1, k, n).transpose(0, 2, 1))
-            self._singles = ([p[:, :m] for p in self._profiles] if self._scaled
-                             else self._profiles)  # pmf profiles hold only singletons
-            self._fulls = ([p[:, m] for p in self._profiles] if self._scaled
-                           else [None] * len(self._profiles))
-            self._diff = np.empty((len(self._stack) - 1, k * n))
+            self._singles, self._fulls = (  # pmf profiles hold only singletons
+                ([p[:, :m] for p in self._profiles], [p[:, m] for p in self._profiles])
+                if self._scaled else (self._profiles[:], [None] * len(self._profiles)))
             self._prod = np.empty((n, m))
-            np.copyto(self._profiles[0], self.x)
-            self.x, self._at = self._profiles[0], 0
+            self._views = self._profiles, self._singles, self._fulls
+        self._diff = np.empty((len(self._stack) - 1, k * n))
+        np.copyto(self._profiles[0], state.masses[:, self._cols])
+        self.x, self._at = self._profiles[0], 0
         src, nbr = np.nonzero(state.graph.adjacency())  # base edge e: src[e] hears nbr[e]
         self._pairs = src, nbr, src * state.graph.n + nbr
         self._edge_eps = state.epsilons()[src]
@@ -603,8 +593,11 @@ class ProfileRun:
         if self._general:
             raise EngineMismatch("the general engine has no confidence matrix")
         self._certify()
-        w = self._plan.matrix  # copied when the next step rewrites it
-        return ConfidenceMatrix(w, row_stochastic=False).matrix if self._scaled else w
+        if not self._scaled:
+            return self._plan.matrix  # read-only; a new kept set gets a new plan
+        w = self._plan.matrix.copy()  # the next step refills the plan's
+        w.setflags(write=False)
+        return w
 
     def _general_terms(self, bl: np.ndarray) -> _Terms:
         """The term structure at the current masses, rebuilt only when its key changes.
@@ -619,7 +612,6 @@ class ProfileRun:
         runs (231 runs, 47592 steps) build it 509 times, 231 of them at the
         first step.
         """
-        self._certify()  # a new kept set drops the structure
         bl_pos = bl > 0.0
         support = self._support | (self.x > 0.0)
         if (self._terms is None or support.tobytes() != self._support.tobytes()
@@ -631,31 +623,37 @@ class ProfileRun:
         return self._terms
 
     def _products(self, count: int) -> list[float]:
-        """Form the next ``count`` profiles with the current weights into the
-        stack; return each step's largest mass change."""
-        if self._at + count >= len(self._stack):  # back to the first row: the chunk fits
-            np.copyto(self._profiles[0], self.x)
+        """Form the next ``count`` states in the rows after the state's; return
+        each step's largest mass change.  Closed-form steps share the current
+        weights; a general step (its run has two rows) forms its own terms.
+        Where the chunk does not fit, the state moves to the first row: a
+        longer stack copies it there, a two-row run swaps its rows' roles.
+        The change is read from the rows in the stack's order, then as
+        old - new, whose absolute value has the same bits as new - old's."""
+        stack = self._stack
+        if self._at + count >= len(stack):
+            if len(stack) == 2:
+                for views in self._views:
+                    views.reverse()
+            else:
+                np.copyto(self._profiles[0], self.x)
             self.x, self._at = self._profiles[0], 0
-        at, w, singles, fulls = self._at, self._plan.matrix, self._singles, self._fulls
-        for s in range(at, at + count):
-            _update(w, singles[s], singles[s + 1], fulls[s + 1], self._prod)
-        if self._scaled:  # the plan's matrix follows the full-frame masses
-            self._plan.fill(fulls[at + 1])
-        stack, d = self._stack, self._diff[:count]
+        at = self._at
+        if self._general:
+            bl = self._bl
+            np.copyto(bl, self.x)
+            dst._zeta(self._bl_steps)
+            _general_update(self.x, bl, self._general_terms(bl), self._profiles[at + 1],
+                            self._lattices[at + 1])
+        else:
+            w, singles, fulls = self._plan.matrix, self._singles, self._fulls
+            for s in range(at, at + count):
+                _update(w, singles[s], singles[s + 1], fulls[s + 1], self._prod)
+            if self._scaled:  # the plan's matrix follows the full-frame masses
+                self._plan.fill(fulls[at + 1])
+        d = self._diff[:count]
         np.subtract(stack[at + 1:at + count + 1], stack[at:at + count], out=d)
         return np.maximum.reduce(np.abs(d, out=d), axis=1).tolist()
-
-    def _general_step(self) -> list[float]:
-        """One general step, as a chunk of one: return its largest mass change."""
-        bl = self._bl
-        np.copyto(bl, self.x)
-        dst._zeta(self._bl_steps)
-        new, lattice = self._tables[1]
-        _general_update(self.x, bl, self._general_terms(bl), new, lattice)
-        d = np.subtract(new, self.x, out=self._diff)
-        self._tables.reverse()
-        self.x = new
-        return [float(np.maximum.reduce(np.abs(d, out=d), axis=None))]
 
     def advance(self, limit: int, step_tol: float = 0.0, persistence: int = 1,
                 edges: list | None = None, matrices: list | None = None,
@@ -665,40 +663,35 @@ class ProfileRun:
         steps taken and whether the run converged.
 
         The lists given are extended, per step taken, by the kept edges, the
-        confidence matrix and the dense masses it started from.  A pmf run
-        steps in chunks: while the kept set holds its weights are fixed, so
-        it forms a chunk's products at once, takes every step's largest change
-        in one reduction and then walks the certificate budget and the
-        convergence rule over those changes step by step, in the one-step
-        order.  Where the budget runs out inside a chunk, it re-prunes at that
-        step's profile, as the next step would: an unchanged kept set leaves
-        the same plan, so the later products stand; a new one drops them
-        (``discarded`` counts those, and those past convergence).  Every
-        product is the same ``np.matmul`` on the same layouts as a single
-        step, so a chunk keeps every bit.  Chunks start at one step after a
-        change of the kept set and double up to CHUNK while it holds; once the
+        confidence matrix and the dense masses it started from, read from the
+        rows of the steps taken: recording never changes how a run steps.
+        While the kept set holds the weights are fixed, so :meth:`_products`
+        forms a chunk of steps at once, and this walks the certificate budget
+        and the convergence rule over their changes step by step, in the
+        one-step order.  Where the budget runs out inside a chunk, it
+        re-prunes at that step's state, as the next step would: an unchanged
+        kept set leaves the same plan, so the later products stand; a new one
+        drops them (``discarded`` counts those, and those past convergence).
+        Every product is the same ``np.matmul`` on the same layouts as a
+        single step, so a chunk keeps every bit.  Chunks start at one step
+        after a change of the kept set and double while it holds, up to the
+        stack's rows less one (one for runs whose weights follow the state,
+        as their update guards must not fire on a step never taken); once the
         last steps were quiet, a chunk is no longer than the quiet steps still
-        needed to converge.  Dirichlet and general weights follow the state,
-        and their update guards must not fire on a step never taken, so they
-        step one at a time.
+        needed to converge.
         """
         steps = quiet = 0
         span, plan = 1, None
-        ahead = not (self._general or self._scaled) and frames is None
         while steps < limit:
             self._certify()
             kept = self.edges() if edges is not None else None
             w = self.weights() if matrices is not None else None
-            if frames is not None:
-                frames.append(self.masses())
-            count = 1
-            if ahead:
-                span, plan = (min(2 * span, CHUNK) if self._plan is plan else 1), self._plan
-                count = min(span, limit - steps)
-                if quiet:  # all quiet, the run converges in persistence - quiet steps
-                    count = min(count, persistence - quiet)
-            changes = self._general_step() if self._general else self._products(count)
-            taken = 0
+            span = min(2 * span, len(self._diff)) if self._plan is plan else 1
+            count, plan = min(span, limit - steps), self._plan
+            if quiet:  # all quiet, the run converges in persistence - quiet steps
+                count = min(count, persistence - quiet)
+            changes = self._products(count)
+            at, taken = self._at, 0
             for change in changes:
                 taken += 1
                 self._budget -= self._spend_per_change * change + MOVE_ROUNDING
@@ -707,15 +700,16 @@ class ProfileRun:
                 if quiet >= persistence or taken == count:
                     break
                 if self._stale:  # re-prune here, as the next single step would
-                    self.x = self._profiles[self._at + taken]
+                    self.x = self._profiles[at + taken]
                     self._certify()
                     if self._plan is not plan:
                         break
             self._change = change
             self.discarded += count - taken
-            if not self._general:
-                self._at += taken
-                self.x = self._profiles[self._at]
+            if frames is not None:
+                frames += map(self._dense, self._profiles[at:at + taken])
+            self._at = at + taken
+            self.x = self._profiles[self._at]
             steps += taken
             if edges is not None:
                 edges += [kept] * taken
@@ -732,8 +726,11 @@ class ProfileRun:
 
     def masses(self) -> np.ndarray:
         """Current opinions as a dense (N, 2**M) mass table (read-only)."""
-        out = np.zeros((len(self.x), self.frame.n_subsets))
-        out[:, self._cols] = self.x
+        return self._dense(self.x)
+
+    def _dense(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(x), self.frame.n_subsets))
+        out[:, self._cols] = x
         out.setflags(write=False)
         return out
 

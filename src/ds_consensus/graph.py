@@ -15,8 +15,9 @@ import numpy as np
 from . import dst
 from .errors import InvalidScenario, NodeOutOfRange
 
-# Largest Erdos-Renyi graph: an (N, N) float matrix, which pruning and the
-# weights form every step, stays within 128 MiB.
+# Largest Erdos-Renyi graph: an (N, N) float matrix, which a run forms as the
+# Gram product of each pruning and the weights of each kept set, stays within
+# 128 MiB.
 MAX_ER_NODES = 4096
 
 

@@ -44,6 +44,8 @@ def run_simulation(scenario: Scenario, epsilon: float | None = None,
     keeps every state's masses, the final one included.  Every engine runs
     through :class:`dynamics.ProfileRun`, which prunes under its certificate:
     pmf and Dirichlet on singleton profiles, general on the full mass table.
+    A general run has no confidence matrix, so ``record_matrices`` on one
+    raises EngineMismatch at its first step.
     """
     engine_name = scenario.resolved_engine()
     state = scenario.initial_state(epsilon)
@@ -53,8 +55,7 @@ def run_simulation(scenario: Scenario, epsilon: float | None = None,
     edges = [] if record_edges else None
     frames = [] if record_trajectory else None
     steps, converged = run.advance(scenario.max_iterations, scenario.step_tol,
-                                   scenario.persistence, edges,
-                                   matrices if engine_name != "general" else None, frames)
+                                   scenario.persistence, edges, matrices, frames)
     final = run.masses()
     if record_trajectory:
         frames.append(final)

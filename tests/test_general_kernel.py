@@ -7,14 +7,16 @@ must reproduce it bit for bit: masses, kept edges, iteration counts.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ds_consensus import dst, dynamics
 from ds_consensus.dst import BodyOfEvidence, Frame
-from ds_consensus.dynamics import AgentSpec, NetworkState, ProfileRun, Strategy, general_step
-from ds_consensus.errors import NotABeliefFunction
+from ds_consensus.dynamics import (AgentSpec, NetworkState, ProfileRun, Strategy, dirichlet_step,
+                                   general_step)
+from ds_consensus.errors import EngineMismatch, NotABeliefFunction, NotDirichlet
 from ds_consensus.graph import DirectedGraph
 from ds_consensus.runner import run_simulation
 from ds_consensus.scenario import Scenario, assets_dir, load_scenario, scenario_from_dict
@@ -228,9 +230,31 @@ def test_conditionals_keep_nothing_from_the_last_step():
     assert not terms.cond[:-1][unformed].any() and not terms.cond[-1].any()
 
 
-def test_run_buffers_do_not_alias(monkeypatch):
-    scenario, eps = load_scenario("ds7-oneleader", seed=3), 0.5
-    states, _, _ = reference_trajectory(scenario, eps)
+def fail_every_step(engine, monkeypatch):
+    """Make every later step of ``engine`` fail its guard once it has written
+    the new state; return the error it raises."""
+    if engine == "general":
+        monkeypatch.setattr(dst, "ITERATED_TOL", -2.0)  # every update fails its check
+        return NotABeliefFunction
+    update = dynamics._update
+
+    def guarded(w, x, out, full, prod):
+        update(w, x, out, full, prod)
+        raise NotDirichlet("every update fails its check")
+
+    monkeypatch.setattr(dynamics, "_update", guarded)
+    return NotDirichlet
+
+
+def assert_run_buffers_do_not_alias(engine, monkeypatch):
+    if engine == "general":
+        scenario, eps, view = load_scenario("ds7-oneleader", seed=3), 0.5, general_step
+        states, _, _ = reference_trajectory(scenario, eps)
+    else:  # the reference steps a fresh run per state, to the run's step count
+        scenario, eps, view = load_scenario("fig4a-dirichlet"), 0.5, dirichlet_step
+        states = [scenario.initial_state(eps)]
+        for _ in range(run_simulation(scenario, eps).iterations):
+            states.append(view(states[-1]))
     result = run_simulation(scenario, eps, record_trajectory=True)
     assert len(result.trajectory) == len(states)
     for frame, state in zip(result.trajectory, states):
@@ -238,7 +262,7 @@ def test_run_buffers_do_not_alias(monkeypatch):
     assert result.initial_masses.tobytes() == states[0].masses.tobytes()
 
     # a table taken from the run is never written by a later step
-    run = ProfileRun(scenario.initial_state(eps), "general")
+    run = ProfileRun(scenario.initial_state(eps), engine)
     taken = []
     for _ in range(3):
         taken.append(run.masses())
@@ -247,20 +271,38 @@ def test_run_buffers_do_not_alias(monkeypatch):
         assert masses.tobytes() == state.masses.tobytes()
 
     # a failed step leaves the last good state, and the run goes on from it
-    monkeypatch.setattr(dst, "ITERATED_TOL", -2.0)  # every update fails its check
-    with pytest.raises(NotABeliefFunction):
-        run.step()
-    assert run.masses().tobytes() == states[3].masses.tobytes()
+    error = fail_every_step(engine, monkeypatch)
+    for _ in range(2):
+        with pytest.raises(error):
+            run.step()
+        assert run.masses().tobytes() == states[3].masses.tobytes()
     monkeypatch.undo()
     run.step()
     assert run.masses().tobytes() == states[4].masses.tobytes()
 
-    # general_step writes a fresh table and leaves its input alone
+    # a one-step view writes a fresh table and leaves its input alone
     state = states[5]
     before = state.masses.tobytes()
-    first, second = general_step(state), general_step(state)
+    first, second = view(state), view(state)
     assert first.masses.tobytes() == second.masses.tobytes() == states[6].masses.tobytes()
     assert state.masses.tobytes() == before
+
+
+def test_run_buffers_do_not_alias(monkeypatch):
+    # both runs keep two rows, and each step writes the one its state is not in
+    for engine in ("general", "dirichlet"):
+        assert_run_buffers_do_not_alias(engine, monkeypatch)
+
+
+def test_general_run_cannot_record_matrices():
+    # it has no confidence matrix: the first step fails, as weights() does
+    scenario = load_scenario("table1-general")
+    with pytest.raises(EngineMismatch):
+        run_simulation(scenario, 0.3, record_matrices=True)
+    with pytest.raises(EngineMismatch):
+        ProfileRun(scenario.initial_state(0.3), "general").weights()
+    idle = replace(scenario, max_iterations=0)
+    assert run_simulation(idle, 0.3, record_matrices=True).matrices == ()
 
 
 def test_run_state_is_read_only_and_tracks_edges():

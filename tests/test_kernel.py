@@ -341,7 +341,7 @@ def test_kernel_rejects_the_wrong_class():
 
 
 # ---------------------------------------------------------------------------
-# Chunked stepping against single steps, every record flag off
+# Chunked stepping against single steps
 # ---------------------------------------------------------------------------
 
 def single_step_run(state, engine, limit, step_tol, persistence):
@@ -448,6 +448,38 @@ def test_state_dependent_weights_step_one_at_a_time(engine):
         state = NetworkState.from_specs(frame, graph, specs).with_epsilon(0.37)
         run, _, _, _ = assert_advance_matches_single_steps(state, engine, limit=300)
         assert run.discarded == 0
+
+
+def assert_recording_leaves_stepping_alone(state, limit=1500, step_tol=1e-10, persistence=10):
+    """``advance`` with every record list against ``advance`` with none: the
+    same steps, prunings, plans and discarded products, and each recorded
+    step's kept edges, weights and masses those of the single step it took."""
+    plain = ProfileRun(state, "pmf")
+    outcome = plain.advance(limit, step_tol, persistence)
+    run, edges, matrices, frames = ProfileRun(state, "pmf"), [], [], []
+    assert run.advance(limit, step_tol, persistence, edges, matrices, frames) == outcome
+    assert (run.prunes, run.rebuilds, run.discarded) == \
+        (plain.prunes, plain.rebuilds, plain.discarded)
+    assert run.masses().tobytes() == plain.masses().tobytes()
+    assert len(edges) == len(matrices) == len(frames) == outcome[0]
+    one = ProfileRun(state, "pmf")
+    for kept, weights, masses in zip(edges, matrices, frames):
+        assert kept == one.edges() and weights.tobytes() == one.weights().tobytes()
+        assert masses.tobytes() == one.masses().tobytes()
+        one.step()
+    return run.discarded
+
+
+def test_recording_does_not_change_stepping():
+    rng = np.random.default_rng(4115)
+    states = [NetworkState.from_specs(*line_state(alpha2=0.95))]
+    for _ in range(4):
+        frame, graph, specs = random_network(rng, "pmf", int(rng.integers(12, 25)),
+                                             int(rng.integers(2, 5)))
+        state = NetworkState.from_specs(frame, graph, specs)
+        states += [state, state.with_epsilon(0.37)]
+    discarded = sum(assert_recording_leaves_stepping_alone(state) for state in states)
+    assert discarded > 0  # the recorded runs formed products ahead too
 
 
 # ---------------------------------------------------------------------------
