@@ -14,7 +14,6 @@ from .dst import (
     prop_from_indices,
     prop_from_str,
     prop_to_str,
-    validate_masses,
 )
 from .graph import (
     DirectedGraph,

@@ -8,11 +8,12 @@ Conventions used throughout the package:
   Mask ``0`` is the empty set, ``2**M - 1`` the full frame.
 - A mass function is a dense float array of length ``2**M`` indexed by
   bitmask, with ``m[0] == 0`` and total mass 1.
-- ``belief(A) = sum of m(B) over B subset of A`` and
-  ``plausibility(A) = 1 - belief(complement of A)``.
-- Conditionals follow the Fagin-Halpern rule:
-  ``Bl(B|A) = Bl(A & B) / (Bl(A & B) + Pl(A & ~B))`` and the dual with
-  Bl and Pl exchanged.  They reduce to Bayes' rule on Bayesian masses.
+- ``Bl(A)``, the sum of ``m(B)`` over the subsets ``B`` of ``A``, is the
+  zeta transform of the mass table (:func:`belief_table`), and
+  ``Pl(A) = 1 - Bl(complement of A)``.  The general engine forms both, and
+  the Fagin-Halpern conditionals
+  ``Bl(B|A) = Bl(A & B) / (Bl(A & B) + Pl(A & ~B))``, on whole tables of
+  agents; a single opinion offers only its masses.
 - Distances between bodies of evidence use the Jaccard-weighted quadratic
   form (Jousselme distance), which lives in [0, 1].
 
@@ -21,12 +22,12 @@ All values are immutable after construction; every function is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ConditioningNotSupported, FrameMismatch, NotABeliefFunction
+from .errors import FrameMismatch, NotABeliefFunction
 
 MAX_FRAME_SIZE = 16
 
@@ -159,12 +160,6 @@ def mass_table(beliefs: np.ndarray) -> np.ndarray:
     return m
 
 
-def plausibility_table(bl: np.ndarray) -> np.ndarray:
-    """Plausibility of every subset given the full belief table."""
-    # Pl(A) = 1 - Bl(~A); complement of mask A is full - A, i.e. reversed order.
-    return 1.0 - bl[..., ::-1]
-
-
 # ---------------------------------------------------------------------------
 # Body of evidence
 # ---------------------------------------------------------------------------
@@ -173,94 +168,38 @@ def plausibility_table(bl: np.ndarray) -> np.ndarray:
 class BodyOfEvidence:
     """An agent opinion: a frame plus a dense mass table indexed by bitmask.
 
-    Construction validates the mass axioms (``m[0] == 0``, total mass 1,
-    non-negativity up to float noise) and freezes the array.
+    Construction checks the mass axioms (``m[0] == 0``, total mass 1,
+    non-negativity up to float noise), raising :class:`ValueError`, and
+    freezes the array.
     """
 
     frame: Frame
     masses: np.ndarray
-    _bl: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.masses, dtype=float)
         if m.shape != (self.frame.n_subsets,):
             raise ValueError(f"expected {self.frame.n_subsets} masses, got shape {m.shape}")
-        report = validate_masses(self.frame, m)
-        if not report.ok:
-            raise ValueError("invalid mass assignment: " + "; ".join(report.issues))
+        if not np.all(np.isfinite(m)):
+            raise ValueError("invalid mass assignment: masses must be finite")
+        issues = []
+        if m[0] != 0.0:
+            issues.append(f"mass of the empty set must be 0, got {m[0]!r}")
+        if abs(m.sum() - 1.0) > ALGEBRAIC_TOL:
+            issues.append(f"total mass must be 1, got {m.sum()!r}")
+        if m.min() < -ALGEBRAIC_TOL:
+            issues.append(f"negative mass {m.min()!r}")
+        if issues:
+            raise ValueError("invalid mass assignment: " + "; ".join(issues))
         m = m.copy()
         m[m < 0.0] = 0.0  # clamp float noise within the accepted -1e-12 band
         m.setflags(write=False)
         object.__setattr__(self, "masses", m)
 
-    @property
-    def bl(self) -> np.ndarray:
-        """Cached belief table over all subsets."""
-        if self._bl is None:
-            bl = belief_table(self.masses)
-            bl.setflags(write=False)
-            object.__setattr__(self, "_bl", bl)
-        return self._bl
-
-    @property
-    def pl(self) -> np.ndarray:
-        return plausibility_table(self.bl)
-
-    def belief(self, a: int) -> float:
-        return float(self.bl[a])
-
-    def plausibility(self, a: int) -> float:
-        return 1.0 - float(self.bl[self.frame.full_set ^ a])
-
-    def conditional_belief(self, b: int, a: int) -> float:
-        """Fagin-Halpern conditional belief of ``b`` given ``a``."""
-        if self.bl[a] <= 0.0:
-            raise ConditioningNotSupported(f"belief of conditioning set {a:#x} is zero")
-        bl, pl = self.bl, self.pl
-        num = bl[a & b]
-        den = num + pl[a & (self.frame.full_set ^ b)]
-        return float(num / den) if den > 0.0 else 0.0
-
-    def conditional_plausibility(self, b: int, a: int) -> float:
-        """Fagin-Halpern conditional plausibility of ``b`` given ``a``."""
-        if self.bl[a] <= 0.0:
-            raise ConditioningNotSupported(f"belief of conditioning set {a:#x} is zero")
-        bl, pl = self.bl, self.pl
-        num = pl[a & b]
-        den = num + bl[a & (self.frame.full_set ^ b)]
-        return float(num / den) if den > 0.0 else 0.0
-
 
 # ---------------------------------------------------------------------------
-# Validation and opinion classes
+# Opinion classes
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    issues: tuple[str, ...]
-
-
-def validate_masses(frame: Frame, masses: np.ndarray) -> ValidationReport:
-    """Report-style check of the mass axioms.
-
-    Which engine an opinion table needs is decided by
-    :func:`is_bayesian_table` and :func:`is_dirichlet_table`.
-    """
-    m = np.asarray(masses, dtype=float)
-    if m.shape != (frame.n_subsets,):
-        return ValidationReport(False, (f"expected {frame.n_subsets} masses",))
-    if not np.all(np.isfinite(m)):
-        return ValidationReport(False, ("masses must be finite",))
-    issues = []
-    if m[0] != 0.0:
-        issues.append(f"mass of the empty set must be 0, got {m[0]!r}")
-    if abs(m.sum() - 1.0) > ALGEBRAIC_TOL:
-        issues.append(f"total mass must be 1, got {m.sum()!r}")
-    if m.min() < -ALGEBRAIC_TOL:
-        issues.append(f"negative mass {m.min()!r}")
-    return ValidationReport(not issues, tuple(issues))
-
 
 def support_columns(frame: Frame, with_full: bool = False) -> np.ndarray:
     """Singleton masks in bitmask order, then the full frame if asked.

@@ -285,7 +285,7 @@ def _general_update(masses: np.ndarray, bl: np.ndarray, terms: _Terms, out: np.n
 
     # Fagin-Halpern conditionals Bl_j(b | a) = Bl_j(a & b) / (Bl_j(a & b) +
     # Pl_j(a & ~b)) of the pairs in use, one row per pair and a last row of
-    # zeros; Pl is 1 - Bl at the complement, as dst.plausibility_table forms it
+    # zeros; Pl_j(x) is 1 - Bl_j at the complement of x
     num, den, cond = terms.num, terms.den, terms.cond
     bl.take(terms.num_at, out=num, mode="clip")
     bl.take(terms.den_at, out=den, mode="clip")

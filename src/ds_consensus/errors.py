@@ -13,10 +13,6 @@ class NotABeliefFunction(DSConsensusError):
     """A table of belief values has no valid (non-negative) mass function."""
 
 
-class ConditioningNotSupported(DSConsensusError):
-    """Conditioning set has zero belief, so the conditional is undefined."""
-
-
 class NodeOutOfRange(DSConsensusError):
     """Node index outside [1, N]."""
 

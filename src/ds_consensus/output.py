@@ -6,6 +6,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import html
 import json
 from pathlib import Path
 
@@ -72,8 +73,8 @@ def write_sweep_svg(result: BifurcationResult, path) -> None:
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" font-size="15" '
-        f'font-family="sans-serif">{result.scenario}: limit mass of '
-        f'{result.proposition} vs bound of confidence</text>',
+        f'font-family="sans-serif">{html.escape(result.scenario, quote=False)}: limit mass of '
+        f'{html.escape(result.proposition, quote=False)} vs bound of confidence</text>',
     ]
     axis = (f'<line x1="{_ML}" y1="{_y(0):.1f}" x2="{_W - _MR}" y2="{_y(0):.1f}" '
             f'stroke="black"/>'

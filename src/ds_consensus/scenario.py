@@ -164,7 +164,8 @@ def _array(value, where: str) -> list:
 
 
 def _number(kind, value, where: str):
-    if isinstance(value, bool):  # Python would read true as 1
+    # Python would read true as 1 and "0.5" as 0.5; neither is a JSON number
+    if isinstance(value, (bool, str)):
         raise ScenarioParseError(f"{where} must be a number, got {value!r}")
     try:
         return kind(value)
@@ -173,8 +174,9 @@ def _number(kind, value, where: str):
 
 
 def _integer(value, where: str) -> int:
-    """An integer field: a boolean or a number with a fractional part is a parse error."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integer field: a boolean, a string or a number with a fractional
+    part is a parse error."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ScenarioParseError(f"{where} must be an integer, got {value!r}")
     return _number(int, value, where)
 
@@ -276,6 +278,9 @@ def scenario_from_dict(data: dict, name: str, base: Path,
         if seen:
             raise ScenarioParseError("alias cycle: " + " -> ".join(map(str, chain)))
         data, name, base = _object(_read(path), "scenario"), path.stem, path.parent
+    name = data.get("name", name)
+    if not isinstance(name, str):
+        raise ScenarioParseError(f"name must be a string, got {type(name).__name__}")
     engine = data.get("engine", "auto")
     if engine not in ENGINE_NAMES:
         raise InvalidScenario(f"engine must be one of {ENGINE_NAMES}, got {engine!r}")
@@ -328,7 +333,7 @@ def scenario_from_dict(data: dict, name: str, base: Path,
 
     tol = _object(data.get("tolerances", {}), "tolerances")
     return Scenario(
-        name=data.get("name", name),
+        name=name,
         frame=frame,
         graph=graph,
         agents=tuple(agents),

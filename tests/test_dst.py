@@ -1,11 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
 from ds_consensus import dst
+from ds_consensus.cli import cli
 from ds_consensus.dst import BodyOfEvidence, Frame
-from ds_consensus.errors import ConditioningNotSupported, FrameMismatch, NotABeliefFunction
+from ds_consensus.errors import FrameMismatch, NotABeliefFunction
 
 from conftest import random_bayesian_boe, random_general_boe
+from test_general_kernel import fh_conditional
 
 
 def boe(frame_size, masses):
@@ -21,72 +25,76 @@ def brute_belief(b: BodyOfEvidence, a: int) -> float:
     return sum(float(b.masses[s]) for s in range(b.frame.n_subsets) if s & a == s)
 
 
+def plausibility(bl: np.ndarray, a: int) -> float:
+    """Pl(a) = 1 - Bl(complement of a), from a belief table."""
+    return 1.0 - float(bl[(len(bl) - 1) ^ a])
+
+
 # ---------------------------------------------------------------------------
 # belief / plausibility
 # ---------------------------------------------------------------------------
 
 def test_vacuous_belief():
-    b = boe(3, {"*": 1.0})
-    assert b.belief(0b011) == 0.0
-    assert b.belief(0b111) == 1.0
-    assert b.plausibility(0b111) == 1.0
+    bl = dst.belief_table(boe(3, {"*": 1.0}).masses)
+    assert bl[0b011] == 0.0
+    assert bl[0b111] == 1.0
+    assert plausibility(bl, 0b111) == 1.0
 
 
 def test_dirichlet_belief_hand_value():
     b = boe(3, {"1": 0.3, "2": 0.2, "3": 0.1, "*": 0.4})
-    assert b.belief(dst.prop_from_str("1,2", b.frame)) == pytest.approx(0.5, abs=1e-15)
-    assert b.plausibility(dst.prop_from_str("1,2", b.frame)) == pytest.approx(0.9, abs=1e-15)
+    bl = dst.belief_table(b.masses)
+    assert bl[dst.prop_from_str("1,2", b.frame)] == pytest.approx(0.5, abs=1e-15)
+    assert plausibility(bl, dst.prop_from_str("1,2", b.frame)) == pytest.approx(0.9, abs=1e-15)
 
 
 def test_bayesian_belief_equals_plausibility(rng):
     frame = Frame(3)
-    b = random_bayesian_boe(frame, rng)
+    bl = dst.belief_table(random_bayesian_boe(frame, rng).masses)
     for a in range(frame.n_subsets):
-        assert b.belief(a) == pytest.approx(b.plausibility(a), abs=1e-12)
+        assert bl[a] == pytest.approx(plausibility(bl, a), abs=1e-12)
 
 
 def test_belief_matches_brute_force(rng):
     for size in (1, 2, 3, 4):
         frame = Frame(size)
         b = random_general_boe(frame, rng)
+        bl = dst.belief_table(b.masses)
         for a in range(frame.n_subsets):
-            assert b.belief(a) == pytest.approx(brute_belief(b, a), abs=1e-12)
+            assert bl[a] == pytest.approx(brute_belief(b, a), abs=1e-12)
 
 
 def test_belief_plausibility_sandwich(rng):
     frame = Frame(4)
     for _ in range(25):
-        b = random_general_boe(frame, rng)
+        bl = dst.belief_table(random_general_boe(frame, rng).masses)
         for a in range(frame.n_subsets):
-            assert -1e-15 <= b.belief(a) <= b.plausibility(a) + 1e-12 <= 1 + 1e-12
+            assert -1e-15 <= bl[a] <= plausibility(bl, a) + 1e-12 <= 1 + 1e-12
 
 
 # ---------------------------------------------------------------------------
-# conditionals
+# Fagin-Halpern conditionals, as the general engine's reference step forms them
 # ---------------------------------------------------------------------------
 
 def test_conditional_on_singletons():
-    b = boe(3, {"1": 0.2, "2": 0.5, "3": 0.3})
+    bl = dst.belief_table(boe(3, {"1": 0.2, "2": 0.5, "3": 0.3}).masses)
     t1, t2 = 0b001, 0b010
-    assert b.conditional_belief(t1, t1) == 1.0
-    assert b.conditional_belief(t1, t2) == 0.0
+    assert fh_conditional(bl, t1)[t1] == 1.0
+    assert fh_conditional(bl, t2)[t1] == 0.0
 
 
 def test_conditional_hand_values():
     b = boe(3, {"1": 0.5, "*": 0.5})
     a = dst.prop_from_str("1,2", b.frame)
-    assert b.conditional_belief(0b001, a) == pytest.approx(0.5, abs=1e-15)
-    assert b.conditional_plausibility(0b001, a) == pytest.approx(1.0, abs=1e-15)
+    assert fh_conditional(dst.belief_table(b.masses), a)[0b001] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_conditional_on_frame_is_identity(rng):
     frame = Frame(3)
-    b = random_general_boe(frame, rng)
+    bl = dst.belief_table(random_general_boe(frame, rng).masses)
+    given_frame = fh_conditional(bl, frame.full_set)
     for target in range(frame.n_subsets):
-        assert b.conditional_belief(target, frame.full_set) == pytest.approx(
-            b.belief(target), abs=1e-15)
-        assert b.conditional_plausibility(target, frame.full_set) == pytest.approx(
-            b.plausibility(target), abs=1e-15)
+        assert given_frame[target] == pytest.approx(bl[target], abs=1e-15)
 
 
 def test_conditional_reduces_to_bayes(rng):
@@ -95,21 +103,17 @@ def test_conditional_reduces_to_bayes(rng):
         frame = Frame(size)
         for _ in range(40):
             b = random_bayesian_boe(frame, rng)
+            bl = dst.belief_table(b.masses)
             p = np.array([b.masses[1 << q] for q in range(size)])
             for a in range(1, frame.n_subsets):
                 pa = sum(p[q] for q in range(size) if a & (1 << q))
                 if pa <= 0:
                     continue
+                given_a = fh_conditional(bl, a)
                 for target in range(frame.n_subsets):
                     expect = sum(p[q] for q in range(size)
                                  if (a & target) & (1 << q)) / pa
-                    assert b.conditional_belief(target, a) == pytest.approx(expect, abs=1e-12)
-
-
-def test_conditional_requires_positive_belief():
-    b = boe(2, {"1": 1.0})
-    with pytest.raises(ConditioningNotSupported):
-        b.conditional_belief(0b01, 0b10)
+                    assert given_a[target] == pytest.approx(expect, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -280,24 +284,34 @@ def test_validate_classes():
     assert not dst.is_bayesian_table(gen, frame) and not dst.is_dirichlet_table(gen, frame)
 
 
-def test_validate_rejects_empty_set_mass():
+@pytest.mark.parametrize("masses,text", [
+    ([0.0, 1.0, 0.0], "expected 4 masses, got shape (3,)"),
+    ([0.0, 0.5, np.nan, 0.5], "invalid mass assignment: masses must be finite"),
+    ([0.0, 0.5, np.inf, 0.5], "invalid mass assignment: masses must be finite"),
+    ([0.5, 0.5, 0.0, 0.0],
+     "invalid mass assignment: mass of the empty set must be 0, got np.float64(0.5)"),
+    ([0.0, 0.5, 0.0, 0.0], "invalid mass assignment: total mass must be 1, got np.float64(0.5)"),
+    ([0.0, 1.5, -0.5, 0.0], "invalid mass assignment: negative mass np.float64(-0.5)"),
+    ([0.5, 1.5, -0.5, 0.0],
+     "invalid mass assignment: mass of the empty set must be 0, got np.float64(0.5); "
+     "total mass must be 1, got np.float64(1.5); negative mass np.float64(-0.5)"),
+], ids=["shape", "nan", "inf", "empty-set", "total", "negative", "all-three"])
+def test_mass_axioms_checked_on_construction(masses, text, tmp_path, capsys):
     frame = Frame(2)
-    m = np.array([0.5, 0.5, 0.0, 0.0])
-    report = dst.validate_masses(frame, m)
-    assert not report.ok
-    assert any("empty set" in issue for issue in report.issues)
-    with pytest.raises(ValueError):
-        BodyOfEvidence(frame, m)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_validate_rejects_non_finite_mass(bad):
-    frame = Frame(2)
-    m = np.array([0.0, 0.5, bad, 0.0])
-    report = dst.validate_masses(frame, m)
-    assert not report.ok
-    with pytest.raises(ValueError):
-        BodyOfEvidence(frame, m)
+    with pytest.raises(ValueError) as exc:
+        BodyOfEvidence(frame, np.array(masses))
+    assert str(exc.value) == text
+    if len(masses) != frame.n_subsets:
+        return  # a scenario file names its masses by proposition: the table is always whole
+    data = {"frame_size": 2, "graph": {"n": 2, "edges": [[1, 2]]},
+            "agents": [{"boe": {"masses": {"1": 1.0}}},
+                       {"boe": {"masses": dst.masses_to_dict(frame, np.array(masses))}}]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))  # json writes NaN and Infinity as bare literals
+    assert cli(["run", "--scenario", str(path), "--epsilon", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ds-consensus run: agents[1]: bad opinion: {text}\n"
 
 
 def test_serialization_round_trip(rng):

@@ -54,21 +54,28 @@ def reference_weights(i, state, kept, bl_rows):
     return spec.alpha, beta
 
 
+def fh_conditional(bl, a):
+    """Fagin-Halpern conditional belief Bl(b | a) of every subset b, from one
+    opinion's belief table: Bl(a & b) / (Bl(a & b) + Pl(a & ~b)), and 0
+    where that denominator is not positive."""
+    k = bl.shape[-1]
+    full, bs = k - 1, np.arange(k)
+    pl = 1.0 - bl[::-1]  # Pl(x) = 1 - Bl(full ^ x)
+    num = bl[a & bs]
+    den = num + pl[a & (full ^ bs)]
+    out = np.zeros(k)
+    np.divide(num, den, out=out, where=den > 0.0)
+    return out
+
+
 def reference_step(state, kept):
-    n, k = state.masses.shape
-    full = state.frame.full_set
-    bs = np.arange(k)
+    n = state.graph.n
     bl_rows = dst.belief_table(state.masses)
-    pl_rows = dst.plausibility_table(bl_rows)
     cache = {}
 
     def conditional(j, a):
         if (j, a) not in cache:
-            num = bl_rows[j - 1, a & bs]
-            den = num + pl_rows[j - 1, a & (full ^ bs)]
-            out = np.zeros(k)
-            np.divide(num, den, out=out, where=den > 0.0)
-            cache[(j, a)] = out
+            cache[(j, a)] = fh_conditional(bl_rows[j - 1], a)
         return cache[(j, a)]
 
     new_bl = np.empty_like(bl_rows)
@@ -206,7 +213,7 @@ def test_complement_beliefs_give_the_plausibilities():
         k = bl.shape[1]
         key = terms.num_at[:, -1]  # the pair (j, a) of each row, as j * k + a
         j, a = (key // k)[:, None], (key % k)[:, None]
-        want = dst.plausibility_table(bl)[j, a & ~np.arange(k)]
+        want = (1.0 - bl[:, ::-1])[j, a & ~np.arange(k)]  # Pl(x) = 1 - Bl(full ^ x)
         assert (1.0 - bl.take(terms.den_at)).tobytes() == want.tobytes()
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -243,6 +244,18 @@ def test_sweep_csv_quotes_a_compound_proposition(tmp_path, capsys):
         assert ('"' in text) == ("," in prop)
         result = run_sweep(scenario, 0.4, 0.5, 0.1, proposition=prop)
         assert [float(row[3]) for row in rows[1:]] == result.limit_masses.reshape(-1).tolist()
+
+
+def test_sweep_svg_escapes_the_scenario_name(tmp_path, capsys):
+    # the name and the proposition are text in the SVG: markup characters are escaped
+    path = tmp_path / "marked.json"
+    path.write_text(json.dumps(dict(TINY, name="a<b & c")))
+    assert cli(["sweep", "--scenario", str(path), "--eps-min", "0", "--eps-max", "1",
+                "--eps-step", "0.5", "--prop", "1", "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    svg = minidom.parse(str(tmp_path / "out" / "sweep.svg"))
+    title = svg.getElementsByTagName("text")[0].firstChild.data
+    assert title == "a<b & c: limit mass of 1 vs bound of confidence"
 
 
 def test_sweep_deterministic_and_parallel_equal(tmp_path):
@@ -639,9 +652,21 @@ def test_iteration_limits_validated(tmp_path, capsys, field):
     {"random_leaders": {"count": 0.5}},
     {"random_leaders": {"count": False}},
     {"agents": None, "n_agents": 2.5, "defaults": {"boe": {"masses": {"1": 1.0}}}},
+    # a JSON string is not a number, whatever it spells
+    {"frame_size": "2"},
+    {"seed": "0"},
+    {"max_iterations": "100"},
+    {"tolerances": {"persistence": "10"}},
+    {"graph": {"n": "2", "edges": [[1, 2]]}},
+    {"graph": {"n": 2, "edges": [["1", 2]]}},
+    {"graph": {"er": {"n": "2", "p": 1.0}}},
+    {"random_leaders": {"count": "1"}},
+    {"agents": None, "n_agents": "2", "defaults": {"boe": {"masses": {"1": 1.0}}}},
 ], ids=["frame-size", "frame-size-bool", "seed", "max-iterations", "max-iterations-bool",
         "persistence", "graph-n", "graph-edge", "graph-edge-bool", "er-n", "er-seed",
-        "leader-count", "leader-count-bool", "n-agents"])
+        "leader-count", "leader-count-bool", "n-agents",
+        "frame-size-str", "seed-str", "max-iterations-str", "persistence-str", "graph-n-str",
+        "graph-edge-str", "er-n-str", "leader-count-str", "n-agents-str"])
 def test_integer_fields_are_not_truncated(tmp_path, capsys, field):
     data = {key: value for key, value in dict(TINY, **field).items() if value is not None}
     with pytest.raises(ScenarioParseError, match="must be an integer"):
@@ -662,6 +687,23 @@ def test_integer_fields_are_not_truncated(tmp_path, capsys, field):
 def test_boolean_in_a_float_field_is_a_parse_error(tmp_path, capsys, field):
     data = dict(TINY, **field)
     with pytest.raises(ScenarioParseError, match="must be a number, got (True|False)"):
+        scenario_from_dict(data, "t", tmp_path)
+    assert _cli_run_file(tmp_path, data, capsys) == 1
+
+
+@pytest.mark.parametrize("field", [
+    {"defaults": {"alpha": "0.5"}},
+    {"defaults": {"epsilon": "1.0"}},
+    {"agents": [{"sample": {"dirichlet": [1.0, "1"], "targets": ["1", "2"]}},
+                {"boe": {"masses": {"2": 1.0}}}]},
+    {"tolerances": {"step": "1e-10"}},
+    {"tolerances": {"cluster": "0.001"}},
+    {"graph": {"er": {"n": 2, "p": "1.0"}}},
+    {"agents": [{"boe": {"masses": {"1": "1.0"}}}, {"boe": {"masses": {"2": 1.0}}}]},
+], ids=["alpha", "epsilon", "sample-dirichlet", "step-tol", "cluster-tol", "er-p", "mass"])
+def test_string_in_a_float_field_is_a_parse_error(tmp_path, capsys, field):
+    data = dict(TINY, **field)
+    with pytest.raises(ScenarioParseError, match="must be a number, got '"):
         scenario_from_dict(data, "t", tmp_path)
     assert _cli_run_file(tmp_path, data, capsys) == 1
 
@@ -713,6 +755,14 @@ def test_one_singleton_frame_dirichlet_run(tmp_path, capsys):
 def test_wrongly_typed_field_is_a_parse_error(tmp_path, capsys, field):
     data = dict(TINY, **field)
     with pytest.raises(ScenarioParseError):
+        scenario_from_dict(data, "t", tmp_path)
+    assert _cli_run_file(tmp_path, data, capsys) == 1
+
+
+@pytest.mark.parametrize("name", [None, 5, ["x"]], ids=["null", "number", "array"])
+def test_non_string_name_is_a_parse_error(tmp_path, capsys, name):
+    data = dict(TINY, name=name)
+    with pytest.raises(ScenarioParseError, match="name must be a string"):
         scenario_from_dict(data, "t", tmp_path)
     assert _cli_run_file(tmp_path, data, capsys) == 1
 

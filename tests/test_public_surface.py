@@ -1,0 +1,67 @@
+"""Every public name has a caller outside the unit tests.
+
+A name that ``ds_consensus/__init__.py`` imports must be used somewhere in
+the program (``src/``, not counting the line that defines it), in the
+acceptance suite or in the benchmark harness (``perfbench/``).  A public
+function that only the unit tests call either gains a real caller or is
+removed.  Uses are read from the token stream, so comments do not count;
+words inside string literals do, because the benchmark's tracer names what
+it wraps by string.
+"""
+
+import ast
+import io
+import re
+import tokenize
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+INIT = ROOT / "src" / "ds_consensus" / "__init__.py"
+_STRINGS = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
+
+
+def exported_names() -> list[str]:
+    tree = ast.parse(INIT.read_text(encoding="utf-8"))
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def used_names(path: Path) -> set[str]:
+    """Names the file uses: its name tokens, except the one a ``def`` or
+    ``class`` defines, and the words of its string literals."""
+    used, previous = set(), None
+    for token in tokenize.generate_tokens(io.StringIO(path.read_text(encoding="utf-8")).readline):
+        if token.type == tokenize.NAME and previous not in ("def", "class"):
+            used.add(token.string)
+        elif token.type in _STRINGS:
+            used.update(re.findall(r"\w+", token.string))
+        if token.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT):
+            previous = token.string
+    return used
+
+
+def callers() -> set[str]:
+    files = [p for p in (ROOT / "src").rglob("*.py") if p != INIT]
+    files += [ROOT / "tests" / "test_acceptance.py", *(ROOT / "perfbench").rglob("*.py")]
+    return set().union(*map(used_names, files))
+
+
+def test_every_exported_name_has_a_caller_outside_the_unit_tests():
+    names = exported_names()
+    assert "BodyOfEvidence" in names and "run_simulation" in names
+    used = callers()
+    assert [name for name in names if name not in used] == []
+
+
+@pytest.mark.parametrize("source,used", [
+    ("def f():\n    pass\n", set()),
+    ("class C:\n    pass\n", set()),
+    ("def f():\n    return g()  # h\n", {"g"}),
+    ("x = getattr(m, 'f')\n", {"getattr", "m", "f"}),
+])
+def test_a_definition_is_not_a_use(tmp_path, source, used):
+    path = tmp_path / "module.py"
+    path.write_text(source)
+    assert used_names(path) - {"def", "class", "pass", "return", "x"} == used
