@@ -33,6 +33,9 @@ from .errors import NotDrivenChain, NotRankOne
 CONTRACTION_SLACK = 1e-12   # row sums this close to 1 count as non-contractive
 RANK_ONE_TOL = 1e-8
 ZERO_BLOCK_TOL = 1e-14
+ONE_GROUP_MATCH_TOL = 1e-6   # largest deviation of a final profile from the prediction
+TWO_GROUP_MATCH_TOL = 1e-3   # the same for two groups; a wider spread is no consensus
+LAMBDA_TOL = 1e-10           # largest spread of a common weight split
 
 
 def infinity_norm(x: np.ndarray) -> float:
@@ -41,12 +44,12 @@ def infinity_norm(x: np.ndarray) -> float:
     return float(np.abs(x).sum(axis=1).max())
 
 
-def rank_one_rows(w: np.ndarray, tol: float = RANK_ONE_TOL) -> np.ndarray:
+def rank_one_rows(w: np.ndarray) -> np.ndarray:
     """Common row of a numerically rank-one stochastic limit, else NotRankOne."""
     w = np.asarray(w, dtype=float)
     gap = float(np.max(np.abs(w - w.mean(axis=0, keepdims=True))))
-    if gap > tol:
-        raise NotRankOne(f"rows differ by {gap!r} (tol {tol})")
+    if gap > RANK_ONE_TOL:
+        raise NotRankOne(f"rows differ by {gap!r} (tol {RANK_ONE_TOL})")
     return w.mean(axis=0)
 
 
@@ -176,8 +179,8 @@ class DrivenChain:
         return a_blocks, c_blocks, d
 
 
-def classify_chain(w: np.ndarray, central_groups: Sequence[Sequence[int]] | DrivenChain,
-                   tol: float = ZERO_BLOCK_TOL) -> DrivenChain:
+def classify_chain(w: np.ndarray,
+                   central_groups: Sequence[Sequence[int]] | DrivenChain) -> DrivenChain:
     """Check the zero blocks that make ``central_groups`` driving groups.
 
     Every central agent must give zero weight to all outer agents and (for
@@ -213,7 +216,7 @@ def classify_chain(w: np.ndarray, central_groups: Sequence[Sequence[int]] | Driv
         for cols in (chain._outer_idx, *idx[:g], *idx[g + 1:]):
             if cols.size and rows.size:
                 block = np.abs(w[np.ix_(rows, cols)])
-                if block.max() > tol:
+                if block.max() > ZERO_BLOCK_TOL:
                     raise NotDrivenChain(
                         f"central group {g + 1} hears outside agents "
                         f"(weight {float(block.max())!r})")
@@ -318,8 +321,7 @@ def _group_consensus(a_prod: np.ndarray, profiles: np.ndarray):
 
 def verify_one_group_chain(chain: DrivenChain, ws: Sequence[np.ndarray],
                            initial_profiles: np.ndarray,
-                           final_profiles: np.ndarray,
-                           match_tol: float = 1e-6) -> dict:
+                           final_profiles: np.ndarray) -> dict:
     """Check the one-group consensus theorem against a recorded run.
 
     Hypotheses: the central block's left product converges to rank one
@@ -353,11 +355,11 @@ def verify_one_group_chain(chain: DrivenChain, ws: Sequence[np.ndarray],
         report["prediction"] = {"consensus_profile": [float(e) for e in np.atleast_1d(eta)]}
         dev = float(np.max(np.abs(finals - eta)))
         report["observed"] = {"max_deviation_from_prediction": dev}
-        report["match"] = bool(satisfied and dev <= match_tol)
+        report["match"] = bool(satisfied and dev <= ONE_GROUP_MATCH_TOL)
     return report
 
 
-def _step_lambda(c_blocks: list[np.ndarray], tol: float = 1e-10):
+def _step_lambda(c_blocks: list[np.ndarray]):
     """Common split of outer weight between the two groups at one step.
 
     Returns (lambda_1, constrained) where ``constrained`` is False when no
@@ -370,7 +372,7 @@ def _step_lambda(c_blocks: list[np.ndarray], tol: float = 1e-10):
     if not defined.any():
         return None, False
     lam = c2[defined] / total[defined]
-    if lam.max() - lam.min() > tol:
+    if lam.max() - lam.min() > LAMBDA_TOL:
         return None, True
     value = float(lam.mean())
     if not 0.0 < value < 1.0:
@@ -380,8 +382,7 @@ def _step_lambda(c_blocks: list[np.ndarray], tol: float = 1e-10):
 
 def verify_two_group_chain(chain: DrivenChain, ws: Sequence[np.ndarray],
                            initial_profiles: np.ndarray,
-                           final_profiles: np.ndarray,
-                           match_tol: float = 1e-3) -> dict:
+                           final_profiles: np.ndarray) -> dict:
     """Check the two-group theorem: consensus iff the groups' consensus
     opinions agree; otherwise the outer agents still reach their own cluster
     when every step splits outer weight between the groups in one common
@@ -407,7 +408,7 @@ def verify_two_group_chain(chain: DrivenChain, ws: Sequence[np.ndarray],
     initial = np.asarray(initial_profiles, dtype=float)
     group_eta = [_group_consensus(a_prods[g], initial[chain.group_idx(g)]) for g in range(2)]
     groups_rank_one = all(eta is not None for eta in group_eta)
-    lam_constant = bool(lambdas) and (max(lambdas) - min(lambdas) <= 1e-10)
+    lam_constant = bool(lambdas) and (max(lambdas) - min(lambdas) <= LAMBDA_TOL)
     lam_final = lambdas[-1] if lambdas else None
     report = {
         "kind": "two-groups",
@@ -437,13 +438,13 @@ def verify_two_group_chain(chain: DrivenChain, ws: Sequence[np.ndarray],
         }
         dev = float(np.max(np.abs(finals - eta1)))
         report["observed"] = {"max_deviation_from_prediction": dev}
-        report["match"] = bool(dev <= match_tol)
+        report["match"] = bool(dev <= TWO_GROUP_MATCH_TOL)
         return report
     spread = float(np.max(finals.max(axis=0) - finals.min(axis=0))) if finals.size else 0.0
     prediction: dict = {"full_consensus": False, "group_profiles":
                         [[float(e) for e in eta1], [float(e) for e in eta2]]}
     observed: dict = {"all_agent_spread": spread,
-                      "no_consensus_observed": bool(spread > match_tol)}
+                      "no_consensus_observed": bool(spread > TWO_GROUP_MATCH_TOL)}
     match = observed["no_consensus_observed"]
     if condition_every_step and lam_final is not None and chain.outer:
         follower = (1.0 - lam_final) * eta1 + lam_final * eta2
@@ -451,7 +452,7 @@ def verify_two_group_chain(chain: DrivenChain, ws: Sequence[np.ndarray],
         outer_final = finals[chain.outer_idx]
         dev = float(np.max(np.abs(outer_final - follower)))
         observed["outer_max_deviation"] = dev
-        match = match and dev <= match_tol
+        match = match and dev <= TWO_GROUP_MATCH_TOL
     report["prediction"] = prediction
     report["observed"] = observed
     report["match"] = bool(match)

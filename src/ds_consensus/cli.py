@@ -75,8 +75,7 @@ def _cmd_run(args) -> int:
     if args.trace and not args.out:
         print("ds-consensus run: --trace requires --out", file=sys.stderr)
         return 1
-    result = run_simulation(scenario, epsilon=args.epsilon,
-                            record_edges=args.trace, record_trajectory=args.trace)
+    result = run_simulation(scenario, epsilon=args.epsilon, record_trace=args.trace)
     payload = {
         "scenario": scenario.name,
         "engine": result.engine,

@@ -55,9 +55,9 @@ class Strategy(Enum):
 @dataclass(frozen=True)
 class AgentSpec:
     strategy: Strategy
-    alpha: float = 0.5
-    epsilon: float = 1.0
-    boe: BodyOfEvidence | None = None
+    alpha: float
+    epsilon: float
+    boe: BodyOfEvidence
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -74,7 +74,6 @@ class NetworkState:
     graph: DirectedGraph
     specs: tuple[AgentSpec, ...]
     masses: np.ndarray  # (N, 2**M), row i = agent i+1
-    step: int = 0
 
     def __post_init__(self):
         m = np.asarray(self.masses, dtype=float)
@@ -92,8 +91,6 @@ class NetworkState:
                    specs: Sequence[AgentSpec]) -> "NetworkState":
         rows = []
         for k, spec in enumerate(specs):
-            if spec.boe is None:
-                raise ValueError(f"agent {k + 1} has no initial opinion")
             if spec.boe.frame != frame:
                 raise ValueError(f"agent {k + 1} opinion not on the shared frame")
             rows.append(spec.boe.masses)
@@ -106,11 +103,7 @@ class NetworkState:
         return np.array([s.alpha for s in self.specs])
 
     def with_masses(self, masses: np.ndarray) -> "NetworkState":
-        return replace(self, masses=masses, step=self.step + 1)
-
-    def with_epsilon(self, epsilon: float) -> "NetworkState":
-        specs = tuple(replace(s, epsilon=epsilon) for s in self.specs)
-        return replace(self, specs=specs)
+        return replace(self, masses=masses)
 
     def pruned(self) -> PrunedView:
         return prune(self.graph, self.masses, self.epsilons(), self.frame.size)
@@ -457,8 +450,9 @@ class ProfileRun:
     steps would.  Runs whose weights follow the state (Dirichlet with a
     full-frame column, general) keep two rows, so their chunks are one step.
 
-    The opinion class is checked once, here; adjacency, bounds,
-    self-weights and strategies are fixed for the run.  Pruning computes
+    The opinion class is checked once, here; adjacency, bounds (a uniform
+    ``epsilon`` replaces the per-agent ones), self-weights and strategies
+    are fixed for the run.  Pruning computes
     distances on the base edges only, and is recomputed only when the
     certificate above no longer holds; the weight plan (:class:`_WeightPlan`)
     is built only when the kept edges change, and a Dirichlet step only
@@ -480,7 +474,9 @@ class ProfileRun:
     bound.)
     """
 
-    def __init__(self, state: NetworkState, engine: str):
+    def __init__(self, state: NetworkState, engine: str, epsilon: float | None = None):
+        if epsilon is not None and not 0.0 <= epsilon <= 1.0:
+            raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
         if engine not in ("pmf", "dirichlet", "general"):
             raise EngineMismatch(f"unknown engine {engine!r}")
         if engine == "dirichlet" and not dst.is_dirichlet_table(state.masses, state.frame):
@@ -518,7 +514,8 @@ class ProfileRun:
         self.x, self._at = self._profiles[0], 0
         src, nbr = np.nonzero(state.graph.adjacency())  # base edge e: src[e] hears nbr[e]
         self._pairs = src, nbr, src * state.graph.n + nbr
-        self._edge_eps = state.epsilons()[src]
+        self._edge_eps = (state.epsilons()[src] if epsilon is None
+                          else np.full(len(src), epsilon, dtype=float))
         self._alphas = state.alphas()
         self._receptive = _receptive(state.specs)
         self._kept_mask: np.ndarray | None = None  # per base edge, at the last pruning

@@ -19,13 +19,14 @@ from .errors import InvalidScenario, NodeOutOfRange
 # Gram product of each pruning and the weights of each kept set, stays within
 # 128 MiB.
 MAX_ER_NODES = 4096
+ER_ATTEMPTS = 1000  # seeds an Erdos-Renyi draw tries before it gives up on connectivity
 
 
 @dataclass(frozen=True)
 class DirectedGraph:
     n: int
     edges: frozenset[tuple[int, int]]
-    _adj: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _adj: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for i, j in self.edges:
@@ -79,7 +80,8 @@ class PrunedView:
     """Bounded-confidence view: only edges whose opinion distance fits the bound."""
 
     kept: np.ndarray  # boolean receive matrix, 0-based
-    _edges: frozenset[tuple[int, int]] | None = field(default=None, repr=False, compare=False)
+    _edges: frozenset[tuple[int, int]] | None = field(default=None, init=False, repr=False,
+                                                      compare=False)
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -141,12 +143,12 @@ def erdos_renyi(n: int, p: float, seed: int) -> DirectedGraph:
                                                   (cols[hit] + 1).tolist()))
 
 
-def erdos_renyi_connected(n: int, p: float, seed: int, max_attempts: int = 1000) -> DirectedGraph:
+def erdos_renyi_connected(n: int, p: float, seed: int) -> DirectedGraph:
     """Regenerate with incremented seed until the sample is connected."""
     if n < 1:  # no graph without agents is connected: fail before drawing
         raise InvalidScenario(f"a connected graph needs at least one agent, got n={n}")
-    for attempt in range(max_attempts):
+    for attempt in range(ER_ATTEMPTS):
         g = erdos_renyi(n, p, seed + attempt)
         if is_connected(g):
             return g
-    raise InvalidScenario(f"no connected sample in {max_attempts} attempts (n={n}, p={p})")
+    raise InvalidScenario(f"no connected sample in {ER_ATTEMPTS} attempts (n={n}, p={p})")

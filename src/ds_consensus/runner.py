@@ -35,44 +35,40 @@ class RunResult:
 
 
 def run_simulation(scenario: Scenario, epsilon: float | None = None,
-                   record_matrices: bool = False, record_edges: bool = False,
-                   record_trajectory: bool = False) -> RunResult:
+                   record_matrices: bool = False, record_trace: bool = False) -> RunResult:
     """Iterate the scenario's engine until convergence or the iteration cap.
 
     Convergence means the largest per-step mass change stayed below the step
-    tolerance for ``persistence`` consecutive steps.  ``record_trajectory``
-    keeps every state's masses, the final one included.  Every engine runs
-    through :class:`dynamics.ProfileRun`, which prunes under its certificate:
-    pmf and Dirichlet on singleton profiles, general on the full mass table.
-    A general run has no confidence matrix, so ``record_matrices`` on one
-    raises EngineMismatch at its first step.
+    tolerance for ``persistence`` consecutive steps.  ``record_trace`` keeps
+    each step's kept edges and every state's masses, the final one included.
+    Every engine runs through :class:`dynamics.ProfileRun`, which prunes under
+    its certificate: pmf and Dirichlet on singleton profiles, general on the
+    full mass table.  A general run has no confidence matrix, so
+    ``record_matrices`` on one raises EngineMismatch at its first step.
     """
-    engine_name = scenario.resolved_engine()
-    state = scenario.initial_state(epsilon)
-    run = dynamics.ProfileRun(state, engine_name)
+    run = dynamics.ProfileRun(scenario.state, scenario.engine, epsilon)
 
     matrices = [] if record_matrices else None
-    edges = [] if record_edges else None
-    frames = [] if record_trajectory else None
+    edges, frames = ([], []) if record_trace else (None, None)
     steps, converged = run.advance(scenario.max_iterations, scenario.step_tol,
                                    scenario.persistence, edges, matrices, frames)
     final = run.masses()
-    if record_trajectory:
+    if record_trace:
         frames.append(final)
 
     report = detect_clusters(final, scenario.cluster_tol, scenario.frame)
     report = replace(report, converged=converged, iterations=steps)
     return RunResult(
         scenario=scenario.name,
-        engine=engine_name,
+        engine=scenario.engine,
         epsilon=epsilon,
-        initial_masses=state.masses,
+        initial_masses=scenario.state.masses,
         final_masses=final,
         iterations=steps,
         converged=converged,
         report=report,
         matrices=tuple(matrices) if record_matrices else None,
-        pruned_edges=tuple(edges) if record_edges else None,
+        pruned_edges=tuple(edges) if record_trace else None,
         trajectory=np.stack(frames) if frames else None,
     )
 
@@ -92,7 +88,7 @@ def verify_run(scenario: Scenario, epsilon: float) -> dict:
         raise InvalidScenario("scenario has no cautious agents to anchor a driven chain")
     if len(scenario.leaders) > 2:
         raise InvalidScenario("more than two cautious groups are not supported")
-    if scenario.resolved_engine() == "general":
+    if scenario.engine == "general":
         raise InvalidScenario("the general engine has no confidence matrix to verify; "
                               "use a pmf scenario, or a dirichlet one whose cautious "
                               "agents hold no full-frame mass")

@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +97,6 @@ class Scenario:
     persistence: int = DEFAULT_PERSISTENCE
     cluster_tol: float = DEFAULT_CLUSTER_TOL
     seed: int = 0
-    leaders: tuple[int, ...] = ()   # 1-based cautious agents, recorded
 
     def __post_init__(self):
         if self.max_iterations < 0:
@@ -108,23 +108,21 @@ class Scenario:
         if not (np.isfinite(self.cluster_tol) and self.cluster_tol >= 0.0):
             raise InvalidScenario(
                 f"cluster tolerance must be finite and >= 0, got {self.cluster_tol}")
+        if self.engine == "auto":  # the tightest engine all opinions satisfy
+            rows = np.vstack([a.boe.masses for a in self.agents])
+            engine = ("pmf" if dst.is_bayesian_table(rows, self.frame) else
+                      "dirichlet" if dst.is_dirichlet_table(rows, self.frame) else "general")
+            object.__setattr__(self, "engine", engine)
 
-    def initial_state(self, epsilon: float | None = None) -> NetworkState:
-        state = NetworkState.from_specs(self.frame, self.graph, self.agents)
-        if epsilon is not None:
-            state = state.with_epsilon(epsilon)
-        return state
+    @cached_property
+    def state(self) -> NetworkState:
+        """The state every run starts from, built on first use."""
+        return NetworkState.from_specs(self.frame, self.graph, self.agents)
 
-    def resolved_engine(self) -> str:
-        """Tightest engine all opinions satisfy, when set to auto."""
-        if self.engine != "auto":
-            return self.engine
-        rows = np.vstack([a.boe.masses for a in self.agents])
-        if dst.is_bayesian_table(rows, self.frame):
-            return "pmf"
-        if dst.is_dirichlet_table(rows, self.frame):
-            return "dirichlet"
-        return "general"
+    @property
+    def leaders(self) -> tuple[int, ...]:
+        """1-based indices of the cautious agents."""
+        return tuple(i + 1 for i, a in enumerate(self.agents) if a.strategy is Strategy.CAUTIOUS)
 
 
 def assets_dir() -> Path:
@@ -163,6 +161,12 @@ def _array(value, where: str) -> list:
     return value
 
 
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioParseError(f"{where} must be a string, got {type(value).__name__}")
+    return value
+
+
 def _number(kind, value, where: str):
     # Python would read true as 1 and "0.5" as 0.5; neither is a JSON number
     if isinstance(value, (bool, str)):
@@ -186,7 +190,7 @@ def _agent_from_config(cfg, defaults: dict, frame: Frame,
     merged = dict(defaults)
     merged.update(_object(cfg, where))
     try:
-        strategy = Strategy(merged.get("strategy", "receptive"))
+        strategy = Strategy(_string(merged.get("strategy", "receptive"), f"{where}.strategy"))
     except ValueError:
         raise InvalidScenario(f"{where}: unknown strategy {merged.get('strategy')!r}")
     alpha = _number(float, merged.get("alpha", 0.5), f"{where}.alpha")
@@ -210,12 +214,12 @@ def _agent_from_config(cfg, defaults: dict, frame: Frame,
             targets = _array(s["targets"], f"{where}.sample.targets")
         except KeyError as exc:
             raise InvalidScenario(f"{where}: sampling spec missing {exc}")
-        spec = SamplingSpec(tuple(_number(float, c, f"{where}.sample.dirichlet")
-                                  for c in concentrations),
-                            tuple(str(t) for t in targets))
+        concentrations = tuple(_number(float, c, f"{where}.sample.dirichlet")
+                               for c in concentrations)
+        targets = tuple(_string(t, f"{where}.sample.targets") for t in targets)
         try:
-            boe = sample_boe(spec, frame, rng)
-        except ValueError as exc:
+            boe = sample_boe(SamplingSpec(concentrations, targets), frame, rng)
+        except (ValueError, InvalidScenario) as exc:
             raise InvalidScenario(f"{where}: bad sample: {exc}")
     else:
         raise InvalidScenario(f"{where}: agent has neither masses nor a sampling spec")
@@ -227,16 +231,20 @@ def _agent_from_config(cfg, defaults: dict, frame: Frame,
 
 def _build_graph(cfg: dict, base: Path, default_seed: int) -> DirectedGraph:
     if "er" in cfg:
-        er = cfg["er"]
+        er = _object(cfg["er"], "graph.er")
         seed = _integer(er.get("seed", default_seed), "graph.er.seed")
         n = _integer(er["n"], "graph.er.n")
         return erdos_renyi_connected(n, _number(float, er["p"], "graph.er.p"), seed)
     if "file" in cfg:
-        with open(base / cfg["file"], encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        with open(base / _string(cfg["file"], "graph.file"), encoding="utf-8") as fh:
+            cfg = _object(json.load(fh), "graph file")
+    n = _integer(cfg["n"], "graph.n")
+    pairs = _array(cfg["edges"], "graph.edges")
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ScenarioParseError(f"graph.edges must hold [i, j] pairs, got {pair!r}")
     return DirectedGraph.from_mutual_pairs(
-        _integer(cfg["n"], "graph.n"),
-        [[_integer(node, "graph.edges") for node in pair] for pair in cfg["edges"]])
+        n, [[_integer(node, "graph.edges") for node in pair] for pair in pairs])
 
 
 def _graph(cfg, base: Path, seed: int) -> DirectedGraph:
@@ -269,19 +277,14 @@ def scenario_from_dict(data: dict, name: str, base: Path,
     data = _object(data, "scenario")
     chain: list[Path] = []
     while "alias" in data:
-        alias = data["alias"]
-        if not isinstance(alias, str):
-            raise ScenarioParseError(f"alias must be a string, got {type(alias).__name__}")
-        path = _resolve(alias)
+        path = _resolve(_string(data["alias"], "alias"))
         seen = path.resolve() in chain
         chain.append(path.resolve())
         if seen:
             raise ScenarioParseError("alias cycle: " + " -> ".join(map(str, chain)))
         data, name, base = _object(_read(path), "scenario"), path.stem, path.parent
-    name = data.get("name", name)
-    if not isinstance(name, str):
-        raise ScenarioParseError(f"name must be a string, got {type(name).__name__}")
-    engine = data.get("engine", "auto")
+    name = _string(data.get("name", name), "name")
+    engine = _string(data.get("engine", "auto"), "engine")
     if engine not in ENGINE_NAMES:
         raise InvalidScenario(f"engine must be one of {ENGINE_NAMES}, got {engine!r}")
     effective_seed = _integer(data.get("seed", 0) if seed is None else seed, "seed")
@@ -328,8 +331,6 @@ def scenario_from_dict(data: dict, name: str, base: Path,
         if (k + 1) in forced_cautious:
             agent = replace(agent, strategy=Strategy.CAUTIOUS)
         agents.append(agent)
-    leaders = tuple(i + 1 for i, a in enumerate(agents)
-                    if a.strategy is Strategy.CAUTIOUS)
 
     tol = _object(data.get("tolerances", {}), "tolerances")
     return Scenario(
@@ -346,7 +347,6 @@ def scenario_from_dict(data: dict, name: str, base: Path,
         cluster_tol=_number(float, tol.get("cluster", DEFAULT_CLUSTER_TOL),
                             "tolerances.cluster"),
         seed=effective_seed,
-        leaders=leaders,
     )
 
 

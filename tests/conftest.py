@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,12 @@ from ds_consensus.graph import PrunedView
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+def at_bound(state: NetworkState, epsilon: float | None) -> NetworkState:
+    """``state`` with every agent's bound set to ``epsilon`` (None keeps them)."""
+    return state if epsilon is None else replace(
+        state, specs=tuple(replace(s, epsilon=epsilon) for s in state.specs))
 
 
 def random_general_boe(frame: Frame, rng) -> BodyOfEvidence:

@@ -232,8 +232,7 @@ def _leader_scenario(leaders, fig6a=False, pi1=(0.80, 0.78, 0.76, 0.40, 0.80, 0.
     g = DirectedGraph.from_mutual_pairs(7, pairs)
     specs = tuple(AgentSpec(Strategy.CAUTIOUS if i + 1 in leaders else Strategy.RECEPTIVE,
                             0.5, 1.0, bayes(x)) for i, x in enumerate(pi1))
-    return Scenario(name="t", frame=F3, graph=g, agents=specs, engine="pmf",
-                    leaders=tuple(sorted(leaders)))
+    return Scenario(name="t", frame=F3, graph=g, agents=specs, engine="pmf")
 
 
 def test_verify_one_group_chain_leader_adoption():

@@ -21,7 +21,7 @@ from ds_consensus.graph import DirectedGraph
 from ds_consensus.runner import run_simulation
 from ds_consensus.scenario import Scenario, assets_dir, load_scenario, scenario_from_dict
 
-from conftest import theta_weight_matrix
+from conftest import at_bound, theta_weight_matrix
 
 
 def reference_weights(i, state, kept, bl_rows):
@@ -170,10 +170,10 @@ def test_run_matches_reference_loop(eps):
         scenario = Scenario(name=f"random-{trial}", frame=state.frame, graph=state.graph,
                             agents=state.specs, engine="general",
                             max_iterations=int(rng.integers(1, 300)))
-        run = run_simulation(scenario, record_edges=True)
+        run = run_simulation(scenario, record_trace=True)
 
         edges, quiet, steps, converged = [], 0, 0, False
-        current = scenario.initial_state()
+        current = scenario.state
         while steps < scenario.max_iterations:
             pruned = current.pruned()
             edges.append(pruned.edges)
@@ -220,7 +220,7 @@ def test_complement_beliefs_give_the_plausibilities():
 def test_conditionals_keep_nothing_from_the_last_step():
     # the buffers of a term structure serve every step; a conditional whose
     # denominator is not positive is 0, whatever the last step left there
-    state = load_scenario("ds7-oneleader", seed=1).initial_state(1.0)
+    state = at_bound(load_scenario("ds7-oneleader", seed=1).state, 1.0)
     bl = dst.belief_table(state.masses)
     terms = dynamics._term_structure(*np.nonzero(state.pruned().kept), state.masses > 0.0,
                                      bl > 0.0, state.alphas(), dynamics._receptive(state.specs))
@@ -259,17 +259,17 @@ def assert_run_buffers_do_not_alias(engine, monkeypatch):
         states, _, _ = reference_trajectory(scenario, eps)
     else:  # the reference steps a fresh run per state, to the run's step count
         scenario, eps, view = load_scenario("fig4a-dirichlet"), 0.5, dirichlet_step
-        states = [scenario.initial_state(eps)]
+        states = [at_bound(scenario.state, eps)]
         for _ in range(run_simulation(scenario, eps).iterations):
             states.append(view(states[-1]))
-    result = run_simulation(scenario, eps, record_trajectory=True)
+    result = run_simulation(scenario, eps, record_trace=True)
     assert len(result.trajectory) == len(states)
     for frame, state in zip(result.trajectory, states):
         assert frame.tobytes() == state.masses.tobytes()
     assert result.initial_masses.tobytes() == states[0].masses.tobytes()
 
     # a table taken from the run is never written by a later step
-    run = ProfileRun(scenario.initial_state(eps), engine)
+    run = ProfileRun(scenario.state, engine, eps)
     taken = []
     for _ in range(3):
         taken.append(run.masses())
@@ -307,7 +307,7 @@ def test_general_run_cannot_record_matrices():
     with pytest.raises(EngineMismatch):
         run_simulation(scenario, 0.3, record_matrices=True)
     with pytest.raises(EngineMismatch):
-        ProfileRun(scenario.initial_state(0.3), "general").weights()
+        ProfileRun(scenario.state, "general", 0.3).weights()
     idle = replace(scenario, max_iterations=0)
     assert run_simulation(idle, 0.3, record_matrices=True).matrices == ()
 
@@ -337,8 +337,8 @@ def test_run_above_the_dense_jaccard_limit_matches_the_step_loop():
     graph = DirectedGraph.from_mutual_pairs(4, [(1, 2), (1, 3), (2, 3), (3, 4), (1, 4)])
     scenario = Scenario(name="m11", frame=frame, graph=graph, agents=tuple(specs),
                         engine="general", max_iterations=3)
-    run = run_simulation(scenario, record_edges=True)
-    state, edges = scenario.initial_state(), []
+    run = run_simulation(scenario, record_trace=True)
+    state, edges = scenario.state, []
     for _ in range(3):
         pruned = state.pruned()
         edges.append(pruned.edges)
@@ -355,7 +355,7 @@ def test_run_above_the_dense_jaccard_limit_matches_the_step_loop():
 def reference_trajectory(scenario, eps):
     """Every state of the reference loop, the final one included, with the
     kept edges of each step and whether the run converged."""
-    states, edges, quiet = [scenario.initial_state(eps)], [], 0
+    states, edges, quiet = [at_bound(scenario.state, eps)], [], 0
     while len(edges) < scenario.max_iterations:
         current = states[-1]
         pruned = current.pruned()
@@ -374,12 +374,12 @@ def check_cached_run(scenario, eps=None):
     (kept edges, grow-only support, positive-belief pattern) changes.
     Returns the reference states and each step's key."""
     states, edges, converged = reference_trajectory(scenario, eps)
-    result = run_simulation(scenario, eps, record_edges=True)
+    result = run_simulation(scenario, eps, record_trace=True)
     assert result.final_masses.tobytes() == states[-1].masses.tobytes()
     assert (result.iterations, result.converged) == (len(edges), converged)
     assert result.pruned_edges == tuple(edges)
 
-    run = ProfileRun(scenario.initial_state(eps), "general")
+    run = ProfileRun(scenario.state, "general", eps)
     keys, support = [], np.zeros_like(states[0].masses, dtype=bool)
     for state, kept in zip(states, edges):
         support = support | (state.masses > 0.0)
@@ -478,7 +478,7 @@ def test_cached_terms_match_the_reference_loop(case, block, monkeypatch):
 def test_term_structure_is_rebuilt_far_less_often_than_steps():
     scenario = load_scenario("ds7-oneleader", seed=1)
     steps = run_simulation(scenario, 0.5).iterations
-    run = ProfileRun(scenario.initial_state(0.5), "general")
+    run = ProfileRun(scenario.state, "general", 0.5)
     for _ in range(steps):
         run.step()
     assert steps > 400 and run.rebuilds <= 5
@@ -489,7 +489,7 @@ def test_term_blocks_keep_the_bits_at_a_hundred_agents(monkeypatch):
     ds7 = json.loads((assets_dir() / "ds7-noleader.json").read_text())
     data["engine"] = "general"
     data["defaults"]["sample"] = ds7["agents"][0]["sample"]
-    state = scenario_from_dict(data, "er100-general", assets_dir(), seed=1).initial_state(0.5)
+    state = at_bound(scenario_from_dict(data, "er100-general", assets_dir(), seed=1).state, 0.5)
     pruned = state.pruned()
     default = general_step(state)
     depth = pruned.kept.sum(axis=1).max() * 7  # every agent holds mass on all 7 subsets

@@ -3,9 +3,11 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from xml.dom import minidom
 
@@ -23,8 +25,8 @@ from ds_consensus import cli as cli_module, runner
 from ds_consensus.analysis import classify_chain, verify_one_group_chain, verify_two_group_chain
 from ds_consensus.graph import MAX_ER_NODES, DirectedGraph
 from ds_consensus.runner import run_simulation, run_sweep, sweep_grid, verify_run
-from ds_consensus.scenario import (SamplingSpec, assets_dir, list_assets, load_scenario,
-                                   sample_boe, scenario_from_dict)
+from ds_consensus.scenario import (SamplingSpec, Scenario, assets_dir, list_assets,
+                                   load_scenario, sample_boe, scenario_from_dict)
 
 
 def test_assets_present():
@@ -37,7 +39,7 @@ def test_assets_present():
 
 def test_fig3a_asset_contents():
     s = load_scenario("fig3a-pmf")
-    assert s.graph.n == 7 and s.resolved_engine() == "pmf"
+    assert s.graph.n == 7 and s.engine == "pmf"
     pi1 = [a.boe.masses[1] for a in s.agents]
     assert pi1 == pytest.approx([0.80, 0.78, 0.76, 0.40, 0.80, 0.10, 0.20])
     for a in s.agents:
@@ -62,6 +64,37 @@ def test_leader_assets():
     assert load_scenario("fig5a-pmf").leaders == (1, 7)
     assert load_scenario("fig6a-pmf").leaders == (1, 7)
     assert load_scenario("fig3a-pmf").leaders == ()
+
+
+def test_leaders_follow_the_agents():
+    s = load_scenario("fig4a-pmf")
+    receptive = tuple(replace(a, strategy=Strategy.RECEPTIVE) for a in s.agents)
+    assert replace(s, agents=receptive).leaders == ()
+    last = replace(s.agents[-1], strategy=Strategy.CAUTIOUS)
+    assert replace(s, agents=(*s.agents[:-1], last)).leaders == (1, 7)
+    # a scenario built by hand derives its leaders too, so verify_run can anchor on them
+    hand = Scenario(s.name, s.frame, s.graph, s.agents, "pmf")
+    assert hand.leaders == (1,)
+    assert json.dumps(verify_run(hand, 0.5)) == json.dumps(verify_run(s, 0.5))
+
+
+def test_start_state_is_built_once_per_scenario():
+    s = load_scenario("fig4a-pmf")
+    assert "state" not in vars(s)  # lazy: loading builds no state
+    first = run_simulation(s, 0.3)
+    assert s.state is s.state and first.initial_masses is s.state.masses
+    assert "state" not in vars(replace(s, max_iterations=5))
+
+
+@pytest.mark.parametrize("eps", [1.5, -0.25, float("nan")])
+def test_bound_outside_the_unit_interval_rejected(eps, capsys):
+    message = f"epsilon must be in [0, 1], got {eps}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_simulation(load_scenario("fig4a-pmf"), eps)
+    code = cli(["run", "--scenario", "fig4a-pmf", "--epsilon", str(eps)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"ds-consensus run: {message}\n"
 
 
 def test_agent_count_mismatch_rejected(tmp_path):
@@ -89,19 +122,19 @@ def test_engine_auto_selection(tmp_path):
     bayes = dict(base, agents=[{"boe": {"masses": {"1": 1.0}}},
                                {"boe": {"masses": {"2": 1.0}}}])
     s = scenario_from_dict(bayes, "t", tmp_path)
-    assert s.resolved_engine() == "pmf"
+    assert s.engine == "pmf"
     dirichlet = dict(base, agents=[{"boe": {"masses": {"1": 0.5, "*": 0.5}}},
                                    {"boe": {"masses": {"2": 1.0}}}])
-    assert scenario_from_dict(dirichlet, "t", tmp_path).resolved_engine() == "dirichlet"
+    assert scenario_from_dict(dirichlet, "t", tmp_path).engine == "dirichlet"
     general = {"frame_size": 3, "graph": {"n": 2, "edges": [[1, 2]]}, "engine": "auto",
                "agents": [{"boe": {"masses": {"1": 1.0}}},
                           {"boe": {"masses": {"2,3": 1.0}}}]}
-    assert scenario_from_dict(general, "t", tmp_path).resolved_engine() == "general"
+    assert scenario_from_dict(general, "t", tmp_path).engine == "general"
 
 
 def test_engine_mismatch_raises():
     s = load_scenario("table1-general")
-    s = type(s)(**{**s.__dict__, "engine": "pmf"})
+    s = replace(s, engine="pmf")
     with pytest.raises(EngineMismatch):
         run_simulation(s, 0.3)
 
@@ -610,6 +643,9 @@ def test_graph_of_wrong_type_rejected(tmp_path, capsys):
         scenario_from_dict(data, "t", tmp_path)
     assert _cli_run_file(tmp_path, data, capsys) == 1
     assert _cli_run_file(tmp_path, dict(TINY, graph={"er": [100, 0.1]}), capsys) == 1
+    (tmp_path / "list.json").write_text("[1, 2]")
+    with pytest.raises(ScenarioParseError, match="graph file must be an object, got list"):
+        scenario_from_dict(dict(TINY, graph={"file": "list.json"}), "t", tmp_path)
 
 
 def test_out_of_range_edge_is_a_validation_failure(tmp_path, capsys):
@@ -765,6 +801,43 @@ def test_non_string_name_is_a_parse_error(tmp_path, capsys, name):
     with pytest.raises(ScenarioParseError, match="name must be a string"):
         scenario_from_dict(data, "t", tmp_path)
     assert _cli_run_file(tmp_path, data, capsys) == 1
+
+
+_OTHER = {"boe": {"masses": {"2": 1.0}}}
+
+
+@pytest.mark.parametrize("field,error,message", [
+    ({"agents": [{"sample": {"dirichlet": [1, 1], "targets": [1, 2]}}, _OTHER]},
+     ScenarioParseError, "agents[0].sample.targets must be a string, got int"),
+    ({"defaults": {"strategy": 5}}, ScenarioParseError,
+     "agents[0].strategy must be a string, got int"),
+    ({"engine": 5}, ScenarioParseError, "engine must be a string, got int"),
+    ({"graph": {"er": 5}}, ScenarioParseError, "graph.er must be an object, got int"),
+    ({"graph": {"file": 5}}, ScenarioParseError, "graph.file must be a string, got int"),
+    ({"graph": {"n": 2, "edges": [5]}}, ScenarioParseError,
+     "graph.edges must hold [i, j] pairs, got 5"),
+    ({"graph": {"n": 2, "edges": [[1]]}}, ScenarioParseError,
+     "graph.edges must hold [i, j] pairs, got [1]"),
+    ({"graph": {"n": 2, "edges": [[1, 2, 1]]}}, ScenarioParseError,
+     "graph.edges must hold [i, j] pairs, got [1, 2, 1]"),
+    # well typed but unknown: a validation failure, not a parse error
+    ({"defaults": {"strategy": "leader"}}, InvalidScenario,
+     "agents[0]: unknown strategy 'leader'"),
+    ({"engine": "PMF"}, InvalidScenario, "engine must be one of"),
+    ({"agents": [{"sample": {"dirichlet": [1, 1], "targets": ["1", ""]}}, _OTHER]},
+     InvalidScenario, "agents[0]: bad sample: cannot assign sampled mass to the empty set"),
+], ids=["sample-targets", "strategy", "engine", "graph-er", "graph-file", "edge-number",
+        "edge-single", "edge-triple", "unknown-strategy", "unknown-engine", "empty-target"])
+def test_wrongly_typed_value_names_its_field(tmp_path, capsys, field, error, message):
+    data = dict(TINY, **field)
+    with pytest.raises(error, match=re.escape(message)):
+        scenario_from_dict(data, "t", tmp_path)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    code = cli(["run", "--scenario", str(path), "--epsilon", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"ds-consensus run: {message}")
 
 
 def test_er_graph_without_connected_sample_rejected(tmp_path, capsys):

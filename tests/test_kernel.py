@@ -22,6 +22,7 @@ from ds_consensus.graph import DirectedGraph
 from ds_consensus.runner import run_simulation
 from ds_consensus.scenario import Scenario, load_scenario
 
+from conftest import at_bound
 from test_general_kernel import random_network as random_general_network, reference_step
 
 
@@ -130,11 +131,11 @@ def test_kernel_matches_reference_loop(engine):
                                              int(rng.integers(2, 5)))
         scenario = scenario_of(frame, graph, specs, engine)
         for eps in (None, 0.0, 0.37, 1.0):  # None keeps the per-agent bounds
-            state = scenario.initial_state(eps)
+            state = at_bound(scenario.state, eps)
             ref, converged, edges = reference_run(state, engine, scenario.max_iterations,
                                                   scenario.step_tol, scenario.persistence)
-            run = run_simulation(scenario, eps, record_edges=True)
-            assert run.iterations == ref.step
+            run = run_simulation(scenario, eps, record_trace=True)
+            assert run.iterations == len(edges)
             assert run.converged == converged
             assert run.final_masses.tobytes() == ref.masses.tobytes()
             assert run.pruned_edges == tuple(edges)
@@ -144,13 +145,46 @@ def test_kernel_matches_reference_loop(engine):
 def test_kernel_matches_reference_loop_on_shipped_dirichlet_figures(figure):
     scenario = load_scenario(f"{figure}-dirichlet")
     for eps in (0.1, 0.3, 0.5, 0.9):
-        ref, converged, edges = reference_run(scenario.initial_state(eps), "dirichlet",
+        ref, converged, edges = reference_run(at_bound(scenario.state, eps), "dirichlet",
                                               scenario.max_iterations, scenario.step_tol,
                                               scenario.persistence)
-        run = run_simulation(scenario, eps, record_edges=True)
-        assert run.iterations == ref.step and run.converged == converged
+        run = run_simulation(scenario, eps, record_trace=True)
+        assert run.iterations == len(edges) and run.converged == converged
         assert run.final_masses.tobytes() == ref.masses.tobytes()
         assert run.pruned_edges == tuple(edges)
+
+
+def bound_argument_edges(state, engine, eps):
+    """Run ``ProfileRun(state, engine, eps)`` beside a run of the state whose
+    agents all hold the bound ``eps``: the same steps, convergence, kept
+    edges per step and masses, bit for bit.  Returns the kept edges."""
+    given, at = ProfileRun(state, engine, eps), ProfileRun(at_bound(state, eps), engine)
+    given_edges, at_edges = [], []
+    assert given.advance(300, 1e-10, 10, given_edges) == at.advance(300, 1e-10, 10, at_edges)
+    assert given_edges == at_edges
+    assert given.masses().tobytes() == at.masses().tobytes()
+    return given_edges
+
+
+def network_with_an_edge(rng, engine):
+    while True:  # the general networks may have no edge
+        state = (random_general_network(rng, 1.0) if engine == "general" else
+                 NetworkState.from_specs(*random_network(rng, engine, 12, 3)))
+        if state.graph.edges:
+            return state
+
+
+@pytest.mark.parametrize("engine", ["pmf", "dirichlet", "general"])
+def test_bound_argument_matches_the_state_at_that_bound(engine):
+    rng = np.random.default_rng(4116)
+    for _ in range(4):
+        state = network_with_an_edge(rng, engine)
+        src, nbr = np.nonzero(state.graph.adjacency())
+        # a bound equal to a base edge's distance keeps that edge (kept is <=)
+        exact = float(pairwise_jousselme(state.masses, state.frame.size)[src[0], nbr[0]])
+        for eps in (0.0, 0.3, 0.37, 1.0, exact):
+            edges = bound_argument_edges(state, engine, eps)
+        assert (src[0] + 1, nbr[0] + 1) in edges[0]
 
 
 def line_state(alpha2, theta=0.0):
@@ -174,14 +208,14 @@ def line_state(alpha2, theta=0.0):
 def test_late_edge_recorded_step_by_step():
     frame, graph, specs = line_state(alpha2=0.95)
     scenario = scenario_of(frame, graph, specs, "pmf")
-    run = run_simulation(scenario, record_edges=True)
-    ref, converged, edges = reference_run(scenario.initial_state(), "pmf",
+    run = run_simulation(scenario, record_trace=True)
+    ref, converged, edges = reference_run(scenario.state, "pmf",
                                           scenario.max_iterations, scenario.step_tol,
                                           scenario.persistence)
     first = next(k for k, e in enumerate(edges) if (2, 1) in e)
     assert first > 10  # the edge really appears late
     assert run.pruned_edges == tuple(edges)
-    assert run.iterations == ref.step and run.converged == converged
+    assert run.iterations == len(edges) and run.converged == converged
     assert run.final_masses.tobytes() == ref.masses.tobytes()
 
 
@@ -214,8 +248,8 @@ def test_recorded_dirichlet_matrices_are_each_steps_weights():
         frame, graph, specs = random_network(rng, "dirichlet", 12, 3)
         scenario = scenario_of(frame, graph, specs, "dirichlet", max_iterations=300)
         for eps in (0.3, 0.37):
-            run = run_simulation(scenario, eps, record_matrices=True, record_edges=True)
-            state = scenario.initial_state(eps)
+            run = run_simulation(scenario, eps, record_matrices=True, record_trace=True)
+            state = at_bound(scenario.state, eps)
             for matrix in run.matrices:
                 kept = state.pruned().kept
                 want = oracle_weights(state, "dirichlet", kept)
@@ -308,8 +342,8 @@ def test_general_edge_near_its_bound_forces_reprune():
 def test_general_run_far_from_its_bounds_skips_prunings():
     scenario = load_scenario("ds7-oneleader", seed=1)
     for eps in (0.2, 0.5, 1.0):
-        run = ProfileRun(scenario.initial_state(eps), "general")
-        step_with_general_loop(run, scenario.initial_state(eps), 60)
+        run = ProfileRun(scenario.state, "general", eps)
+        step_with_general_loop(run, at_bound(scenario.state, eps), 60)
         assert run.prunes < 60
 
 
@@ -369,8 +403,8 @@ def assert_advance_matches_single_steps(state, engine, limit=1500, step_tol=1e-1
     assert run.masses().tobytes() == one.masses().tobytes()
     assert (run.prunes, run.rebuilds) == (one.prunes, one.rebuilds)
     assert one.discarded == 0
-    ref, ref_converged, _ = reference_run(state, engine, limit, step_tol, persistence)
-    assert (ref.step, ref_converged) == (steps, converged)
+    ref, ref_converged, ref_edges = reference_run(state, engine, limit, step_tol, persistence)
+    assert (len(ref_edges), ref_converged) == (steps, converged)
     assert ref.masses.tobytes() == run.masses().tobytes()
     return run, one, steps, converged
 
@@ -383,7 +417,7 @@ def test_chunks_match_single_steps_on_random_networks():
                                              int(rng.integers(2, 5)))
         scenario = scenario_of(frame, graph, specs, "pmf")
         for eps in (None, 0.0, 0.37, 1.0):  # None keeps the per-agent bounds
-            state = scenario.initial_state(eps)
+            state = at_bound(scenario.state, eps)
             run, _, steps, converged = assert_advance_matches_single_steps(state, "pmf")
             discarded += run.discarded
             result = run_simulation(scenario, eps)
@@ -400,7 +434,7 @@ def test_chunks_drop_the_products_past_a_late_kept_set_change():
     assert run.discarded > 0                 # inside a chunk: its later products went
     # a recorded trajectory holds every state, the last one included
     trajectory = run_simulation(scenario_of(frame, graph, specs, "pmf"),
-                                record_trajectory=True).trajectory
+                                record_trace=True).trajectory
     assert len(trajectory) == steps + 1
     one = ProfileRun(state, "pmf")
     for masses in trajectory[:-1]:
@@ -425,7 +459,7 @@ def test_chunks_match_single_steps_at_any_persistence(persistence):
     rng = np.random.default_rng(4112)
     for _ in range(3):
         frame, graph, specs = random_network(rng, "pmf", 16, 3)
-        state = NetworkState.from_specs(frame, graph, specs).with_epsilon(0.37)
+        state = at_bound(NetworkState.from_specs(frame, graph, specs), 0.37)
         for step_tol in (1e-10, 1e-4):
             assert_advance_matches_single_steps(state, "pmf", step_tol=step_tol,
                                                 persistence=persistence)
@@ -445,7 +479,7 @@ def test_state_dependent_weights_step_one_at_a_time(engine):
     rng = np.random.default_rng(4113)
     for _ in range(3):
         frame, graph, specs = random_network(rng, "dirichlet", 10, 2)
-        state = NetworkState.from_specs(frame, graph, specs).with_epsilon(0.37)
+        state = at_bound(NetworkState.from_specs(frame, graph, specs), 0.37)
         run, _, _, _ = assert_advance_matches_single_steps(state, engine, limit=300)
         assert run.discarded == 0
 
@@ -477,7 +511,7 @@ def test_recording_does_not_change_stepping():
         frame, graph, specs = random_network(rng, "pmf", int(rng.integers(12, 25)),
                                              int(rng.integers(2, 5)))
         state = NetworkState.from_specs(frame, graph, specs)
-        states += [state, state.with_epsilon(0.37)]
+        states += [state, at_bound(state, 0.37)]
     discarded = sum(assert_recording_leaves_stepping_alone(state) for state in states)
     assert discarded > 0  # the recorded runs formed products ahead too
 
@@ -521,8 +555,8 @@ def test_confidence_matrices_match_the_receive_matrix_formulas(engine):
         size = 1 if case % 4 == 0 else int(rng.integers(2, 5))  # one-singleton frames too
         frame, graph, specs = random_network(rng, engine if size > 1 else "pmf",
                                              int(rng.integers(3, 20)), size)
-        state = NetworkState.from_specs(frame, graph, specs).with_epsilon(
-            float(rng.uniform(0.0, 1.0)))
+        state = at_bound(NetworkState.from_specs(frame, graph, specs),
+                         float(rng.uniform(0.0, 1.0)))
         got = confidence(state)
         want = oracle_weights(state, engine, state.pruned().kept)
         assert got.row_stochastic == (engine == "pmf" or size == 1)
@@ -570,15 +604,13 @@ def test_step_views_match_the_oracle(engine):
             else:
                 frame, graph, specs = random_network(rng, engine if size > 1 else "pmf",
                                                      int(rng.integers(3, 16)), size)
-                state = NetworkState.from_specs(frame, graph, specs)
-                state = state if eps is None else state.with_epsilon(eps)
+                state = at_bound(NetworkState.from_specs(frame, graph, specs), eps)
             states.append(state)
     for state in states:
         for _ in range(20):
             kept = state.pruned().kept
             want = oracle_step(state, engine, kept)
             got = VIEWS[engine](state)
-            assert got.step == want.step
             assert got.masses.tobytes() == want.masses.tobytes()
             if engine in CONFIDENCE:
                 weights = CONFIDENCE[engine](state).matrix

@@ -12,6 +12,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from conftest import at_bound
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -39,7 +41,7 @@ def test_tracer_hooks_count_a_traced_run():
     try:  # every call goes through a module attribute, where the tracer sits
         sc = scenario.load_scenario("fig4a-pmf")
         result = runner.run_simulation(sc, 0.3)
-        state = sc.initial_state(0.3)
+        state = at_bound(sc.state, 0.3)
         state.pruned()  # dynamics' own binding of prune
         graph.prune(state.graph, state.masses, state.epsilons(), state.frame.size)
         dst.pairwise_jousselme(state.masses, state.frame.size)

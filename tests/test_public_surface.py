@@ -6,16 +6,22 @@ acceptance suite or in the benchmark harness (``perfbench/``).  A public
 function that only the unit tests call either gains a real caller or is
 removed.  Uses are read from the token stream, so comments do not count;
 words inside string literals do, because the benchmark's tracer names what
-it wraps by string.
+it wraps by string.  Nor does any dataclass take a cache field (a field
+named ``_x``) as a constructor argument.
 """
 
 import ast
+import dataclasses
+import importlib
 import io
+import pkgutil
 import re
 import tokenize
 from pathlib import Path
 
 import pytest
+
+import ds_consensus
 
 ROOT = Path(__file__).resolve().parent.parent
 INIT = ROOT / "src" / "ds_consensus" / "__init__.py"
@@ -65,3 +71,14 @@ def test_a_definition_is_not_a_use(tmp_path, source, used):
     path = tmp_path / "module.py"
     path.write_text(source)
     assert used_names(path) - {"def", "class", "pass", "return", "x"} == used
+
+
+def test_no_dataclass_takes_a_cache_field():
+    # a cache given to __init__ could disagree with the fields it is derived from
+    classes = [cls for info in pkgutil.iter_modules(ds_consensus.__path__)
+               for cls in vars(importlib.import_module(f"ds_consensus.{info.name}")).values()
+               if isinstance(cls, type) and dataclasses.is_dataclass(cls)]
+    assert len(classes) > 10
+    for cls in classes:
+        taken = [f.name for f in dataclasses.fields(cls) if f.init and f.name.startswith("_")]
+        assert taken == [], f"{cls.__qualname__} takes {taken}"
