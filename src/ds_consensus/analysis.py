@@ -29,6 +29,7 @@ import numpy as np
 from . import dst
 from .dst import Frame
 from .errors import NotDrivenChain, NotRankOne
+from .graph import components
 
 CONTRACTION_SLACK = 1e-12   # row sums this close to 1 count as non-contractive
 RANK_ONE_TOL = 1e-8
@@ -93,33 +94,12 @@ class ClusterReport:
         }
 
 
-def _cluster_ids(close: np.ndarray) -> np.ndarray:
-    """0-based cluster of every agent, clusters ordered by their first member.
-
-    Each agent is labelled with the smallest agent that reaches it along
-    ``close[u, v]`` (itself included), by min-label propagation.  That
-    smallest agent starts the agent's cluster in a walk that repeatedly
-    takes the smallest unassigned agent and everything reachable from it
-    that is still unassigned, also when rounding leaves ``close`` asymmetric.
-    """
-    n = len(close)
-    labels = np.arange(n)
-    while True:
-        heard = np.where(close, labels[:, None], n).min(axis=0)
-        new = np.minimum(labels, heard)
-        new = new[new]  # a label's own label also reaches the agent
-        if np.array_equal(new, labels):
-            starts = labels == np.arange(n)  # each cluster's first member
-            return (np.cumsum(starts) - 1)[labels]
-        labels = new
-
-
 def detect_clusters(rows: np.ndarray, tol: float, frame: Frame) -> ClusterReport:
     """Partition agents by transitive closure of pairwise distance <= tol.
 
     ``rows`` is the (N, 2**M) mass table on ``frame``, one row per agent.
     """
-    ids = _cluster_ids(dst.pairwise_jousselme(rows, frame.size) <= tol)
+    ids = components(dst.pairwise_jousselme(rows, frame.size) <= tol)
     sizes = np.bincount(ids)
     agents = (np.argsort(ids, kind="stable") + 1).tolist()
     clusters = [tuple(agents[end - size:end])
@@ -319,6 +299,20 @@ def _group_consensus(a_prod: np.ndarray, profiles: np.ndarray):
         return None
 
 
+def _report(chain: DrivenChain, ws: Sequence[np.ndarray], hypotheses: dict) -> dict:
+    """A theorem report on the chain and its recorded steps, its prediction not yet checked."""
+    return {
+        "kind": chain.kind,
+        "central": [list(g) for g in chain.groups],
+        "outer": list(chain.outer),
+        "steps": len(ws),
+        "hypotheses": hypotheses,
+        "prediction": None,
+        "observed": None,
+        "match": False,
+    }
+
+
 def verify_one_group_chain(chain: DrivenChain, ws: Sequence[np.ndarray],
                            initial_profiles: np.ndarray,
                            final_profiles: np.ndarray) -> dict:
@@ -336,20 +330,11 @@ def verify_one_group_chain(chain: DrivenChain, ws: Sequence[np.ndarray],
     eta = _group_consensus(a_prod, np.asarray(initial_profiles)[chain.group_idx(0)])
     central_rank_one = eta is not None
     satisfied = central_rank_one and contraction["product_vanishes"]
-    report = {
-        "kind": "one-group",
-        "central": [list(g) for g in chain.groups],
-        "outer": list(chain.outer),
-        "steps": len(ws),
-        "hypotheses": {
-            "central_product_rank_one": central_rank_one,
-            "outer_contraction": contraction,
-            "satisfied": satisfied,
-        },
-        "prediction": None,
-        "observed": None,
-        "match": False,
-    }
+    report = _report(chain, ws, {
+        "central_product_rank_one": central_rank_one,
+        "outer_contraction": contraction,
+        "satisfied": satisfied,
+    })
     finals = np.asarray(final_profiles, dtype=float)
     if eta is not None:
         report["prediction"] = {"consensus_profile": [float(e) for e in np.atleast_1d(eta)]}
@@ -410,23 +395,14 @@ def verify_two_group_chain(chain: DrivenChain, ws: Sequence[np.ndarray],
     groups_rank_one = all(eta is not None for eta in group_eta)
     lam_constant = bool(lambdas) and (max(lambdas) - min(lambdas) <= LAMBDA_TOL)
     lam_final = lambdas[-1] if lambdas else None
-    report = {
-        "kind": "two-groups",
-        "central": [list(g) for g in chain.groups],
-        "outer": list(chain.outer),
-        "steps": len(ws),
-        "hypotheses": {
-            "group_products_rank_one": groups_rank_one,
-            "outer_contraction": contraction,
-            "weight_proportion_every_step": condition_every_step,
-            "weight_proportion_constant": lam_constant,
-            "constrained_steps": constrained_steps,
-            "lambda_1": lam_final,
-        },
-        "prediction": None,
-        "observed": None,
-        "match": False,
-    }
+    report = _report(chain, ws, {
+        "group_products_rank_one": groups_rank_one,
+        "outer_contraction": contraction,
+        "weight_proportion_every_step": condition_every_step,
+        "weight_proportion_constant": lam_constant,
+        "constrained_steps": constrained_steps,
+        "lambda_1": lam_final,
+    })
     if not groups_rank_one:
         return report
     finals = np.asarray(final_profiles, dtype=float)

@@ -177,7 +177,6 @@ def cli(argv=None) -> int:
     except OSError as exc:
         print(f"ds-consensus {args.command}: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 def main() -> None:

@@ -432,7 +432,7 @@ def distance_error(k: int) -> float:
 
 
 class ProfileRun:
-    """A run of any engine, stepped by :meth:`advance` (:meth:`step` is one step).
+    """A run of any engine, stepped by :meth:`advance` (``advance(1)`` is one step).
 
     State is one (N, K) array ``x`` of the columns the engine can fill: the
     M singletons for pmf, plus the full frame for Dirichlet, and all 2**M
@@ -536,7 +536,6 @@ class ProfileRun:
         self.prunes = 0
         self.rebuilds = 0
         self.discarded = 0  # products formed ahead but never taken
-        self._change = 0.0  # the largest mass change of the last step taken, for step()
 
     def _certify(self) -> None:
         """Redo the pruning unless the certificate still holds."""
@@ -701,7 +700,6 @@ class ProfileRun:
                     self._certify()
                     if self._plan is not plan:
                         break
-            self._change = change
             self.discarded += count - taken
             if frames is not None:
                 frames += map(self._dense, self._profiles[at:at + taken])
@@ -715,11 +713,6 @@ class ProfileRun:
             if quiet >= persistence:
                 return steps, True
         return steps, False
-
-    def step(self) -> float:
-        """Advance every agent one synchronous step; return the largest mass change."""
-        self.advance(1)
-        return self._change
 
     def masses(self) -> np.ndarray:
         """Current opinions as a dense (N, 2**M) mass table (read-only)."""
@@ -738,7 +731,7 @@ class ProfileRun:
 
 def _one_step(state: NetworkState, engine: str) -> NetworkState:
     run = ProfileRun(state, engine)
-    run.step()
+    run.advance(1)
     return state.with_masses(run.masses())
 
 

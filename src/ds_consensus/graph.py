@@ -1,4 +1,4 @@
-"""Directed network layer: base graphs, bounded-confidence pruning, connectivity.
+"""Directed network layer: base graphs, bounded-confidence pruning, components.
 
 Edge ``(i, j)`` means agent ``i`` receives information from agent ``j``.
 Node indices are 1-based.  Base topologies store mutual edges; asymmetry of
@@ -15,10 +15,10 @@ import numpy as np
 from . import dst
 from .errors import InvalidScenario, NodeOutOfRange
 
-# Largest Erdos-Renyi graph: an (N, N) float matrix, which a run forms as the
+# Largest graph of any form: an (N, N) float matrix, which a run forms as the
 # Gram product of each pruning and the weights of each kept set, stays within
 # 128 MiB.
-MAX_ER_NODES = 4096
+MAX_NODES = 4096
 ER_ATTEMPTS = 1000  # seeds an Erdos-Renyi draw tries before it gives up on connectivity
 
 
@@ -29,6 +29,7 @@ class DirectedGraph:
     _adj: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_node_count(self.n)
         for i, j in self.edges:
             if not (1 <= i <= self.n and 1 <= j <= self.n):
                 raise NodeOutOfRange(f"edge ({i}, {j}) outside [1, {self.n}]")
@@ -70,6 +71,11 @@ class DirectedGraph:
         return {"n": self.n, "edges": [list(p) for p in self.mutual_pairs()]}
 
 
+def _check_node_count(n: int) -> None:
+    if not 0 <= n <= MAX_NODES:
+        raise InvalidScenario(f"n must be in [0, {MAX_NODES}], got {n}")
+
+
 def kept_edges(rows: np.ndarray, cols: np.ndarray) -> frozenset[tuple[int, int]]:
     """1-based ``(i, j)`` pairs of the 0-based edges ``rows[e]`` hears ``cols[e]``."""
     return frozenset(zip((rows + 1).tolist(), (cols + 1).tolist()))
@@ -109,22 +115,33 @@ def prune(g: DirectedGraph, masses: np.ndarray, epsilon: Sequence[float],
     return PrunedView(g.adjacency() & (dist <= eps[:, None]))
 
 
+def components(relation: np.ndarray) -> np.ndarray:
+    """0-based component of every node, components ordered by their first node.
+
+    Each node is labelled with the smallest node that reaches it along
+    ``relation[u, v]`` (itself included), by min-label propagation.  That
+    smallest node starts the node's component in a walk that repeatedly
+    takes the smallest unassigned node and everything reachable from it that
+    is still unassigned, also when ``relation`` is not symmetric.  The labels
+    are 32-bit, so the (N, N) table each round forms holds half of what an
+    (N, N) float matrix does.
+    """
+    n = len(relation)
+    labels = np.arange(n, dtype=np.int32)
+    while True:
+        heard = np.where(relation, labels[:, None], n).min(axis=0)
+        new = np.minimum(labels, heard)
+        new = new.take(new)  # a label's own label also reaches the node
+        if np.array_equal(new, labels):
+            starts = labels == np.arange(n)  # each component's first node
+            return (np.cumsum(starts) - 1)[labels]
+        labels = new
+
+
 def is_connected(g: DirectedGraph) -> bool:
-    """Connectivity of the underlying undirected graph."""
-    if g.n == 1:
-        return True
-    arcs: dict[int, list[int]] = {}
-    for i, j in g.edges:
-        arcs.setdefault(i, []).append(j)
-        arcs.setdefault(j, []).append(i)
-    seen = {1}
-    stack = [1]
-    while stack:
-        for v in arcs.get(stack.pop(), ()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == g.n
+    """Connectivity of the underlying undirected graph; a graph of no node is not connected."""
+    adj = g.adjacency()
+    return g.n > 0 and not components(adj | adj.T).any()
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> DirectedGraph:
@@ -132,8 +149,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> DirectedGraph:
 
     Pairs draw one uniform each, in row-major upper-triangle order.
     """
-    if not 0 <= n <= MAX_ER_NODES:
-        raise InvalidScenario(f"n must be in [0, {MAX_ER_NODES}], got {n}")
+    _check_node_count(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)

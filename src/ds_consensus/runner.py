@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -154,12 +155,15 @@ def sweep_grid(eps_min: float, eps_max: float, eps_step: float) -> tuple[float, 
     return tuple(round(eps_min + k * eps_step, 12) for k in range(count))
 
 
-def _sweep_point(args) -> tuple[np.ndarray, np.ndarray, int, bool, int]:
-    scenario, eps, mask = args
-    run = run_simulation(scenario, epsilon=eps)
-    limits = run.final_masses[:, mask]
-    ids = np.array([run.report.cluster_of(a) for a in range(1, run.final_masses.shape[0] + 1)])
-    return limits, ids, run.report.cluster_count, run.report.consensus, run.iterations
+def _sweep_points(scenario: Scenario, mask: int, grid: tuple[float, ...]) -> list[tuple]:
+    """Limit masses of ``mask``, cluster ids and count, consensus and steps at each bound."""
+    rows = []
+    for eps in grid:
+        run = run_simulation(scenario, epsilon=eps)
+        ids = np.array([run.report.cluster_of(a) for a in range(1, len(run.final_masses) + 1)])
+        rows.append((run.final_masses[:, mask], ids, run.report.cluster_count,
+                     run.report.consensus, run.iterations))
+    return rows
 
 
 def run_sweep(scenario: Scenario, eps_min: float, eps_max: float, eps_step: float,
@@ -167,9 +171,11 @@ def run_sweep(scenario: Scenario, eps_min: float, eps_max: float, eps_step: floa
     """Run the scenario once per grid point with identical initial conditions.
 
     Grid points are independent; ``workers > 1`` fans them out to at most
-    one process per grid point and per CPU.  Results are assembled in grid
-    order either way.  An empty proposition, whose mass is always 0, raises
-    ValueError before any run.
+    one process per grid point and per CPU.  Each process takes one copy of
+    the scenario, its start state already built, and every ``workers``-th
+    point, so that the costly points near a consensus threshold spread over
+    all of them.  Results are assembled in grid order either way.  An empty
+    proposition, whose mass is always 0, raises ValueError before any run.
     """
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
@@ -177,13 +183,15 @@ def run_sweep(scenario: Scenario, eps_min: float, eps_max: float, eps_step: floa
     mask = dst.prop_from_str(proposition, scenario.frame)
     if mask == 0:
         raise ValueError(f"proposition {proposition!r} is the empty set, whose mass is always 0")
-    jobs = [(scenario, eps, mask) for eps in grid]
     workers = min(workers, len(grid), os.cpu_count() or 1)
     if workers > 1:
+        scenario.state  # built once here, so that every worker receives it
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, jobs))
+            parts = list(pool.map(partial(_sweep_points, scenario, mask),
+                                  [grid[w::workers] for w in range(workers)]))
+        rows = [parts[k % workers][k // workers] for k in range(len(grid))]
     else:
-        rows = [_sweep_point(job) for job in jobs]
+        rows = _sweep_points(scenario, mask, grid)
     return BifurcationResult(
         scenario=scenario.name,
         proposition=proposition,

@@ -3,15 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from ds_consensus.analysis import (CONTRACTION_SLACK, _cluster_ids, _contraction_profile,
-                                   _step_lambda, _walk_chain, classify_chain, detect_clusters,
-                                   infinity_norm, rank_one_rows, verify_one_group_chain,
-                                   verify_two_group_chain)
+from ds_consensus.analysis import (CONTRACTION_SLACK, _contraction_profile, _step_lambda,
+                                   _walk_chain, classify_chain, detect_clusters, infinity_norm,
+                                   rank_one_rows, verify_one_group_chain, verify_two_group_chain)
 from ds_consensus import analysis, dst
 from ds_consensus.dst import BodyOfEvidence, Frame
 from ds_consensus.dynamics import AgentSpec, Strategy
 from ds_consensus.errors import NotDrivenChain, NotRankOne
-from ds_consensus.graph import DirectedGraph
+from ds_consensus.graph import DirectedGraph, components
 from ds_consensus.runner import run_simulation, sweep_grid, verify_run
 from ds_consensus.scenario import Scenario, assets_dir, load_scenario, scenario_from_dict
 
@@ -132,7 +131,7 @@ def test_cluster_labels_match_the_walk(rng, symmetric):
         if symmetric:
             close |= close.T
         close[np.diag_indices(n)] = rng.random() < 0.8
-        ids = _cluster_ids(close)
+        ids = components(close)
         assert clusters_of(ids) == walk_clusters(close)
         firsts = [np.flatnonzero(ids == c)[0] for c in range(ids.max() + 1)]
         assert np.all(np.diff(firsts) > 0)  # clusters ordered by their first member
@@ -190,6 +189,28 @@ def test_classify_chain_two_groups():
     w_bad[0, 1] = 0.1
     with pytest.raises(NotDrivenChain):
         classify_chain(w_bad, [[1], [2]])
+
+
+@pytest.mark.parametrize("groups, message", [
+    ([[1], [2], [3]], r"^need one or two central groups, got 3$"),
+    ([[1, 2], [2]], r"^central groups overlap$"),
+])
+def test_classify_chain_rejects_bad_groups(groups, message):
+    with pytest.raises(NotDrivenChain, match=message):
+        classify_chain(np.eye(4), groups)
+
+
+def test_two_group_report_without_rank_one_groups():
+    # the first group's agents hear only themselves: its product stays the identity
+    w = np.eye(4)
+    w[3] = 0.25
+    chain = classify_chain(w, [[1, 2], [3]])
+    profiles = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5], [0.4, 0.6]])
+    report = verify_two_group_chain(chain, [w] * 5, profiles, profiles)
+    assert list(report) == ["kind", "central", "outer", "steps", "hypotheses", "prediction",
+                            "observed", "match"]
+    assert report["hypotheses"]["group_products_rank_one"] is False
+    assert (report["prediction"], report["observed"], report["match"]) == (None, None, False)
 
 
 @pytest.mark.parametrize("groups, bad", [

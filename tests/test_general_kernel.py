@@ -273,7 +273,7 @@ def assert_run_buffers_do_not_alias(engine, monkeypatch):
     taken = []
     for _ in range(3):
         taken.append(run.masses())
-        run.step()
+        run.advance(1)
     for masses, state in zip(taken, states):
         assert masses.tobytes() == state.masses.tobytes()
 
@@ -281,10 +281,10 @@ def assert_run_buffers_do_not_alias(engine, monkeypatch):
     error = fail_every_step(engine, monkeypatch)
     for _ in range(2):
         with pytest.raises(error):
-            run.step()
+            run.advance(1)
         assert run.masses().tobytes() == states[3].masses.tobytes()
     monkeypatch.undo()
-    run.step()
+    run.advance(1)
     assert run.masses().tobytes() == states[4].masses.tobytes()
 
     # a one-step view writes a fresh table and leaves its input alone
@@ -317,7 +317,7 @@ def test_run_state_is_read_only_and_tracks_edges():
     state = random_network(rng, 0.37)
     run = ProfileRun(state, "general")
     assert run.edges() == state.pruned().edges
-    run.step()
+    run.advance(1)
     after = reference_step(state, state.pruned().kept)
     assert run.masses().tobytes() == after.masses.tobytes()
     assert not run.masses().flags.writeable
@@ -385,7 +385,7 @@ def check_cached_run(scenario, eps=None):
         support = support | (state.masses > 0.0)
         keys.append((kept, support.tobytes(), (dst.belief_table(state.masses) > 0.0).tobytes()))
         before = run.rebuilds
-        run.step()
+        run.advance(1)
         assert run.rebuilds - before == (len(keys) == 1 or keys[-1] != keys[-2])
     assert run.masses().tobytes() == states[-1].masses.tobytes()
     return states, keys
@@ -480,7 +480,7 @@ def test_term_structure_is_rebuilt_far_less_often_than_steps():
     steps = run_simulation(scenario, 0.5).iterations
     run = ProfileRun(scenario.state, "general", 0.5)
     for _ in range(steps):
-        run.step()
+        run.advance(1)
     assert steps > 400 and run.rebuilds <= 5
 
 

@@ -6,7 +6,7 @@ import pytest
 from ds_consensus import graph, scenario
 from ds_consensus.dst import BodyOfEvidence, Frame
 from ds_consensus.errors import InvalidScenario, NodeOutOfRange
-from ds_consensus.graph import (MAX_ER_NODES, DirectedGraph, erdos_renyi,
+from ds_consensus.graph import (MAX_NODES, DirectedGraph, erdos_renyi,
                                 erdos_renyi_connected, is_connected, prune)
 
 from conftest import random_general_boe
@@ -101,7 +101,7 @@ def test_erdos_renyi_matches_pair_by_pair_draws(n):
 
 
 def test_erdos_renyi_size_cap():
-    for n in (-1, MAX_ER_NODES + 1, 10 ** 12):  # rejected before anything is drawn
+    for n in (-1, MAX_NODES + 1, 10 ** 12):  # rejected before anything is drawn
         with pytest.raises(InvalidScenario):
             erdos_renyi(n, 0.1, 0)
 
@@ -122,7 +122,10 @@ def test_erdos_renyi_connected_screening():
 
 
 def test_is_connected_cases():
+    assert not is_connected(DirectedGraph.from_edges(0, []))
     assert is_connected(DirectedGraph.from_edges(1, []))
+    assert is_connected(DirectedGraph.from_edges(2, [(2, 1)]))  # either direction joins
+    assert not is_connected(DirectedGraph.from_mutual_pairs(4, [(1, 2), (3, 4)]))
     assert not is_connected(DirectedGraph.from_edges(2, []))
     assert is_connected(DirectedGraph.from_mutual_pairs(3, [(1, 2), (2, 3)]))
 

@@ -19,11 +19,11 @@ from ds_consensus.cli import cli
 from ds_consensus.dst import Frame
 from ds_consensus.dynamics import Strategy
 from ds_consensus.errors import (DSConsensusError, EngineMismatch, InvalidScenario,
-                                 ScenarioParseError)
+                                 NotDirichlet, ScenarioParseError)
 from ds_consensus.output import CSV_HEADER, write_sweep_csv, write_sweep_json, write_sweep_svg
-from ds_consensus import cli as cli_module, runner
+from ds_consensus import cli as cli_module, dynamics, runner, scenario as scenario_module
 from ds_consensus.analysis import classify_chain, verify_one_group_chain, verify_two_group_chain
-from ds_consensus.graph import MAX_ER_NODES, DirectedGraph
+from ds_consensus.graph import MAX_NODES, DirectedGraph
 from ds_consensus.runner import run_simulation, run_sweep, sweep_grid, verify_run
 from ds_consensus.scenario import (SamplingSpec, Scenario, assets_dir, list_assets,
                                    load_scenario, sample_boe, scenario_from_dict)
@@ -302,9 +302,13 @@ def test_sweep_deterministic_and_parallel_equal(tmp_path):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the worker count, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records the worker count, the number
+    of tasks and whether the scenario they are sent holds its start state;
+    maps in-process."""
 
     workers: list[int] = []
+    tasks: list[int] = []
+    built: list[bool] = []
 
     def __init__(self, max_workers):
         self.workers.append(max_workers)
@@ -316,19 +320,27 @@ class _RecordingPool:
         return False
 
     def map(self, fn, jobs):
+        self.tasks.append(len(jobs))
+        self.built.append("state" in vars(fn.args[0]))
         return map(fn, jobs)
 
 
 def test_sweep_worker_count_bounds(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(runner, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(_RecordingPool, "workers", [])
+    for name in ("workers", "tasks", "built"):
+        monkeypatch.setattr(_RecordingPool, name, [])
     s = load_scenario("fig3a-pmf")
     run_sweep(s, 0.4, 0.5, 0.05, workers=10 ** 6)   # 3 grid points
-    run_sweep(s, 0.0, 1.0, 0.05, workers=10 ** 6)   # 21 grid points, 4 CPUs
+    wide = run_sweep(s, 0.0, 1.0, 0.05, workers=10 ** 6)   # 21 grid points, 4 CPUs
     run_sweep(s, 0.0, 1.0, 0.05, workers=3)
     run_sweep(s, 0.5, 0.5, 0.05, workers=8)         # one point runs in-process
     assert _RecordingPool.workers == [3, 4, 3]
+    assert _RecordingPool.tasks == [3, 4, 3]        # one task, one scenario copy, per worker
+    assert _RecordingPool.built == [True] * 3
+    one = run_sweep(s, 0.0, 1.0, 0.05)              # the interleaved points back in grid order
+    assert wide.limit_masses.tobytes() == one.limit_masses.tobytes()
+    assert wide.iterations == one.iterations
     for bad in ("0", "-2"):
         code = cli(["sweep", "--scenario", "fig3a-pmf", "--eps-min", "0.4", "--eps-max",
                     "0.5", "--eps-step", "0.05", "--parallel", bad, "--out", str(tmp_path)])
@@ -441,6 +453,45 @@ def test_cli_sweep_and_exit_codes(tmp_path, capsys):
     assert code == 1
 
 
+def test_cli_run_trace_needs_an_output_directory(capsys):
+    code = cli(["run", "--scenario", "fig3a-pmf", "--epsilon", "0.5", "--trace"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "ds-consensus run: --trace requires --out\n"
+
+
+@pytest.mark.parametrize("prop,message", [("4", "proposition '4' exceeds frame of size 3"),
+                                          ("0", "singleton indices are 1-based, got 0")])
+def test_sweep_of_a_proposition_outside_the_frame_rejected(prop, message, tmp_path, capsys):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_sweep(load_scenario("fig3a-pmf"), 0.0, 1.0, 0.5, proposition=prop)
+    code = cli(["sweep", "--scenario", "fig3a-pmf", "--eps-min", "0", "--eps-max", "1",
+                "--eps-step", "0.5", "--prop", prop, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == f"ds-consensus sweep: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_out_naming_a_file_exits_two(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = cli(["run", "--scenario", "fig3a-pmf", "--epsilon", "0.5", "--out", str(taken)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("ds-consensus run: [Errno 17] File exists")
+
+
+def test_runtime_error_during_a_run_exits_two(monkeypatch, capsys):
+    def fail(*args):
+        raise NotDirichlet("mass conservation violated by -0.5")
+    monkeypatch.setattr(dynamics, "_update", fail)
+    with pytest.raises(NotDirichlet, match="^mass conservation violated by -0.5$"):
+        run_simulation(load_scenario("fig4a-pmf"), 0.5)
+    code = cli(["run", "--scenario", "fig4a-pmf", "--epsilon", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "ds-consensus run: mass conservation violated by -0.5\n"
+
+
 def test_cli_usage_error_exits_one(capsys):
     code = cli(["sweep", "--scenario", "fig3a-pmf"])  # missing required args
     capsys.readouterr()
@@ -477,8 +528,9 @@ def test_verify_run_is_the_recorded_run_workflow(name, epsilon):
 
 
 def _asset_with(tmp_path, name, **fields):
+    """The asset with ``fields`` replaced, in a file named after them."""
     data = json.loads((assets_dir() / f"{name}.json").read_text())
-    path = tmp_path / f"{name}-changed.json"
+    path = tmp_path / f"{name}-{'-'.join(sorted(fields))}.json"
     path.write_text(json.dumps(dict(data, **fields)))
     return str(path)
 
@@ -494,6 +546,7 @@ def test_cli_verify_rejections_exit_one(tmp_path, capsys):
         "ds7-oneleader": "the general engine has no confidence matrix to verify",
         _asset_with(tmp_path, "fig4a-pmf", max_iterations=0): "no step to verify",
     }
+    assert len(cases) == 4  # each derived scenario has a file of its own
     for source, message in cases.items():
         with pytest.raises(InvalidScenario, match=message):
             verify_run(load_scenario(source), 0.5)
@@ -804,6 +857,7 @@ def test_non_string_name_is_a_parse_error(tmp_path, capsys, name):
 
 
 _OTHER = {"boe": {"masses": {"2": 1.0}}}
+_SAMPLE = {"dirichlet": [1, 1], "targets": ["1", "2"]}
 
 
 @pytest.mark.parametrize("field,error,message", [
@@ -826,8 +880,33 @@ _OTHER = {"boe": {"masses": {"2": 1.0}}}
     ({"engine": "PMF"}, InvalidScenario, "engine must be one of"),
     ({"agents": [{"sample": {"dirichlet": [1, 1], "targets": ["1", ""]}}, _OTHER]},
      InvalidScenario, "agents[0]: bad sample: cannot assign sampled mass to the empty set"),
+    # well typed but out of range or inconsistent
+    ({"agents": [{"boe": {"masses": {"1": 1.0}}, "sample": _SAMPLE}, _OTHER]}, InvalidScenario,
+     "agents[0]: give either masses or a sampling spec, not both"),
+    ({"agents": [{"sample": {"targets": ["1", "2"]}}, _OTHER]}, InvalidScenario,
+     "agents[0]: sampling spec missing 'dirichlet'"),
+    ({"agents": [{"sample": {"dirichlet": [1, 1]}}, _OTHER]}, InvalidScenario,
+     "agents[0]: sampling spec missing 'targets'"),
+    ({"agents": [{"sample": {"dirichlet": [1, 1, 1], "targets": ["1", "2"]}}, _OTHER]},
+     InvalidScenario, "agents[0]: bad sample: sampling needs one concentration per target"),
+    ({"agents": [{"sample": {"dirichlet": [0, 1], "targets": ["1", "2"]}}, _OTHER]},
+     InvalidScenario,
+     "agents[0]: bad sample: dirichlet concentrations must be positive and finite"),
+    ({"defaults": {"alpha": 1.5}}, InvalidScenario, "agents[0]: alpha must be in [0, 1], got 1.5"),
+    ({"defaults": {"epsilon": -0.1}}, InvalidScenario,
+     "agents[0]: epsilon must be in [0, 1], got -0.1"),
+    ({"frame_size": 0}, InvalidScenario, "frame size must be in [1, 16], got 0"),
+    ({"frame_size": 17}, InvalidScenario, "frame size must be in [1, 16], got 17"),
+    ({"seed": -1}, InvalidScenario, "seed must be >= 0, got -1"),
+    ({"random_leaders": {"count": 3}}, InvalidScenario, "random leader count 3 outside [0, 2]"),
+    ({"graph": {"n": 0, "edges": []}}, InvalidScenario, "graph needs at least one node, got 0"),
+    ({"graph": {"file": "missing.json"}}, ScenarioParseError,
+     "graph file: [Errno 2] No such file or directory"),
 ], ids=["sample-targets", "strategy", "engine", "graph-er", "graph-file", "edge-number",
-        "edge-single", "edge-triple", "unknown-strategy", "unknown-engine", "empty-target"])
+        "edge-single", "edge-triple", "unknown-strategy", "unknown-engine", "empty-target",
+        "masses-and-sample", "no-concentrations", "no-targets", "target-count",
+        "zero-concentration", "alpha-range", "epsilon-range", "frame-size-0", "frame-size-17",
+        "negative-seed", "leader-count", "no-nodes", "missing-graph-file"])
 def test_wrongly_typed_value_names_its_field(tmp_path, capsys, field, error, message):
     data = dict(TINY, **field)
     with pytest.raises(error, match=re.escape(message)):
@@ -840,6 +919,11 @@ def test_wrongly_typed_value_names_its_field(tmp_path, capsys, field, error, mes
     assert captured.err.startswith(f"ds-consensus run: {message}")
 
 
+def test_negative_seed_argument_rejected():
+    with pytest.raises(InvalidScenario, match="^seed must be >= 0, got -1$"):
+        load_scenario("fig4a-pmf", seed=-1)
+
+
 def test_er_graph_without_connected_sample_rejected(tmp_path, capsys):
     data = dict(TINY, graph={"er": {"n": 6, "p": 0, "seed": 1}},
                 agents=[{"boe": {"masses": {"1": 1.0}}}] * 6)
@@ -849,12 +933,35 @@ def test_er_graph_without_connected_sample_rejected(tmp_path, capsys):
 
 
 def test_er_graph_above_the_size_cap_rejected(tmp_path, capsys):
-    data = dict(TINY, graph={"er": {"n": MAX_ER_NODES + 1, "p": 0.1}},
-                n_agents=MAX_ER_NODES + 1, defaults={"boe": {"masses": {"1": 1.0}}})
+    data = dict(TINY, graph={"er": {"n": MAX_NODES + 1, "p": 0.1}},
+                n_agents=MAX_NODES + 1, defaults={"boe": {"masses": {"1": 1.0}}})
     del data["agents"]
     with pytest.raises(InvalidScenario, match="n must be in"):
         scenario_from_dict(data, "t", tmp_path)
     assert _cli_run_file(tmp_path, data, capsys) == 1
+
+
+@pytest.mark.parametrize("form", ["explicit", "file"])
+def test_graph_above_the_node_limit_rejected_before_any_agent(tmp_path, capsys, monkeypatch,
+                                                              form):
+    def no_agent(*args, **kwargs):
+        raise AssertionError("built an agent")
+    monkeypatch.setattr(scenario_module, "_agent_from_config", no_agent)
+    graph = {"n": MAX_NODES + 1, "edges": [[1, 2]]}
+    if form == "file":
+        (tmp_path / "big.json").write_text(json.dumps(graph))
+        graph = {"file": "big.json"}
+    data = dict(TINY, graph=graph, n_agents=MAX_NODES + 1,
+                defaults={"boe": {"masses": {"1": 1.0}}})
+    del data["agents"]
+    message = f"n must be in [0, {MAX_NODES}], got {MAX_NODES + 1}"
+    with pytest.raises(InvalidScenario, match=re.escape(message)):
+        scenario_from_dict(data, "t", tmp_path)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    code = cli(["run", "--scenario", str(path), "--epsilon", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == f"ds-consensus run: {message}\n"
 
 
 def test_alias_cycles_rejected(tmp_path, capsys):

@@ -225,7 +225,7 @@ def assert_weights_planned_once_per_kept_set(engine, theta):
     edges = []
     for _ in range(60):
         edges.append(run.edges())
-        run.step()
+        run.advance(1)
     changes = sum(a != b for a, b in zip(edges, edges[1:]))
     assert changes >= 1 and run.rebuilds == 1 + changes < run.prunes
 
@@ -312,7 +312,7 @@ def test_edge_near_its_bound_forces_reprune():
     for run in (near, far):
         for _ in range(20):
             assert (1, 3) in run.edges() and (1, 2) not in run.edges()
-            run.step()
+            run.advance(1)
     assert near.prunes == 20  # within 2 * distance_error(K) of the bound: never skipped
     assert far.prunes == 1    # certified once, nobody moves
 
@@ -322,7 +322,7 @@ def step_with_general_loop(run, state, steps):
     for _ in range(steps):
         pruned = state.pruned()
         assert run.edges() == pruned.edges
-        run.step()
+        run.advance(1)
         state = reference_step(state, pruned.kept)
         assert run.masses().tobytes() == state.masses.tobytes()
 
@@ -357,7 +357,7 @@ def test_edge_between_agents_that_cannot_move_needs_no_reprune():
     run = ProfileRun(two_still_agents(gap=distance_error(2) / 2), "pmf")
     for _ in range(20):
         assert (1, 2) in run.edges()
-        run.step()
+        run.advance(1)
     assert run.prunes == 1  # both rows are the identity: the distance cannot change
 
 
@@ -370,7 +370,7 @@ def test_kernel_rejects_the_wrong_class():
     with pytest.raises(EngineMismatch):
         ProfileRun(state, "pmf")
     run = ProfileRun(state, "dirichlet")
-    run.step()
+    run.advance(1)
     assert run.edges() == graph.edges
 
 
@@ -379,14 +379,15 @@ def test_kernel_rejects_the_wrong_class():
 # ---------------------------------------------------------------------------
 
 def single_step_run(state, engine, limit, step_tol, persistence):
-    """The convergence rule over ``ProfileRun.step``: one step per call, so no
-    product is ever formed ahead."""
+    """The convergence rule over one-step ``advance`` calls, so no product is
+    ever formed ahead: ``advance(1, step_tol, 1)`` converges iff the step's
+    largest mass change was below ``step_tol``."""
     run = ProfileRun(state, engine)
     steps = quiet = 0
     while steps < limit:
-        change = run.step()
+        _, still = run.advance(1, step_tol, 1)
         steps += 1
-        quiet = quiet + 1 if change < step_tol else 0
+        quiet = quiet + 1 if still else 0
         if quiet >= persistence:
             return run, steps, True
     return run, steps, False
@@ -439,7 +440,7 @@ def test_chunks_drop_the_products_past_a_late_kept_set_change():
     one = ProfileRun(state, "pmf")
     for masses in trajectory[:-1]:
         assert masses.tobytes() == one.masses().tobytes()
-        one.step()
+        one.advance(1)
     assert trajectory[-1].tobytes() == one.masses().tobytes()
 
 
@@ -500,7 +501,7 @@ def assert_recording_leaves_stepping_alone(state, limit=1500, step_tol=1e-10, pe
     for kept, weights, masses in zip(edges, matrices, frames):
         assert kept == one.edges() and weights.tobytes() == one.weights().tobytes()
         assert masses.tobytes() == one.masses().tobytes()
-        one.step()
+        one.advance(1)
     return run.discarded
 
 
@@ -571,7 +572,7 @@ def test_profile_run_weights_are_read_only(engine):
     run = ProfileRun(NetworkState.from_specs(frame, graph, specs), engine)
     for _ in range(3):
         assert not run.weights().flags.writeable
-        run.step()
+        run.advance(1)
 
 
 # ---------------------------------------------------------------------------
