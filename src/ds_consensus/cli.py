@@ -89,13 +89,14 @@ def _cmd_run(args) -> int:
 
 
 def _print_json(payload: dict, out: str | None, filename: str) -> None:
-    """Print the payload as JSON and, given an output directory, write it there too."""
+    """Write the payload as JSON to the output directory, if given, then print
+    it: a report that could not be written is never printed."""
     text = json.dumps(payload, indent=2)
-    print(text)
     if out:
         path = Path(out)
         path.mkdir(parents=True, exist_ok=True)
         (path / filename).write_text(text + "\n", encoding="utf-8")
+    print(text)
 
 
 def _write_trace(out: Path, scenario, result) -> None:

@@ -22,11 +22,13 @@ only, recomputes the pruning only when a metric certificate can no longer
 vouch for the kept edges, and plans the pmf and Dirichlet weights once per
 kept set (a Dirichlet step only refills the edge cells) and the general term
 structure only when its key changes.  One routine forms every step of every
-engine, into the row after its state's.  While a pmf run's kept set holds,
-its weight matrix is fixed, so :meth:`ProfileRun.advance` forms a chunk of
-steps' products at once and then walks the pruning certificate and the
-convergence rule over them step by step; runs whose weights follow the state
-keep two rows and take one step per chunk.  :func:`pmf_step`,
+engine, into the row after its state's.  While a pmf or Dirichlet run's kept
+set holds, :meth:`ProfileRun.advance` forms a chunk of steps' products at
+once (a Dirichlet step refilling the weights at the state it formed), ends it
+where the run is predicted to converge, and then walks the pruning
+certificate and the convergence rule over them step by step; a general run,
+whose term structure follows the state, keeps two rows and takes one step
+per chunk.  :func:`pmf_step`,
 :func:`dirichlet_step`, :func:`general_step` and the confidence-matrix
 builders are one-step views of that kernel on an immutable
 :class:`NetworkState`; the dense prune-then-multiply loop lives only in the
@@ -35,6 +37,7 @@ tests, as the oracle the kernel is checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -420,7 +423,7 @@ MOVE_SLACK = 1e-6
 MOVE_ROUNDING = 2.0 ** -52
 
 
-# The longest chunk of steps a pmf run forms ahead (see ProfileRun.advance).
+# The longest chunk of steps a pmf or Dirichlet run forms ahead (see ProfileRun.advance).
 CHUNK = 64
 
 
@@ -444,11 +447,11 @@ class ProfileRun:
     every weight matrix in the same BLAS kernel and the engines round alike.
     A step writes the row after its state's (:meth:`_products`), so a step
     that raises leaves ``x`` as it was, and a table taken by :meth:`masses`
-    is a copy.  A pmf run keeps CHUNK + 1 rows, so a chunk of its steps
-    (:meth:`advance`) runs the same ``np.matmul`` on the same layouts, and
-    re-prunes at a row inside a chunk on the same Gram product, as single
-    steps would.  Runs whose weights follow the state (Dirichlet with a
-    full-frame column, general) keep two rows, so their chunks are one step.
+    is a copy.  A pmf or Dirichlet run keeps CHUNK + 1 rows, so a chunk of
+    its steps (:meth:`advance`) runs the same ``np.matmul`` on the same
+    layouts, refills the Dirichlet weights at the same states, and re-prunes
+    at a row inside a chunk on the same Gram product, as single steps would.
+    A general run keeps two rows, so its chunks are one step.
 
     The opinion class is checked once, here; adjacency, bounds (a uniform
     ``epsilon`` replaces the per-agent ones), self-weights and strategies
@@ -456,8 +459,8 @@ class ProfileRun:
     distances on the base edges only, and is recomputed only when the
     certificate above no longer holds; the weight plan (:class:`_WeightPlan`)
     is built only when the kept edges change, and a Dirichlet step only
-    refills its edge cells at the new full-frame masses; the general term
-    structure is rebuilt only when its key changes (see
+    refills its edge cells at the full-frame masses it formed; the general
+    term structure is rebuilt only when its key changes (see
     :meth:`_general_terms`).  The kept set is held as a mask over the base
     edges and, taken when it changes, the kept edges as index pairs, in the
     row-major order of ``np.nonzero`` on a receive matrix: the weights, the
@@ -495,20 +498,18 @@ class ProfileRun:
         # weights that scale with a full-frame column (one-singleton Dirichlet has none)
         self._scaled = engine == "dirichlet" and len(self._cols) > self.frame.size
         (n, k), m = (len(state.masses), len(self._cols)), self.frame.size
-        self._stack = np.empty((2 if self._general or self._scaled else CHUNK + 1, k * n))
+        self._stack = np.empty((2 if self._general else CHUNK + 1, k * n))
         if self._general:  # a step's beliefs go to a table of the run's own
             self._profiles = list(self._stack.reshape(-1, n, k))
             self._lattices = [dst._lattice_steps(t) for t in self._profiles]
             self._bl = np.empty((n, k))
             self._bl_steps = dst._lattice_steps(self._bl)
-            self._views = self._profiles, self._lattices
         else:
             self._profiles = list(self._stack.reshape(-1, k, n).transpose(0, 2, 1))
             self._singles, self._fulls = (  # pmf profiles hold only singletons
                 ([p[:, :m] for p in self._profiles], [p[:, m] for p in self._profiles])
-                if self._scaled else (self._profiles[:], [None] * len(self._profiles)))
+                if self._scaled else (self._profiles, [None] * len(self._profiles)))
             self._prod = np.empty((n, m))
-            self._views = self._profiles, self._singles, self._fulls
         self._diff = np.empty((len(self._stack) - 1, k * n))
         np.copyto(self._profiles[0], state.masses[:, self._cols])
         self.x, self._at = self._profiles[0], 0
@@ -618,19 +619,25 @@ class ProfileRun:
             self.rebuilds += 1
         return self._terms
 
-    def _products(self, count: int) -> list[float]:
-        """Form the next ``count`` states in the rows after the state's; return
-        each step's largest mass change.  Closed-form steps share the current
-        weights; a general step (its run has two rows) forms its own terms.
-        Where the chunk does not fit, the state moves to the first row: a
-        longer stack copies it there, a two-row run swaps its rows' roles.
-        The change is read from the rows in the stack's order, then as
-        old - new, whose absolute value has the same bits as new - old's."""
+    def _products(self, count: int, weights: list | None = None) -> list[float]:
+        """Form up to ``count`` states in the rows after the state's; return
+        each formed step's largest mass change.  Closed-form steps multiply
+        by the plan's matrix, which a Dirichlet step then refills at the
+        state it formed; a general step (its run has two rows) forms its own
+        terms.  A Dirichlet guard that fires on a product after the first
+        cuts the chunk just before it, so the error is raised only if the run
+        takes that step, as the first of a later chunk.  ``weights``, given,
+        gets the confidence matrix of each state formed, as :meth:`weights`
+        reads it there.  Where the chunk does not fit, the state moves to
+        the first row: a closed-form run copies it there, a general run swaps
+        its two rows' roles.  The change is read from the rows in the
+        stack's order, then as old - new, whose absolute value has the same
+        bits as new - old's."""
         stack = self._stack
         if self._at + count >= len(stack):
-            if len(stack) == 2:
-                for views in self._views:
-                    views.reverse()
+            if self._general:
+                self._profiles.reverse()
+                self._lattices.reverse()
             else:
                 np.copyto(self._profiles[0], self.x)
             self.x, self._at = self._profiles[0], 0
@@ -643,10 +650,19 @@ class ProfileRun:
                             self._lattices[at + 1])
         else:
             w, singles, fulls = self._plan.matrix, self._singles, self._fulls
+            fill = self._plan.fill if self._scaled else None
             for s in range(at, at + count):
-                _update(w, singles[s], singles[s + 1], fulls[s + 1], self._prod)
-            if self._scaled:  # the plan's matrix follows the full-frame masses
-                self._plan.fill(fulls[at + 1])
+                try:
+                    _update(w, singles[s], singles[s + 1], fulls[s + 1], self._prod)
+                except NotDirichlet:
+                    if s == at:
+                        raise
+                    count = s - at
+                    break
+                if fill:  # the plan's matrix follows the full-frame masses
+                    fill(fulls[s + 1])
+                if weights is not None:
+                    weights.append(self.weights())
         d = self._diff[:count]
         np.subtract(stack[at + 1:at + count + 1], stack[at:at + count], out=d)
         return np.maximum.reduce(np.abs(d, out=d), axis=1).tolist()
@@ -661,55 +677,68 @@ class ProfileRun:
         The lists given are extended, per step taken, by the kept edges, the
         confidence matrix and the dense masses it started from, read from the
         rows of the steps taken: recording never changes how a run steps.
-        While the kept set holds the weights are fixed, so :meth:`_products`
-        forms a chunk of steps at once, and this walks the certificate budget
-        and the convergence rule over their changes step by step, in the
-        one-step order.  Where the budget runs out inside a chunk, it
-        re-prunes at that step's state, as the next step would: an unchanged
-        kept set leaves the same plan, so the later products stand; a new one
-        drops them (``discarded`` counts those, and those past convergence).
-        Every product is the same ``np.matmul`` on the same layouts as a
-        single step, so a chunk keeps every bit.  Chunks start at one step
-        after a change of the kept set and double while it holds, up to the
-        stack's rows less one (one for runs whose weights follow the state,
-        as their update guards must not fire on a step never taken); once the
-        last steps were quiet, a chunk is no longer than the quiet steps still
-        needed to converge.
+        While the kept set holds, :meth:`_products` forms a chunk of steps at
+        once (a pmf chunk with fixed weights, a Dirichlet one refilling them
+        per step), and this walks the certificate budget and the convergence
+        rule over their changes step by step, in the one-step order.  Where
+        the budget runs out inside a chunk, it re-prunes at that step's
+        state, as the next step would: an unchanged kept set leaves the same
+        plan, so the later products stand; a new one drops them
+        (``discarded`` counts those, and those past convergence).  Where the
+        walk stops inside a Dirichlet chunk with the plan unchanged, the plan
+        is refilled at the state taken.  Every product is the same
+        ``np.matmul`` on the same layouts as a single step, so a chunk keeps
+        every bit.  Chunks start at one step after a change of the kept set
+        and double while it holds, up to the stack's rows less one (one for
+        general runs).  A chunk ends where the run is predicted to converge:
+        while the last change taken is at least ``step_tol`` and below the
+        one before, the changes are taken to keep falling at that ratio, and
+        a chunk is no longer than the steps until one would drop below
+        ``step_tol`` plus the ``persistence - 1`` quiet steps after it; once
+        the last steps were quiet, it is no longer than the quiet steps
+        still needed.
         """
         steps = quiet = 0
         span, plan = 1, None
+        prev = last = 0.0  # the changes of the last two steps taken
         while steps < limit:
             self._certify()
             kept = self.edges() if edges is not None else None
-            w = self.weights() if matrices is not None else None
+            weights = [self.weights()] if matrices is not None else None
             span = min(2 * span, len(self._diff)) if self._plan is plan else 1
             count, plan = min(span, limit - steps), self._plan
             if quiet:  # all quiet, the run converges in persistence - quiet steps
                 count = min(count, persistence - quiet)
-            changes = self._products(count)
+            elif 0.0 < step_tol <= last < prev:  # quiet in about `ahead` steps
+                ahead = math.ceil((math.log(step_tol) - math.log(last)) / math.log(last / prev))
+                count = min(count, max(1, ahead + persistence - 1))
+            changes = self._products(count, weights)
             at, taken = self._at, 0
             for change in changes:
                 taken += 1
                 self._budget -= self._spend_per_change * change + MOVE_ROUNDING
                 self._stale = self._budget <= 0.0
                 quiet = quiet + 1 if change < step_tol else 0
-                if quiet >= persistence or taken == count:
+                if quiet >= persistence or taken == len(changes):
                     break
                 if self._stale:  # re-prune here, as the next single step would
                     self.x = self._profiles[at + taken]
                     self._certify()
                     if self._plan is not plan:
                         break
-            self.discarded += count - taken
+            self.discarded += len(changes) - taken
             if frames is not None:
                 frames += map(self._dense, self._profiles[at:at + taken])
             self._at = at + taken
             self.x = self._profiles[self._at]
+            if self._scaled and taken < len(changes) and self._plan is plan:
+                self._plan.fill(self.x[:, -1])  # the chunk filled it further on
+            prev, last = ([prev, last] + changes[:taken])[-2:]
             steps += taken
             if edges is not None:
                 edges += [kept] * taken
             if matrices is not None:
-                matrices += [w] * taken
+                matrices += weights[:taken]
             if quiet >= persistence:
                 return steps, True
         return steps, False

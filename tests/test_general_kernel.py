@@ -296,7 +296,8 @@ def assert_run_buffers_do_not_alias(engine, monkeypatch):
 
 
 def test_run_buffers_do_not_alias(monkeypatch):
-    # both runs keep two rows, and each step writes the one its state is not in
+    # a general run keeps two rows and a Dirichlet run a chunk stack; each
+    # step writes a row its state is not in
     for engine in ("general", "dirichlet"):
         assert_run_buffers_do_not_alias(engine, monkeypatch)
 

@@ -477,7 +477,9 @@ def test_cli_run_out_naming_a_file_exits_two(tmp_path, capsys):
     taken.write_text("")
     code = cli(["run", "--scenario", "fig3a-pmf", "--epsilon", "0.5", "--out", str(taken)])
     assert code == 2
-    assert capsys.readouterr().err.startswith("ds-consensus run: [Errno 17] File exists")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ds-consensus run: [Errno 17] File exists")
+    assert captured.out == ""  # no report printed that was never written
 
 
 def test_runtime_error_during_a_run_exits_two(monkeypatch, capsys):

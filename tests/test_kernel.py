@@ -12,6 +12,9 @@ bit-identical masses.  No step code of the package is called.
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
+from ds_consensus import dynamics
 from ds_consensus.dst import BodyOfEvidence, Frame, jaccard_matrix, pairwise_jousselme
 from ds_consensus.dynamics import (AgentSpec, NetworkState, ProfileRun, Strategy, _update,
                                    _WeightPlan, dirichlet_confidence_matrix, dirichlet_step,
@@ -19,7 +22,7 @@ from ds_consensus.dynamics import (AgentSpec, NetworkState, ProfileRun, Strategy
                                    pmf_step)
 from ds_consensus.errors import EngineMismatch, NotDirichlet
 from ds_consensus.graph import DirectedGraph
-from ds_consensus.runner import run_simulation
+from ds_consensus.runner import run_simulation, sweep_grid
 from ds_consensus.scenario import Scenario, load_scenario
 
 from conftest import at_bound
@@ -404,6 +407,8 @@ def assert_advance_matches_single_steps(state, engine, limit=1500, step_tol=1e-1
     assert run.masses().tobytes() == one.masses().tobytes()
     assert (run.prunes, run.rebuilds) == (one.prunes, one.rebuilds)
     assert one.discarded == 0
+    if one._plan is not None:  # a chunk the walk left early leaves its state's weights
+        assert run._plan.matrix.tobytes() == one._plan.matrix.tobytes()
     ref, ref_converged, ref_edges = reference_run(state, engine, limit, step_tol, persistence)
     assert (len(ref_edges), ref_converged) == (steps, converged)
     assert ref.masses.tobytes() == run.masses().tobytes()
@@ -411,37 +416,39 @@ def assert_advance_matches_single_steps(state, engine, limit=1500, step_tol=1e-1
 
 
 def test_chunks_match_single_steps_on_random_networks():
-    rng = np.random.default_rng(4111)
-    discarded = 0
-    for _ in range(6):
-        frame, graph, specs = random_network(rng, "pmf", int(rng.integers(12, 25)),
-                                             int(rng.integers(2, 5)))
-        scenario = scenario_of(frame, graph, specs, "pmf")
-        for eps in (None, 0.0, 0.37, 1.0):  # None keeps the per-agent bounds
-            state = at_bound(scenario.state, eps)
-            run, _, steps, converged = assert_advance_matches_single_steps(state, "pmf")
-            discarded += run.discarded
-            result = run_simulation(scenario, eps)
-            assert (result.iterations, result.converged) == (steps, converged)
-            assert result.final_masses.tobytes() == run.masses().tobytes()
-    assert discarded > 0  # some chunks did look past a kept-set change
+    for engine, seed in (("pmf", 4111), ("dirichlet", 4117)):
+        rng = np.random.default_rng(seed)
+        discarded = 0
+        for _ in range(6):
+            frame, graph, specs = random_network(rng, engine, int(rng.integers(12, 25)),
+                                                 int(rng.integers(2, 5)))
+            scenario = scenario_of(frame, graph, specs, engine)
+            for eps in (None, 0.0, 0.37, 1.0):  # None keeps the per-agent bounds
+                state = at_bound(scenario.state, eps)
+                run, _, steps, converged = assert_advance_matches_single_steps(state, engine)
+                discarded += run.discarded
+                result = run_simulation(scenario, eps)
+                assert (result.iterations, result.converged) == (steps, converged)
+                assert result.final_masses.tobytes() == run.masses().tobytes()
+        assert discarded > 0  # some chunks did look past a kept-set change
 
 
 def test_chunks_drop_the_products_past_a_late_kept_set_change():
-    frame, graph, specs = line_state(alpha2=0.95)
-    state = NetworkState.from_specs(frame, graph, specs)
-    run, one, steps, _ = assert_advance_matches_single_steps(state, "pmf")
-    assert run.rebuilds == one.rebuilds > 1  # the kept set changed mid-run
-    assert run.discarded > 0                 # inside a chunk: its later products went
-    # a recorded trajectory holds every state, the last one included
-    trajectory = run_simulation(scenario_of(frame, graph, specs, "pmf"),
-                                record_trace=True).trajectory
-    assert len(trajectory) == steps + 1
-    one = ProfileRun(state, "pmf")
-    for masses in trajectory[:-1]:
-        assert masses.tobytes() == one.masses().tobytes()
-        one.advance(1)
-    assert trajectory[-1].tobytes() == one.masses().tobytes()
+    for engine, theta in (("pmf", 0.0), ("dirichlet", 0.1)):
+        frame, graph, specs = line_state(alpha2=0.95, theta=theta)
+        state = NetworkState.from_specs(frame, graph, specs)
+        run, one, steps, _ = assert_advance_matches_single_steps(state, engine)
+        assert run.rebuilds == one.rebuilds > 1  # the kept set changed mid-run
+        assert run.discarded > 0                 # inside a chunk: its later products went
+        # a recorded trajectory holds every state, the last one included
+        trajectory = run_simulation(scenario_of(frame, graph, specs, engine),
+                                    record_trace=True).trajectory
+        assert len(trajectory) == steps + 1
+        one = ProfileRun(state, engine)
+        for masses in trajectory[:-1]:
+            assert masses.tobytes() == one.masses().tobytes()
+            one.advance(1)
+        assert trajectory[-1].tobytes() == one.masses().tobytes()
 
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 37, 100])
@@ -459,11 +466,12 @@ def test_iteration_cap_cuts_a_chunk_short(limit):
 def test_chunks_match_single_steps_at_any_persistence(persistence):
     rng = np.random.default_rng(4112)
     for _ in range(3):
-        frame, graph, specs = random_network(rng, "pmf", 16, 3)
-        state = at_bound(NetworkState.from_specs(frame, graph, specs), 0.37)
-        for step_tol in (1e-10, 1e-4):
-            assert_advance_matches_single_steps(state, "pmf", step_tol=step_tol,
-                                                persistence=persistence)
+        for engine in ("pmf", "dirichlet"):
+            frame, graph, specs = random_network(rng, engine, 16, 3)
+            state = at_bound(NetworkState.from_specs(frame, graph, specs), 0.37)
+            for step_tol in (1e-10, 1e-4):
+                assert_advance_matches_single_steps(state, engine, step_tol=step_tol,
+                                                    persistence=persistence)
 
 
 def test_budget_that_runs_out_on_the_converging_step_prunes_no_more():
@@ -476,28 +484,95 @@ def test_budget_that_runs_out_on_the_converging_step_prunes_no_more():
 
 
 @pytest.mark.parametrize("engine", ["dirichlet", "general"])
-def test_state_dependent_weights_step_one_at_a_time(engine):
+def test_state_dependent_weights_step_one_at_a_time(engine, monkeypatch):
+    # a general step forms its own terms, one step per chunk; a Dirichlet
+    # chunk refills its weights at every state it forms
+    calls = []
+    form = ProfileRun._products
+    monkeypatch.setattr(ProfileRun, "_products",
+                        lambda run, *args: calls.append(run) or form(run, *args))
     rng = np.random.default_rng(4113)
     for _ in range(3):
         frame, graph, specs = random_network(rng, "dirichlet", 10, 2)
         state = at_bound(NetworkState.from_specs(frame, graph, specs), 0.37)
-        run, _, _, _ = assert_advance_matches_single_steps(state, engine, limit=300)
-        assert run.discarded == 0
+        run, _, steps, _ = assert_advance_matches_single_steps(state, engine, limit=300)
+        if engine == "general":
+            assert run.discarded == 0 and calls.count(run) == steps
+        else:
+            assert calls.count(run) < steps
 
 
-def assert_recording_leaves_stepping_alone(state, limit=1500, step_tol=1e-10, persistence=10):
+def plant_guard(monkeypatch, masses, frame):
+    """Make the Dirichlet product from the state with the dense ``masses``
+    fail its guard; return the list that grows each time it fires."""
+    cols = [1 << p for p in range(frame.size)]
+    target = np.ascontiguousarray(masses[:, cols]).tobytes()
+    update, fired = dynamics._update, []
+
+    def guarded(w, x, out, full, prod):
+        if x.tobytes() == target:
+            fired.append(1)
+            raise NotDirichlet("planted")
+        update(w, x, out, full, prod)
+
+    monkeypatch.setattr(dynamics, "_update", guarded)
+    return fired
+
+
+def test_guard_past_convergence_leaves_the_run_alone(monkeypatch):
+    # at this tolerance the runs' last chunk forms the product after the
+    # converging step; its guard must not fire on a step never taken
+    for persistence in (1, 10):
+        scenario = replace(load_scenario("fig3a-dirichlet"), step_tol=1e-6,
+                           persistence=persistence)
+        for eps in (0.05, 0.3):
+            plain = run_simulation(scenario, eps, record_trace=True)
+            assert plain.converged
+            assert all(m.tobytes() != plain.final_masses.tobytes()
+                       for m in plain.trajectory[:-1])  # the planted state is the last
+            fired = plant_guard(monkeypatch, plain.final_masses, scenario.frame)
+            planted = run_simulation(scenario, eps, record_trace=True)
+            monkeypatch.undo()
+            assert len(fired) == 1
+            assert (planted.iterations, planted.converged) == (plain.iterations, True)
+            assert planted.trajectory.tobytes() == plain.trajectory.tobytes()
+            # the run converged inside a chunk: single steps leave the same
+            # state and weights
+            run, _, _, _ = assert_advance_matches_single_steps(
+                at_bound(scenario.state, eps), "dirichlet", step_tol=1e-6,
+                persistence=persistence)
+            assert run.discarded > 0
+
+
+def test_guard_inside_a_chunk_raises_when_its_step_is_taken(monkeypatch):
+    scenario = load_scenario("fig4a-dirichlet")
+    states = run_simulation(scenario, 0.5, record_trace=True).trajectory
+    k = 20
+    assert len(states) > 2 * k
+    fired = plant_guard(monkeypatch, states[k - 1], scenario.frame)
+    run = ProfileRun(scenario.state, "dirichlet", 0.5)
+    with pytest.raises(NotDirichlet, match="planted"):
+        run.advance(scenario.max_iterations, scenario.step_tol, scenario.persistence)
+    assert run.masses().tobytes() == states[k - 1].tobytes()
+    # it fired inside a chunk first, which was cut before it, then as the
+    # first product of the next chunk, which raised
+    assert len(fired) == 2
+
+
+def assert_recording_leaves_stepping_alone(state, engine, limit=1500, step_tol=1e-10,
+                                           persistence=10):
     """``advance`` with every record list against ``advance`` with none: the
     same steps, prunings, plans and discarded products, and each recorded
     step's kept edges, weights and masses those of the single step it took."""
-    plain = ProfileRun(state, "pmf")
+    plain = ProfileRun(state, engine)
     outcome = plain.advance(limit, step_tol, persistence)
-    run, edges, matrices, frames = ProfileRun(state, "pmf"), [], [], []
+    run, edges, matrices, frames = ProfileRun(state, engine), [], [], []
     assert run.advance(limit, step_tol, persistence, edges, matrices, frames) == outcome
     assert (run.prunes, run.rebuilds, run.discarded) == \
         (plain.prunes, plain.rebuilds, plain.discarded)
     assert run.masses().tobytes() == plain.masses().tobytes()
     assert len(edges) == len(matrices) == len(frames) == outcome[0]
-    one = ProfileRun(state, "pmf")
+    one = ProfileRun(state, engine)
     for kept, weights, masses in zip(edges, matrices, frames):
         assert kept == one.edges() and weights.tobytes() == one.weights().tobytes()
         assert masses.tobytes() == one.masses().tobytes()
@@ -506,15 +581,32 @@ def assert_recording_leaves_stepping_alone(state, limit=1500, step_tol=1e-10, pe
 
 
 def test_recording_does_not_change_stepping():
-    rng = np.random.default_rng(4115)
-    states = [NetworkState.from_specs(*line_state(alpha2=0.95))]
-    for _ in range(4):
-        frame, graph, specs = random_network(rng, "pmf", int(rng.integers(12, 25)),
-                                             int(rng.integers(2, 5)))
-        state = NetworkState.from_specs(frame, graph, specs)
-        states += [state, at_bound(state, 0.37)]
-    discarded = sum(assert_recording_leaves_stepping_alone(state) for state in states)
-    assert discarded > 0  # the recorded runs formed products ahead too
+    for engine, theta, seed in (("pmf", 0.0, 4115), ("dirichlet", 0.1, 4118)):
+        rng = np.random.default_rng(seed)
+        states = [NetworkState.from_specs(*line_state(alpha2=0.95, theta=theta))]
+        for _ in range(4):
+            frame, graph, specs = random_network(rng, engine, int(rng.integers(12, 25)),
+                                                 int(rng.integers(2, 5)))
+            state = NetworkState.from_specs(frame, graph, specs)
+            states += [state, at_bound(state, 0.37)]
+        discarded = sum(assert_recording_leaves_stepping_alone(state, engine)
+                        for state in states)
+        assert discarded > 0  # the recorded runs formed products ahead too
+
+
+def test_chunks_end_near_the_predicted_convergence_step():
+    # a chunk capped where its falling changes predict convergence forms
+    # almost no product that the run never takes
+    for engine in ("pmf", "dirichlet"):
+        steps = discarded = 0
+        for figure in ("fig3a", "fig4a", "fig5a", "fig6a"):
+            scenario = load_scenario(f"{figure}-{engine}")
+            for eps in sweep_grid(0.0, 1.0, 0.05):
+                run = ProfileRun(scenario.state, engine, eps)
+                steps += run.advance(scenario.max_iterations, scenario.step_tol,
+                                     scenario.persistence)[0]
+                discarded += run.discarded
+        assert discarded < 0.01 * steps
 
 
 # ---------------------------------------------------------------------------
