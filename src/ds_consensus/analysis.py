@@ -60,18 +60,29 @@ def rank_one_rows(w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClusterReport:
+    """Where a run ended: its agents partitioned into opinion clusters."""
+
     frame: Frame
     clusters: tuple[tuple[int, ...], ...]   # 1-based agent ids, sorted
     representatives: np.ndarray             # one mean mass row per cluster
     tolerance: float
-    consensus: bool
-    near_tolerance: bool                    # two clusters closer than 2x tolerance
-    converged: bool = False
-    iterations: int = 0
 
     @property
     def cluster_count(self) -> int:
         return len(self.clusters)
+
+    @property
+    def consensus(self) -> bool:
+        return len(self.clusters) == 1
+
+    @property
+    def near_tolerance(self) -> bool:
+        """Two clusters' representatives lie within twice the tolerance."""
+        if len(self.clusters) < 2:
+            return False
+        rep_dist = dst.pairwise_jousselme(self.representatives, self.frame.size)
+        off = rep_dist[~np.eye(len(self.clusters), dtype=bool)]
+        return bool(off.min() <= 2.0 * self.tolerance)
 
     def cluster_of(self, agent: int) -> int:
         """1-based cluster id of a 1-based agent."""
@@ -80,15 +91,16 @@ class ClusterReport:
                 return c + 1
         raise ValueError(f"agent {agent} not in any cluster")
 
-    def to_dict(self) -> dict:
+    def to_dict(self, converged: bool, iterations: int) -> dict:
+        """The report's JSON form, with how the run that reached it stopped."""
         return {
             "clusters": [list(c) for c in self.clusters],
             "representatives": [dst.masses_to_dict(self.frame, row)
                                 for row in self.representatives],
             "cluster_count": self.cluster_count,
             "consensus": self.consensus,
-            "converged": self.converged,
-            "iterations": self.iterations,
+            "converged": converged,
+            "iterations": iterations,
             "tolerance": self.tolerance,
             "near_tolerance": self.near_tolerance,
         }
@@ -107,14 +119,7 @@ def detect_clusters(rows: np.ndarray, tol: float, frame: Frame) -> ClusterReport
     # each cluster's mean row, its members summed in agent order
     sums = np.zeros((len(sizes), rows.shape[1]))
     np.add.at(sums, ids, rows)
-    reps = sums / sizes[:, None]
-    near = False
-    if len(clusters) > 1:
-        rep_dist = dst.pairwise_jousselme(reps, frame.size)
-        off = rep_dist[~np.eye(len(clusters), dtype=bool)]
-        near = bool(off.min() <= 2.0 * tol)
-    return ClusterReport(frame, tuple(clusters), reps, tol,
-                         consensus=len(clusters) == 1, near_tolerance=near)
+    return ClusterReport(frame, tuple(clusters), sums / sizes[:, None], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +137,6 @@ def _agent_index(agents: Sequence[int]) -> np.ndarray:
 class DrivenChain:
     """Index bookkeeping for a block-triangular confidence structure."""
 
-    kind: str                                 # "one-group" | "two-groups"
     groups: tuple[tuple[int, ...], ...]       # central groups, 1-based ids
     outer: tuple[int, ...]                    # remaining agents, 1-based
     _group_idx: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
@@ -141,6 +145,10 @@ class DrivenChain:
     def __post_init__(self):
         object.__setattr__(self, "_group_idx", tuple(_agent_index(g) for g in self.groups))
         object.__setattr__(self, "_outer_idx", _agent_index(self.outer))
+
+    @property
+    def kind(self) -> str:
+        return "one-group" if len(self.groups) == 1 else "two-groups"
 
     def group_idx(self, g: int) -> np.ndarray:
         return self._group_idx[g]
@@ -190,7 +198,7 @@ def classify_chain(w: np.ndarray,
         if len(central) != sum(len(g) for g in groups):
             raise NotDrivenChain("central groups overlap")
         outer = tuple(a for a in range(1, n + 1) if a not in central)
-        chain = DrivenChain("one-group" if len(groups) == 1 else "two-groups", groups, outer)
+        chain = DrivenChain(groups, outer)
     idx = chain._group_idx
     for g, rows in enumerate(idx):
         for cols in (chain._outer_idx, *idx[:g], *idx[g + 1:]):

@@ -71,16 +71,16 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
-    scenario = load_scenario(args.scenario)
     if args.trace and not args.out:
         print("ds-consensus run: --trace requires --out", file=sys.stderr)
         return 1
+    scenario = load_scenario(args.scenario)
     result = run_simulation(scenario, epsilon=args.epsilon, record_trace=args.trace)
     payload = {
         "scenario": scenario.name,
         "engine": result.engine,
         "epsilon": args.epsilon,
-        **result.report.to_dict(),
+        **result.report.to_dict(result.converged, result.iterations),
     }
     _print_json(payload, args.out, "report.json")
     if args.trace:
@@ -172,10 +172,7 @@ def cli(argv=None) -> int:
             ValueError) as exc:
         print(f"ds-consensus {args.command}: {exc}", file=sys.stderr)
         return 1
-    except DSConsensusError as exc:
-        print(f"ds-consensus {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DSConsensusError, OSError, MemoryError) as exc:
         print(f"ds-consensus {args.command}: {exc}", file=sys.stderr)
         return 2
 

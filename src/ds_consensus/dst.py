@@ -23,6 +23,7 @@ All values are immutable after construction; every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -39,7 +40,6 @@ ITERATED_TOL = 1e-9
 # footprint stops being worth materializing and the quadratic form is
 # evaluated on the columns that carry mass instead.
 _DENSE_JACCARD_LIMIT = 10
-_jaccard_cache: dict[int, np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -273,15 +273,13 @@ def jaccard_block(masks) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
+@cache
 def jaccard_matrix(size: int) -> np.ndarray:
     """Jaccard similarity over all subset pairs of a frame; cached per size."""
-    if size in _jaccard_cache:
-        return _jaccard_cache[size]
     if size > _DENSE_JACCARD_LIMIT:
         raise ValueError(f"dense Jaccard matrix not materialized for size {size}")
     d = jaccard_block(np.arange(1 << size))
     d.setflags(write=False)
-    _jaccard_cache[size] = d
     return d
 
 

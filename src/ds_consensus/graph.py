@@ -15,10 +15,10 @@ import numpy as np
 from . import dst
 from .errors import InvalidScenario, NodeOutOfRange
 
-# Largest graph of any form: an (N, N) float matrix, which a run forms as the
-# Gram product of each pruning and the weights of each kept set, stays within
-# 128 MiB.
-MAX_NODES = 4096
+# Largest graph of any form: a whole run at this size, from the Erdos-Renyi
+# draw through its cluster report, peaks within 128 MiB (tracemalloc); the
+# (N, N) float matrices it holds at once peak at 149 MiB at 2048 nodes.
+MAX_NODES = 1024
 ER_ATTEMPTS = 1000  # seeds an Erdos-Renyi draw tries before it gives up on connectivity
 
 
@@ -26,24 +26,22 @@ ER_ATTEMPTS = 1000  # seeds an Erdos-Renyi draw tries before it gives up on conn
 class DirectedGraph:
     n: int
     edges: frozenset[tuple[int, int]]
-    _adj: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _adj: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_node_count(self.n)
+        adj = np.zeros((self.n, self.n), dtype=bool)
         for i, j in self.edges:
             if not (1 <= i <= self.n and 1 <= j <= self.n):
                 raise NodeOutOfRange(f"edge ({i}, {j}) outside [1, {self.n}]")
             if i == j:
                 raise ValueError(f"self-loop ({i}, {i}) not allowed; self-weight lives per agent")
+            adj[i - 1, j - 1] = True
+        adj.setflags(write=False)
+        object.__setattr__(self, "_adj", adj)
 
     def adjacency(self) -> np.ndarray:
         """Boolean receive matrix, 0-based: ``adj[i, j]`` iff edge (i+1, j+1)."""
-        if self._adj is None:
-            adj = np.zeros((self.n, self.n), dtype=bool)
-            for i, j in self.edges:
-                adj[i - 1, j - 1] = True
-            adj.setflags(write=False)
-            object.__setattr__(self, "_adj", adj)
         return self._adj
 
     @staticmethod

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -18,9 +18,7 @@ from .scenario import Scenario
 
 @dataclass(frozen=True)
 class RunResult:
-    scenario: str
     engine: str
-    epsilon: float | None            # uniform override, None = per-agent bounds
     initial_masses: np.ndarray
     final_masses: np.ndarray
     iterations: int
@@ -57,17 +55,13 @@ def run_simulation(scenario: Scenario, epsilon: float | None = None,
     if record_trace:
         frames.append(final)
 
-    report = detect_clusters(final, scenario.cluster_tol, scenario.frame)
-    report = replace(report, converged=converged, iterations=steps)
     return RunResult(
-        scenario=scenario.name,
         engine=scenario.engine,
-        epsilon=epsilon,
         initial_masses=scenario.state.masses,
         final_masses=final,
         iterations=steps,
         converged=converged,
-        report=report,
+        report=detect_clusters(final, scenario.cluster_tol, scenario.frame),
         matrices=tuple(matrices) if record_matrices else None,
         pruned_edges=tuple(edges) if record_trace else None,
         trajectory=np.stack(frames) if frames else None,
@@ -106,7 +100,7 @@ def verify_run(scenario: Scenario, epsilon: float) -> dict:
         "epsilon": epsilon,
         "leaders": list(scenario.leaders),
         "theorem": report,
-        "clusters": result.report.to_dict(),
+        "clusters": result.report.to_dict(result.converged, result.iterations),
     }
 
 

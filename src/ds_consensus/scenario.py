@@ -109,7 +109,7 @@ class Scenario:
             raise InvalidScenario(
                 f"cluster tolerance must be finite and >= 0, got {self.cluster_tol}")
         if self.engine == "auto":  # the tightest engine all opinions satisfy
-            rows = np.vstack([a.boe.masses for a in self.agents])
+            rows = self.state.masses
             engine = ("pmf" if dst.is_bayesian_table(rows, self.frame) else
                       "dirichlet" if dst.is_dirichlet_table(rows, self.frame) else "general")
             object.__setattr__(self, "engine", engine)

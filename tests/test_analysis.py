@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from ds_consensus.analysis import (CONTRACTION_SLACK, _contraction_profile, _step_lambda,
-                                   _walk_chain, classify_chain, detect_clusters, infinity_norm,
-                                   rank_one_rows, verify_one_group_chain, verify_two_group_chain)
+from ds_consensus.analysis import (CONTRACTION_SLACK, DrivenChain, _contraction_profile,
+                                   _step_lambda, _walk_chain, classify_chain, detect_clusters,
+                                   infinity_norm, rank_one_rows, verify_one_group_chain,
+                                   verify_two_group_chain)
 from ds_consensus import analysis, dst
 from ds_consensus.dst import BodyOfEvidence, Frame
 from ds_consensus.dynamics import AgentSpec, Strategy
@@ -97,6 +98,13 @@ def test_detect_clusters_partition_and_order_invariance(rng):
 def test_detect_clusters_near_tolerance_flag():
     rep = detect_clusters(table([bayes(0.500), bayes(0.5015)]), 1e-3, F3)
     assert rep.cluster_count == 2 and rep.near_tolerance
+
+
+def test_cluster_of_an_agent_outside_the_report():
+    rep = detect_clusters(table([bayes(0.2), bayes(0.8)]), 1e-3, F3)
+    assert [rep.cluster_of(a) for a in (1, 2)] == [1, 2]
+    with pytest.raises(ValueError, match="^agent 3 not in any cluster$"):
+        rep.cluster_of(3)
 
 
 def walk_clusters(close):
@@ -198,6 +206,16 @@ def test_classify_chain_two_groups():
 def test_classify_chain_rejects_bad_groups(groups, message):
     with pytest.raises(NotDrivenChain, match=message):
         classify_chain(np.eye(4), groups)
+
+
+@pytest.mark.parametrize("groups, verify, message", [
+    (((1,), (2,)), verify_one_group_chain, "^expected a one-group chain$"),
+    (((1,),), verify_two_group_chain, "^expected a two-groups chain$"),
+], ids=["two-groups-to-one-group", "one-group-to-two-groups"])
+def test_a_verifier_rejects_a_chain_of_the_other_kind(groups, verify, message):
+    chain = DrivenChain(groups, tuple(range(len(groups) + 1, 4)))
+    with pytest.raises(NotDrivenChain, match=message):
+        verify(chain, [np.eye(3)], np.eye(3), np.eye(3))
 
 
 def test_two_group_report_without_rank_one_groups():

@@ -270,6 +270,18 @@ def test_bad_endpoint_beliefs_rejected():
         dst.masses_from_beliefs(frame, np.array([0.2, 0.6, 0.1, 1.0]))
 
 
+def test_beliefs_of_the_wrong_length_rejected():
+    with pytest.raises(ValueError, match=r"^expected 4 belief values, got shape \(3,\)$"):
+        dst.masses_from_beliefs(Frame(2), np.array([0.0, 0.5, 1.0]))
+
+
+def test_dense_jaccard_matrix_is_cached_up_to_its_limit():
+    d = dst.jaccard_matrix(3)
+    assert dst.jaccard_matrix(3) is d and not d.flags.writeable
+    with pytest.raises(ValueError, match="^dense Jaccard matrix not materialized for size 11$"):
+        dst.jaccard_matrix(11)
+
+
 # ---------------------------------------------------------------------------
 # validation, classification, serialization
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from ds_consensus.dst import BodyOfEvidence, Frame, belief_table
-from ds_consensus.dynamics import (AgentSpec, NetworkState, Strategy, _term_structure,
-                                   _term_weights, dirichlet_confidence_matrix, dirichlet_step,
-                                   general_step, pmf_confidence_matrix, pmf_step)
+from ds_consensus.dynamics import (AgentSpec, ConfidenceMatrix, NetworkState, Strategy,
+                                   _term_structure, _term_weights, dirichlet_confidence_matrix,
+                                   dirichlet_step, general_step, pmf_confidence_matrix, pmf_step)
 from ds_consensus.errors import EngineMismatch
 from ds_consensus.graph import DirectedGraph
+from ds_consensus.runner import run_simulation
+from ds_consensus.scenario import Scenario, load_scenario
 
 from conftest import (random_bayesian_boe, random_dirichlet_boe, random_general_boe,
                       theta_weight_matrix)
@@ -140,6 +142,30 @@ def test_dirichlet_matrix_requires_dirichlet(rng):
     st = state_of([random_general_boe(F3, rng), bayes(0.5)], [(1, 2)])
     with pytest.raises(EngineMismatch):
         dirichlet_confidence_matrix(st)
+
+
+def test_network_state_rejects_a_mismatched_table():
+    st = state_of([bayes(0.4), bayes(0.7)], [(1, 2)])
+    with pytest.raises(ValueError, match=r"^mass table must be \(2, 8\), got \(2, 4\)$"):
+        NetworkState(F3, st.graph, st.specs, st.masses[:, :4])
+    with pytest.raises(ValueError, match="^need 2 agent specs, got 1$"):
+        NetworkState(F3, st.graph, st.specs[:1], st.masses)
+    other = AgentSpec(Strategy.RECEPTIVE, 0.5, 1.0, BodyOfEvidence(Frame(2), np.eye(4)[1]))
+    with pytest.raises(ValueError, match="^agent 2 opinion not on the shared frame$"):
+        NetworkState.from_specs(F3, st.graph, (st.specs[0], other))
+
+
+def test_confidence_matrix_rows_must_sum_to_one():
+    ConfidenceMatrix(np.array([[0.5, 0.6], [0.0, 1.0]]), row_stochastic=False)
+    with pytest.raises(ValueError, match="^row sums deviate from 1 by "):
+        ConfidenceMatrix(np.array([[0.5, 0.4], [0.0, 1.0]]), row_stochastic=True)
+
+
+def test_unknown_engine_rejected_when_the_run_starts():
+    s = load_scenario("fig3a-pmf")
+    bogus = Scenario(s.name, s.frame, s.graph, s.agents, engine="bogus")
+    with pytest.raises(EngineMismatch, match="^unknown engine 'bogus'$"):
+        run_simulation(bogus, 0.5)
 
 
 # ---------------------------------------------------------------------------

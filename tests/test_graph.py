@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from ds_consensus.dst import BodyOfEvidence, Frame
 from ds_consensus.errors import InvalidScenario, NodeOutOfRange
 from ds_consensus.graph import (MAX_NODES, DirectedGraph, erdos_renyi,
                                 erdos_renyi_connected, is_connected, prune)
+from ds_consensus.runner import run_simulation
 
 from conftest import random_general_boe
 
@@ -128,6 +130,36 @@ def test_is_connected_cases():
     assert not is_connected(DirectedGraph.from_mutual_pairs(4, [(1, 2), (3, 4)]))
     assert not is_connected(DirectedGraph.from_edges(2, []))
     assert is_connected(DirectedGraph.from_mutual_pairs(3, [(1, 2), (2, 3)]))
+
+
+def test_one_way_edge_has_no_mutual_pair():
+    with pytest.raises(ValueError, match="^edge between 1 and 2 is not mutual$"):
+        DirectedGraph.from_edges(3, [(1, 2), (2, 3), (3, 2)]).mutual_pairs()
+
+
+def test_prune_needs_one_opinion_and_one_bound_per_node():
+    frame = Frame(3)
+    g = DirectedGraph.from_mutual_pairs(3, [(1, 2), (2, 3)])
+    masses = table([bayes(frame, x) for x in (0.2, 0.5, 0.8)])
+    with pytest.raises(ValueError, match="^need 3 opinions, got 2$"):
+        prune(g, masses[:2], [0.5] * 3, frame.size)
+    with pytest.raises(ValueError, match=r"^need 3 bounds, got shape \(2,\)$"):
+        prune(g, masses, [0.5] * 2, frame.size)
+
+
+def test_a_run_at_the_node_limit_stays_within_its_memory_budget(tmp_path):
+    # the budget that MAX_NODES is chosen by: 128 MiB for a whole run
+    data = {"frame_size": 3, "graph": {"er": {"n": MAX_NODES, "p": 20 / MAX_NODES, "seed": 1}},
+            "engine": "pmf", "max_iterations": 5, "n_agents": MAX_NODES,
+            "defaults": {"sample": {"dirichlet": [1, 1, 1], "targets": ["1", "2", "3"]}}}
+    tracemalloc.start()
+    try:
+        result = run_simulation(scenario.scenario_from_dict(data, "limit", tmp_path), 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.iterations == 5 and result.report.cluster_count > 1
+    assert peak <= 128 * 2 ** 20
 
 
 def test_graph_json_round_trip(tmp_path):

@@ -23,7 +23,7 @@ from ds_consensus.errors import (DSConsensusError, EngineMismatch, InvalidScenar
 from ds_consensus.output import CSV_HEADER, write_sweep_csv, write_sweep_json, write_sweep_svg
 from ds_consensus import cli as cli_module, dynamics, runner, scenario as scenario_module
 from ds_consensus.analysis import classify_chain, verify_one_group_chain, verify_two_group_chain
-from ds_consensus.graph import MAX_NODES, DirectedGraph
+from ds_consensus.graph import MAX_NODES, DirectedGraph, erdos_renyi_connected
 from ds_consensus.runner import run_simulation, run_sweep, sweep_grid, verify_run
 from ds_consensus.scenario import (SamplingSpec, Scenario, assets_dir, list_assets,
                                    load_scenario, sample_boe, scenario_from_dict)
@@ -453,7 +453,10 @@ def test_cli_sweep_and_exit_codes(tmp_path, capsys):
     assert code == 1
 
 
-def test_cli_run_trace_needs_an_output_directory(capsys):
+def test_cli_run_trace_needs_an_output_directory(capsys, monkeypatch):
+    def no_load(*args, **kwargs):
+        raise AssertionError("loaded the scenario before checking the flags")
+    monkeypatch.setattr(cli_module, "load_scenario", no_load)
     code = cli(["run", "--scenario", "fig3a-pmf", "--epsilon", "0.5", "--trace"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
@@ -494,6 +497,16 @@ def test_runtime_error_during_a_run_exits_two(monkeypatch, capsys):
     assert captured.err == "ds-consensus run: mass conservation violated by -0.5\n"
 
 
+def test_failed_allocation_exits_two(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.00 GiB for an array")
+    monkeypatch.setattr(cli_module, "run_simulation", fail)
+    code = cli(["run", "--scenario", "fig4a-pmf", "--epsilon", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "ds-consensus run: Unable to allocate 2.00 GiB for an array\n"
+
+
 def test_cli_usage_error_exits_one(capsys):
     code = cli(["sweep", "--scenario", "fig3a-pmf"])  # missing required args
     capsys.readouterr()
@@ -525,7 +538,7 @@ def test_verify_run_is_the_recorded_run_workflow(name, epsilon):
                      run.singleton_profiles())
     want = {"scenario": scenario.name, "engine": run.engine, "epsilon": epsilon,
             "leaders": list(scenario.leaders), "theorem": theorem,
-            "clusters": run.report.to_dict()}
+            "clusters": run.report.to_dict(run.converged, run.iterations)}
     assert json.dumps(verify_run(scenario, epsilon)) == json.dumps(want)
 
 
@@ -618,6 +631,16 @@ def test_cli_gen_graph_rejects_no_agents(tmp_path, capsys):
                             "agent, got n=0\n")
 
 
+def test_cli_gen_graph_rejects_p_outside_the_unit_interval(tmp_path, capsys):
+    with pytest.raises(ValueError, match=r"^p must be in \[0, 1\], got 1.5$"):
+        erdos_renyi_connected(10, 1.5, 1)
+    target = tmp_path / "g.json"
+    code = cli(["gen-graph", "--er", "10", "1.5", "1", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not target.exists()
+    assert captured.err == "ds-consensus gen-graph: p must be in [0, 1], got 1.5\n"
+
+
 def test_cli_gen_graph(tmp_path, capsys):
     target = tmp_path / "g.json"
     code = cli(["gen-graph", "--er", "30", "0.2", "7", "--out", str(target)])
@@ -631,6 +654,18 @@ def test_cli_assets_list(capsys):
     assert cli(["assets", "list"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert "fig3a-pmf" in out
+
+
+@pytest.mark.parametrize("make", [False, True], ids=["missing", "file"])
+def test_assets_list_without_an_assets_directory(tmp_path, monkeypatch, capsys, make):
+    # a location that is not a directory lists no asset; it is no error
+    path = tmp_path / "assets"
+    if make:
+        path.write_text("")
+    monkeypatch.setenv("DS_CONSENSUS_ASSETS", str(path))
+    assert list_assets() == []
+    assert cli(["assets", "list"]) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 def test_sweep_endpoint_sanity():
@@ -904,11 +939,12 @@ _SAMPLE = {"dirichlet": [1, 1], "targets": ["1", "2"]}
     ({"graph": {"n": 0, "edges": []}}, InvalidScenario, "graph needs at least one node, got 0"),
     ({"graph": {"file": "missing.json"}}, ScenarioParseError,
      "graph file: [Errno 2] No such file or directory"),
+    ({"agents": [{"boe": {}}, _OTHER]}, InvalidScenario, "agents[0]: bad opinion: no masses"),
 ], ids=["sample-targets", "strategy", "engine", "graph-er", "graph-file", "edge-number",
         "edge-single", "edge-triple", "unknown-strategy", "unknown-engine", "empty-target",
         "masses-and-sample", "no-concentrations", "no-targets", "target-count",
         "zero-concentration", "alpha-range", "epsilon-range", "frame-size-0", "frame-size-17",
-        "negative-seed", "leader-count", "no-nodes", "missing-graph-file"])
+        "negative-seed", "leader-count", "no-nodes", "missing-graph-file", "no-masses"])
 def test_wrongly_typed_value_names_its_field(tmp_path, capsys, field, error, message):
     data = dict(TINY, **field)
     with pytest.raises(error, match=re.escape(message)):
