@@ -143,6 +143,8 @@ class DrivenChain:
     _outer_idx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not 1 <= len(self.groups) <= 2:
+            raise NotDrivenChain(f"need one or two central groups, got {len(self.groups)}")
         object.__setattr__(self, "_group_idx", tuple(_agent_index(g) for g in self.groups))
         object.__setattr__(self, "_outer_idx", _agent_index(self.outer))
 
@@ -189,8 +191,6 @@ def classify_chain(w: np.ndarray,
             raise NotDrivenChain(f"the chain does not cover the matrix's {n} agents")
     else:
         groups = tuple(tuple(sorted(int(a) for a in g)) for g in central_groups)
-        if not 1 <= len(groups) <= 2:
-            raise NotDrivenChain(f"need one or two central groups, got {len(groups)}")
         central = {a for g in groups for a in g}
         for a in sorted(central):
             if not 1 <= a <= n:

@@ -164,13 +164,50 @@ def mass_table(beliefs: np.ndarray) -> np.ndarray:
 # Body of evidence
 # ---------------------------------------------------------------------------
 
+def mass_table_fault(masses: np.ndarray) -> tuple[int, str] | None:
+    """The first row of an (N, 2**M) table that breaks the mass axioms, and
+    why, or None when every row keeps them.
+
+    A row must be finite, give the empty set 0, total 1 within
+    ALGEBRAIC_TOL and hold no mass below -ALGEBRAIC_TOL.  The whole table is
+    checked at once; only the reason is formed row by row.  A row that is
+    not finite fails the last two tests (a NaN or -inf fails the minimum, an
+    inf the total), so finiteness needs no pass of its own.
+    """
+    m = masses
+    bad = m[:, 0] != 0.0
+    bad |= np.abs(m.sum(axis=1) - 1.0) > ALGEBRAIC_TOL
+    bad |= ~(m.min(axis=1) >= -ALGEBRAIC_TOL)
+    rows = np.flatnonzero(bad)
+    if not len(rows):
+        return None
+    row = m[rows[0]]
+    if not np.all(np.isfinite(row)):
+        return int(rows[0]), "invalid mass assignment: masses must be finite"
+    issues = []
+    if row[0] != 0.0:
+        issues.append(f"mass of the empty set must be 0, got {row[0]!r}")
+    if abs(row.sum() - 1.0) > ALGEBRAIC_TOL:
+        issues.append(f"total mass must be 1, got {row.sum()!r}")
+    if row.min() < -ALGEBRAIC_TOL:
+        issues.append(f"negative mass {row.min()!r}")
+    return int(rows[0]), "invalid mass assignment: " + "; ".join(issues)
+
+
+def clamped_masses(masses: np.ndarray) -> np.ndarray:
+    """A read-only copy of a checked mass table, its float noise within the
+    accepted -ALGEBRAIC_TOL band set to 0."""
+    m = np.where(masses < 0.0, 0.0, masses)
+    m.setflags(write=False)
+    return m
+
+
 @dataclass(frozen=True)
 class BodyOfEvidence:
     """An agent opinion: a frame plus a dense mass table indexed by bitmask.
 
-    Construction checks the mass axioms (``m[0] == 0``, total mass 1,
-    non-negativity up to float noise), raising :class:`ValueError`, and
-    freezes the array.
+    Construction checks the mass axioms (:func:`mass_table_fault`), raising
+    :class:`ValueError`, and freezes the array.
     """
 
     frame: Frame
@@ -180,21 +217,10 @@ class BodyOfEvidence:
         m = np.asarray(self.masses, dtype=float)
         if m.shape != (self.frame.n_subsets,):
             raise ValueError(f"expected {self.frame.n_subsets} masses, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("invalid mass assignment: masses must be finite")
-        issues = []
-        if m[0] != 0.0:
-            issues.append(f"mass of the empty set must be 0, got {m[0]!r}")
-        if abs(m.sum() - 1.0) > ALGEBRAIC_TOL:
-            issues.append(f"total mass must be 1, got {m.sum()!r}")
-        if m.min() < -ALGEBRAIC_TOL:
-            issues.append(f"negative mass {m.min()!r}")
-        if issues:
-            raise ValueError("invalid mass assignment: " + "; ".join(issues))
-        m = m.copy()
-        m[m < 0.0] = 0.0  # clamp float noise within the accepted -1e-12 band
-        m.setflags(write=False)
-        object.__setattr__(self, "masses", m)
+        fault = mass_table_fault(m[None])
+        if fault:
+            raise ValueError(fault[1])
+        object.__setattr__(self, "masses", clamped_masses(m))
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -55,6 +56,11 @@ class Strategy(Enum):
     CAUTIOUS = "cautious"    # leads: weights track the agent's own masses
 
 
+def check_unit_interval(name: str, value) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
+
+
 @dataclass(frozen=True)
 class AgentSpec:
     strategy: Strategy
@@ -63,53 +69,85 @@ class AgentSpec:
     boe: BodyOfEvidence
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
+        check_unit_interval("alpha", self.alpha)
+        check_unit_interval("epsilon", self.epsilon)
+
+
+# the engines from the tightest opinion class to the widest
+ENGINES = ("pmf", "dirichlet", "general")
 
 
 @dataclass(frozen=True)
 class NetworkState:
-    """Opinions of all agents at one step: a stacked mass table plus specs."""
+    """Every agent's opinion at one step and the parameters fixed for a run.
+
+    Row i of every array is agent i+1: ``masses`` is the (N, 2**M) mass
+    table, ``alphas`` the self-weights, ``bounds`` the bounds of confidence
+    and ``receptive`` the strategies (False: cautious).  This is the one
+    constructor; :meth:`from_specs` turns agent specs into these arrays.
+    The arrays are copied read-only.
+    """
 
     frame: Frame
     graph: DirectedGraph
-    specs: tuple[AgentSpec, ...]
-    masses: np.ndarray  # (N, 2**M), row i = agent i+1
+    masses: np.ndarray
+    alphas: np.ndarray
+    bounds: np.ndarray
+    receptive: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.masses, dtype=float)
-        n = self.graph.n
-        if m.shape != (n, self.frame.n_subsets):
-            raise ValueError(f"mass table must be ({n}, {self.frame.n_subsets}), got {m.shape}")
-        if len(self.specs) != n:
-            raise ValueError(f"need {n} agent specs, got {len(self.specs)}")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "masses", m)
+        n, k = self.graph.n, self.frame.n_subsets
+        for name, dtype in (("masses", float), ("alphas", float), ("bounds", float),
+                            ("receptive", bool)):
+            values = np.array(getattr(self, name), dtype=dtype)
+            if name == "masses" and values.shape != (n, k):
+                raise ValueError(f"mass table must be ({n}, {k}), got {values.shape}")
+            if name != "masses" and values.shape != (n,):
+                raise ValueError(f"need {n} {name}, got shape {values.shape}")
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+        for name, values in (("alpha", self.alphas), ("epsilon", self.bounds)):
+            inside = (values >= 0.0) & (values <= 1.0)
+            if not inside.all():
+                check_unit_interval(name, float(values[inside.argmin()]))
 
     @staticmethod
     def from_specs(frame: Frame, graph: DirectedGraph,
                    specs: Sequence[AgentSpec]) -> "NetworkState":
-        rows = []
+        if len(specs) != graph.n:
+            raise ValueError(f"need {graph.n} agent specs, got {len(specs)}")
         for k, spec in enumerate(specs):
             if spec.boe.frame != frame:
                 raise ValueError(f"agent {k + 1} opinion not on the shared frame")
-            rows.append(spec.boe.masses)
-        return NetworkState(frame, graph, tuple(specs), np.vstack(rows))
+        return NetworkState(
+            frame, graph, np.reshape([s.boe.masses for s in specs], (-1, frame.n_subsets)),
+            [s.alpha for s in specs], [s.epsilon for s in specs],
+            [s.strategy is Strategy.RECEPTIVE for s in specs])
+
+    @cached_property
+    def specs(self) -> tuple[AgentSpec, ...]:
+        """Every agent as an :class:`AgentSpec`, built on first read; no run reads them."""
+        return tuple(AgentSpec(Strategy.RECEPTIVE if r else Strategy.CAUTIOUS, a, e,
+                               BodyOfEvidence(self.frame, m))
+                     for r, a, e, m in zip(self.receptive.tolist(), self.alphas.tolist(),
+                                           self.bounds.tolist(), self.masses))
+
+    @cached_property
+    def opinion_class(self) -> str:
+        """The tightest engine every opinion fits: "pmf" when only singletons
+        carry mass, "dirichlet" when the full frame may too, else "general"."""
+        return ("pmf" if dst.is_bayesian_table(self.masses, self.frame) else
+                "dirichlet" if dst.is_dirichlet_table(self.masses, self.frame) else "general")
 
     def epsilons(self) -> np.ndarray:
-        return np.array([s.epsilon for s in self.specs])
-
-    def alphas(self) -> np.ndarray:
-        return np.array([s.alpha for s in self.specs])
+        """The bounds of confidence, as :func:`graph.prune` takes them."""
+        return self.bounds
 
     def with_masses(self, masses: np.ndarray) -> "NetworkState":
         return replace(self, masses=masses)
 
     def pruned(self) -> PrunedView:
-        return prune(self.graph, self.masses, self.epsilons(), self.frame.size)
+        return prune(self.graph, self.masses, self.bounds, self.frame.size)
 
 
 @dataclass(frozen=True)
@@ -319,10 +357,6 @@ def _general_update(masses: np.ndarray, bl: np.ndarray, terms: _Terms, out: np.n
 # Closed-form engines
 # ---------------------------------------------------------------------------
 
-def _receptive(specs: Sequence[AgentSpec]) -> np.ndarray:
-    return np.array([s.strategy is Strategy.RECEPTIVE for s in specs])
-
-
 class _WeightPlan:
     """The weights of one kept set but for the full-frame masses.
 
@@ -340,44 +374,56 @@ class _WeightPlan:
         counts = np.bincount(i, minlength=n)
         safe = np.maximum(counts, 1)
         rec = receptive.take(i)
-        i_rec, i_cau = i[rec], i[~rec]
-        share = ((1.0 - alphas) / safe).take(i_rec)
+        share = ((1.0 - alphas) / safe).take(i)
         self.matrix = np.zeros((n, n))
         self._cells = cells = self.matrix.reshape(-1)  # a view: writes land in the matrix
-        at = flat[rec]
-        cells[at] = share
+        cells[flat[rec]] = share[rec]
         cells[::n + 1] = np.where(receptive & (counts > 0), alphas, 1.0)
-        self._receptive = at, at - i_rec * n, share
-        self._cautious = flat[~rec], i_cau, (1.0 - alphas).take(i_cau), safe.take(i_cau)
+        # Dirichlet edge e gathers 1 + theta of its neighbour (receptive) or
+        # theta of its agent (cautious) from the (1 + theta, theta) buffer,
+        # then scales by its share or 1 - alpha and divides by 1 or the count
+        self._at = flat
+        self._gather = np.where(rec, flat - i * n, n + i)
+        self._scale = np.where(rec, share, (1.0 - alphas).take(i))
+        self._divide = np.where(rec, 1.0, safe.take(i))
+        self._theta = np.empty(2 * n)
+        self._values = np.empty(len(i))
 
     def fill(self, theta: np.ndarray) -> None:
         """Write the Dirichlet edge weights at the full-frame masses ``theta``:
         receptive rows amplify each share by that neighbour's full-frame mass,
         cautious rows leak in their neighbours by their own."""
-        cells = self._cells
-        at, neighbor, share = self._receptive
-        cells[at] = share * (1.0 + theta.take(neighbor))
-        at, agent, keep, count = self._cautious
-        cells[at] = keep * theta.take(agent) / count
+        n = len(theta)
+        buffer, values = self._theta, self._values
+        np.add(theta, 1.0, out=buffer[:n])
+        buffer[n:] = theta
+        buffer.take(self._gather, out=values, mode="clip")
+        values *= self._scale
+        values /= self._divide
+        self._cells[self._at] = values
+
+
+# The most negative full-frame mass a Dirichlet step may leave before it
+# counts as a broken mass conservation rather than rounding.
+CONSERVATION_TOL = 1e-10
 
 
 def _update(w: np.ndarray, x: np.ndarray, out: np.ndarray, full: np.ndarray | None,
-            prod: np.ndarray) -> None:
+            prod: np.ndarray, leftover: np.ndarray | None) -> None:
     """One step: ``w`` moves the singleton columns ``x`` of a profile into
     ``out``, the same columns of the next one, and ``full``, the next one's
     full-frame column (None when it has none), takes the mass they leave
-    over.  The product lands in the C-order scratch ``prod`` first, as
-    ``w @ x`` would return it, so its bits do not depend on ``out``'s layout.
+    over, clipped at 0; ``leftover`` keeps it unclipped, for the
+    conservation check.  The product lands in the C-order scratch ``prod``
+    first, as ``w @ x`` would return it, so its bits do not depend on
+    ``out``'s layout.
     """
     np.matmul(w, x, out=prod)
     np.copyto(out, prod)
     if full is not None:
-        np.add.reduce(prod, axis=1, out=full)
-        np.subtract(1.0, full, out=full)
-        worst = np.minimum.reduce(full)
-        if worst < -1e-10:
-            raise NotDirichlet(f"mass conservation violated by {worst!r}")
-        np.maximum(full, 0.0, out=full)
+        np.add.reduce(prod, axis=1, out=leftover)
+        np.subtract(1.0, leftover, out=leftover)
+        np.maximum(leftover, 0.0, out=full)
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +480,26 @@ def distance_error(k: int) -> float:
     return float(np.sqrt(2.0 * gamma + 2.0 * u)) + 4.0 * u
 
 
+@cache
+def _engine_columns(size: int, engine: str) -> tuple[np.ndarray, np.ndarray | None, float, float]:
+    """What an engine's runs on a frame of ``size`` singletons share: the
+    columns a state holds, their Jaccard block (None for general, which lets
+    dst pick per pruning), the error bound of one distance over them and
+    the certificate budget a unit mass change spends (see above)."""
+    frame = Frame(size)
+    if engine == "general":
+        cols, jaccard = np.arange(frame.n_subsets), None
+        row_sum = 2.0 ** (size - 1)  # the full frame's (see above)
+    else:
+        cols = dst.support_columns(frame, with_full=engine == "dirichlet")
+        jaccard = dst.jaccard_block(cols)
+        jaccard.setflags(write=False)
+        row_sum = jaccard.sum(axis=1).max()
+    cols.setflags(write=False)
+    bound = np.sqrt(0.5 * len(cols) * row_sum)
+    return cols, jaccard, distance_error(len(cols)), 2.0 * (1.0 + MOVE_SLACK) * float(bound)
+
+
 class ProfileRun:
     """A run of any engine, stepped by :meth:`advance` (``advance(1)`` is one step).
 
@@ -453,9 +519,15 @@ class ProfileRun:
     at a row inside a chunk on the same Gram product, as single steps would.
     A general run keeps two rows, so its chunks are one step.
 
-    The opinion class is checked once, here; adjacency, bounds (a uniform
-    ``epsilon`` replaces the per-agent ones), self-weights and strategies
-    are fixed for the run.  Pruning computes
+    Adjacency, bounds (a uniform ``epsilon`` replaces the per-agent ones),
+    self-weights and strategies are fixed for the run, and a run derives
+    none of them: it takes from the compiled state the opinion class
+    (:attr:`NetworkState.opinion_class`, found once per state), the base
+    edges as index pairs (:attr:`graph.DirectedGraph.edge_index`, once per
+    graph) and the self-weight, bound and strategy arrays, and from a cache
+    per frame size and engine the columns, their Jaccard block and the
+    certificate's constants.  Its own set-up is the stack of rows, the
+    per-edge bounds and the start profile.  Pruning computes
     distances on the base edges only, and is recomputed only when the
     certificate above no longer holds; the weight plan (:class:`_WeightPlan`)
     is built only when the kept edges change, and a Dirichlet step only
@@ -480,21 +552,16 @@ class ProfileRun:
     def __init__(self, state: NetworkState, engine: str, epsilon: float | None = None):
         if epsilon is not None and not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-        if engine not in ("pmf", "dirichlet", "general"):
+        if engine not in ENGINES:
             raise EngineMismatch(f"unknown engine {engine!r}")
-        if engine == "dirichlet" and not dst.is_dirichlet_table(state.masses, state.frame):
-            raise EngineMismatch("dirichlet engine requires Dirichlet opinions")
-        if engine == "pmf" and not dst.is_bayesian_table(state.masses, state.frame):
-            raise EngineMismatch("pmf engine requires Bayesian opinions")
+        if ENGINES.index(state.opinion_class) > ENGINES.index(engine):
+            raise EngineMismatch("dirichlet engine requires Dirichlet opinions"
+                                 if engine == "dirichlet" else
+                                 "pmf engine requires Bayesian opinions")
         self.frame = state.frame
         self._general = engine == "general"
-        if self._general:
-            self._cols = np.arange(self.frame.n_subsets)
-            row_sum = 2.0 ** (self.frame.size - 1)  # the full frame's (see above)
-        else:
-            self._cols = dst.support_columns(self.frame, with_full=engine == "dirichlet")
-            self._jaccard = dst.jaccard_block(self._cols)
-            row_sum = self._jaccard.sum(axis=1).max()
+        self._cols, self._jaccard, self._distance_error, self._spend_per_change = \
+            _engine_columns(self.frame.size, engine)
         # weights that scale with a full-frame column (one-singleton Dirichlet has none)
         self._scaled = engine == "dirichlet" and len(self._cols) > self.frame.size
         (n, k), m = (len(state.masses), len(self._cols)), self.frame.size
@@ -505,20 +572,22 @@ class ProfileRun:
             self._bl = np.empty((n, k))
             self._bl_steps = dst._lattice_steps(self._bl)
         else:
-            self._profiles = list(self._stack.reshape(-1, k, n).transpose(0, 2, 1))
+            rows = self._stack.reshape(-1, k, n).transpose(0, 2, 1)
+            self._profiles = list(rows)
             self._singles, self._fulls = (  # pmf profiles hold only singletons
-                ([p[:, :m] for p in self._profiles], [p[:, m] for p in self._profiles])
+                (list(rows[:, :, :m]), list(rows[:, :, m]))
                 if self._scaled else (self._profiles, [None] * len(self._profiles)))
             self._prod = np.empty((n, m))
+            # each step's unclipped full-frame masses (pmf profiles have none)
+            self._leftover = np.empty((CHUNK, n)) if self._scaled else [None] * CHUNK
         self._diff = np.empty((len(self._stack) - 1, k * n))
         np.copyto(self._profiles[0], state.masses[:, self._cols])
         self.x, self._at = self._profiles[0], 0
-        src, nbr = np.nonzero(state.graph.adjacency())  # base edge e: src[e] hears nbr[e]
-        self._pairs = src, nbr, src * state.graph.n + nbr
-        self._edge_eps = (state.epsilons()[src] if epsilon is None
+        self._pairs = state.graph.edge_index  # base edge e: src[e] hears nbr[e]
+        src = self._pairs[0]
+        self._edge_eps = (state.bounds[src] if epsilon is None
                           else np.full(len(src), epsilon, dtype=float))
-        self._alphas = state.alphas()
-        self._receptive = _receptive(state.specs)
+        self._alphas, self._receptive = state.alphas, state.receptive
         self._kept_mask: np.ndarray | None = None  # per base edge, at the last pruning
         self._kept: tuple[np.ndarray, ...] | None = None  # (i, j, i * N + j) of the kept edges
         # per base edge: whether an endpoint moves, and 2 if only one of them does
@@ -526,9 +595,6 @@ class ProfileRun:
         self._gap_scale = np.ones(len(src))
         self._plan: _WeightPlan | None = None  # weights of the kept edges
         self._edges: frozenset | None = None
-        self._distance_error = distance_error(len(self._cols))
-        bound = np.sqrt(0.5 * len(self._cols) * row_sum)
-        self._spend_per_change = 2.0 * (1.0 + MOVE_SLACK) * float(bound)
         self._budget = 0.0  # what 2 r may still grow to before a re-pruning
         self._stale = True
         self._terms: _Terms | None = None  # general terms, dropped when the kept edges change
@@ -624,9 +690,12 @@ class ProfileRun:
         each formed step's largest mass change.  Closed-form steps multiply
         by the plan's matrix, which a Dirichlet step then refills at the
         state it formed; a general step (its run has two rows) forms its own
-        terms.  A Dirichlet guard that fires on a product after the first
-        cuts the chunk just before it, so the error is raised only if the run
-        takes that step, as the first of a later chunk.  ``weights``, given,
+        terms.  A Dirichlet chunk checks the unclipped full-frame masses of
+        all its products at once, after the loop: a product that breaks mass
+        conservation cuts the chunk just before it (the plan is refilled at
+        the last state kept, and it and the products past it count as
+        discarded), so the error is raised only if the run takes that step,
+        as the first of a later chunk.  ``weights``, given,
         gets the confidence matrix of each state formed, as :meth:`weights`
         reads it there.  Where the chunk does not fit, the state moves to
         the first row: a closed-form run copies it there, a general run swaps
@@ -651,18 +720,22 @@ class ProfileRun:
         else:
             w, singles, fulls = self._plan.matrix, self._singles, self._fulls
             fill = self._plan.fill if self._scaled else None
+            leftover = self._leftover
             for s in range(at, at + count):
-                try:
-                    _update(w, singles[s], singles[s + 1], fulls[s + 1], self._prod)
-                except NotDirichlet:
-                    if s == at:
-                        raise
-                    count = s - at
-                    break
+                _update(w, singles[s], singles[s + 1], fulls[s + 1], self._prod,
+                        leftover[s - at])
                 if fill:  # the plan's matrix follows the full-frame masses
                     fill(fulls[s + 1])
                 if weights is not None:
                     weights.append(self.weights())
+            if fill and np.minimum.reduce(leftover[:count], axis=None) < -CONSERVATION_TOL:
+                worst = np.minimum.reduce(leftover[:count], axis=1)
+                broken = int(np.argmax(worst < -CONSERVATION_TOL))  # the first broken step
+                self.discarded += count - broken  # it and the products formed past it
+                count = broken
+                fill(fulls[at + count])  # the chunk ends at the state before it
+                if not count:
+                    raise NotDirichlet(f"mass conservation violated by {worst[0]!r}")
         d = self._diff[:count]
         np.subtract(stack[at + 1:at + count + 1], stack[at:at + count], out=d)
         return np.maximum.reduce(np.abs(d, out=d), axis=1).tolist()

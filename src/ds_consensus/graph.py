@@ -7,7 +7,8 @@ influence comes from the per-agent update weights and bounds of confidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,31 +23,66 @@ MAX_NODES = 1024
 ER_ATTEMPTS = 1000  # seeds an Erdos-Renyi draw tries before it gives up on connectivity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectedGraph:
-    n: int
-    edges: frozenset[tuple[int, int]]
-    _adj: np.ndarray = field(init=False, repr=False, compare=False)
+    """A base graph on ``n`` nodes, held as its boolean receive matrix.
 
-    def __post_init__(self):
+    ``DirectedGraph(n, rows, cols)`` takes the 0-based edges ``rows[e]``
+    hears ``cols[e]`` as two index arrays and checks them as one array;
+    :meth:`from_edges` and :meth:`from_mutual_pairs` take 1-based pairs.
+    ``edges``, the 1-based pairs as a frozenset, is built on first read.
+    Two graphs are equal when their nodes and edges are.
+    """
+
+    n: int
+    rows: InitVar[np.ndarray]
+    cols: InitVar[np.ndarray]
+    _adj: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self, rows, cols):
         _check_node_count(self.n)
-        adj = np.zeros((self.n, self.n), dtype=bool)
-        for i, j in self.edges:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise NodeOutOfRange(f"edge ({i}, {j}) outside [1, {self.n}]")
-            if i == j:
-                raise ValueError(f"self-loop ({i}, {i}) not allowed; self-weight lives per agent")
-            adj[i - 1, j - 1] = True
+        n, i, j = self.n, np.asarray(rows), np.asarray(cols)
+        fine = np.asarray((i >= 0) & (i < n) & (j >= 0) & (j < n) & (i != j), dtype=bool)
+        if not fine.all():  # the first bad edge names the fault
+            e = int(fine.argmin())
+            a, b = i[e] + 1, j[e] + 1
+            if not (1 <= a <= n and 1 <= b <= n):
+                raise NodeOutOfRange(f"edge ({a}, {b}) outside [1, {n}]")
+            raise ValueError(f"self-loop ({a}, {a}) not allowed; self-weight lives per agent")
+        adj = np.zeros((n, n), dtype=bool)
+        adj[np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)] = True
         adj.setflags(write=False)
         object.__setattr__(self, "_adj", adj)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, DirectedGraph) and self.n == other.n
+                and np.array_equal(self._adj, other._adj))
 
     def adjacency(self) -> np.ndarray:
         """Boolean receive matrix, 0-based: ``adj[i, j]`` iff edge (i+1, j+1)."""
         return self._adj
 
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The 1-based ``(i, j)`` pairs, ``i`` hearing ``j``."""
+        return kept_edges(*np.nonzero(self._adj))
+
+    @cached_property
+    def edge_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(i, j, i * n + j)`` of the 0-based edges, ``i`` hearing ``j``, in
+        the row-major order of ``np.nonzero`` on the adjacency."""
+        i, j = np.nonzero(self._adj)
+        return i, j, i * self.n + j
+
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "DirectedGraph":
-        return DirectedGraph(n, frozenset((int(i), int(j)) for i, j in edges))
+        """From 1-based ``(i, j)`` pairs; a pair given twice counts once."""
+        pairs = list(frozenset((int(i), int(j)) for i, j in edges))
+        try:
+            ends = np.array(pairs, dtype=np.int64).reshape(-1, 2) - 1
+        except OverflowError:  # as Python ints, a node of any size is merely out of range
+            ends = np.array(pairs, dtype=object).reshape(-1, 2) - 1
+        return DirectedGraph(n, ends[:, 0], ends[:, 1])
 
     @staticmethod
     def from_mutual_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> "DirectedGraph":
@@ -153,8 +189,8 @@ def erdos_renyi(n: int, p: float, seed: int) -> DirectedGraph:
     rng = np.random.default_rng(seed)
     hit = rng.random(n * (n - 1) // 2) < p
     rows, cols = np.triu_indices(n, 1)
-    return DirectedGraph.from_mutual_pairs(n, zip((rows[hit] + 1).tolist(),
-                                                  (cols[hit] + 1).tolist()))
+    rows, cols = rows[hit], cols[hit]
+    return DirectedGraph(n, np.concatenate((rows, cols)), np.concatenate((cols, rows)))
 
 
 def erdos_renyi_connected(n: int, p: float, seed: int) -> DirectedGraph:

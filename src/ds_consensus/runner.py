@@ -179,7 +179,6 @@ def run_sweep(scenario: Scenario, eps_min: float, eps_max: float, eps_step: floa
         raise ValueError(f"proposition {proposition!r} is the empty set, whose mass is always 0")
     workers = min(workers, len(grid), os.cpu_count() or 1)
     if workers > 1:
-        scenario.state  # built once here, so that every worker receives it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(partial(_sweep_points, scenario, mask),
                                   [grid[w::workers] for w in range(workers)]))

@@ -26,7 +26,15 @@ Agent opinions come either from explicit masses or from a sampling spec
 ``{"sample": {"dirichlet": [1,1,1], "targets": ["1","2","3"]}}`` drawn with
 the scenario RNG.  Materialization order is fixed for reproducibility:
 ER graph (own seed, regenerated until connected), then leader choice, then
-per-agent draws in agent order.
+the draws.  A scenario is compiled into arrays as it loads: each distinct
+agent config is parsed once, every sampled opinion comes from one
+``rng.gamma`` call over the concentrations of the sampled agents laid end
+to end in agent order (the same numbers as one call per agent in turn),
+the whole (N, 2**M) mass table is checked once, and the start state
+(:class:`NetworkState`) is built from that table, the strategies, the
+self-weights and the bounds.  A failure names the first bad agent, with
+the message a check agent by agent would give.  ``Scenario.agents`` builds
+one :class:`AgentSpec` per agent on first read; no load or run needs them.
 
 Built-in assets live in the package ``assets/`` directory; the environment
 variable ``DS_CONSENSUS_ASSETS`` overrides the location.
@@ -36,15 +44,16 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cache, partial
 from pathlib import Path
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import dst
-from .dst import BodyOfEvidence, Frame
-from .dynamics import AgentSpec, NetworkState, Strategy
+from .dst import Frame
+from .dynamics import AgentSpec, NetworkState, Strategy, check_unit_interval
 from .errors import InvalidScenario, NodeOutOfRange, ScenarioParseError
 from .graph import DirectedGraph, erdos_renyi_connected
 
@@ -69,28 +78,50 @@ class SamplingSpec:
         if not all(0.0 < c < np.inf for c in self.concentrations):
             raise InvalidScenario("dirichlet concentrations must be positive and finite")
 
+    def masks(self, frame: Frame) -> np.ndarray:
+        """The targets' subset masks in declared order.  A target the frame
+        does not hold raises ValueError, the empty set InvalidScenario."""
+        masks = []
+        for target in self.targets:
+            mask = dst.prop_from_str(target, frame)
+            if mask == 0:
+                raise InvalidScenario("cannot assign sampled mass to the empty set")
+            masks.append(mask)
+        return np.array(masks, dtype=np.intp)
 
-def sample_boe(spec: SamplingSpec, frame: Frame, rng: np.random.Generator) -> BodyOfEvidence:
-    """Draw one opinion: normalized gamma variates on the target propositions."""
-    draws = rng.gamma(shape=np.asarray(spec.concentrations, dtype=float), scale=1.0)
-    coords = draws / draws.sum()
-    masses = np.zeros(frame.n_subsets)
-    for value, target in zip(coords, spec.targets):
-        mask = dst.prop_from_str(target, frame)
-        if mask == 0:
-            raise InvalidScenario("cannot assign sampled mass to the empty set")
-        masses[mask] += value
-    return BodyOfEvidence(frame, masses)
+
+def sample_opinions(specs: Sequence[SamplingSpec], targets: Sequence[np.ndarray], which,
+                    frame: Frame, rng: np.random.Generator) -> np.ndarray:
+    """Draw opinion k from ``specs[which[k]]`` for every k, as the rows of a
+    (len(which), 2**M) mass table; ``targets[g]`` holds the subset masks of
+    ``specs[g]``'s targets (see :meth:`SamplingSpec.masks`).
+
+    One ``rng.gamma`` call draws the concentrations of every opinion laid
+    end to end in order, which gives the numbers one call per opinion in
+    turn would.  An opinion's draws, normalized by their sum, land on its
+    spec's targets; a repeated target sums its shares in declared order.
+    The rows are not checked against the mass axioms.
+    """
+    which = np.asarray(which, dtype=np.intp)
+    sizes = np.array([len(specs[g].concentrations) for g in which], dtype=np.intp)
+    draws = rng.gamma(np.concatenate([specs[g].concentrations for g in which]), 1.0)
+    starts = np.cumsum(sizes) - sizes
+    for size in np.unique(sizes).tolist():  # rows of one size sum as one opinion's draws do
+        at = starts[sizes == size][:, None] + np.arange(size)
+        block = draws[at]
+        draws[at] = block / block.sum(axis=1, keepdims=True)
+    rows = np.zeros((len(which), frame.n_subsets))
+    np.add.at(rows, (np.repeat(np.arange(len(which)), sizes),
+                     np.concatenate([targets[g] for g in which])), draws)
+    return rows
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Fully materialized configuration: graph built, opinions drawn."""
+    """A compiled configuration: the start state built, opinions drawn."""
 
     name: str
-    frame: Frame
-    graph: DirectedGraph
-    agents: tuple[AgentSpec, ...]
+    state: NetworkState
     engine: str
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     step_tol: float = DEFAULT_STEP_TOL
@@ -109,20 +140,25 @@ class Scenario:
             raise InvalidScenario(
                 f"cluster tolerance must be finite and >= 0, got {self.cluster_tol}")
         if self.engine == "auto":  # the tightest engine all opinions satisfy
-            rows = self.state.masses
-            engine = ("pmf" if dst.is_bayesian_table(rows, self.frame) else
-                      "dirichlet" if dst.is_dirichlet_table(rows, self.frame) else "general")
-            object.__setattr__(self, "engine", engine)
+            object.__setattr__(self, "engine", self.state.opinion_class)
 
-    @cached_property
-    def state(self) -> NetworkState:
-        """The state every run starts from, built on first use."""
-        return NetworkState.from_specs(self.frame, self.graph, self.agents)
+    @property
+    def frame(self) -> Frame:
+        return self.state.frame
+
+    @property
+    def graph(self) -> DirectedGraph:
+        return self.state.graph
+
+    @property
+    def agents(self) -> tuple[AgentSpec, ...]:
+        """Every agent as an :class:`AgentSpec`, built on first read."""
+        return self.state.specs
 
     @property
     def leaders(self) -> tuple[int, ...]:
         """1-based indices of the cautious agents."""
-        return tuple(i + 1 for i, a in enumerate(self.agents) if a.strategy is Strategy.CAUTIOUS)
+        return tuple((np.flatnonzero(~self.state.receptive) + 1).tolist())
 
 
 def assets_dir() -> Path:
@@ -185,8 +221,19 @@ def _integer(value, where: str) -> int:
     return _number(int, value, where)
 
 
-def _agent_from_config(cfg, defaults: dict, frame: Frame,
-                       rng: np.random.Generator, where: str) -> AgentSpec:
+class _AgentConfig(NamedTuple):
+    """One parsed agent config: its parameters and its explicit masses or sampling spec."""
+
+    receptive: bool
+    alpha: float
+    epsilon: float
+    masses: np.ndarray | None
+    sample: SamplingSpec | None
+    targets: np.ndarray | None  # the sampling spec's target masks
+    late: InvalidScenario | None  # a bad alpha or bound, raised after the opinion's checks
+
+
+def _parse_agent(cfg, defaults: dict, frame: Frame, where: str) -> _AgentConfig:
     merged = dict(defaults)
     merged.update(_object(cfg, where))
     try:
@@ -197,6 +244,7 @@ def _agent_from_config(cfg, defaults: dict, frame: Frame,
     epsilon = _number(float, merged.get("epsilon", 1.0), f"{where}.epsilon")
     if "boe" in merged and "sample" in merged:
         raise InvalidScenario(f"{where}: give either masses or a sampling spec, not both")
+    masses = spec = targets = late = None
     if "boe" in merged:
         boe_cfg = _object(merged["boe"], f"{where}.boe")
         if "masses" not in boe_cfg:
@@ -204,7 +252,7 @@ def _agent_from_config(cfg, defaults: dict, frame: Frame,
         entries = {key: _number(float, value, f"{where}.boe.masses")
                    for key, value in _object(boe_cfg["masses"], f"{where}.boe.masses").items()}
         try:
-            boe = BodyOfEvidence(frame, dst.masses_from_dict(frame, entries))
+            masses = dst.masses_from_dict(frame, entries)
         except ValueError as exc:
             raise InvalidScenario(f"{where}: bad opinion: {exc}")
     elif "sample" in merged:
@@ -218,15 +266,67 @@ def _agent_from_config(cfg, defaults: dict, frame: Frame,
                                for c in concentrations)
         targets = tuple(_string(t, f"{where}.sample.targets") for t in targets)
         try:
-            boe = sample_boe(SamplingSpec(concentrations, targets), frame, rng)
+            spec = SamplingSpec(concentrations, targets)
+            targets = spec.masks(frame)
         except (ValueError, InvalidScenario) as exc:
             raise InvalidScenario(f"{where}: bad sample: {exc}")
     else:
         raise InvalidScenario(f"{where}: agent has neither masses nor a sampling spec")
     try:
-        return AgentSpec(strategy, alpha, epsilon, boe)
+        check_unit_interval("alpha", alpha)
+        check_unit_interval("epsilon", epsilon)
     except ValueError as exc:
-        raise InvalidScenario(f"{where}: {exc}")
+        late = InvalidScenario(f"{where}: {exc}")
+    return _AgentConfig(strategy is Strategy.RECEPTIVE, alpha, epsilon, masses, spec, targets,
+                        late)
+
+
+def _agents(cfgs: list, defaults: dict, frame: Frame, rng: Callable[[], np.random.Generator]):
+    """The mass table, self-weights, bounds and strategies of the agents.
+
+    Each distinct config object is parsed once, at the first agent that
+    uses it.  The first agent whose config fails, or whose row of the table
+    breaks the mass axioms, raises, in the order a check agent by agent
+    would meet them: its config up to the opinion, its opinion, then its
+    alpha and bound.  ``rng()`` gives the scenario's generator; it is asked
+    for only when some agent samples its opinion.
+    """
+    configs, first_use, which, error = [], {}, [], None
+    for k, cfg in enumerate(cfgs):
+        at = first_use.get(id(cfg))
+        if at is None:
+            try:
+                config = _parse_agent(cfg, defaults, frame, f"agents[{k}]")
+            except (ScenarioParseError, InvalidScenario) as exc:
+                error = exc
+                break
+            at = first_use[id(cfg)] = len(configs)
+            configs.append(config)
+        which.append(at)
+        if configs[at].late:
+            error = configs[at].late
+            break
+    which = np.array(which, dtype=np.intp)
+    blank = np.zeros(frame.n_subsets)
+    table = np.array([blank if c.masses is None else c.masses for c in configs]
+                     ).reshape(-1, frame.n_subsets)[which]
+    sampling = np.array([c.sample is not None for c in configs], dtype=bool)
+    is_sampled = sampling[which]
+    if is_sampled.any():
+        sampled = [c for c in configs if c.sample]
+        table[is_sampled] = sample_opinions([c.sample for c in sampled],
+                                            [c.targets for c in sampled],
+                                            (np.cumsum(sampling) - 1)[which[is_sampled]],
+                                            frame, rng())
+    fault = dst.mass_table_fault(table)
+    if fault:
+        k, why = fault
+        raise InvalidScenario(f"agents[{k}]: bad {'sample' if is_sampled[k] else 'opinion'}: {why}")
+    if error:
+        raise error
+    return (dst.clamped_masses(table), np.array([c.alpha for c in configs])[which],
+            np.array([c.epsilon for c in configs])[which],
+            np.array([c.receptive for c in configs], dtype=bool)[which])
 
 
 def _build_graph(cfg: dict, base: Path, default_seed: int) -> DirectedGraph:
@@ -298,7 +398,7 @@ def scenario_from_dict(data: dict, name: str, base: Path,
     except ValueError as exc:
         raise InvalidScenario(str(exc))
     graph = _graph(data["graph"], base, effective_seed)
-    rng = np.random.default_rng(effective_seed)
+    rng = cache(partial(np.random.default_rng, effective_seed))  # seeded on first use
 
     defaults = _object(data.get("defaults", {}), "defaults")
     if "agents" in data:
@@ -312,9 +412,9 @@ def scenario_from_dict(data: dict, name: str, base: Path,
     if count != graph.n:
         raise InvalidScenario(f"agent count {count} does not match node count {graph.n}")
     if agent_cfgs is None:
-        agent_cfgs = [{} for _ in range(count)]
+        agent_cfgs = [{}] * count  # one config object: parsed once
 
-    forced_cautious: set[int] = set()
+    cautious = []
     if "random_leaders" in data:
         leaders_cfg = _object(data["random_leaders"], "random_leaders")
         if "count" not in leaders_cfg:
@@ -322,22 +422,15 @@ def scenario_from_dict(data: dict, name: str, base: Path,
         count = _integer(leaders_cfg["count"], "random_leaders.count")
         if not 0 <= count <= graph.n:
             raise InvalidScenario(f"random leader count {count} outside [0, {graph.n}]")
-        chosen = rng.choice(graph.n, size=count, replace=False)
-        forced_cautious = {int(c) + 1 for c in chosen}
+        cautious = rng().choice(graph.n, size=count, replace=False)
 
-    agents = []
-    for k, cfg in enumerate(agent_cfgs):
-        agent = _agent_from_config(cfg, defaults, frame, rng, where=f"agents[{k}]")
-        if (k + 1) in forced_cautious:
-            agent = replace(agent, strategy=Strategy.CAUTIOUS)
-        agents.append(agent)
+    masses, alphas, bounds, receptive = _agents(agent_cfgs, defaults, frame, rng)
+    receptive[cautious] = False
 
     tol = _object(data.get("tolerances", {}), "tolerances")
     return Scenario(
         name=name,
-        frame=frame,
-        graph=graph,
-        agents=tuple(agents),
+        state=NetworkState(frame, graph, masses, alphas, bounds, receptive),
         engine=engine,
         max_iterations=_integer(data.get("max_iterations", DEFAULT_MAX_ITERATIONS),
                                 "max_iterations"),

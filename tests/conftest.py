@@ -1,11 +1,14 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ds_consensus import dst
+from ds_consensus import dst, scenario
 from ds_consensus.dst import BodyOfEvidence, Frame
-from ds_consensus.dynamics import NetworkState, _receptive, _term_structure, _term_weights
+from ds_consensus.dynamics import (AgentSpec, NetworkState, Strategy, _term_structure,
+                                   _term_weights)
+from ds_consensus.errors import InvalidScenario
 from ds_consensus.graph import PrunedView
 
 
@@ -17,7 +20,7 @@ def rng():
 def at_bound(state: NetworkState, epsilon: float | None) -> NetworkState:
     """``state`` with every agent's bound set to ``epsilon`` (None keeps them)."""
     return state if epsilon is None else replace(
-        state, specs=tuple(replace(s, epsilon=epsilon) for s in state.specs))
+        state, bounds=np.full(state.graph.n, epsilon))
 
 
 def random_general_boe(frame: Frame, rng) -> BodyOfEvidence:
@@ -56,10 +59,127 @@ def theta_weight_matrix(state: NetworkState, pruned: PrunedView) -> np.ndarray:
     """
     masses = state.masses
     terms = _term_structure(*np.nonzero(pruned.kept), masses > 0.0,
-                            dst.belief_table(masses) > 0.0, state.alphas(),
-                            _receptive(state.specs))
+                            dst.belief_table(masses) > 0.0, state.alphas, state.receptive)
     beta, moving = _term_weights(terms, masses)
     gamma = np.diag(np.where(moving, terms.alphas, 1.0))
     full = terms.subset == state.frame.full_set
     gamma[terms.agent[full], terms.neighbor[full]] = beta[full]
     return gamma
+
+
+# ---------------------------------------------------------------------------
+# The per-agent loader, kept as the oracle of the array loader
+# ---------------------------------------------------------------------------
+
+def _oracle_sample(concentrations, targets, frame: Frame, rng) -> BodyOfEvidence:
+    """One opinion: its own gamma draw, normalized, added target by target."""
+    scenario.SamplingSpec(concentrations, targets)  # the count and positivity checks
+    draws = rng.gamma(shape=np.asarray(concentrations, dtype=float), scale=1.0)
+    coords = draws / draws.sum()
+    masses = np.zeros(frame.n_subsets)
+    for value, target in zip(coords, targets):
+        mask = dst.prop_from_str(target, frame)
+        if mask == 0:
+            raise InvalidScenario("cannot assign sampled mass to the empty set")
+        masses[mask] += value
+    return BodyOfEvidence(frame, masses)
+
+
+def _oracle_agent(cfg, defaults: dict, frame: Frame, rng, where: str) -> AgentSpec:
+    """One agent config, parsed, drawn and checked on its own."""
+    merged = dict(defaults)
+    merged.update(scenario._object(cfg, where))
+    try:
+        strategy = Strategy(scenario._string(merged.get("strategy", "receptive"),
+                                             f"{where}.strategy"))
+    except ValueError:
+        raise InvalidScenario(f"{where}: unknown strategy {merged.get('strategy')!r}")
+    alpha = scenario._number(float, merged.get("alpha", 0.5), f"{where}.alpha")
+    epsilon = scenario._number(float, merged.get("epsilon", 1.0), f"{where}.epsilon")
+    if "boe" in merged and "sample" in merged:
+        raise InvalidScenario(f"{where}: give either masses or a sampling spec, not both")
+    if "boe" in merged:
+        boe_cfg = scenario._object(merged["boe"], f"{where}.boe")
+        if "masses" not in boe_cfg:
+            raise InvalidScenario(f"{where}: bad opinion: no masses")
+        entries = {key: scenario._number(float, value, f"{where}.boe.masses")
+                   for key, value in scenario._object(boe_cfg["masses"],
+                                                      f"{where}.boe.masses").items()}
+        try:
+            boe = BodyOfEvidence(frame, dst.masses_from_dict(frame, entries))
+        except ValueError as exc:
+            raise InvalidScenario(f"{where}: bad opinion: {exc}")
+    elif "sample" in merged:
+        s = scenario._object(merged["sample"], f"{where}.sample")
+        try:
+            concentrations = scenario._array(s["dirichlet"], f"{where}.sample.dirichlet")
+            targets = scenario._array(s["targets"], f"{where}.sample.targets")
+        except KeyError as exc:
+            raise InvalidScenario(f"{where}: sampling spec missing {exc}")
+        concentrations = tuple(scenario._number(float, c, f"{where}.sample.dirichlet")
+                               for c in concentrations)
+        targets = tuple(scenario._string(t, f"{where}.sample.targets") for t in targets)
+        try:
+            boe = _oracle_sample(concentrations, targets, frame, rng)
+        except (ValueError, InvalidScenario) as exc:
+            raise InvalidScenario(f"{where}: bad sample: {exc}")
+    else:
+        raise InvalidScenario(f"{where}: agent has neither masses nor a sampling spec")
+    try:
+        return AgentSpec(strategy, alpha, epsilon, boe)
+    except ValueError as exc:
+        raise InvalidScenario(f"{where}: {exc}")
+
+
+def _oracle_er_edges(n: int, p: float, seed: int) -> frozenset:
+    """The first connected draw, pair by pair in row-major upper-triangle order."""
+    for attempt in range(1000):
+        hits = iter(np.random.default_rng(seed + attempt).random(n * (n - 1) // 2) < p)
+        edges = {e for i in range(1, n + 1) for j in range(i + 1, n + 1) if next(hits)
+                 for e in ((i, j), (j, i))}
+        seen, todo = {1}, [1]
+        while todo:
+            i = todo.pop()
+            for a, b in edges:
+                if a == i and b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+        if len(seen) == n:
+            return frozenset(edges)
+    raise AssertionError("no connected draw")
+
+
+def oracle_load(data: dict, seed: int | None = None) -> dict:
+    """What the per-agent loader made of a valid scenario dict (aliases
+    resolved): the mass table, the edge set, the strategies, the
+    self-weights and the bounds, or the error its first bad agent raised."""
+    seed = data.get("seed", 0) if seed is None else seed
+    frame = Frame(data["frame_size"])
+    graph = data["graph"]
+    if "er" in graph:
+        n = graph["er"]["n"]
+        edges = _oracle_er_edges(n, graph["er"]["p"], graph["er"].get("seed", seed))
+    else:
+        n = graph["n"]
+        edges = frozenset(e for i, j in graph["edges"] for e in ((i, j), (j, i)))
+    rng = np.random.default_rng(seed)
+    cfgs = data["agents"] if "agents" in data else [{}] * data["n_agents"]
+    forced = set()
+    if "random_leaders" in data:
+        chosen = rng.choice(n, size=data["random_leaders"]["count"], replace=False)
+        forced = {int(c) for c in chosen}
+    specs = [_oracle_agent(cfg, data.get("defaults", {}), frame, rng, f"agents[{k}]")
+             for k, cfg in enumerate(cfgs)]
+    return {"masses": np.vstack([s.boe.masses for s in specs]), "edges": edges,
+            "receptive": np.array([s.strategy is Strategy.RECEPTIVE and k not in forced
+                                   for k, s in enumerate(specs)]),
+            "alphas": np.array([s.alpha for s in specs]),
+            "bounds": np.array([s.epsilon for s in specs])}
+
+
+def asset_data(name: str) -> dict:
+    """An asset's scenario dict, its aliases followed."""
+    data = {"alias": name}
+    while "alias" in data:
+        data = json.loads(scenario._resolve(data["alias"]).read_text(encoding="utf-8"))
+    return data

@@ -227,7 +227,7 @@ def _random_network(rng, kind, n_max=8, m_max=4, eps=None):
     frame = Frame(size)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
              if rng.random() < 0.6]
-    g = DirectedGraph.from_mutual_pairs(n, pairs) if pairs else DirectedGraph(n, frozenset())
+    g = DirectedGraph.from_mutual_pairs(n, pairs) if pairs else DirectedGraph.from_edges(n, [])
     specs = []
     for _ in range(n):
         m = np.zeros(frame.n_subsets)
@@ -379,7 +379,7 @@ def test_criterion_8h_block_recursion():
         specs = list(state.specs)
         specs[leader - 1] = AgentSpec(Strategy.CAUTIOUS, specs[leader - 1].alpha,
                                       specs[leader - 1].epsilon, specs[leader - 1].boe)
-        state = NetworkState(state.frame, state.graph, tuple(specs), state.masses)
+        state = NetworkState.from_specs(state.frame, state.graph, specs)
         ws = []
         current = state
         for _ in range(20):

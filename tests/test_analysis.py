@@ -9,7 +9,7 @@ from ds_consensus.analysis import (CONTRACTION_SLACK, DrivenChain, _contraction_
                                    verify_two_group_chain)
 from ds_consensus import analysis, dst
 from ds_consensus.dst import BodyOfEvidence, Frame
-from ds_consensus.dynamics import AgentSpec, Strategy
+from ds_consensus.dynamics import AgentSpec, NetworkState, Strategy
 from ds_consensus.errors import NotDrivenChain, NotRankOne
 from ds_consensus.graph import DirectedGraph, components
 from ds_consensus.runner import run_simulation, sweep_grid, verify_run
@@ -208,6 +208,14 @@ def test_classify_chain_rejects_bad_groups(groups, message):
         classify_chain(np.eye(4), groups)
 
 
+def test_a_hand_built_chain_needs_one_or_two_groups():
+    # a third group would be read as "two-groups" and ignored by its verifier
+    with pytest.raises(NotDrivenChain, match=r"^need one or two central groups, got 3$"):
+        DrivenChain(((1,), (2,), (3,)), (4,))
+    with pytest.raises(NotDrivenChain, match=r"^need one or two central groups, got 0$"):
+        DrivenChain((), (1, 2))
+
+
 @pytest.mark.parametrize("groups, verify, message", [
     (((1,), (2,)), verify_one_group_chain, "^expected a one-group chain$"),
     (((1,),), verify_two_group_chain, "^expected a two-groups chain$"),
@@ -271,7 +279,7 @@ def _leader_scenario(leaders, fig6a=False, pi1=(0.80, 0.78, 0.76, 0.40, 0.80, 0.
     g = DirectedGraph.from_mutual_pairs(7, pairs)
     specs = tuple(AgentSpec(Strategy.CAUTIOUS if i + 1 in leaders else Strategy.RECEPTIVE,
                             0.5, 1.0, bayes(x)) for i, x in enumerate(pi1))
-    return Scenario(name="t", frame=F3, graph=g, agents=specs, engine="pmf")
+    return Scenario(name="t", state=NetworkState.from_specs(F3, g, specs), engine="pmf")
 
 
 def test_verify_one_group_chain_leader_adoption():

@@ -38,9 +38,8 @@ def state_of(boes, pairs, strategies=None, alpha=0.5, epsilon=1.0, frame=F3):
 def weights_of(st, pruned=None):
     """Self-weights (``alpha``) and conditional terms of one general step."""
     pruned = st.pruned() if pruned is None else pruned
-    receptive = np.array([s.strategy is Strategy.RECEPTIVE for s in st.specs])
     terms = _term_structure(*np.nonzero(pruned.kept), st.masses > 0.0,
-                            belief_table(st.masses) > 0.0, st.alphas(), receptive)
+                            belief_table(st.masses) > 0.0, st.alphas, st.receptive)
     beta, moving = _term_weights(terms, st.masses)
     return SimpleNamespace(alpha=np.where(moving, terms.alphas, 1.0), agent=terms.agent,
                            neighbor=terms.neighbor, subset=terms.subset, beta=beta)
@@ -147,9 +146,13 @@ def test_dirichlet_matrix_requires_dirichlet(rng):
 def test_network_state_rejects_a_mismatched_table():
     st = state_of([bayes(0.4), bayes(0.7)], [(1, 2)])
     with pytest.raises(ValueError, match=r"^mass table must be \(2, 8\), got \(2, 4\)$"):
-        NetworkState(F3, st.graph, st.specs, st.masses[:, :4])
+        NetworkState(F3, st.graph, st.masses[:, :4], st.alphas, st.bounds, st.receptive)
     with pytest.raises(ValueError, match="^need 2 agent specs, got 1$"):
-        NetworkState(F3, st.graph, st.specs[:1], st.masses)
+        NetworkState.from_specs(F3, st.graph, st.specs[:1])
+    with pytest.raises(ValueError, match=r"^need 2 bounds, got shape \(1,\)$"):
+        NetworkState(F3, st.graph, st.masses, st.alphas, st.bounds[:1], st.receptive)
+    with pytest.raises(ValueError, match=r"^alpha must be in \[0, 1\], got nan$"):
+        NetworkState(F3, st.graph, st.masses, [0.5, np.nan], st.bounds, st.receptive)
     other = AgentSpec(Strategy.RECEPTIVE, 0.5, 1.0, BodyOfEvidence(Frame(2), np.eye(4)[1]))
     with pytest.raises(ValueError, match="^agent 2 opinion not on the shared frame$"):
         NetworkState.from_specs(F3, st.graph, (st.specs[0], other))
@@ -163,7 +166,7 @@ def test_confidence_matrix_rows_must_sum_to_one():
 
 def test_unknown_engine_rejected_when_the_run_starts():
     s = load_scenario("fig3a-pmf")
-    bogus = Scenario(s.name, s.frame, s.graph, s.agents, engine="bogus")
+    bogus = Scenario(s.name, s.state, engine="bogus")
     with pytest.raises(EngineMismatch, match="^unknown engine 'bogus'$"):
         run_simulation(bogus, 0.5)
 

@@ -167,8 +167,7 @@ def test_run_matches_reference_loop(eps):
     rng = np.random.default_rng(int(eps * 100) + 11)
     for trial in range(25):
         state = random_network(rng, eps)
-        scenario = Scenario(name=f"random-{trial}", frame=state.frame, graph=state.graph,
-                            agents=state.specs, engine="general",
+        scenario = Scenario(name=f"random-{trial}", state=state, engine="general",
                             max_iterations=int(rng.integers(1, 300)))
         run = run_simulation(scenario, record_trace=True)
 
@@ -208,8 +207,7 @@ def test_complement_beliefs_give_the_plausibilities():
         state = random_network(rng, 1.0)
         bl = dst.belief_table(state.masses)
         terms = dynamics._term_structure(*np.nonzero(state.pruned().kept), state.masses > 0.0,
-                                         bl > 0.0, state.alphas(),
-                                         dynamics._receptive(state.specs))
+                                         bl > 0.0, state.alphas, state.receptive)
         k = bl.shape[1]
         key = terms.num_at[:, -1]  # the pair (j, a) of each row, as j * k + a
         j, a = (key // k)[:, None], (key % k)[:, None]
@@ -223,7 +221,7 @@ def test_conditionals_keep_nothing_from_the_last_step():
     state = at_bound(load_scenario("ds7-oneleader", seed=1).state, 1.0)
     bl = dst.belief_table(state.masses)
     terms = dynamics._term_structure(*np.nonzero(state.pruned().kept), state.masses > 0.0,
-                                     bl > 0.0, state.alphas(), dynamics._receptive(state.specs))
+                                     bl > 0.0, state.alphas, state.receptive)
     out = np.empty_like(bl)
     dynamics._general_update(state.masses, bl, terms, out, dst._lattice_steps(out))
     # next, every agent certain of singleton 1: given a set without it,
@@ -245,9 +243,9 @@ def fail_every_step(engine, monkeypatch):
         return NotABeliefFunction
     update = dynamics._update
 
-    def guarded(w, x, out, full, prod):
-        update(w, x, out, full, prod)
-        raise NotDirichlet("every update fails its check")
+    def guarded(w, x, out, full, prod, leftover):
+        update(w, x, out, full, prod, leftover)
+        leftover[0] = -1.0  # the chunk's conservation check fails on every product
 
     monkeypatch.setattr(dynamics, "_update", guarded)
     return NotDirichlet
@@ -336,7 +334,7 @@ def test_run_above_the_dense_jaccard_limit_matches_the_step_loop():
         m[rng.choice(np.arange(1, frame.n_subsets), size=20, replace=False)] = rng.random(20)
         specs.append(AgentSpec(Strategy.RECEPTIVE, 0.5, eps, BodyOfEvidence(frame, m / m.sum())))
     graph = DirectedGraph.from_mutual_pairs(4, [(1, 2), (1, 3), (2, 3), (3, 4), (1, 4)])
-    scenario = Scenario(name="m11", frame=frame, graph=graph, agents=tuple(specs),
+    scenario = Scenario(name="m11", state=NetworkState.from_specs(frame, graph, specs),
                         engine="general", max_iterations=3)
     run = run_simulation(scenario, record_trace=True)
     state, edges = scenario.state, []
@@ -401,7 +399,7 @@ def directed_scenario(frame, edges, agents, max_iterations):
             m[mask] = mass
         specs.append(AgentSpec(strategy, alpha, 1.0, BodyOfEvidence(frame, m)))
     graph = DirectedGraph.from_edges(len(specs), edges)
-    return Scenario(name="directed", frame=frame, graph=graph, agents=tuple(specs),
+    return Scenario(name="directed", state=NetworkState.from_specs(frame, graph, specs),
                     engine="general", max_iterations=max_iterations)
 
 

@@ -132,6 +132,19 @@ def test_is_connected_cases():
     assert is_connected(DirectedGraph.from_mutual_pairs(3, [(1, 2), (2, 3)]))
 
 
+def test_graphs_built_from_arrays_and_from_pairs_agree():
+    g = DirectedGraph(3, np.array([0, 1, 2]), np.array([1, 2, 0]))
+    assert g == DirectedGraph.from_edges(3, [(1, 2), (2, 3), (3, 1)])
+    assert g.edges == frozenset({(1, 2), (2, 3), (3, 1)})
+    assert g != DirectedGraph.from_edges(3, [(1, 2), (2, 3)])
+    with pytest.raises(NodeOutOfRange, match=r"^edge \(3, 4\) outside \[1, 3\]$"):
+        DirectedGraph(3, np.array([0, 2]), np.array([1, 3]))
+    with pytest.raises(ValueError, match=r"^self-loop \(2, 2\) not allowed"):
+        DirectedGraph(3, np.array([1]), np.array([1]))
+    with pytest.raises(NodeOutOfRange, match=r"^edge \(1, 10{30}\) outside"):
+        DirectedGraph.from_edges(3, [(1, 10 ** 30)])
+
+
 def test_one_way_edge_has_no_mutual_pair():
     with pytest.raises(ValueError, match="^edge between 1 and 2 is not mutual$"):
         DirectedGraph.from_edges(3, [(1, 2), (2, 3), (3, 2)]).mutual_pairs()
@@ -166,5 +179,5 @@ def test_graph_json_round_trip(tmp_path):
     g = DirectedGraph.from_mutual_pairs(4, [(1, 2), (3, 4)])
     (tmp_path / "g.json").write_text(json.dumps(g.to_dict()))
     back = scenario._graph({"file": "g.json"}, tmp_path, 0)  # a scenario's graph file
-    assert back == DirectedGraph(back.n, g.edges)
+    assert back == DirectedGraph.from_edges(back.n, g.edges)
     assert g.to_dict() == {"n": 4, "edges": [[1, 2], [3, 4]]}

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from ds_consensus.cli import cli
 from ds_consensus.dst import Frame
-from ds_consensus.dynamics import Strategy
+from ds_consensus.dynamics import NetworkState, Strategy
 from ds_consensus.errors import (DSConsensusError, EngineMismatch, InvalidScenario,
                                  NotDirichlet, ScenarioParseError)
 from ds_consensus.output import CSV_HEADER, write_sweep_csv, write_sweep_json, write_sweep_svg
@@ -26,7 +26,7 @@ from ds_consensus.analysis import classify_chain, verify_one_group_chain, verify
 from ds_consensus.graph import MAX_NODES, DirectedGraph, erdos_renyi_connected
 from ds_consensus.runner import run_simulation, run_sweep, sweep_grid, verify_run
 from ds_consensus.scenario import (SamplingSpec, Scenario, assets_dir, list_assets,
-                                   load_scenario, sample_boe, scenario_from_dict)
+                                   load_scenario, sample_opinions, scenario_from_dict)
 
 
 def test_assets_present():
@@ -68,22 +68,21 @@ def test_leader_assets():
 
 def test_leaders_follow_the_agents():
     s = load_scenario("fig4a-pmf")
-    receptive = tuple(replace(a, strategy=Strategy.RECEPTIVE) for a in s.agents)
-    assert replace(s, agents=receptive).leaders == ()
-    last = replace(s.agents[-1], strategy=Strategy.CAUTIOUS)
-    assert replace(s, agents=(*s.agents[:-1], last)).leaders == (1, 7)
+    receptive = np.ones(s.graph.n, dtype=bool)
+    assert replace(s, state=replace(s.state, receptive=receptive)).leaders == ()
+    receptive[[0, -1]] = False
+    assert replace(s, state=replace(s.state, receptive=receptive)).leaders == (1, 7)
     # a scenario built by hand derives its leaders too, so verify_run can anchor on them
-    hand = Scenario(s.name, s.frame, s.graph, s.agents, "pmf")
+    hand = Scenario(s.name, NetworkState.from_specs(s.frame, s.graph, s.agents), "pmf")
     assert hand.leaders == (1,)
     assert json.dumps(verify_run(hand, 0.5)) == json.dumps(verify_run(s, 0.5))
 
 
 def test_start_state_is_built_once_per_scenario():
-    s = load_scenario("fig4a-pmf")
-    assert "state" not in vars(s)  # lazy: loading builds no state
+    s = load_scenario("fig4a-pmf")  # the load builds the state every run starts from
     first = run_simulation(s, 0.3)
-    assert s.state is s.state and first.initial_masses is s.state.masses
-    assert "state" not in vars(replace(s, max_iterations=5))
+    assert first.initial_masses is s.state.masses
+    assert replace(s, max_iterations=5).state is s.state
 
 
 @pytest.mark.parametrize("eps", [1.5, -0.25, float("nan")])
@@ -148,27 +147,28 @@ def test_sampling_deterministic():
     assert not np.array_equal(a.agents[0].boe.masses, c.agents[0].boe.masses)
 
 
-def test_sample_boe_dirichlet_mean(rng):
+def test_sample_opinions_dirichlet_mean(rng):
     frame = Frame(3)
     spec = SamplingSpec((1.0, 1.0, 1.0), ("1", "2", "3"))
-    draws = np.vstack([sample_boe(spec, frame, rng).masses for _ in range(10_000)])
+    draws = sample_opinions([spec], [spec.masks(frame)], np.zeros(10_000, dtype=int), frame, rng)
     means = draws[:, [1, 2, 4]].mean(axis=0)
     assert means == pytest.approx([1 / 3] * 3, abs=0.01)
 
 
-def test_sample_boe_general_targets(rng):
+def test_sample_opinions_general_targets(rng):
     frame = Frame(3)
     spec = SamplingSpec((4, 4, 4, 2, 2, 2, 1),
                         ("1", "2", "3", "1,2", "1,3", "2,3", "*"))
-    b = sample_boe(spec, frame, rng)
-    assert b.masses.sum() == pytest.approx(1.0)
-    assert all(b.masses[m] > 0 for m in (1, 2, 4, 3, 5, 6, 7))
+    (masses,) = sample_opinions([spec], [spec.masks(frame)], [0], frame, rng)
+    assert masses.sum() == pytest.approx(1.0)
+    assert all(masses[m] > 0 for m in (1, 2, 4, 3, 5, 6, 7))
 
 
-def test_sample_boe_single_target(rng):
+def test_sample_opinions_single_target(rng):
     frame = Frame(2)
-    b = sample_boe(SamplingSpec((2.0,), ("1,2",)), frame, rng)
-    assert b.masses[frame.full_set] == pytest.approx(1.0)
+    spec = SamplingSpec((2.0,), ("1,2",))
+    (masses,) = sample_opinions([spec], [spec.masks(frame)], [0], frame, rng)
+    assert masses[frame.full_set] == pytest.approx(1.0)
 
 
 def test_er_asset_materialization():
@@ -984,7 +984,7 @@ def test_graph_above_the_node_limit_rejected_before_any_agent(tmp_path, capsys, 
                                                               form):
     def no_agent(*args, **kwargs):
         raise AssertionError("built an agent")
-    monkeypatch.setattr(scenario_module, "_agent_from_config", no_agent)
+    monkeypatch.setattr(scenario_module, "_parse_agent", no_agent)
     graph = {"n": MAX_NODES + 1, "edges": [[1, 2]]}
     if form == "file":
         (tmp_path / "big.json").write_text(json.dumps(graph))

@@ -9,10 +9,11 @@ give the same iteration count, convergence flag, kept edges and
 bit-identical masses.  No step code of the package is called.
 """
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
-
-from dataclasses import replace
 
 from ds_consensus import dynamics
 from ds_consensus.dst import BodyOfEvidence, Frame, jaccard_matrix, pairwise_jousselme
@@ -56,8 +57,7 @@ def oracle_dirichlet_weights(kept, alphas, receptive, theta):
 
 def oracle_weights(state, engine, kept):
     """The pmf or Dirichlet weights of ``state`` on the receive matrix ``kept``."""
-    frame, alphas = state.frame, state.alphas()
-    receptive = np.array([s.strategy is Strategy.RECEPTIVE for s in state.specs])
+    frame, alphas, receptive = state.frame, state.alphas, state.receptive
     if engine == "dirichlet" and frame.size > 1:
         return oracle_dirichlet_weights(kept, alphas, receptive,
                                         state.masses[:, frame.full_set])
@@ -123,7 +123,8 @@ def random_network(rng, engine, n, size):
 
 
 def scenario_of(frame, graph, specs, engine, max_iterations=1500):
-    return Scenario("diff", frame, graph, specs, engine, max_iterations=max_iterations)
+    return Scenario("diff", NetworkState.from_specs(frame, graph, specs), engine,
+                    max_iterations=max_iterations)
 
 
 @pytest.mark.parametrize("engine", ["pmf", "dirichlet"])
@@ -268,17 +269,20 @@ def test_update_guards_the_full_frame_column():
     x = np.asfortranarray([[0.25, 0.75, 0.0], [0.5, 0.25, 0.25]])
 
     def update(w):
-        new = np.full_like(x, np.nan)
-        _update(w, x[:, :2], new[:, :2], new[:, 2], np.empty((2, 2)))
-        return new
+        new, leftover = np.full_like(x, np.nan), np.empty(2)
+        _update(w, x[:, :2], new[:, :2], new[:, 2], np.empty((2, 2)), leftover)
+        return new, leftover
 
-    new = update(np.eye(2))  # leftovers of exactly 0 and 0.25
+    new, _ = update(np.eye(2))  # leftovers of exactly 0 and 0.25
     assert new.tobytes() == x.tobytes() and not np.signbit(new[:, 2]).any()
     # a row sum 1e-12 above 1 is round-off: its leftover is clipped to +0.0
-    new = update(np.diag([1.0 + 1e-12, 1.0]))
+    new, leftover = update(np.diag([1.0 + 1e-12, 1.0]))
     assert new[0, 2] == 0.0 and not np.signbit(new[0, 2])
-    with pytest.raises(NotDirichlet, match="mass conservation"):
-        update(np.diag([1.0 + 2e-10, 1.0]))
+    assert -dynamics.CONSERVATION_TOL < leftover[0] < 0.0
+    # one 2e-10 above breaks conservation: the column is clipped all the same,
+    # and the chunk's check (see the planted guards below) raises on the leftover
+    new, leftover = update(np.diag([1.0 + 2e-10, 1.0]))
+    assert new[0, 2] == 0.0 and leftover[0] < -dynamics.CONSERVATION_TOL
 
 
 def two_still_agents(gap):
@@ -502,6 +506,9 @@ def test_state_dependent_weights_step_one_at_a_time(engine, monkeypatch):
             assert calls.count(run) < steps
 
 
+PLANTED = -0.5  # the full-frame mass a planted product leaves
+
+
 def plant_guard(monkeypatch, masses, frame):
     """Make the Dirichlet product from the state with the dense ``masses``
     fail its guard; return the list that grows each time it fires."""
@@ -509,11 +516,11 @@ def plant_guard(monkeypatch, masses, frame):
     target = np.ascontiguousarray(masses[:, cols]).tobytes()
     update, fired = dynamics._update, []
 
-    def guarded(w, x, out, full, prod):
+    def guarded(w, x, out, full, prod, leftover):
+        update(w, x, out, full, prod, leftover)
         if x.tobytes() == target:
             fired.append(1)
-            raise NotDirichlet("planted")
-        update(w, x, out, full, prod)
+            leftover[0] = PLANTED
 
     monkeypatch.setattr(dynamics, "_update", guarded)
     return fired
@@ -547,16 +554,24 @@ def test_guard_past_convergence_leaves_the_run_alone(monkeypatch):
 def test_guard_inside_a_chunk_raises_when_its_step_is_taken(monkeypatch):
     scenario = load_scenario("fig4a-dirichlet")
     states = run_simulation(scenario, 0.5, record_trace=True).trajectory
+    recorded = run_simulation(scenario, 0.5, record_matrices=True).matrices
     k = 20
     assert len(states) > 2 * k
     fired = plant_guard(monkeypatch, states[k - 1], scenario.frame)
+    formed, guarded = [], dynamics._update
+    monkeypatch.setattr(dynamics, "_update", lambda *args: formed.append(1) or guarded(*args))
     run = ProfileRun(scenario.state, "dirichlet", 0.5)
-    with pytest.raises(NotDirichlet, match="planted"):
+    message = f"mass conservation violated by {np.float64(PLANTED)!r}"
+    with pytest.raises(NotDirichlet, match=f"^{re.escape(message)}$"):
         run.advance(scenario.max_iterations, scenario.step_tol, scenario.persistence)
     assert run.masses().tobytes() == states[k - 1].tobytes()
+    # the weights are those of the state kept, as a single step would leave them
+    assert run.weights().tobytes() == recorded[k - 1].tobytes()
     # it fired inside a chunk first, which was cut before it, then as the
     # first product of the next chunk, which raised
     assert len(fired) == 2
+    # each product formed was taken or counted as discarded, those past the cut too
+    assert len(formed) == (k - 1) + run.discarded
 
 
 def assert_recording_leaves_stepping_alone(state, engine, limit=1500, step_tol=1e-10,

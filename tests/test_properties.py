@@ -115,7 +115,7 @@ def small_networks(draw, kind="general"):
         for j in range(i + 1, n + 1):
             if draw(st.booleans()):
                 pairs.append((i, j))
-    g = DirectedGraph.from_mutual_pairs(n, pairs) if pairs else DirectedGraph(n, frozenset())
+    g = DirectedGraph.from_mutual_pairs(n, pairs) if pairs else DirectedGraph.from_edges(n, [])
     specs = []
     for _ in range(n):
         strategy = Strategy.RECEPTIVE if draw(st.booleans()) else Strategy.CAUTIOUS
