@@ -43,7 +43,7 @@ from .analysis import (
     verify_one_group_chain,
     verify_two_group_chain,
 )
-from .scenario import Scenario, SamplingSpec, list_assets, load_scenario, sample_opinions
+from .scenario import Scenario, list_assets, load_scenario, sample_opinions
 from .runner import BifurcationResult, RunResult, run_simulation, run_sweep, verify_run
 
 __version__ = "0.1.0"

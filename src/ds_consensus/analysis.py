@@ -15,6 +15,12 @@ consensus provable:
   proportion (the weight-proportion condition), landing at the
   correspondingly weighted mix of the two groups' consensus opinions.
 
+A chain (:class:`DrivenChain`) holds each agent once, in a central group or
+among the outer agents, and :meth:`DrivenChain.check` is the one test of a
+matrix against it.  The verifiers walk the recorded matrices once, in runs
+of consecutive equal matrices: each run is checked, cut into blocks and
+normed once, and a two-group verifier takes each run's weight split once.
+
 Reports are plain dicts, JSON-serializable as
 ``{"hypotheses": ..., "prediction": ..., "observed": ..., "match": ...}``.
 """
@@ -58,7 +64,7 @@ def rank_one_rows(w: np.ndarray) -> np.ndarray:
 # Cluster detection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterReport:
     """Where a run ended: its agents partitioned into opinion clusters."""
 
@@ -135,7 +141,8 @@ def _agent_index(agents: Sequence[int]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DrivenChain:
-    """Index bookkeeping for a block-triangular confidence structure."""
+    """Index bookkeeping for a block-triangular confidence structure: the
+    central groups and the outer agents hold each of the agents 1..n once."""
 
     groups: tuple[tuple[int, ...], ...]       # central groups, 1-based ids
     outer: tuple[int, ...]                    # remaining agents, 1-based
@@ -145,6 +152,10 @@ class DrivenChain:
     def __post_init__(self):
         if not 1 <= len(self.groups) <= 2:
             raise NotDrivenChain(f"need one or two central groups, got {len(self.groups)}")
+        agents = sorted([*(a for g in self.groups for a in g), *self.outer])
+        if agents != list(range(1, len(agents) + 1)):
+            raise NotDrivenChain(f"the groups and the outer agents must hold each of the "
+                                 f"agents 1..{len(agents)} once, got {agents}")
         object.__setattr__(self, "_group_idx", tuple(_agent_index(g) for g in self.groups))
         object.__setattr__(self, "_outer_idx", _agent_index(self.outer))
 
@@ -168,126 +179,124 @@ class DrivenChain:
         d = w[np.ix_(out, out)]
         return a_blocks, c_blocks, d
 
+    def check(self, w: np.ndarray) -> None:
+        """Raise NotDrivenChain unless ``w`` is a square, finite matrix over
+        the chain's agents in which every central agent gives zero weight to
+        the outer agents and (for two groups) to the other central group."""
+        w = _square_finite(w)
+        n = len(self.outer) + sum(len(g) for g in self.groups)
+        if w.shape[0] != n:
+            raise NotDrivenChain(f"the chain does not cover the matrix's {w.shape[0]} agents")
+        idx = self._group_idx
+        for g, rows in enumerate(idx):
+            for cols in (self._outer_idx, *idx[:g], *idx[g + 1:]):
+                if cols.size and rows.size:
+                    block = np.abs(w[np.ix_(rows, cols)])
+                    if block.max() > ZERO_BLOCK_TOL:
+                        raise NotDrivenChain(
+                            f"central group {g + 1} hears outside agents "
+                            f"(weight {float(block.max())!r})")
 
-def classify_chain(w: np.ndarray,
-                   central_groups: Sequence[Sequence[int]] | DrivenChain) -> DrivenChain:
-    """Check the zero blocks that make ``central_groups`` driving groups.
 
-    Every central agent must give zero weight to all outer agents and (for
-    two groups) to the other central group.  Raises NotDrivenChain otherwise.
-    ``central_groups`` may also be a chain built before, which is then
-    checked against ``w`` as it stands.  A ``w`` that is not a square matrix,
-    or holds a value that is not finite, raises NotDrivenChain too.
-    """
+def _square_finite(w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise NotDrivenChain(f"the confidence matrix must be square, got shape {w.shape}")
     if not np.isfinite(w).all():
         raise NotDrivenChain("the confidence matrix holds a value that is not finite")
-    n = w.shape[0]
-    if isinstance(central_groups, DrivenChain):
-        chain = central_groups
-        if len(chain.outer) + sum(len(g) for g in chain.groups) != n:
-            raise NotDrivenChain(f"the chain does not cover the matrix's {n} agents")
-    else:
-        groups = tuple(tuple(sorted(int(a) for a in g)) for g in central_groups)
-        central = {a for g in groups for a in g}
-        for a in sorted(central):
-            if not 1 <= a <= n:
-                raise NotDrivenChain(f"central agent {a} is not one of the agents 1..{n}")
-        if len(central) != sum(len(g) for g in groups):
-            raise NotDrivenChain("central groups overlap")
-        outer = tuple(a for a in range(1, n + 1) if a not in central)
-        chain = DrivenChain(groups, outer)
-    idx = chain._group_idx
-    for g, rows in enumerate(idx):
-        for cols in (chain._outer_idx, *idx[:g], *idx[g + 1:]):
-            if cols.size and rows.size:
-                block = np.abs(w[np.ix_(rows, cols)])
-                if block.max() > ZERO_BLOCK_TOL:
-                    raise NotDrivenChain(
-                        f"central group {g + 1} hears outside agents "
-                        f"(weight {float(block.max())!r})")
+    return w
+
+
+def classify_chain(w: np.ndarray, central_groups: Sequence[Sequence[int]]) -> DrivenChain:
+    """The chain whose driving groups are ``central_groups``, checked on ``w``.
+
+    Every central agent must give zero weight to all outer agents and (for
+    two groups) to the other central group.  Raises NotDrivenChain otherwise,
+    and when ``w`` is not a square matrix or holds a value that is not finite.
+    """
+    n = len(_square_finite(w))
+    groups = tuple(tuple(sorted(int(a) for a in g)) for g in central_groups)
+    central = {a for g in groups for a in g}
+    for a in sorted(central):
+        if not 1 <= a <= n:
+            raise NotDrivenChain(f"central agent {a} is not one of the agents 1..{n}")
+    if len(central) != sum(len(g) for g in groups):
+        raise NotDrivenChain("central groups overlap")
+    chain = DrivenChain(groups, tuple(a for a in range(1, n + 1) if a not in central))
+    chain.check(w)
     return chain
 
 
-def _contraction_profile(norms: list[float], product_norm: float) -> dict:
+def _contraction_profile(runs: list[tuple[int, float]], product_norm: float) -> dict:
     """How strongly the outer block forgets its own history.
 
-    ``per_step`` reports the sufficient condition (every step's norm at most
-    rho < 1): it fails whenever some outer agent hears no central agent
-    directly at some step.  ``product_vanishes`` is the weaker working
-    condition: the accumulated product of outer blocks tends to zero, i.e.
-    central influence reaches every outer agent through paths over time.
+    ``runs`` holds ``(steps, norm)`` for each run of consecutive steps whose
+    outer block has one infinity norm.  ``per_step`` reports the sufficient
+    condition (every step's norm at most rho < 1): it fails whenever some
+    outer agent hears no central agent directly at some step.
+    ``product_vanishes`` is the weaker working condition: the accumulated
+    product of outer blocks tends to zero, i.e. central influence reaches
+    every outer agent through paths over time.
     """
-    start = len(norms)  # first step of the contractive tail
-    while start and norms[start - 1] < 1.0 - CONTRACTION_SLACK:
-        start -= 1
-    holds_from = start if start < len(norms) else None
-    rho = max(norms[start:]) if holds_from is not None else None
+    norms = [norm for _, norm in runs]
+    tail = len(runs)  # first run of the contractive tail
+    while tail and norms[tail - 1] < 1.0 - CONTRACTION_SLACK:
+        tail -= 1
+    holds_from = sum(steps for steps, _ in runs[:tail]) if tail < len(runs) else None
     return {
         "per_step": holds_from == 0,
         "holds_from_step": holds_from,
-        "rho": rho,
+        "rho": max(norms[tail:]) if holds_from is not None else None,
         "max_norm": max(norms) if norms else None,
         "product_norm": product_norm,
         "product_vanishes": product_norm < 1e-6,
     }
 
 
-def _object_runs(ws: Sequence[np.ndarray]) -> list[list]:
-    """``[w, count]`` for each run of consecutive steps recording the same object."""
-    runs = []
-    for w in ws:
-        if runs and w is runs[-1][0]:
-            runs[-1][1] += 1
-        else:
-            runs.append([w, 1])
-    return runs
-
-
 def _walk_chain(chain: DrivenChain, ws: Sequence[np.ndarray]):
     """One pass over a recorded run, checking the chain structure at every step.
 
     Returns each central group's left product (newest factor on the left),
-    the outer block's contraction profile, and every step's coupling blocks
-    (outer rows, one block per group's columns).  The structure check, the
-    block extraction and the outer norm run once per run of consecutive
-    byte-equal matrices (a pmf simulation's matrix changes only when its
-    kept edges do, and it records one object per kept set, so a step whose
-    matrix is the previous step's object is not even compared); the steps of
-    such a run share one list of coupling blocks.  Each left product
-    alternates between two buffers of its own.  A product that is still
-    exactly the identity is kept, with no product formed, while its blocks
-    are byte-equal to the identity (a cautious pmf leader's 1x1 block):
-    identity times identity is exact, so every bit is as the plain products
-    give.
+    the outer block's contraction profile, and ``(steps, coupling blocks)``
+    for each run of consecutive equal matrices (outer rows, one block per
+    group's columns).  A run continues while a step records the previous
+    step's object (a pmf run records one object per kept set), or else a
+    matrix of the same shape and bytes (a Dirichlet run records a fresh
+    copy at every step); :meth:`DrivenChain.check`, the blocks and the outer
+    norm are taken once per run.  Each left product alternates between two
+    buffers of its own.  A product that is still exactly the identity is
+    kept, with no product formed, while its blocks are byte-equal to the
+    identity (a cautious pmf leader's 1x1 block): identity times identity
+    is exact, so every bit is as the plain products give.
     """
+    runs = []  # [steps, matrix] per run of consecutive equal matrices
+    last = key = None
+    for w in ws:
+        if w is not last:
+            last = w
+            w = np.asarray(w, dtype=float)
+            step_key = (w.shape, w.tobytes())
+            if step_key != key:
+                key = step_key
+                runs.append([0, w])
+        runs[-1][0] += 1
     sizes = [len(idx) for idx in (*chain._group_idx, chain._outer_idx)]
     eyes = [np.eye(n).tobytes() for n in sizes]
     bufs = [(np.empty((n, n)), np.empty((n, n))) for n in sizes]
     prods = [None] * len(sizes)   # each central group's left product, then the outer block's
     unit = [False] * len(sizes)   # the product is still exactly the identity
-    norms = []
-    couplings = []
-    key = None
-    for w, count in _object_runs(ws):
-        w = np.asarray(w, dtype=float)
-        step_key = (w.shape, w.tobytes())
-        if step_key != key:
-            key = step_key
-            # raises if the structure broke at this step
-            a_blocks, c_blocks, d = classify_chain(w, chain).blocks(w)
-            blocks = (*a_blocks, d)
-            eye = [b.tobytes() == e for b, e in zip(blocks, eyes)]
-            norm = infinity_norm(d) if d.size else 0.0
-        norms += [norm] * count
-        couplings += [c_blocks] * count
-        for g, block in enumerate(blocks):
+    norms, couplings = [], []
+    for count, w in runs:
+        chain.check(w)  # raises if the structure broke in this run
+        a_blocks, c_blocks, d = chain.blocks(w)
+        norms.append((count, infinity_norm(d) if d.size else 0.0))
+        couplings.append((count, c_blocks))
+        for g, block in enumerate((*a_blocks, d)):
+            eye = block.tobytes() == eyes[g]
             prod, todo = prods[g], count
             if prod is None:
-                prod, todo, unit[g] = block, count - 1, eye[g]
-            if todo and not (unit[g] and eye[g]):
+                prod, todo, unit[g] = block, count - 1, eye
+            if todo and not (unit[g] and eye):
                 unit[g] = False
                 one, two = bufs[g]
                 for _ in range(todo):
@@ -384,16 +393,13 @@ def verify_two_group_chain(chain: DrivenChain, ws: Sequence[np.ndarray],
     if chain.kind != "two-groups":
         raise NotDrivenChain("expected a two-groups chain")
     a_prods, contraction, couplings = _walk_chain(chain, ws)
-    lambdas: list[float] = []
+    lambdas: list[float] = []  # one per run of constrained steps
     condition_every_step = True
     constrained_steps = 0
-    shared = None
-    for c_blocks in couplings:
-        if c_blocks is not shared:  # the walk shares one list per run of equal matrices
-            shared = c_blocks
-            lam, constrained = _step_lambda(c_blocks)
+    for steps, c_blocks in couplings:
+        lam, constrained = _step_lambda(c_blocks)
         if constrained:
-            constrained_steps += 1
+            constrained_steps += steps
             if lam is None:
                 condition_every_step = False
             else:

@@ -202,7 +202,7 @@ def clamped_masses(masses: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BodyOfEvidence:
     """An agent opinion: a frame plus a dense mass table indexed by bitmask.
 

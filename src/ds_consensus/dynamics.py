@@ -61,7 +61,7 @@ def check_unit_interval(name: str, value) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgentSpec:
     strategy: Strategy
     alpha: float
@@ -77,7 +77,7 @@ class AgentSpec:
 ENGINES = ("pmf", "dirichlet", "general")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkState:
     """Every agent's opinion at one step and the parameters fixed for a run.
 
@@ -139,18 +139,11 @@ class NetworkState:
         return ("pmf" if dst.is_bayesian_table(self.masses, self.frame) else
                 "dirichlet" if dst.is_dirichlet_table(self.masses, self.frame) else "general")
 
-    def epsilons(self) -> np.ndarray:
-        """The bounds of confidence, as :func:`graph.prune` takes them."""
-        return self.bounds
-
-    def with_masses(self, masses: np.ndarray) -> "NetworkState":
-        return replace(self, masses=masses)
-
     def pruned(self) -> PrunedView:
         return prune(self.graph, self.masses, self.bounds, self.frame.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfidenceMatrix:
     """Per-step weight matrix driving the opinion-profile iteration."""
 
@@ -550,8 +543,8 @@ class ProfileRun:
     """
 
     def __init__(self, state: NetworkState, engine: str, epsilon: float | None = None):
-        if epsilon is not None and not 0.0 <= epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+        if epsilon is not None:
+            check_unit_interval("epsilon", epsilon)
         if engine not in ENGINES:
             raise EngineMismatch(f"unknown engine {engine!r}")
         if ENGINES.index(state.opinion_class) > ENGINES.index(engine):
@@ -834,7 +827,7 @@ class ProfileRun:
 def _one_step(state: NetworkState, engine: str) -> NetworkState:
     run = ProfileRun(state, engine)
     run.advance(1)
-    return state.with_masses(run.masses())
+    return replace(state, masses=run.masses())
 
 
 def general_step(state: NetworkState) -> NetworkState:

@@ -115,7 +115,7 @@ def kept_edges(rows: np.ndarray, cols: np.ndarray) -> frozenset[tuple[int, int]]
     return frozenset(zip((rows + 1).tolist(), (cols + 1).tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrunedView:
     """Bounded-confidence view: only edges whose opinion distance fits the bound."""
 

@@ -16,7 +16,7 @@ from .errors import InvalidScenario
 from .scenario import Scenario
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
     engine: str
     initial_masses: np.ndarray
@@ -104,7 +104,7 @@ def verify_run(scenario: Scenario, epsilon: float) -> dict:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BifurcationResult:
     """Limit opinions of one proposition across an epsilon grid."""
 

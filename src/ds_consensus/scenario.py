@@ -27,7 +27,8 @@ Agent opinions come either from explicit masses or from a sampling spec
 the scenario RNG.  Materialization order is fixed for reproducibility:
 ER graph (own seed, regenerated until connected), then leader choice, then
 the draws.  A scenario is compiled into arrays as it loads: each distinct
-agent config is parsed once, every sampled opinion comes from one
+agent config is parsed once (a sampling spec into its concentration array
+and its target-mask array), every sampled opinion comes from one
 ``rng.gamma`` call over the concentrations of the sampled agents laid end
 to end in agent order (the same numbers as one call per agent in turn),
 the whole (N, 2**M) mass table is checked once, and the start state
@@ -65,58 +66,32 @@ DEFAULT_CLUSTER_TOL = 1e-3
 ENGINE_NAMES = ("general", "pmf", "dirichlet", "auto")
 
 
-@dataclass(frozen=True)
-class SamplingSpec:
-    """Dirichlet draw assigned to target propositions in declared order."""
-
-    concentrations: tuple[float, ...]
-    targets: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.concentrations) != len(self.targets):
-            raise InvalidScenario("sampling needs one concentration per target")
-        if not all(0.0 < c < np.inf for c in self.concentrations):
-            raise InvalidScenario("dirichlet concentrations must be positive and finite")
-
-    def masks(self, frame: Frame) -> np.ndarray:
-        """The targets' subset masks in declared order.  A target the frame
-        does not hold raises ValueError, the empty set InvalidScenario."""
-        masks = []
-        for target in self.targets:
-            mask = dst.prop_from_str(target, frame)
-            if mask == 0:
-                raise InvalidScenario("cannot assign sampled mass to the empty set")
-            masks.append(mask)
-        return np.array(masks, dtype=np.intp)
-
-
-def sample_opinions(specs: Sequence[SamplingSpec], targets: Sequence[np.ndarray], which,
+def sample_opinions(concentrations: Sequence[np.ndarray], targets: Sequence[np.ndarray],
                     frame: Frame, rng: np.random.Generator) -> np.ndarray:
-    """Draw opinion k from ``specs[which[k]]`` for every k, as the rows of a
-    (len(which), 2**M) mass table; ``targets[g]`` holds the subset masks of
-    ``specs[g]``'s targets (see :meth:`SamplingSpec.masks`).
+    """Draw one opinion per entry, as the rows of a (len(concentrations),
+    2**M) mass table: opinion k's Dirichlet concentrations are
+    ``concentrations[k]`` and ``targets[k]`` holds the subset masks its
+    draws land on, in the same order.
 
     One ``rng.gamma`` call draws the concentrations of every opinion laid
     end to end in order, which gives the numbers one call per opinion in
     turn would.  An opinion's draws, normalized by their sum, land on its
-    spec's targets; a repeated target sums its shares in declared order.
-    The rows are not checked against the mass axioms.
+    targets; a repeated target sums its shares in declared order.  The rows
+    are not checked against the mass axioms.
     """
-    which = np.asarray(which, dtype=np.intp)
-    sizes = np.array([len(specs[g].concentrations) for g in which], dtype=np.intp)
-    draws = rng.gamma(np.concatenate([specs[g].concentrations for g in which]), 1.0)
+    sizes = np.array([len(c) for c in concentrations], dtype=np.intp)
+    draws = rng.gamma(np.concatenate(concentrations), 1.0)
     starts = np.cumsum(sizes) - sizes
     for size in np.unique(sizes).tolist():  # rows of one size sum as one opinion's draws do
         at = starts[sizes == size][:, None] + np.arange(size)
         block = draws[at]
         draws[at] = block / block.sum(axis=1, keepdims=True)
-    rows = np.zeros((len(which), frame.n_subsets))
-    np.add.at(rows, (np.repeat(np.arange(len(which)), sizes),
-                     np.concatenate([targets[g] for g in which])), draws)
+    rows = np.zeros((len(sizes), frame.n_subsets))
+    np.add.at(rows, (np.repeat(np.arange(len(sizes)), sizes), np.concatenate(targets)), draws)
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """A compiled configuration: the start state built, opinions drawn."""
 
@@ -222,14 +197,15 @@ def _integer(value, where: str) -> int:
 
 
 class _AgentConfig(NamedTuple):
-    """One parsed agent config: its parameters and its explicit masses or sampling spec."""
+    """One parsed agent config: its parameters and its explicit masses or
+    the Dirichlet concentrations and target masks it samples its opinion from."""
 
     receptive: bool
     alpha: float
     epsilon: float
     masses: np.ndarray | None
-    sample: SamplingSpec | None
-    targets: np.ndarray | None  # the sampling spec's target masks
+    concentrations: np.ndarray | None
+    targets: np.ndarray | None
     late: InvalidScenario | None  # a bad alpha or bound, raised after the opinion's checks
 
 
@@ -244,7 +220,7 @@ def _parse_agent(cfg, defaults: dict, frame: Frame, where: str) -> _AgentConfig:
     epsilon = _number(float, merged.get("epsilon", 1.0), f"{where}.epsilon")
     if "boe" in merged and "sample" in merged:
         raise InvalidScenario(f"{where}: give either masses or a sampling spec, not both")
-    masses = spec = targets = late = None
+    masses = concentrations = targets = late = None
     if "boe" in merged:
         boe_cfg = _object(merged["boe"], f"{where}.boe")
         if "masses" not in boe_cfg:
@@ -262,14 +238,22 @@ def _parse_agent(cfg, defaults: dict, frame: Frame, where: str) -> _AgentConfig:
             targets = _array(s["targets"], f"{where}.sample.targets")
         except KeyError as exc:
             raise InvalidScenario(f"{where}: sampling spec missing {exc}")
-        concentrations = tuple(_number(float, c, f"{where}.sample.dirichlet")
-                               for c in concentrations)
-        targets = tuple(_string(t, f"{where}.sample.targets") for t in targets)
+        concentrations = np.array([_number(float, c, f"{where}.sample.dirichlet")
+                                   for c in concentrations])
+        targets = [_string(t, f"{where}.sample.targets") for t in targets]
         try:
-            spec = SamplingSpec(concentrations, targets)
-            targets = spec.masks(frame)
-        except (ValueError, InvalidScenario) as exc:
+            if len(concentrations) != len(targets):
+                raise ValueError("sampling needs one concentration per target")
+            if not ((0.0 < concentrations) & (concentrations < np.inf)).all():
+                raise ValueError("dirichlet concentrations must be positive and finite")
+            masks = []
+            for target in targets:  # a target outside the frame raises ValueError
+                masks.append(dst.prop_from_str(target, frame))
+                if masks[-1] == 0:
+                    raise ValueError("cannot assign sampled mass to the empty set")
+        except ValueError as exc:
             raise InvalidScenario(f"{where}: bad sample: {exc}")
+        targets = np.array(masks, dtype=np.intp)
     else:
         raise InvalidScenario(f"{where}: agent has neither masses nor a sampling spec")
     try:
@@ -277,8 +261,8 @@ def _parse_agent(cfg, defaults: dict, frame: Frame, where: str) -> _AgentConfig:
         check_unit_interval("epsilon", epsilon)
     except ValueError as exc:
         late = InvalidScenario(f"{where}: {exc}")
-    return _AgentConfig(strategy is Strategy.RECEPTIVE, alpha, epsilon, masses, spec, targets,
-                        late)
+    return _AgentConfig(strategy is Strategy.RECEPTIVE, alpha, epsilon, masses, concentrations,
+                        targets, late)
 
 
 def _agents(cfgs: list, defaults: dict, frame: Frame, rng: Callable[[], np.random.Generator]):
@@ -310,14 +294,11 @@ def _agents(cfgs: list, defaults: dict, frame: Frame, rng: Callable[[], np.rando
     blank = np.zeros(frame.n_subsets)
     table = np.array([blank if c.masses is None else c.masses for c in configs]
                      ).reshape(-1, frame.n_subsets)[which]
-    sampling = np.array([c.sample is not None for c in configs], dtype=bool)
-    is_sampled = sampling[which]
+    is_sampled = np.array([c.targets is not None for c in configs], dtype=bool)[which]
     if is_sampled.any():
-        sampled = [c for c in configs if c.sample]
-        table[is_sampled] = sample_opinions([c.sample for c in sampled],
-                                            [c.targets for c in sampled],
-                                            (np.cumsum(sampling) - 1)[which[is_sampled]],
-                                            frame, rng())
+        sampled = [configs[at] for at in which[is_sampled].tolist()]
+        table[is_sampled] = sample_opinions([c.concentrations for c in sampled],
+                                            [c.targets for c in sampled], frame, rng())
     fault = dst.mass_table_fault(table)
     if fault:
         k, why = fault

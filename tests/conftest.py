@@ -73,7 +73,10 @@ def theta_weight_matrix(state: NetworkState, pruned: PrunedView) -> np.ndarray:
 
 def _oracle_sample(concentrations, targets, frame: Frame, rng) -> BodyOfEvidence:
     """One opinion: its own gamma draw, normalized, added target by target."""
-    scenario.SamplingSpec(concentrations, targets)  # the count and positivity checks
+    if len(concentrations) != len(targets):
+        raise InvalidScenario("sampling needs one concentration per target")
+    if not all(0.0 < c < np.inf for c in concentrations):
+        raise InvalidScenario("dirichlet concentrations must be positive and finite")
     draws = rng.gamma(shape=np.asarray(concentrations, dtype=float), scale=1.0)
     coords = draws / draws.sum()
     masses = np.zeros(frame.n_subsets)

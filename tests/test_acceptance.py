@@ -312,7 +312,7 @@ def test_criterion_8e_ambiguity_decay_bound():
     checked = 0
     for _ in range(100):
         state = _random_network(rng, "dirichlet", eps=1.0)
-        if min(len(prune(state.graph, state.masses, state.epsilons(),
+        if min(len(prune(state.graph, state.masses, state.bounds,
                          state.frame.size).neighbors(i))
                for i in range(1, state.graph.n + 1)) == 0:
             continue

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -48,7 +49,8 @@ def test_left_product_identity_and_order():
     assert np.array_equal(prod, a[:2, :2])
     (prod,), _, couplings = _walk_chain(chain, [a, b])
     assert np.array_equal(prod, b[:2, :2] @ a[:2, :2])  # newest factor multiplies on the left
-    assert len(couplings) == 2 and np.array_equal(couplings[1][0], b[2:, :2])
+    assert [steps for steps, _ in couplings] == [1, 1]
+    assert np.array_equal(couplings[1][1][0], b[2:, :2])
 
 
 def test_left_product_rank_one_idempotent():
@@ -216,6 +218,16 @@ def test_a_hand_built_chain_needs_one_or_two_groups():
         DrivenChain((), (1, 2))
 
 
+@pytest.mark.parametrize("groups, outer, agents", [
+    (((1,), (5,)), (2, 3), "1..4 once, got [1, 2, 3, 5]"),   # agent 4 missing, 5 not an agent
+    (((1,),), (1, 2), "1..3 once, got [1, 1, 2]"),            # agent 1 in two places
+])
+def test_a_hand_built_chain_must_hold_each_agent_once(groups, outer, agents):
+    with pytest.raises(NotDrivenChain) as err:
+        DrivenChain(groups, outer)
+    assert str(err.value) == f"the groups and the outer agents must hold each of the agents {agents}"
+
+
 @pytest.mark.parametrize("groups, verify, message", [
     (((1,), (2,)), verify_one_group_chain, "^expected a one-group chain$"),
     (((1,),), verify_two_group_chain, "^expected a two-groups chain$"),
@@ -262,7 +274,7 @@ def test_classify_chain_rejects_malformed_matrices(w, message):
         classify_chain(w, [[1]])
     chain = classify_chain(np.eye(3), [[1]])
     with pytest.raises(NotDrivenChain, match=message):
-        classify_chain(w, chain)
+        chain.check(w)
 
 
 def test_walk_checks_malformed_matrices_once_per_run(monkeypatch):
@@ -361,7 +373,8 @@ def contraction_profile_by_suffix(norms, product_norm):
 
 
 def per_step_walk(chain, ws):
-    """The walk with the structure rebuilt, checked and cut into blocks at every step."""
+    """The walk with the structure rebuilt, checked and cut into blocks at
+    every step, each step its own run."""
     norms = []
     a_prods = [None] * len(chain.groups)
     d_prod = None
@@ -371,7 +384,7 @@ def per_step_walk(chain, ws):
         norms.append(infinity_norm(d) if d.size else 0.0)
         d_prod = d if d_prod is None else d @ d_prod
         a_prods = [a if prod is None else a @ prod for a, prod in zip(a_blocks, a_prods)]
-        couplings.append(c_blocks)
+        couplings.append((1, c_blocks))
     contraction = contraction_profile_by_suffix(
         norms, infinity_norm(d_prod) if d_prod is not None and d_prod.size else 0.0)
     return a_prods, contraction, couplings
@@ -385,7 +398,7 @@ def runs_of_equal(ws):
 def split_by_step(couplings):
     """The two-group weight-proportion fields with the split taken at every step."""
     lambdas, every_step, constrained_steps = [], True, 0
-    for c_blocks in couplings:
+    for _, c_blocks in couplings:
         lam, constrained = _step_lambda(c_blocks)
         constrained_steps += constrained
         if constrained and lam is None:
@@ -420,24 +433,25 @@ def verify_both_ways(monkeypatch, groups, ws, initial, final):
 
 
 def walk_bits(walk):
-    """A walk's left products, contraction profile and coupling blocks, as bytes."""
+    """A walk's left products, contraction profile and every step's coupling
+    blocks (its runs expanded), as bytes."""
     prods, contraction, couplings = walk
     return ([p.tobytes() for p in prods], json.dumps(contraction),
-            [[c.tobytes() for c in cs] for cs in couplings])
+            [[c.tobytes() for c in cs] for steps, cs in couplings for _ in range(steps)])
 
 
 def walk_calls(monkeypatch, groups, ws):
-    """classify_chain calls made by one walk over ``ws``."""
+    """DrivenChain.check calls made by one walk over ``ws``."""
     chain = classify_chain(ws[0], groups)
     calls = []
-    real = analysis.classify_chain
+    real = DrivenChain.check
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
     with monkeypatch.context() as m:
-        m.setattr(analysis, "classify_chain", counting)
+        m.setattr(DrivenChain, "check", counting)
         try:
             _walk_chain(chain, ws)
         except NotDrivenChain:
@@ -523,8 +537,7 @@ def test_walk_keys_runs_on_bytes(monkeypatch):
     assert walk_calls(monkeypatch, [[1]], [a, a, b, a]) == 3
     assert walk_calls(monkeypatch, [[1]], [b, b_neg, b_neg]) == 2
     _, _, couplings = _walk_chain(classify_chain(a, [[1]]), [a, a.copy(), b, b])
-    assert couplings[0] is couplings[1] and couplings[2] is couplings[3]
-    assert couplings[1] is not couplings[2]
+    assert [steps for steps, _ in couplings] == [2, 2]
     with pytest.raises(NotDrivenChain, match="does not cover the matrix's 4 agents"):
         _walk_chain(classify_chain(a, [[1]]), [np.eye(4)])
 
@@ -621,4 +634,7 @@ def test_contraction_profile_matches_the_suffix_definition(rng):
         patterns.append(rng.choice([0.0, 0.4, 0.9, 1.0, 1.0 - CONTRACTION_SLACK, 1.2],
                                    size=n).tolist())
     for norms in patterns:
-        assert _contraction_profile(norms, 0.5) == contraction_profile_by_suffix(norms, 0.5)
+        want = contraction_profile_by_suffix(norms, 0.5)
+        assert _contraction_profile([(1, n) for n in norms], 0.5) == want
+        runs = [(len(list(steps)), n) for n, steps in itertools.groupby(norms)]
+        assert _contraction_profile(runs, 0.5) == want

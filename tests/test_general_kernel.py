@@ -97,7 +97,7 @@ def reference_step(state, kept):
     new_masses[:, 0] = 0.0
     new_masses /= new_masses.sum(axis=1, keepdims=True)
     new_masses[~changed] = state.masses[~changed]
-    return state.with_masses(new_masses)
+    return replace(state, masses=new_masses)
 
 
 def reference_theta_matrix(state, kept):

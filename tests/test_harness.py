@@ -25,8 +25,8 @@ from ds_consensus import cli as cli_module, dynamics, runner, scenario as scenar
 from ds_consensus.analysis import classify_chain, verify_one_group_chain, verify_two_group_chain
 from ds_consensus.graph import MAX_NODES, DirectedGraph, erdos_renyi_connected
 from ds_consensus.runner import run_simulation, run_sweep, sweep_grid, verify_run
-from ds_consensus.scenario import (SamplingSpec, Scenario, assets_dir, list_assets,
-                                   load_scenario, sample_opinions, scenario_from_dict)
+from ds_consensus.scenario import (Scenario, assets_dir, list_assets, load_scenario,
+                                   sample_opinions, scenario_from_dict)
 
 
 def test_assets_present():
@@ -149,25 +149,22 @@ def test_sampling_deterministic():
 
 def test_sample_opinions_dirichlet_mean(rng):
     frame = Frame(3)
-    spec = SamplingSpec((1.0, 1.0, 1.0), ("1", "2", "3"))
-    draws = sample_opinions([spec], [spec.masks(frame)], np.zeros(10_000, dtype=int), frame, rng)
+    draws = sample_opinions([np.ones(3)] * 10_000, [np.array([1, 2, 4])] * 10_000, frame, rng)
     means = draws[:, [1, 2, 4]].mean(axis=0)
     assert means == pytest.approx([1 / 3] * 3, abs=0.01)
 
 
 def test_sample_opinions_general_targets(rng):
     frame = Frame(3)
-    spec = SamplingSpec((4, 4, 4, 2, 2, 2, 1),
-                        ("1", "2", "3", "1,2", "1,3", "2,3", "*"))
-    (masses,) = sample_opinions([spec], [spec.masks(frame)], [0], frame, rng)
+    (masses,) = sample_opinions([np.array([4.0, 4, 4, 2, 2, 2, 1])],
+                                [np.array([1, 2, 4, 3, 5, 6, 7])], frame, rng)
     assert masses.sum() == pytest.approx(1.0)
     assert all(masses[m] > 0 for m in (1, 2, 4, 3, 5, 6, 7))
 
 
 def test_sample_opinions_single_target(rng):
     frame = Frame(2)
-    spec = SamplingSpec((2.0,), ("1,2",))
-    (masses,) = sample_opinions([spec], [spec.masks(frame)], [0], frame, rng)
+    (masses,) = sample_opinions([np.array([2.0])], [np.array([frame.full_set])], frame, rng)
     assert masses[frame.full_set] == pytest.approx(1.0)
 
 

@@ -77,7 +77,7 @@ def oracle_step(state, engine, kept):
     masses[:, cols] = prod
     if engine == "dirichlet" and frame.size > 1:
         masses[:, frame.full_set] = np.maximum(1.0 - prod.sum(axis=1), 0.0)
-    return state.with_masses(masses)
+    return replace(state, masses=masses)
 
 
 def reference_run(state, engine, max_iterations, step_tol, persistence):

@@ -104,6 +104,9 @@ BAD_AGENTS = [
     (2, {"sample": {"dirichlet": [], "targets": []}}),           # no draws
     (5, {"sample": {"dirichlet": [], "targets": []}}),           # none, last
     (4, {"boe": {"masses": {"1": 0.5}}, "alpha": 2.0}),           # the opinion first
+    (2, {"sample": {"dirichlet": [1, 1], "targets": ["", "9"]}}),  # the empty set first
+    (2, {"sample": {"dirichlet": [0], "targets": ["1", "2"]}}),    # the count first
+    (2, {"sample": {"dirichlet": [float("nan"), 1], "targets": ["1", "2"]}}),
 ]
 
 

@@ -43,7 +43,7 @@ def test_tracer_hooks_count_a_traced_run():
         result = runner.run_simulation(sc, 0.3)
         state = at_bound(sc.state, 0.3)
         state.pruned()  # dynamics' own binding of prune
-        graph.prune(state.graph, state.masses, state.epsilons(), state.frame.size)
+        graph.prune(state.graph, state.masses, state.bounds, state.frame.size)
         dst.pairwise_jousselme(state.masses, state.frame.size)
         dst.pairwise_jousselme(mass_rows=state.masses, size=state.frame.size)
     finally:

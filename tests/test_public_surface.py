@@ -7,7 +7,8 @@ function that only the unit tests call either gains a real caller or is
 removed.  Uses are read from the token stream, so comments do not count;
 words inside string literals do, because the benchmark's tracer names what
 it wraps by string.  Nor does any dataclass take a cache field (a field
-named ``_x``) as a constructor argument.
+named ``_x``) as a constructor argument, or generate an ``__eq__`` that
+compares arrays.
 """
 
 import ast
@@ -73,12 +74,40 @@ def test_a_definition_is_not_a_use(tmp_path, source, used):
     assert used_names(path) - {"def", "class", "pass", "return", "x"} == used
 
 
+def package_dataclasses() -> list[type]:
+    return [cls for info in pkgutil.iter_modules(ds_consensus.__path__)
+            for cls in vars(importlib.import_module(f"ds_consensus.{info.name}")).values()
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls)]
+
+
 def test_no_dataclass_takes_a_cache_field():
     # a cache given to __init__ could disagree with the fields it is derived from
-    classes = [cls for info in pkgutil.iter_modules(ds_consensus.__path__)
-               for cls in vars(importlib.import_module(f"ds_consensus.{info.name}")).values()
-               if isinstance(cls, type) and dataclasses.is_dataclass(cls)]
+    classes = package_dataclasses()
     assert len(classes) > 10
     for cls in classes:
         taken = [f.name for f in dataclasses.fields(cls) if f.init and f.name.startswith("_")]
         assert taken == [], f"{cls.__qualname__} takes {taken}"
+
+
+def test_no_dataclass_generates_eq_over_an_array_field():
+    # numpy's == is elementwise, so a generated __eq__ that reaches an array
+    # raises on ``a == b``, and a frozen class's generated __hash__ on hash(a)
+    compared = {cls.__name__: {word for f in dataclasses.fields(cls) if f.compare
+                               for word in re.findall(r"\w+", str(f.type))}
+                for cls in package_dataclasses() if cls.__dataclass_params__.eq}
+    assert "DrivenChain" in compared and "Frame" in compared
+    unsafe, grown = {"ndarray"}, True
+    while grown:  # a field whose type compares arrays compares them too
+        reach = {name for name, words in compared.items() if words & unsafe}
+        grown = not reach <= unsafe
+        unsafe |= reach
+    assert sorted(unsafe - {"ndarray"}) == []
+
+
+def test_objects_that_hold_arrays_compare_and_hash_by_identity():
+    a, b = ds_consensus.load_scenario("fig4a-pmf"), ds_consensus.load_scenario("fig4a-pmf")
+    result = ds_consensus.run_simulation(a, 0.5)
+    for x, y in ((a, b), (a.state, b.state), (a.agents[0], b.agents[0]),
+                 (a.agents[0].boe, b.agents[0].boe), (result, ds_consensus.run_simulation(a, 0.5)),
+                 (result.report, result.report)):
+        assert x == x and (x == y) is (x is y) and len({x, y}) == 1 + (x is not y)
