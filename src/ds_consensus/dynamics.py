@@ -22,13 +22,11 @@ only, recomputes the pruning only when a metric certificate can no longer
 vouch for the kept edges, and plans the pmf and Dirichlet weights once per
 kept set (a Dirichlet step only refills the edge cells) and the general term
 structure only when its key changes.  One routine forms every step of every
-engine, into the row after its state's.  While a pmf or Dirichlet run's kept
-set holds, :meth:`ProfileRun.advance` forms a chunk of steps' products at
-once (a Dirichlet step refilling the weights at the state it formed), ends it
-where the run is predicted to converge, and then walks the pruning
-certificate and the convergence rule over them step by step; a general run,
-whose term structure follows the state, keeps two rows and takes one step
-per chunk.  :func:`pmf_step`,
+engine, into the row after its state's: a pmf or Dirichlet step writes there
+the state's singleton rows times the transposed weights, which has the bits
+of the weights times the profile (see :func:`_update` for M > 7).  While
+the kept set of such a run holds, :meth:`ProfileRun.advance` steps it in
+chunks; a general run takes one step per chunk.  :func:`pmf_step`,
 :func:`dirichlet_step`, :func:`general_step` and the confidence-matrix
 builders are one-step views of that kernel on an immutable
 :class:`NetworkState`; the dense prune-then-multiply loop lives only in the
@@ -47,7 +45,7 @@ import numpy as np
 
 from . import dst
 from .dst import BodyOfEvidence, Frame
-from .errors import EngineMismatch, NotABeliefFunction, NotDirichlet
+from .errors import EngineMismatch, NotABeliefFunction, NotDirichlet, ParameterOutOfRange
 from .graph import DirectedGraph, PrunedView, kept_edges, prune
 
 
@@ -58,7 +56,7 @@ class Strategy(Enum):
 
 def check_unit_interval(name: str, value) -> None:
     if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
+        raise ParameterOutOfRange(f"{name} must be in [0, 1], got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,20 +399,20 @@ class _WeightPlan:
 CONSERVATION_TOL = 1e-10
 
 
-def _update(w: np.ndarray, x: np.ndarray, out: np.ndarray, full: np.ndarray | None,
-            prod: np.ndarray, leftover: np.ndarray | None) -> None:
-    """One step: ``w`` moves the singleton columns ``x`` of a profile into
-    ``out``, the same columns of the next one, and ``full``, the next one's
-    full-frame column (None when it has none), takes the mass they leave
-    over, clipped at 0; ``leftover`` keeps it unclipped, for the
-    conservation check.  The product lands in the C-order scratch ``prod``
-    first, as ``w @ x`` would return it, so its bits do not depend on
-    ``out``'s layout.
-    """
-    np.matmul(w, x, out=prod)
-    np.copyto(out, prod)
+def _update(wt: np.ndarray, x: np.ndarray, out: np.ndarray, full: np.ndarray | None,
+            leftover: np.ndarray | None) -> None:
+    """One step: ``wt``, the transposed view of the weights ``w``, moves the
+    singleton rows ``x`` (M, N) of a state into ``out``, the same rows of the
+    next one, and ``full``, the next one's full-frame row (None when it has
+    none), takes the mass they leave over, clipped at 0; ``leftover`` keeps
+    it unclipped, for the conservation check.  ``x @ wt`` into the C-order
+    ``out`` is the BLAS call of ``w @ x.T`` with its operands named the other
+    way; it keeps the bits of ``w @ x.T`` and of its row sums up to seven
+    singletons (the tests check random matrices; a contiguous copy of ``wt``
+    rounds differently), and may differ in the last bit beyond."""
+    np.matmul(x, wt, out=out)
     if full is not None:
-        np.add.reduce(prod, axis=1, out=leftover)
+        np.add.reduce(out, axis=0, out=leftover)
         np.subtract(1.0, leftover, out=leftover)
         np.maximum(leftover, 0.0, out=full)
 
@@ -501,16 +499,17 @@ class ProfileRun:
     subsets for general.  Every state the run forms is a row of one C-order
     ``(R, K * N)`` stack, and ``x`` is the view of row ``_at``.  A general
     row is a C-order mass table with its own lattice plan, as a column-major
-    copy could round the Gram product differently.  A closed-form row's
-    transpose is an F-order (N, K) profile, so the singleton columns meet
-    every weight matrix in the same BLAS kernel and the engines round alike.
-    A step writes the row after its state's (:meth:`_products`), so a step
-    that raises leaves ``x`` as it was, and a table taken by :meth:`masses`
-    is a copy.  A pmf or Dirichlet run keeps CHUNK + 1 rows, so a chunk of
-    its steps (:meth:`advance`) runs the same ``np.matmul`` on the same
-    layouts, refills the Dirichlet weights at the same states, and re-prunes
-    at a row inside a chunk on the same Gram product, as single steps would.
-    A general run keeps two rows, so its chunks are one step.
+    copy could round the Gram product differently.  A closed-form row is the
+    transpose of an (N, K) profile, and a step writes its first M rows times
+    ``w.T``, the transposed view of the plan's matrix, into the next row's
+    (:func:`_update`: the bits of ``w @ x`` up to M = 7).  A step writes the
+    row after its state's (:meth:`_products`), so a step that raises leaves
+    ``x`` as it was, and a table taken by :meth:`masses` is a copy.  A pmf
+    or Dirichlet run keeps CHUNK + 1 rows, so a chunk of its steps
+    (:meth:`advance`) runs the same ``np.matmul`` on the same layouts,
+    refills the Dirichlet weights at the same states, and re-prunes at a row
+    inside a chunk on the same Gram product, as single steps would.  A
+    general run keeps two rows, so its chunks are one step.
 
     Adjacency, bounds (a uniform ``epsilon`` replaces the per-agent ones),
     self-weights and strategies are fixed for the run, and a run derives
@@ -565,12 +564,10 @@ class ProfileRun:
             self._bl = np.empty((n, k))
             self._bl_steps = dst._lattice_steps(self._bl)
         else:
-            rows = self._stack.reshape(-1, k, n).transpose(0, 2, 1)
-            self._profiles = list(rows)
-            self._singles, self._fulls = (  # pmf profiles hold only singletons
-                (list(rows[:, :, :m]), list(rows[:, :, m]))
-                if self._scaled else (self._profiles, [None] * len(self._profiles)))
-            self._prod = np.empty((n, m))
+            blocks = self._stack.reshape(-1, k, n)
+            self._profiles = list(blocks.transpose(0, 2, 1))
+            self._singles = list(blocks[:, :m])  # pmf rows hold only singletons
+            self._fulls = list(blocks[:, m]) if self._scaled else [None] * len(blocks)
             # each step's unclipped full-frame masses (pmf profiles have none)
             self._leftover = np.empty((CHUNK, n)) if self._scaled else [None] * CHUNK
         self._diff = np.empty((len(self._stack) - 1, k * n))
@@ -711,12 +708,11 @@ class ProfileRun:
             _general_update(self.x, bl, self._general_terms(bl), self._profiles[at + 1],
                             self._lattices[at + 1])
         else:
-            w, singles, fulls = self._plan.matrix, self._singles, self._fulls
+            wt, singles, fulls = self._plan.matrix.T, self._singles, self._fulls
             fill = self._plan.fill if self._scaled else None
             leftover = self._leftover
             for s in range(at, at + count):
-                _update(w, singles[s], singles[s + 1], fulls[s + 1], self._prod,
-                        leftover[s - at])
+                _update(wt, singles[s], singles[s + 1], fulls[s + 1], leftover[s - at])
                 if fill:  # the plan's matrix follows the full-frame masses
                     fill(fulls[s + 1])
                 if weights is not None:

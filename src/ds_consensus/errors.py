@@ -17,6 +17,10 @@ class NodeOutOfRange(DSConsensusError):
     """Node index outside [1, N]."""
 
 
+class ParameterOutOfRange(DSConsensusError, ValueError):
+    """A bound, self-weight or sweep grid outside its range (also a ValueError)."""
+
+
 class NotDirichlet(DSConsensusError):
     """Operation requires all opinions to be Dirichlet (singletons plus the full frame)."""
 

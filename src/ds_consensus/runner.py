@@ -12,7 +12,7 @@ import numpy as np
 from . import dst, dynamics
 from .analysis import (ClusterReport, classify_chain, detect_clusters,
                        verify_one_group_chain, verify_two_group_chain)
-from .errors import InvalidScenario
+from .errors import InvalidScenario, ParameterOutOfRange
 from .scenario import Scenario
 
 
@@ -133,18 +133,17 @@ MAX_SWEEP_POINTS = 10 ** 6
 
 
 def sweep_grid(eps_min: float, eps_max: float, eps_step: float) -> tuple[float, ...]:
-    """The bounds eps_min, eps_min + eps_step, ... up to eps_max.
-
-    A grid of more than MAX_SWEEP_POINTS points raises ValueError before any
-    point is formed.
-    """
+    """The bounds eps_min, eps_min + eps_step, ... up to eps_max; a bad grid,
+    or one of more than MAX_SWEEP_POINTS points, raises ParameterOutOfRange
+    before any point is formed."""
     if not 0.0 <= eps_min <= eps_max <= 1.0:
-        raise ValueError(f"need 0 <= eps_min <= eps_max <= 1, got [{eps_min}, {eps_max}]")
+        raise ParameterOutOfRange(f"need 0 <= eps_min <= eps_max <= 1, got [{eps_min}, {eps_max}]")
     if not (np.isfinite(eps_step) and eps_step > 0.0):
-        raise ValueError(f"eps_step must be positive and finite, got {eps_step}")
+        raise ParameterOutOfRange(f"eps_step must be positive and finite, got {eps_step}")
     span = np.floor((eps_max - eps_min) / eps_step + 1e-9)  # inf for a subnormal step
     if span >= MAX_SWEEP_POINTS:
-        raise ValueError(f"eps_step {eps_step} gives more than {MAX_SWEEP_POINTS} grid points")
+        raise ParameterOutOfRange(
+            f"eps_step {eps_step} gives more than {MAX_SWEEP_POINTS} grid points")
     count = int(span) + 1
     return tuple(round(eps_min + k * eps_step, 12) for k in range(count))
 

@@ -243,8 +243,8 @@ def fail_every_step(engine, monkeypatch):
         return NotABeliefFunction
     update = dynamics._update
 
-    def guarded(w, x, out, full, prod, leftover):
-        update(w, x, out, full, prod, leftover)
+    def guarded(wt, x, out, full, leftover):
+        update(wt, x, out, full, leftover)
         leftover[0] = -1.0  # the chunk's conservation check fails on every product
 
     monkeypatch.setattr(dynamics, "_update", guarded)

@@ -197,6 +197,17 @@ def test_sweep_grid_rejects_unbounded_steps(step, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda sc: run_simulation(sc, 1.5), r"epsilon must be in \[0, 1\], got 1.5"),
+    (lambda sc: run_simulation(sc, float("nan")), r"epsilon must be in \[0, 1\], got nan"),
+    (lambda sc: run_sweep(sc, 0.5, 1.5, 0.5),
+     r"need 0 <= eps_min <= eps_max <= 1, got \[0.5, 1.5\]"),
+], ids=["epsilon", "nan", "sweep"])
+def test_a_bound_outside_the_unit_interval_is_a_package_error(call, message):
+    with pytest.raises(DSConsensusError, match=f"^{message}$") as caught:
+        call(load_scenario("fig4a-pmf"))
+    assert isinstance(caught.value, ValueError)  # still caught where a ValueError is
+
 @pytest.mark.parametrize("prop", ["", "  "])
 def test_sweep_of_the_empty_set_rejected(prop, tmp_path, capsys, monkeypatch):
     def no_run(*args, **kwargs):
@@ -483,7 +494,7 @@ def test_cli_run_out_naming_a_file_exits_two(tmp_path, capsys):
 
 
 def test_runtime_error_during_a_run_exits_two(monkeypatch, capsys):
-    def fail(*args):
+    def fail(wt, x, out, full, leftover):
         raise NotDirichlet("mass conservation violated by -0.5")
     monkeypatch.setattr(dynamics, "_update", fail)
     with pytest.raises(NotDirichlet, match="^mass conservation violated by -0.5$"):

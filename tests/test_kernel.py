@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ds_consensus import dynamics
 from ds_consensus.dst import BodyOfEvidence, Frame, jaccard_matrix, pairwise_jousselme
@@ -266,24 +267,68 @@ def test_recorded_dirichlet_matrices_are_each_steps_weights():
 
 
 def test_update_guards_the_full_frame_column():
-    x = np.asfortranarray([[0.25, 0.75, 0.0], [0.5, 0.25, 0.25]])
+    # a stack row: the singleton rows of agents 1 and 2, then their full-frame row
+    x = np.array([[0.25, 0.5], [0.75, 0.25], [0.0, 0.25]])
 
     def update(w):
         new, leftover = np.full_like(x, np.nan), np.empty(2)
-        _update(w, x[:, :2], new[:, :2], new[:, 2], np.empty((2, 2)), leftover)
+        _update(w.T, x[:2], new[:2], new[2], leftover)
         return new, leftover
 
     new, _ = update(np.eye(2))  # leftovers of exactly 0 and 0.25
-    assert new.tobytes() == x.tobytes() and not np.signbit(new[:, 2]).any()
+    assert new.tobytes() == x.tobytes() and not np.signbit(new[2]).any()
     # a row sum 1e-12 above 1 is round-off: its leftover is clipped to +0.0
     new, leftover = update(np.diag([1.0 + 1e-12, 1.0]))
-    assert new[0, 2] == 0.0 and not np.signbit(new[0, 2])
+    assert new[2, 0] == 0.0 and not np.signbit(new[2, 0])
     assert -dynamics.CONSERVATION_TOL < leftover[0] < 0.0
-    # one 2e-10 above breaks conservation: the column is clipped all the same,
+    # one 2e-10 above breaks conservation: the row is clipped all the same,
     # and the chunk's check (see the planted guards below) raises on the leftover
     new, leftover = update(np.diag([1.0 + 2e-10, 1.0]))
-    assert new[0, 2] == 0.0 and leftover[0] < -dynamics.CONSERVATION_TOL
+    assert new[2, 0] == 0.0 and leftover[0] < -dynamics.CONSERVATION_TOL
 
+
+def random_weights(rng, n):
+    """(N, N) weights whose rows mix every kind a run can form and some it
+    cannot: identity rows, empty rows, dense row-stochastic rows, sparse pmf
+    rows (self-weight plus equal shares) and Dirichlet rows, whose shares
+    are amplified by 1 + theta of their neighbour and so sum above 1."""
+    w = np.zeros((n, n))
+    # kind 0: identity, 1: empty, 2: dense, 3: pmf, 4: Dirichlet
+    for i, kind in enumerate(rng.integers(5, size=n)):
+        if kind == 0:
+            w[i, i] = 1.0
+        elif kind == 2:
+            w[i] = rng.dirichlet(np.ones(n))
+        elif kind > 2:
+            heard = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+            alpha = rng.random()
+            w[i, heard] = (1.0 - alpha) / len(heard)
+            if kind == 4:
+                w[i, heard] *= 1.0 + rng.random(len(heard))
+            w[i, i] = alpha
+    return w
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 300), m=st.integers(1, 5), full=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_update_forms_the_bits_of_the_dense_product(n, m, full, seed):
+    # two states laid out as a run's stack rows: M singleton rows of N agents,
+    # then, for Dirichlet, the full-frame row
+    rng = np.random.default_rng(seed)
+    w = random_weights(rng, n)
+    k = m + full
+    blocks = np.full((2, k * n), np.nan).reshape(2, k, n)
+    blocks[0] = rng.dirichlet(np.ones(k), size=n).T
+    leftover = np.full(n, np.nan)
+    _update(w.T, blocks[0, :m], blocks[1, :m], blocks[1, m] if full else None,
+            leftover if full else None)
+    dense = w @ np.asfortranarray(blocks[0, :m].T)  # the oracle's product
+    assert blocks[1, :m].tobytes() == dense.T.tobytes()
+    if full:
+        want = 1.0 - dense.sum(axis=1)
+        assert leftover.tobytes() == want.tobytes()
+        assert blocks[1, m].tobytes() == np.maximum(want, 0.0).tobytes()
 
 def two_still_agents(gap):
     """Two cautious Bayesian agents (they never move), agent 1's bound set
@@ -513,11 +558,11 @@ def plant_guard(monkeypatch, masses, frame):
     """Make the Dirichlet product from the state with the dense ``masses``
     fail its guard; return the list that grows each time it fires."""
     cols = [1 << p for p in range(frame.size)]
-    target = np.ascontiguousarray(masses[:, cols]).tobytes()
+    target = masses[:, cols].T.tobytes()  # the (M, N) singleton rows
     update, fired = dynamics._update, []
 
-    def guarded(w, x, out, full, prod, leftover):
-        update(w, x, out, full, prod, leftover)
+    def guarded(wt, x, out, full, leftover):
+        update(wt, x, out, full, leftover)
         if x.tobytes() == target:
             fired.append(1)
             leftover[0] = PLANTED
@@ -559,7 +604,8 @@ def test_guard_inside_a_chunk_raises_when_its_step_is_taken(monkeypatch):
     assert len(states) > 2 * k
     fired = plant_guard(monkeypatch, states[k - 1], scenario.frame)
     formed, guarded = [], dynamics._update
-    monkeypatch.setattr(dynamics, "_update", lambda *args: formed.append(1) or guarded(*args))
+    monkeypatch.setattr(dynamics, "_update", lambda wt, x, out, full, leftover: formed.append(1)
+                        or guarded(wt, x, out, full, leftover))
     run = ProfileRun(scenario.state, "dirichlet", 0.5)
     message = f"mass conservation violated by {np.float64(PLANTED)!r}"
     with pytest.raises(NotDirichlet, match=f"^{re.escape(message)}$"):
