@@ -5,11 +5,7 @@ belief mixing under bounded confidence."""
 from .dst import (
     BodyOfEvidence,
     Frame,
-    belief_table,
     jaccard_matrix,
-    jousselme_distance,
-    mass_table,
-    masses_from_beliefs,
     pairwise_jousselme,
     prop_from_indices,
     prop_from_str,

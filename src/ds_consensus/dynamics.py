@@ -16,21 +16,15 @@ pruning recomputed from current opinions each step):
   and the full frame; the confidence matrix need not be row-stochastic and
   the full-frame mass is whatever the singletons leave over.
 
-All three step through one kernel, :class:`ProfileRun`, which holds every
-state it forms in the rows of one stack and its kept edges as index pairs
-only, recomputes the pruning only when a metric certificate can no longer
-vouch for the kept edges, and plans the pmf and Dirichlet weights once per
-kept set (a Dirichlet step only refills the edge cells) and the general term
-structure only when its key changes.  One routine forms every step of every
-engine, into the row after its state's: a pmf or Dirichlet step writes there
-the state's singleton rows times the transposed weights, which has the bits
-of the weights times the profile (see :func:`_update` for M > 7).  While
-the kept set of such a run holds, :meth:`ProfileRun.advance` steps it in
-chunks; a general run takes one step per chunk.  :func:`pmf_step`,
-:func:`dirichlet_step`, :func:`general_step` and the confidence-matrix
-builders are one-step views of that kernel on an immutable
-:class:`NetworkState`; the dense prune-then-multiply loop lives only in the
-tests, as the oracle the kernel is checked against.
+All three step through one kernel, :class:`ProfileRun`, which holds its
+states in the rows of one stack, prunes under a metric certificate and
+steps pmf and Dirichlet runs in chunks (see its docstring).  No run calls
+:func:`pmf_step`, :func:`dirichlet_step`, :func:`general_step` or the
+confidence-matrix builders, one-step views of the kernel on an immutable
+:class:`NetworkState`, nor reads :class:`AgentSpec` or :attr:`NetworkState.specs`:
+the benchmark names them, so they stay until it is re-based on the kernel.
+The tests build states from specs and prune densely through
+``tests/conftest.py``, the oracle the kernel is checked against.
 """
 
 from __future__ import annotations
@@ -39,24 +33,19 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cache, cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dst
 from .dst import BodyOfEvidence, Frame
-from .errors import EngineMismatch, NotABeliefFunction, NotDirichlet, ParameterOutOfRange
-from .graph import DirectedGraph, PrunedView, kept_edges, prune
+from .errors import EngineMismatch, NotDirichlet, check_unit_interval
+from .graph import DirectedGraph, kept_edges
 
 
 class Strategy(Enum):
     RECEPTIVE = "receptive"  # follows: weights track the neighbor's masses
     CAUTIOUS = "cautious"    # leads: weights track the agent's own masses
-
-
-def check_unit_interval(name: str, value) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ParameterOutOfRange(f"{name} must be in [0, 1], got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,9 +70,8 @@ class NetworkState:
 
     Row i of every array is agent i+1: ``masses`` is the (N, 2**M) mass
     table, ``alphas`` the self-weights, ``bounds`` the bounds of confidence
-    and ``receptive`` the strategies (False: cautious).  This is the one
-    constructor; :meth:`from_specs` turns agent specs into these arrays.
-    The arrays are copied read-only.
+    and ``receptive`` the strategies (False: cautious).  The arrays are
+    copied read-only.
     """
 
     frame: Frame
@@ -109,19 +97,6 @@ class NetworkState:
             if not inside.all():
                 check_unit_interval(name, float(values[inside.argmin()]))
 
-    @staticmethod
-    def from_specs(frame: Frame, graph: DirectedGraph,
-                   specs: Sequence[AgentSpec]) -> "NetworkState":
-        if len(specs) != graph.n:
-            raise ValueError(f"need {graph.n} agent specs, got {len(specs)}")
-        for k, spec in enumerate(specs):
-            if spec.boe.frame != frame:
-                raise ValueError(f"agent {k + 1} opinion not on the shared frame")
-        return NetworkState(
-            frame, graph, np.reshape([s.boe.masses for s in specs], (-1, frame.n_subsets)),
-            [s.alpha for s in specs], [s.epsilon for s in specs],
-            [s.strategy is Strategy.RECEPTIVE for s in specs])
-
     @cached_property
     def specs(self) -> tuple[AgentSpec, ...]:
         """Every agent as an :class:`AgentSpec`, built on first read; no run reads them."""
@@ -136,9 +111,6 @@ class NetworkState:
         carry mass, "dirichlet" when the full frame may too, else "general"."""
         return ("pmf" if dst.is_bayesian_table(self.masses, self.frame) else
                 "dirichlet" if dst.is_dirichlet_table(self.masses, self.frame) else "general")
-
-    def pruned(self) -> PrunedView:
-        return prune(self.graph, self.masses, self.bounds, self.frame.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,13 +306,7 @@ def _general_update(masses: np.ndarray, bl: np.ndarray, terms: _Terms, out: np.n
         stack[1:] *= weight[lo:hi]
         np.add.reduce(stack, axis=0, out=out)
 
-    dst._moebius(lattice)
-    worst = np.minimum.reduce(out, axis=None)
-    if worst < -dst.ITERATED_TOL:
-        raise NotABeliefFunction(f"update produced mass {worst!r}")
-    np.maximum(out, 0.0, out=out)
-    out[:, 0] = 0.0
-    out /= np.add.reduce(out, axis=1, keepdims=True)
+    dst._recover_masses(out, lattice)
     np.copyto(out, masses, where=~moving[:, None])
 
 

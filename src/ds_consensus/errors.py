@@ -1,4 +1,4 @@
-"""Semantic exception hierarchy shared across the package."""
+"""Semantic exception hierarchy, and the one [0, 1] check, shared across the package."""
 
 
 class DSConsensusError(Exception):
@@ -43,3 +43,13 @@ class InvalidScenario(DSConsensusError):
 
 class ScenarioParseError(DSConsensusError):
     """Scenario file is not valid JSON or misses required fields."""
+
+
+def check_unit_interval(name: str, value) -> None:
+    """Raise ParameterOutOfRange unless ``value`` is a number in [0, 1]."""
+    try:
+        inside = 0.0 <= value <= 1.0
+    except (TypeError, ValueError):  # not a number, or an array of several
+        raise ParameterOutOfRange(f"{name} must be a number in [0, 1], got {value!r}") from None
+    if not inside:
+        raise ParameterOutOfRange(f"{name} must be in [0, 1], got {value}")

@@ -3,6 +3,10 @@
 Edge ``(i, j)`` means agent ``i`` receives information from agent ``j``.
 Node indices are 1-based.  Base topologies store mutual edges; asymmetry of
 influence comes from the per-agent update weights and bounds of confidence.
+
+Runs prune inside :class:`dynamics.ProfileRun`.  :func:`prune` stays only
+because the benchmark's tracer wraps it and reads its view's ``.kept``; the
+tests read a view's edges and neighbours through ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import dst
-from .errors import InvalidScenario, NodeOutOfRange
+from .errors import InvalidScenario, NodeOutOfRange, check_unit_interval
 
 # Largest graph of any form: a whole run at this size, from the Erdos-Renyi
 # draw through its cluster report, peaks within 128 MiB (tracemalloc); the
@@ -120,17 +124,6 @@ class PrunedView:
     """Bounded-confidence view: only edges whose opinion distance fits the bound."""
 
     kept: np.ndarray  # boolean receive matrix, 0-based
-    _edges: frozenset[tuple[int, int]] | None = field(default=None, init=False, repr=False,
-                                                      compare=False)
-
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        if self._edges is None:
-            object.__setattr__(self, "_edges", kept_edges(*np.nonzero(self.kept)))
-        return self._edges
-
-    def neighbors(self, i: int) -> set[int]:
-        return {int(j) + 1 for j in np.nonzero(self.kept[i - 1])[0]}
 
 
 def prune(g: DirectedGraph, masses: np.ndarray, epsilon: Sequence[float],
@@ -184,8 +177,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> DirectedGraph:
     Pairs draw one uniform each, in row-major upper-triangle order.
     """
     _check_node_count(n)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    check_unit_interval("p", p)
     rng = np.random.default_rng(seed)
     hit = rng.random(n * (n - 1) // 2) < p
     rows, cols = np.triu_indices(n, 1)

@@ -167,15 +167,19 @@ def run_sweep(scenario: Scenario, eps_min: float, eps_max: float, eps_step: floa
     one process per grid point and per CPU.  Each process takes one copy of
     the scenario, its start state already built, and every ``workers``-th
     point, so that the costly points near a consensus threshold spread over
-    all of them.  Results are assembled in grid order either way.  An empty
-    proposition, whose mass is always 0, raises ValueError before any run.
+    all of them.  Results are assembled in grid order either way.  A bad
+    proposition or worker count raises ParameterOutOfRange before any run.
     """
     if workers < 1:
-        raise ValueError(f"need at least one worker, got {workers}")
+        raise ParameterOutOfRange(f"need at least one worker, got {workers}")
     grid = sweep_grid(eps_min, eps_max, eps_step)
-    mask = dst.prop_from_str(proposition, scenario.frame)
+    try:
+        mask = dst.prop_from_str(proposition, scenario.frame)
+    except ValueError as exc:
+        raise ParameterOutOfRange(str(exc)) from None
     if mask == 0:
-        raise ValueError(f"proposition {proposition!r} is the empty set, whose mass is always 0")
+        raise ParameterOutOfRange(
+            f"proposition {proposition!r} is the empty set, whose mass is always 0")
     workers = min(workers, len(grid), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -35,7 +35,9 @@ the whole (N, 2**M) mass table is checked once, and the start state
 (:class:`NetworkState`) is built from that table, the strategies, the
 self-weights and the bounds.  A failure names the first bad agent, with
 the message a check agent by agent would give.  ``Scenario.agents`` builds
-one :class:`AgentSpec` per agent on first read; no load or run needs them.
+one :class:`AgentSpec` per agent on first read: no load or run needs them,
+only the benchmark's smoke test (``.agents[0].boe.masses``).  The tests
+build a state from agent specs with ``state_from_specs`` in ``tests/conftest.py``.
 
 Built-in assets live in the package ``assets/`` directory; the environment
 variable ``DS_CONSENSUS_ASSETS`` overrides the location.
@@ -54,8 +56,8 @@ import numpy as np
 
 from . import dst
 from .dst import Frame
-from .dynamics import AgentSpec, NetworkState, Strategy, check_unit_interval
-from .errors import InvalidScenario, NodeOutOfRange, ScenarioParseError
+from .dynamics import AgentSpec, NetworkState, Strategy
+from .errors import InvalidScenario, NodeOutOfRange, ScenarioParseError, check_unit_interval
 from .graph import DirectedGraph, erdos_renyi_connected
 
 DEFAULT_MAX_ITERATIONS = 10_000

@@ -1,15 +1,16 @@
 import json
 from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 import pytest
 
-from ds_consensus import dst, scenario
+from ds_consensus import dst, graph, scenario
 from ds_consensus.dst import BodyOfEvidence, Frame
 from ds_consensus.dynamics import (AgentSpec, NetworkState, Strategy, _term_structure,
                                    _term_weights)
-from ds_consensus.errors import InvalidScenario
-from ds_consensus.graph import PrunedView
+from ds_consensus.errors import FrameMismatch, InvalidScenario
+from ds_consensus.graph import DirectedGraph, PrunedView
 
 
 @pytest.fixture
@@ -21,6 +22,87 @@ def at_bound(state: NetworkState, epsilon: float | None) -> NetworkState:
     """``state`` with every agent's bound set to ``epsilon`` (None keeps them)."""
     return state if epsilon is None else replace(
         state, bounds=np.full(state.graph.n, epsilon))
+
+
+# ---------------------------------------------------------------------------
+# The per-opinion layer: no run uses it, the tests check the kernel against it
+# ---------------------------------------------------------------------------
+
+def belief_table(masses: np.ndarray) -> np.ndarray:
+    """Belief of every subset from a mass table (subset-sum zeta transform)."""
+    bl = np.array(masses, dtype=float, copy=True, order="C")
+    dst._zeta(dst._lattice_steps(bl))
+    return bl
+
+
+def mass_table(beliefs: np.ndarray) -> np.ndarray:
+    """Invert :func:`belief_table` (Moebius inversion over the subset lattice)."""
+    m = np.array(beliefs, dtype=float, copy=True, order="C")
+    dst._moebius(dst._lattice_steps(m))
+    return m
+
+
+def masses_from_beliefs(frame: Frame, beliefs: np.ndarray) -> BodyOfEvidence:
+    """Recover the mass function whose belief table equals ``beliefs``, by
+    the general engine's own recovery (:func:`dst._recover_masses`)."""
+    bl = np.asarray(beliefs, dtype=float)
+    if bl.shape != (frame.n_subsets,):
+        raise ValueError(f"expected {frame.n_subsets} belief values, got shape {bl.shape}")
+    if abs(bl[0]) > dst.ALGEBRAIC_TOL:
+        raise ValueError(f"belief of the empty set must be 0, got {bl[0]!r}")
+    if abs(bl[frame.full_set] - 1.0) > dst.ITERATED_TOL:
+        raise ValueError(f"belief of the full frame must be 1, got {bl[frame.full_set]!r}")
+    m = np.array(bl, copy=True, order="C")
+    dst._recover_masses(m, dst._lattice_steps(m))
+    return BodyOfEvidence(frame, m)
+
+
+def _quadratic_distance(diff: np.ndarray, size: int) -> float:
+    if size <= dst._DENSE_JACCARD_LIMIT:
+        q = 0.5 * float(diff @ dst.jaccard_matrix(size) @ diff)
+    else:
+        support = np.nonzero(diff)[0]
+        sub = diff[support]
+        q = 0.5 * float(sub @ dst.jaccard_block(support) @ sub)
+    return float(np.sqrt(min(max(q, 0.0), 1.0)))
+
+
+def jousselme_distance(e1: BodyOfEvidence, e2: BodyOfEvidence) -> float:
+    """Jaccard-weighted quadratic-form distance between two opinions, in
+    [0, 1], on their difference: the reference of the Gram form."""
+    if e1.frame != e2.frame:
+        raise FrameMismatch(f"frames differ: {e1.frame} vs {e2.frame}")
+    return _quadratic_distance(e1.masses - e2.masses, e1.frame.size)
+
+
+def state_from_specs(frame: Frame, graph: DirectedGraph,
+                     specs: Sequence[AgentSpec]) -> NetworkState:
+    """The start state of agents given one spec each, in node order."""
+    if len(specs) != graph.n:
+        raise ValueError(f"need {graph.n} agent specs, got {len(specs)}")
+    for k, spec in enumerate(specs):
+        if spec.boe.frame != frame:
+            raise ValueError(f"agent {k + 1} opinion not on the shared frame")
+    return NetworkState(
+        frame, graph, np.reshape([s.boe.masses for s in specs], (-1, frame.n_subsets)),
+        [s.alpha for s in specs], [s.epsilon for s in specs],
+        [s.strategy is Strategy.RECEPTIVE for s in specs])
+
+
+def pruned(state: NetworkState) -> PrunedView:
+    """The state's dense pruning, through ``graph.prune`` as a module
+    attribute, where the benchmark's tracer sits."""
+    return graph.prune(state.graph, state.masses, state.bounds, state.frame.size)
+
+
+def view_edges(view: PrunedView) -> frozenset[tuple[int, int]]:
+    """The 1-based ``(i, j)`` pairs a pruned view keeps."""
+    return graph.kept_edges(*np.nonzero(view.kept))
+
+
+def neighbors(view: PrunedView, i: int) -> set[int]:
+    """The 1-based agents that agent ``i`` still hears in the view."""
+    return {int(j) + 1 for j in np.nonzero(view.kept[i - 1])[0]}
 
 
 def random_general_boe(frame: Frame, rng) -> BodyOfEvidence:
@@ -50,7 +132,7 @@ def random_dirichlet_boe(frame: Frame, rng) -> BodyOfEvidence:
     return BodyOfEvidence(frame, m)
 
 
-def theta_weight_matrix(state: NetworkState, pruned: PrunedView) -> np.ndarray:
+def theta_weight_matrix(state: NetworkState, view: PrunedView) -> np.ndarray:
     """Self-weights plus full-frame conditional weights, as one matrix.
 
     Row sums bound the decay of the full-frame ("complete ambiguity") mass:
@@ -58,8 +140,8 @@ def theta_weight_matrix(state: NetworkState, pruned: PrunedView) -> np.ndarray:
     shrinks at least geometrically with ratio rho.
     """
     masses = state.masses
-    terms = _term_structure(*np.nonzero(pruned.kept), masses > 0.0,
-                            dst.belief_table(masses) > 0.0, state.alphas, state.receptive)
+    terms = _term_structure(*np.nonzero(view.kept), masses > 0.0,
+                            belief_table(masses) > 0.0, state.alphas, state.receptive)
     beta, moving = _term_weights(terms, masses)
     gamma = np.diag(np.where(moving, terms.alphas, 1.0))
     full = terms.subset == state.frame.full_set

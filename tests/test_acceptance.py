@@ -12,16 +12,15 @@ import time
 import numpy as np
 import pytest
 
-from ds_consensus import dst
 from ds_consensus.analysis import classify_chain, verify_one_group_chain, verify_two_group_chain
 from ds_consensus.dst import BodyOfEvidence, Frame
-from ds_consensus.dynamics import (AgentSpec, NetworkState, Strategy, dirichlet_step,
-                                   general_step, pmf_step)
+from ds_consensus.dynamics import AgentSpec, Strategy, dirichlet_step, general_step, pmf_step
 from ds_consensus.graph import DirectedGraph, prune
 from ds_consensus.runner import run_simulation, run_sweep
 from ds_consensus.scenario import load_scenario
 
-from conftest import theta_weight_matrix
+from conftest import (belief_table, jousselme_distance, masses_from_beliefs, neighbors, pruned,
+                      state_from_specs, theta_weight_matrix)
 
 GRID = (0.0, 1.0, 0.01)
 FOLLOWERS_7 = {2, 3, 4, 5, 6}
@@ -242,7 +241,7 @@ def _random_network(rng, kind, n_max=8, m_max=4, eps=None):
         strategy = Strategy.RECEPTIVE if rng.random() < 0.7 else Strategy.CAUTIOUS
         e = float(rng.uniform(0.1, 1.0)) if eps is None else eps
         specs.append(AgentSpec(strategy, 0.5, e, BodyOfEvidence(frame, m)))
-    return NetworkState.from_specs(frame, g, tuple(specs))
+    return state_from_specs(frame, g, tuple(specs))
 
 
 def test_criterion_8a_update_validity():
@@ -312,8 +311,8 @@ def test_criterion_8e_ambiguity_decay_bound():
     checked = 0
     for _ in range(100):
         state = _random_network(rng, "dirichlet", eps=1.0)
-        if min(len(prune(state.graph, state.masses, state.bounds,
-                         state.frame.size).neighbors(i))
+        if min(len(neighbors(prune(state.graph, state.masses, state.bounds,
+                                   state.frame.size), i))
                for i in range(1, state.graph.n + 1)) == 0:
             continue
         full = state.frame.full_set
@@ -322,7 +321,7 @@ def test_criterion_8e_ambiguity_decay_bound():
         ok_instance = True
         current = state
         for n in range(1, 31):
-            gamma = theta_weight_matrix(current, current.pruned())
+            gamma = theta_weight_matrix(current, pruned(current))
             rho = max(rho, float(np.abs(gamma).sum(axis=1).max()))
             current = dirichlet_step(current)
             if rho < 1.0:
@@ -345,10 +344,10 @@ def test_criterion_8f_metric_axioms():
             draw = rng.gamma(1.0, size=frame.n_subsets - 1) + 1e-9
             m[1:] = draw / draw.sum()
             boes.append(BodyOfEvidence(frame, m))
-        d01 = dst.jousselme_distance(boes[0], boes[1])
-        d10 = dst.jousselme_distance(boes[1], boes[0])
-        d02 = dst.jousselme_distance(boes[0], boes[2])
-        d12 = dst.jousselme_distance(boes[1], boes[2])
+        d01 = jousselme_distance(boes[0], boes[1])
+        d10 = jousselme_distance(boes[1], boes[0])
+        d02 = jousselme_distance(boes[0], boes[2])
+        d12 = jousselme_distance(boes[1], boes[2])
         assert 0.0 <= d01 <= 1.0
         assert abs(d01 - d10) <= 1e-12
         assert d02 <= d01 + d12 + 1e-9
@@ -364,7 +363,7 @@ def test_criterion_8g_mobius_round_trip():
         m = np.zeros(frame.n_subsets)
         draw = rng.gamma(1.0, size=frame.n_subsets - 1)
         m[1:] = draw / draw.sum()
-        rebuilt = dst.masses_from_beliefs(frame, dst.belief_table(m))
+        rebuilt = masses_from_beliefs(frame, belief_table(m))
         worst = max(worst, float(np.max(np.abs(rebuilt.masses - m))))
     ok = worst <= 1e-12
     assert report("criterion 8g", ok, f"mass-belief-mass round trip {worst:.2e} <= 1e-12")
@@ -379,7 +378,7 @@ def test_criterion_8h_block_recursion():
         specs = list(state.specs)
         specs[leader - 1] = AgentSpec(Strategy.CAUTIOUS, specs[leader - 1].alpha,
                                       specs[leader - 1].epsilon, specs[leader - 1].boe)
-        state = NetworkState.from_specs(state.frame, state.graph, specs)
+        state = state_from_specs(state.frame, state.graph, specs)
         ws = []
         current = state
         for _ in range(20):

@@ -10,13 +10,13 @@ from ds_consensus.analysis import (CONTRACTION_SLACK, DrivenChain, _contraction_
                                    verify_two_group_chain)
 from ds_consensus import analysis, dst
 from ds_consensus.dst import BodyOfEvidence, Frame
-from ds_consensus.dynamics import AgentSpec, NetworkState, Strategy
+from ds_consensus.dynamics import AgentSpec, Strategy
 from ds_consensus.errors import NotDrivenChain, NotRankOne
 from ds_consensus.graph import DirectedGraph, components
 from ds_consensus.runner import run_simulation, sweep_grid, verify_run
 from ds_consensus.scenario import Scenario, assets_dir, load_scenario, scenario_from_dict
 
-from conftest import random_general_boe
+from conftest import random_general_boe, state_from_specs
 
 
 F3 = Frame(3)
@@ -291,7 +291,7 @@ def _leader_scenario(leaders, fig6a=False, pi1=(0.80, 0.78, 0.76, 0.40, 0.80, 0.
     g = DirectedGraph.from_mutual_pairs(7, pairs)
     specs = tuple(AgentSpec(Strategy.CAUTIOUS if i + 1 in leaders else Strategy.RECEPTIVE,
                             0.5, 1.0, bayes(x)) for i, x in enumerate(pi1))
-    return Scenario(name="t", state=NetworkState.from_specs(F3, g, specs), engine="pmf")
+    return Scenario(name="t", state=state_from_specs(F3, g, specs), engine="pmf")
 
 
 def test_verify_one_group_chain_leader_adoption():

@@ -8,7 +8,8 @@ from ds_consensus.cli import cli
 from ds_consensus.dst import BodyOfEvidence, Frame
 from ds_consensus.errors import FrameMismatch, NotABeliefFunction
 
-from conftest import random_bayesian_boe, random_general_boe
+from conftest import (belief_table, jousselme_distance, mass_table, masses_from_beliefs,
+                      random_bayesian_boe, random_general_boe)
 from test_general_kernel import fh_conditional
 
 
@@ -35,7 +36,7 @@ def plausibility(bl: np.ndarray, a: int) -> float:
 # ---------------------------------------------------------------------------
 
 def test_vacuous_belief():
-    bl = dst.belief_table(boe(3, {"*": 1.0}).masses)
+    bl = belief_table(boe(3, {"*": 1.0}).masses)
     assert bl[0b011] == 0.0
     assert bl[0b111] == 1.0
     assert plausibility(bl, 0b111) == 1.0
@@ -43,14 +44,14 @@ def test_vacuous_belief():
 
 def test_dirichlet_belief_hand_value():
     b = boe(3, {"1": 0.3, "2": 0.2, "3": 0.1, "*": 0.4})
-    bl = dst.belief_table(b.masses)
+    bl = belief_table(b.masses)
     assert bl[dst.prop_from_str("1,2", b.frame)] == pytest.approx(0.5, abs=1e-15)
     assert plausibility(bl, dst.prop_from_str("1,2", b.frame)) == pytest.approx(0.9, abs=1e-15)
 
 
 def test_bayesian_belief_equals_plausibility(rng):
     frame = Frame(3)
-    bl = dst.belief_table(random_bayesian_boe(frame, rng).masses)
+    bl = belief_table(random_bayesian_boe(frame, rng).masses)
     for a in range(frame.n_subsets):
         assert bl[a] == pytest.approx(plausibility(bl, a), abs=1e-12)
 
@@ -59,7 +60,7 @@ def test_belief_matches_brute_force(rng):
     for size in (1, 2, 3, 4):
         frame = Frame(size)
         b = random_general_boe(frame, rng)
-        bl = dst.belief_table(b.masses)
+        bl = belief_table(b.masses)
         for a in range(frame.n_subsets):
             assert bl[a] == pytest.approx(brute_belief(b, a), abs=1e-12)
 
@@ -67,7 +68,7 @@ def test_belief_matches_brute_force(rng):
 def test_belief_plausibility_sandwich(rng):
     frame = Frame(4)
     for _ in range(25):
-        bl = dst.belief_table(random_general_boe(frame, rng).masses)
+        bl = belief_table(random_general_boe(frame, rng).masses)
         for a in range(frame.n_subsets):
             assert -1e-15 <= bl[a] <= plausibility(bl, a) + 1e-12 <= 1 + 1e-12
 
@@ -77,7 +78,7 @@ def test_belief_plausibility_sandwich(rng):
 # ---------------------------------------------------------------------------
 
 def test_conditional_on_singletons():
-    bl = dst.belief_table(boe(3, {"1": 0.2, "2": 0.5, "3": 0.3}).masses)
+    bl = belief_table(boe(3, {"1": 0.2, "2": 0.5, "3": 0.3}).masses)
     t1, t2 = 0b001, 0b010
     assert fh_conditional(bl, t1)[t1] == 1.0
     assert fh_conditional(bl, t2)[t1] == 0.0
@@ -86,12 +87,12 @@ def test_conditional_on_singletons():
 def test_conditional_hand_values():
     b = boe(3, {"1": 0.5, "*": 0.5})
     a = dst.prop_from_str("1,2", b.frame)
-    assert fh_conditional(dst.belief_table(b.masses), a)[0b001] == pytest.approx(0.5, abs=1e-15)
+    assert fh_conditional(belief_table(b.masses), a)[0b001] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_conditional_on_frame_is_identity(rng):
     frame = Frame(3)
-    bl = dst.belief_table(random_general_boe(frame, rng).masses)
+    bl = belief_table(random_general_boe(frame, rng).masses)
     given_frame = fh_conditional(bl, frame.full_set)
     for target in range(frame.n_subsets):
         assert given_frame[target] == pytest.approx(bl[target], abs=1e-15)
@@ -103,7 +104,7 @@ def test_conditional_reduces_to_bayes(rng):
         frame = Frame(size)
         for _ in range(40):
             b = random_bayesian_boe(frame, rng)
-            bl = dst.belief_table(b.masses)
+            bl = belief_table(b.masses)
             p = np.array([b.masses[1 << q] for q in range(size)])
             for a in range(1, frame.n_subsets):
                 pa = sum(p[q] for q in range(size) if a & (1 << q))
@@ -133,14 +134,14 @@ def test_distance_hand_values():
     e1 = boe(2, {"1": 1.0})
     e2 = boe(2, {"2": 1.0})
     e3 = boe(2, {"*": 1.0})
-    assert dst.jousselme_distance(e1, e2) == pytest.approx(1.0, abs=1e-12)
-    assert dst.jousselme_distance(e1, e3) == pytest.approx(np.sqrt(0.5), abs=1e-12)
-    assert dst.jousselme_distance(e1, e1) == 0.0
+    assert jousselme_distance(e1, e2) == pytest.approx(1.0, abs=1e-12)
+    assert jousselme_distance(e1, e3) == pytest.approx(np.sqrt(0.5), abs=1e-12)
+    assert jousselme_distance(e1, e1) == 0.0
 
 
 def test_distance_frame_mismatch():
     with pytest.raises(FrameMismatch):
-        dst.jousselme_distance(boe(2, {"1": 1.0}), boe(3, {"1": 1.0}))
+        jousselme_distance(boe(2, {"1": 1.0}), boe(3, {"1": 1.0}))
 
 
 def test_pairwise_matches_scalar(rng):
@@ -151,7 +152,7 @@ def test_pairwise_matches_scalar(rng):
     for i in range(6):
         for j in range(6):
             assert d[i, j] == pytest.approx(
-                dst.jousselme_distance(boes[i], boes[j]), abs=1e-12)
+                jousselme_distance(boes[i], boes[j]), abs=1e-12)
 
 
 def test_jaccard_block_matches_dense_matrix():
@@ -189,7 +190,7 @@ def test_pairwise_above_dense_limit(rng):
     for i in range(4):
         for j in range(4):
             assert d[i, j] == pytest.approx(
-                dst.jousselme_distance(boes[i], boes[j]), abs=1e-12)
+                jousselme_distance(boes[i], boes[j]), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +201,7 @@ def test_masses_from_beliefs_vacuous():
     frame = Frame(3)
     bl = np.zeros(8)
     bl[frame.full_set] = 1.0
-    rebuilt = dst.masses_from_beliefs(frame, bl)
+    rebuilt = masses_from_beliefs(frame, bl)
     assert rebuilt.masses[frame.full_set] == 1.0
 
 
@@ -208,7 +209,7 @@ def test_mobius_round_trip(rng):
     for size in (1, 2, 3, 4, 5, 6):
         frame = Frame(size)
         b = random_general_boe(frame, rng)
-        rebuilt = dst.masses_from_beliefs(frame, dst.belief_table(b.masses))
+        rebuilt = masses_from_beliefs(frame, belief_table(b.masses))
         assert np.max(np.abs(rebuilt.masses - b.masses)) < 1e-12
 
 
@@ -236,17 +237,17 @@ def test_planned_lattice_views_match_the_generator(size, rng):
         table[rng.random(shape) < 0.2] = -0.0
         table[rng.random(shape) < 0.1] = 0.0
         for given in (table, np.asfortranarray(table), table.tolist()):
-            assert dst.belief_table(given).tobytes() == generator_transform(table, 1).tobytes()
-            assert dst.mass_table(given).tobytes() == generator_transform(table, -1).tobytes()
+            assert belief_table(given).tobytes() == generator_transform(table, 1).tobytes()
+            assert mass_table(given).tobytes() == generator_transform(table, -1).tobytes()
     # signed zeros: -0.0 - -0.0 is +0.0, -0.0 + -0.0 stays -0.0
     zeros = np.full((3, k), -0.0)
-    assert dst.belief_table(zeros).tobytes() == generator_transform(zeros, 1).tobytes()
-    assert dst.mass_table(zeros).tobytes() == generator_transform(zeros, -1).tobytes()
+    assert belief_table(zeros).tobytes() == generator_transform(zeros, 1).tobytes()
+    assert mass_table(zeros).tobytes() == generator_transform(zeros, -1).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(6,), (2, 6), (3, 0), ()])
 def test_lattice_transforms_need_a_power_of_two_axis(shape):
-    for transform in (dst.belief_table, dst.mass_table):
+    for transform in (belief_table, mass_table):
         with pytest.raises(FrameMismatch, match="power-of-two"):
             transform(np.zeros(shape))
 
@@ -259,20 +260,20 @@ def test_non_monotone_beliefs_rejected():
     bl[0b011] = 0.5
     bl[0b111] = 1.0
     with pytest.raises(NotABeliefFunction):
-        dst.masses_from_beliefs(frame, bl)
+        masses_from_beliefs(frame, bl)
 
 
 def test_bad_endpoint_beliefs_rejected():
     frame = Frame(2)
     with pytest.raises(ValueError):
-        dst.masses_from_beliefs(frame, np.array([0.0, 0.6, 0.1, 0.5]))
+        masses_from_beliefs(frame, np.array([0.0, 0.6, 0.1, 0.5]))
     with pytest.raises(ValueError):
-        dst.masses_from_beliefs(frame, np.array([0.2, 0.6, 0.1, 1.0]))
+        masses_from_beliefs(frame, np.array([0.2, 0.6, 0.1, 1.0]))
 
 
 def test_beliefs_of_the_wrong_length_rejected():
     with pytest.raises(ValueError, match=r"^expected 4 belief values, got shape \(3,\)$"):
-        dst.masses_from_beliefs(Frame(2), np.array([0.0, 0.5, 1.0]))
+        masses_from_beliefs(Frame(2), np.array([0.0, 0.5, 1.0]))
 
 
 def test_dense_jaccard_matrix_is_cached_up_to_its_limit():

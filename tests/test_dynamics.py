@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ds_consensus.dst import BodyOfEvidence, Frame, belief_table
+from ds_consensus.dst import BodyOfEvidence, Frame
 from ds_consensus.dynamics import (AgentSpec, ConfidenceMatrix, NetworkState, Strategy,
                                    _term_structure, _term_weights, dirichlet_confidence_matrix,
                                    dirichlet_step, general_step, pmf_confidence_matrix, pmf_step)
@@ -12,8 +12,8 @@ from ds_consensus.graph import DirectedGraph
 from ds_consensus.runner import run_simulation
 from ds_consensus.scenario import Scenario, load_scenario
 
-from conftest import (random_bayesian_boe, random_dirichlet_boe, random_general_boe,
-                      theta_weight_matrix)
+from conftest import (belief_table, pruned, random_bayesian_boe, random_dirichlet_boe,
+                      random_general_boe, state_from_specs, theta_weight_matrix)
 
 F3 = Frame(3)
 
@@ -32,13 +32,13 @@ def state_of(boes, pairs, strategies=None, alpha=0.5, epsilon=1.0, frame=F3):
     if strategies is None:
         strategies = [Strategy.RECEPTIVE] * n
     specs = tuple(AgentSpec(s, alpha, epsilon, b) for s, b in zip(strategies, boes))
-    return NetworkState.from_specs(frame, g, specs)
+    return state_from_specs(frame, g, specs)
 
 
-def weights_of(st, pruned=None):
+def weights_of(st, view=None):
     """Self-weights (``alpha``) and conditional terms of one general step."""
-    pruned = st.pruned() if pruned is None else pruned
-    terms = _term_structure(*np.nonzero(pruned.kept), st.masses > 0.0,
+    view = pruned(st) if view is None else view
+    terms = _term_structure(*np.nonzero(view.kept), st.masses > 0.0,
                             belief_table(st.masses) > 0.0, st.alphas, st.receptive)
     beta, moving = _term_weights(terms, st.masses)
     return SimpleNamespace(alpha=np.where(moving, terms.alphas, 1.0), agent=terms.agent,
@@ -148,14 +148,14 @@ def test_network_state_rejects_a_mismatched_table():
     with pytest.raises(ValueError, match=r"^mass table must be \(2, 8\), got \(2, 4\)$"):
         NetworkState(F3, st.graph, st.masses[:, :4], st.alphas, st.bounds, st.receptive)
     with pytest.raises(ValueError, match="^need 2 agent specs, got 1$"):
-        NetworkState.from_specs(F3, st.graph, st.specs[:1])
+        state_from_specs(F3, st.graph, st.specs[:1])
     with pytest.raises(ValueError, match=r"^need 2 bounds, got shape \(1,\)$"):
         NetworkState(F3, st.graph, st.masses, st.alphas, st.bounds[:1], st.receptive)
     with pytest.raises(ValueError, match=r"^alpha must be in \[0, 1\], got nan$"):
         NetworkState(F3, st.graph, st.masses, [0.5, np.nan], st.bounds, st.receptive)
     other = AgentSpec(Strategy.RECEPTIVE, 0.5, 1.0, BodyOfEvidence(Frame(2), np.eye(4)[1]))
     with pytest.raises(ValueError, match="^agent 2 opinion not on the shared frame$"):
-        NetworkState.from_specs(F3, st.graph, (st.specs[0], other))
+        state_from_specs(F3, st.graph, (st.specs[0], other))
 
 
 def test_confidence_matrix_rows_must_sum_to_one():
@@ -258,7 +258,7 @@ def test_theta_weight_matrix_rows(rng):
     boes = [random_dirichlet_boe(frame, rng) for _ in range(3)]
     st = state_of(boes, [(1, 2), (2, 3)],
                   strategies=[Strategy.RECEPTIVE, Strategy.CAUTIOUS, Strategy.RECEPTIVE])
-    gamma = theta_weight_matrix(st, st.pruned())
+    gamma = theta_weight_matrix(st, pruned(st))
     theta = st.masses[:, 7]
     # receptive row: alpha + share * sum of neighbor theta masses
     assert gamma[0, 1] == pytest.approx(0.5 * theta[1])

@@ -14,14 +14,14 @@ import pytest
 
 from ds_consensus import dst, dynamics
 from ds_consensus.dst import BodyOfEvidence, Frame
-from ds_consensus.dynamics import (AgentSpec, NetworkState, ProfileRun, Strategy, dirichlet_step,
-                                   general_step)
+from ds_consensus.dynamics import AgentSpec, ProfileRun, Strategy, dirichlet_step, general_step
 from ds_consensus.errors import EngineMismatch, NotABeliefFunction, NotDirichlet
 from ds_consensus.graph import DirectedGraph
 from ds_consensus.runner import run_simulation
 from ds_consensus.scenario import Scenario, assets_dir, load_scenario, scenario_from_dict
 
-from conftest import at_bound, theta_weight_matrix
+from conftest import (at_bound, belief_table, mass_table, pruned, state_from_specs,
+                      theta_weight_matrix, view_edges)
 
 
 def reference_weights(i, state, kept, bl_rows):
@@ -70,7 +70,7 @@ def fh_conditional(bl, a):
 
 def reference_step(state, kept):
     n = state.graph.n
-    bl_rows = dst.belief_table(state.masses)
+    bl_rows = belief_table(state.masses)
     cache = {}
 
     def conditional(j, a):
@@ -90,7 +90,7 @@ def reference_step(state, kept):
             acc = acc + b * conditional(j, a)
         new_bl[i - 1] = acc
         changed[i - 1] = True
-    new_masses = dst.mass_table(new_bl)
+    new_masses = mass_table(new_bl)
     if new_masses.min() < -dst.ITERATED_TOL:
         raise NotABeliefFunction("update produced a negative mass")
     np.clip(new_masses, 0.0, None, out=new_masses)
@@ -102,7 +102,7 @@ def reference_step(state, kept):
 
 def reference_theta_matrix(state, kept):
     n = state.graph.n
-    bl_rows = dst.belief_table(state.masses)
+    bl_rows = belief_table(state.masses)
     gamma = np.zeros((n, n))
     for i in range(1, n + 1):
         alpha, beta = reference_weights(i, state, kept, bl_rows)
@@ -144,7 +144,7 @@ def random_network(rng, eps):
         strategy = Strategy.CAUTIOUS if rng.random() < 0.35 else Strategy.RECEPTIVE
         alpha = float(rng.choice([0.0, 1.0, 0.5, rng.uniform()]))
         specs.append(AgentSpec(strategy, alpha, eps, BodyOfEvidence(frame, m)))
-    return NetworkState.from_specs(frame, DirectedGraph.from_mutual_pairs(n, pairs), specs)
+    return state_from_specs(frame, DirectedGraph.from_mutual_pairs(n, pairs), specs)
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.37, 1.0])
@@ -153,12 +153,12 @@ def test_step_matches_reference(eps):
     for _ in range(60):
         state = random_network(rng, eps)
         for _ in range(4):
-            pruned = state.pruned()
-            want = reference_step(state, pruned.kept)
+            view = pruned(state)
+            want = reference_step(state, view.kept)
             got = general_step(state)
             assert got.masses.tobytes() == want.masses.tobytes()
-            assert np.array_equal(theta_weight_matrix(state, pruned),
-                                  reference_theta_matrix(state, pruned.kept))
+            assert np.array_equal(theta_weight_matrix(state, view),
+                                  reference_theta_matrix(state, view.kept))
             state = got
 
 
@@ -174,9 +174,9 @@ def test_run_matches_reference_loop(eps):
         edges, quiet, steps, converged = [], 0, 0, False
         current = scenario.state
         while steps < scenario.max_iterations:
-            pruned = current.pruned()
-            edges.append(pruned.edges)
-            new = reference_step(current, pruned.kept)
+            view = pruned(current)
+            edges.append(view_edges(view))
+            new = reference_step(current, view.kept)
             diff = float(np.max(np.abs(new.masses - current.masses)))
             current = new
             steps += 1
@@ -195,8 +195,8 @@ def test_term_blocks_keep_the_summation_order(monkeypatch):
     rng = np.random.default_rng(29)
     for _ in range(30):
         state = random_network(rng, 1.0)
-        pruned = state.pruned()
-        want = reference_step(state, pruned.kept)
+        view = pruned(state)
+        want = reference_step(state, view.kept)
         assert general_step(state).masses.tobytes() == want.masses.tobytes()
 
 
@@ -205,8 +205,8 @@ def test_complement_beliefs_give_the_plausibilities():
     rng = np.random.default_rng(17)
     for _ in range(40):
         state = random_network(rng, 1.0)
-        bl = dst.belief_table(state.masses)
-        terms = dynamics._term_structure(*np.nonzero(state.pruned().kept), state.masses > 0.0,
+        bl = belief_table(state.masses)
+        terms = dynamics._term_structure(*np.nonzero(pruned(state).kept), state.masses > 0.0,
                                          bl > 0.0, state.alphas, state.receptive)
         k = bl.shape[1]
         key = terms.num_at[:, -1]  # the pair (j, a) of each row, as j * k + a
@@ -219,8 +219,8 @@ def test_conditionals_keep_nothing_from_the_last_step():
     # the buffers of a term structure serve every step; a conditional whose
     # denominator is not positive is 0, whatever the last step left there
     state = at_bound(load_scenario("ds7-oneleader", seed=1).state, 1.0)
-    bl = dst.belief_table(state.masses)
-    terms = dynamics._term_structure(*np.nonzero(state.pruned().kept), state.masses > 0.0,
+    bl = belief_table(state.masses)
+    terms = dynamics._term_structure(*np.nonzero(pruned(state).kept), state.masses > 0.0,
                                      bl > 0.0, state.alphas, state.receptive)
     out = np.empty_like(bl)
     dynamics._general_update(state.masses, bl, terms, out, dst._lattice_steps(out))
@@ -228,7 +228,7 @@ def test_conditionals_keep_nothing_from_the_last_step():
     # Bl(a & b) and Pl(a & ~b) are 0
     certain = np.zeros_like(bl)
     certain[:, 1] = 1.0
-    bl = dst.belief_table(certain)
+    bl = belief_table(certain)
     unformed = bl.take(terms.num_at) + (1.0 - bl.take(terms.den_at)) <= 0.0
     assert terms.cond[:-1][unformed].any()
     dynamics._general_update(state.masses, bl, terms, out, dst._lattice_steps(out))
@@ -315,12 +315,12 @@ def test_run_state_is_read_only_and_tracks_edges():
     rng = np.random.default_rng(3)
     state = random_network(rng, 0.37)
     run = ProfileRun(state, "general")
-    assert run.edges() == state.pruned().edges
+    assert run.edges() == view_edges(pruned(state))
     run.advance(1)
-    after = reference_step(state, state.pruned().kept)
+    after = reference_step(state, pruned(state).kept)
     assert run.masses().tobytes() == after.masses.tobytes()
     assert not run.masses().flags.writeable
-    assert run.edges() == after.pruned().edges
+    assert run.edges() == view_edges(pruned(after))
 
 
 def test_run_above_the_dense_jaccard_limit_matches_the_step_loop():
@@ -334,14 +334,14 @@ def test_run_above_the_dense_jaccard_limit_matches_the_step_loop():
         m[rng.choice(np.arange(1, frame.n_subsets), size=20, replace=False)] = rng.random(20)
         specs.append(AgentSpec(Strategy.RECEPTIVE, 0.5, eps, BodyOfEvidence(frame, m / m.sum())))
     graph = DirectedGraph.from_mutual_pairs(4, [(1, 2), (1, 3), (2, 3), (3, 4), (1, 4)])
-    scenario = Scenario(name="m11", state=NetworkState.from_specs(frame, graph, specs),
+    scenario = Scenario(name="m11", state=state_from_specs(frame, graph, specs),
                         engine="general", max_iterations=3)
     run = run_simulation(scenario, record_trace=True)
     state, edges = scenario.state, []
     for _ in range(3):
-        pruned = state.pruned()
-        edges.append(pruned.edges)
-        state = reference_step(state, pruned.kept)
+        view = pruned(state)
+        edges.append(view_edges(view))
+        state = reference_step(state, view.kept)
     assert run.final_masses.tobytes() == state.masses.tobytes()
     assert run.pruned_edges == tuple(edges)
     assert set() < edges[0] < graph.edges  # some edges pruned, some kept
@@ -357,9 +357,9 @@ def reference_trajectory(scenario, eps):
     states, edges, quiet = [at_bound(scenario.state, eps)], [], 0
     while len(edges) < scenario.max_iterations:
         current = states[-1]
-        pruned = current.pruned()
-        edges.append(pruned.edges)
-        states.append(reference_step(current, pruned.kept))
+        view = pruned(current)
+        edges.append(view_edges(view))
+        states.append(reference_step(current, view.kept))
         diff = float(np.max(np.abs(states[-1].masses - current.masses)))
         quiet = quiet + 1 if diff < scenario.step_tol else 0
         if quiet >= scenario.persistence:
@@ -382,7 +382,7 @@ def check_cached_run(scenario, eps=None):
     keys, support = [], np.zeros_like(states[0].masses, dtype=bool)
     for state, kept in zip(states, edges):
         support = support | (state.masses > 0.0)
-        keys.append((kept, support.tobytes(), (dst.belief_table(state.masses) > 0.0).tobytes()))
+        keys.append((kept, support.tobytes(), (belief_table(state.masses) > 0.0).tobytes()))
         before = run.rebuilds
         run.advance(1)
         assert run.rebuilds - before == (len(keys) == 1 or keys[-1] != keys[-2])
@@ -399,7 +399,7 @@ def directed_scenario(frame, edges, agents, max_iterations):
             m[mask] = mass
         specs.append(AgentSpec(strategy, alpha, 1.0, BodyOfEvidence(frame, m)))
     graph = DirectedGraph.from_edges(len(specs), edges)
-    return Scenario(name="directed", state=NetworkState.from_specs(frame, graph, specs),
+    return Scenario(name="directed", state=state_from_specs(frame, graph, specs),
                     engine="general", max_iterations=max_iterations)
 
 
@@ -489,9 +489,9 @@ def test_term_blocks_keep_the_bits_at_a_hundred_agents(monkeypatch):
     data["engine"] = "general"
     data["defaults"]["sample"] = ds7["agents"][0]["sample"]
     state = at_bound(scenario_from_dict(data, "er100-general", assets_dir(), seed=1).state, 0.5)
-    pruned = state.pruned()
+    view = pruned(state)
     default = general_step(state)
-    depth = pruned.kept.sum(axis=1).max() * 7  # every agent holds mass on all 7 subsets
+    depth = view.kept.sum(axis=1).max() * 7  # every agent holds mass on all 7 subsets
     assert depth * state.masses.size > dynamics.TERM_BLOCK  # more than one block
     monkeypatch.setattr(dynamics, "TERM_BLOCK", 1)
     assert general_step(state).masses.tobytes() == default.masses.tobytes()

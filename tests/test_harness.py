@@ -17,16 +17,18 @@ from hypothesis import given, settings, strategies as st
 
 from ds_consensus.cli import cli
 from ds_consensus.dst import Frame
-from ds_consensus.dynamics import NetworkState, Strategy
+from ds_consensus.dynamics import Strategy
 from ds_consensus.errors import (DSConsensusError, EngineMismatch, InvalidScenario,
                                  NotDirichlet, ScenarioParseError)
 from ds_consensus.output import CSV_HEADER, write_sweep_csv, write_sweep_json, write_sweep_svg
 from ds_consensus import cli as cli_module, dynamics, runner, scenario as scenario_module
 from ds_consensus.analysis import classify_chain, verify_one_group_chain, verify_two_group_chain
-from ds_consensus.graph import MAX_NODES, DirectedGraph, erdos_renyi_connected
+from ds_consensus.graph import MAX_NODES, DirectedGraph, erdos_renyi, erdos_renyi_connected
 from ds_consensus.runner import run_simulation, run_sweep, sweep_grid, verify_run
 from ds_consensus.scenario import (Scenario, assets_dir, list_assets, load_scenario,
                                    sample_opinions, scenario_from_dict)
+
+from conftest import state_from_specs
 
 
 def test_assets_present():
@@ -73,7 +75,7 @@ def test_leaders_follow_the_agents():
     receptive[[0, -1]] = False
     assert replace(s, state=replace(s.state, receptive=receptive)).leaders == (1, 7)
     # a scenario built by hand derives its leaders too, so verify_run can anchor on them
-    hand = Scenario(s.name, NetworkState.from_specs(s.frame, s.graph, s.agents), "pmf")
+    hand = Scenario(s.name, state_from_specs(s.frame, s.graph, s.agents), "pmf")
     assert hand.leaders == (1,)
     assert json.dumps(verify_run(hand, 0.5)) == json.dumps(verify_run(s, 0.5))
 
@@ -202,11 +204,27 @@ def test_sweep_grid_rejects_unbounded_steps(step, tmp_path, capsys):
     (lambda sc: run_simulation(sc, float("nan")), r"epsilon must be in \[0, 1\], got nan"),
     (lambda sc: run_sweep(sc, 0.5, 1.5, 0.5),
      r"need 0 <= eps_min <= eps_max <= 1, got \[0.5, 1.5\]"),
-], ids=["epsilon", "nan", "sweep"])
+    (lambda sc: run_simulation(sc, "0.5"), r"epsilon must be a number in \[0, 1\], got '0.5'"),
+    (lambda sc: erdos_renyi(5, 1.5, 1), r"p must be in \[0, 1\], got 1.5"),
+    (lambda sc: erdos_renyi(5, float("nan"), 1), r"p must be in \[0, 1\], got nan"),
+], ids=["epsilon", "nan", "sweep", "epsilon-text", "er-p", "er-nan"])
 def test_a_bound_outside_the_unit_interval_is_a_package_error(call, message):
     with pytest.raises(DSConsensusError, match=f"^{message}$") as caught:
         call(load_scenario("fig4a-pmf"))
     assert isinstance(caught.value, ValueError)  # still caught where a ValueError is
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"proposition": "  "}, "proposition '  ' is the empty set, whose mass is always 0"),
+    ({"proposition": "4"}, "proposition '4' exceeds frame of size 3"),
+    ({"proposition": "x"}, "invalid literal for int() with base 10: 'x'"),
+    ({"workers": 0}, "need at least one worker, got 0"),
+], ids=["blank", "outside", "not-a-number", "no-worker"])
+def test_a_bad_sweep_request_is_a_package_error(kwargs, message):
+    with pytest.raises(DSConsensusError) as caught:
+        run_sweep(load_scenario("fig4a-pmf"), 0.0, 1.0, 0.5, **kwargs)
+    assert str(caught.value) == message and isinstance(caught.value, ValueError)
+
 
 @pytest.mark.parametrize("prop", ["", "  "])
 def test_sweep_of_the_empty_set_rejected(prop, tmp_path, capsys, monkeypatch):
@@ -647,6 +665,15 @@ def test_cli_gen_graph_rejects_p_outside_the_unit_interval(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == "" and not target.exists()
     assert captured.err == "ds-consensus gen-graph: p must be in [0, 1], got 1.5\n"
+
+
+@pytest.mark.parametrize("p", ["1.5", "nan"])
+def test_cli_gen_graph_exits_one_on_a_p_outside_the_unit_interval(p, tmp_path, capsys):
+    target = tmp_path / "g.json"
+    code = cli(["gen-graph", "--er", "5", p, "1", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not target.exists()
+    assert captured.err == f"ds-consensus gen-graph: p must be in [0, 1], got {p}\n"
 
 
 def test_cli_gen_graph(tmp_path, capsys):

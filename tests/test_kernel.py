@@ -18,16 +18,15 @@ from hypothesis import given, settings, strategies as st
 
 from ds_consensus import dynamics
 from ds_consensus.dst import BodyOfEvidence, Frame, jaccard_matrix, pairwise_jousselme
-from ds_consensus.dynamics import (AgentSpec, NetworkState, ProfileRun, Strategy, _update,
-                                   _WeightPlan, dirichlet_confidence_matrix, dirichlet_step,
-                                   distance_error, general_step, pmf_confidence_matrix,
-                                   pmf_step)
+from ds_consensus.dynamics import (AgentSpec, ProfileRun, Strategy, _update, _WeightPlan,
+                                   dirichlet_confidence_matrix, dirichlet_step, distance_error,
+                                   general_step, pmf_confidence_matrix, pmf_step)
 from ds_consensus.errors import EngineMismatch, NotDirichlet
 from ds_consensus.graph import DirectedGraph
 from ds_consensus.runner import run_simulation, sweep_grid
 from ds_consensus.scenario import Scenario, load_scenario
 
-from conftest import at_bound
+from conftest import at_bound, pruned, state_from_specs, view_edges
 from test_general_kernel import random_network as random_general_network, reference_step
 
 
@@ -86,9 +85,9 @@ def reference_run(state, engine, max_iterations, step_tol, persistence):
     quiet = 0
     converged = False
     for _ in range(max_iterations):
-        pruned = state.pruned()
-        edges.append(pruned.edges)
-        new = oracle_step(state, engine, pruned.kept)
+        view = pruned(state)
+        edges.append(view_edges(view))
+        new = oracle_step(state, engine, view.kept)
         diff = float(np.max(np.abs(new.masses - state.masses)))
         state = new
         quiet = quiet + 1 if diff < step_tol else 0
@@ -124,7 +123,7 @@ def random_network(rng, engine, n, size):
 
 
 def scenario_of(frame, graph, specs, engine, max_iterations=1500):
-    return Scenario("diff", NetworkState.from_specs(frame, graph, specs), engine,
+    return Scenario("diff", state_from_specs(frame, graph, specs), engine,
                     max_iterations=max_iterations)
 
 
@@ -174,7 +173,7 @@ def bound_argument_edges(state, engine, eps):
 def network_with_an_edge(rng, engine):
     while True:  # the general networks may have no edge
         state = (random_general_network(rng, 1.0) if engine == "general" else
-                 NetworkState.from_specs(*random_network(rng, engine, 12, 3)))
+                 state_from_specs(*random_network(rng, engine, 12, 3)))
         if state.graph.edges:
             return state
 
@@ -226,7 +225,7 @@ def test_late_edge_recorded_step_by_step():
 
 def assert_weights_planned_once_per_kept_set(engine, theta):
     frame, graph, specs = line_state(alpha2=0.95, theta=theta)
-    run = ProfileRun(NetworkState.from_specs(frame, graph, specs), engine)
+    run = ProfileRun(state_from_specs(frame, graph, specs), engine)
     edges = []
     for _ in range(60):
         edges.append(run.edges())
@@ -256,7 +255,7 @@ def test_recorded_dirichlet_matrices_are_each_steps_weights():
             run = run_simulation(scenario, eps, record_matrices=True, record_trace=True)
             state = at_bound(scenario.state, eps)
             for matrix in run.matrices:
-                kept = state.pruned().kept
+                kept = pruned(state).kept
                 want = oracle_weights(state, "dirichlet", kept)
                 assert not matrix.flags.writeable and matrix.tobytes() == want.tobytes()
                 state = oracle_step(state, "dirichlet", kept)
@@ -340,7 +339,7 @@ def two_still_agents(gap):
     graph = DirectedGraph.from_mutual_pairs(2, [(1, 2)])
     specs = (AgentSpec(Strategy.CAUTIOUS, 0.5, d + gap, a),
              AgentSpec(Strategy.CAUTIOUS, 0.5, 1.0, b))
-    return NetworkState.from_specs(frame, graph, specs)
+    return state_from_specs(frame, graph, specs)
 
 
 def agent_near_its_bound(gap):
@@ -355,7 +354,7 @@ def agent_near_its_bound(gap):
     specs = (AgentSpec(Strategy.RECEPTIVE, 0.5, d - gap, a),
              AgentSpec(Strategy.CAUTIOUS, 0.5, 1.0, b),
              AgentSpec(Strategy.CAUTIOUS, 0.5, 1.0, a))
-    return NetworkState.from_specs(frame, graph, specs)
+    return state_from_specs(frame, graph, specs)
 
 
 def test_edge_near_its_bound_forces_reprune():
@@ -372,10 +371,10 @@ def test_edge_near_its_bound_forces_reprune():
 def step_with_general_loop(run, state, steps):
     """Step ``run`` beside the per-agent reference loop: same kept edges and masses."""
     for _ in range(steps):
-        pruned = state.pruned()
-        assert run.edges() == pruned.edges
+        view = pruned(state)
+        assert run.edges() == view_edges(view)
         run.advance(1)
-        state = reference_step(state, pruned.kept)
+        state = reference_step(state, view.kept)
         assert run.masses().tobytes() == state.masses.tobytes()
 
 
@@ -418,7 +417,7 @@ def test_kernel_rejects_the_wrong_class():
     m = np.array([0.0, 0.5, 0.0, 0.5])  # Dirichlet, not Bayesian
     graph = DirectedGraph.from_mutual_pairs(2, [(1, 2)])
     spec = AgentSpec(Strategy.RECEPTIVE, 0.5, 1.0, BodyOfEvidence(frame, m))
-    state = NetworkState.from_specs(frame, graph, (spec, spec))
+    state = state_from_specs(frame, graph, (spec, spec))
     with pytest.raises(EngineMismatch):
         ProfileRun(state, "pmf")
     run = ProfileRun(state, "dirichlet")
@@ -485,7 +484,7 @@ def test_chunks_match_single_steps_on_random_networks():
 def test_chunks_drop_the_products_past_a_late_kept_set_change():
     for engine, theta in (("pmf", 0.0), ("dirichlet", 0.1)):
         frame, graph, specs = line_state(alpha2=0.95, theta=theta)
-        state = NetworkState.from_specs(frame, graph, specs)
+        state = state_from_specs(frame, graph, specs)
         run, one, steps, _ = assert_advance_matches_single_steps(state, engine)
         assert run.rebuilds == one.rebuilds > 1  # the kept set changed mid-run
         assert run.discarded > 0                 # inside a chunk: its later products went
@@ -503,7 +502,7 @@ def test_chunks_drop_the_products_past_a_late_kept_set_change():
 @pytest.mark.parametrize("limit", [0, 1, 2, 37, 100])
 def test_iteration_cap_cuts_a_chunk_short(limit):
     frame, graph, specs = line_state(alpha2=0.95)
-    state = NetworkState.from_specs(frame, graph, specs)
+    state = state_from_specs(frame, graph, specs)
     run, _, _, _ = assert_advance_matches_single_steps(state, "pmf", limit=limit)
     scenario = scenario_of(frame, graph, specs, "pmf", max_iterations=limit)
     result = run_simulation(scenario)
@@ -517,7 +516,7 @@ def test_chunks_match_single_steps_at_any_persistence(persistence):
     for _ in range(3):
         for engine in ("pmf", "dirichlet"):
             frame, graph, specs = random_network(rng, engine, 16, 3)
-            state = at_bound(NetworkState.from_specs(frame, graph, specs), 0.37)
+            state = at_bound(state_from_specs(frame, graph, specs), 0.37)
             for step_tol in (1e-10, 1e-4):
                 assert_advance_matches_single_steps(state, engine, step_tol=step_tol,
                                                     persistence=persistence)
@@ -543,7 +542,7 @@ def test_state_dependent_weights_step_one_at_a_time(engine, monkeypatch):
     rng = np.random.default_rng(4113)
     for _ in range(3):
         frame, graph, specs = random_network(rng, "dirichlet", 10, 2)
-        state = at_bound(NetworkState.from_specs(frame, graph, specs), 0.37)
+        state = at_bound(state_from_specs(frame, graph, specs), 0.37)
         run, _, steps, _ = assert_advance_matches_single_steps(state, engine, limit=300)
         if engine == "general":
             assert run.discarded == 0 and calls.count(run) == steps
@@ -644,11 +643,11 @@ def assert_recording_leaves_stepping_alone(state, engine, limit=1500, step_tol=1
 def test_recording_does_not_change_stepping():
     for engine, theta, seed in (("pmf", 0.0, 4115), ("dirichlet", 0.1, 4118)):
         rng = np.random.default_rng(seed)
-        states = [NetworkState.from_specs(*line_state(alpha2=0.95, theta=theta))]
+        states = [state_from_specs(*line_state(alpha2=0.95, theta=theta))]
         for _ in range(4):
             frame, graph, specs = random_network(rng, engine, int(rng.integers(12, 25)),
                                                  int(rng.integers(2, 5)))
-            state = NetworkState.from_specs(frame, graph, specs)
+            state = state_from_specs(frame, graph, specs)
             states += [state, at_bound(state, 0.37)]
         discarded = sum(assert_recording_leaves_stepping_alone(state, engine)
                         for state in states)
@@ -709,10 +708,10 @@ def test_confidence_matrices_match_the_receive_matrix_formulas(engine):
         size = 1 if case % 4 == 0 else int(rng.integers(2, 5))  # one-singleton frames too
         frame, graph, specs = random_network(rng, engine if size > 1 else "pmf",
                                              int(rng.integers(3, 20)), size)
-        state = at_bound(NetworkState.from_specs(frame, graph, specs),
+        state = at_bound(state_from_specs(frame, graph, specs),
                          float(rng.uniform(0.0, 1.0)))
         got = confidence(state)
-        want = oracle_weights(state, engine, state.pruned().kept)
+        want = oracle_weights(state, engine, pruned(state).kept)
         assert got.row_stochastic == (engine == "pmf" or size == 1)
         assert not got.matrix.flags.writeable
         assert got.matrix.tobytes() == want.tobytes()
@@ -722,7 +721,7 @@ def test_confidence_matrices_match_the_receive_matrix_formulas(engine):
 def test_profile_run_weights_are_read_only(engine):
     rng = np.random.default_rng(4106)
     frame, graph, specs = random_network(rng, engine, 8, 3)
-    run = ProfileRun(NetworkState.from_specs(frame, graph, specs), engine)
+    run = ProfileRun(state_from_specs(frame, graph, specs), engine)
     for _ in range(3):
         assert not run.weights().flags.writeable
         run.advance(1)
@@ -743,14 +742,14 @@ def twins_at_their_bound(engine):
     specs = (AgentSpec(Strategy.RECEPTIVE, 0.4, 0.0, BodyOfEvidence(frame, np.array(twin))),
              AgentSpec(Strategy.RECEPTIVE, 0.4, 0.0, BodyOfEvidence(frame, np.array(twin))),
              AgentSpec(Strategy.CAUTIOUS, 0.5, 0.0, BodyOfEvidence(frame, np.array(other))))
-    return NetworkState.from_specs(frame, graph, specs)
+    return state_from_specs(frame, graph, specs)
 
 
 @pytest.mark.parametrize("engine", sorted(VIEWS))
 def test_step_views_match_the_oracle(engine):
     rng = np.random.default_rng(4114)
     states = [twins_at_their_bound(engine)]
-    assert states[0].pruned().edges == {(1, 2), (2, 1)}
+    assert view_edges(pruned(states[0])) == {(1, 2), (2, 1)}
     for eps in (None, 0.0, 0.3, 0.37, 1.0):  # None keeps the per-agent bounds
         for size in (1, 2, 3, 4):
             if engine == "general":  # its networks draw their own frame size
@@ -758,11 +757,11 @@ def test_step_views_match_the_oracle(engine):
             else:
                 frame, graph, specs = random_network(rng, engine if size > 1 else "pmf",
                                                      int(rng.integers(3, 16)), size)
-                state = at_bound(NetworkState.from_specs(frame, graph, specs), eps)
+                state = at_bound(state_from_specs(frame, graph, specs), eps)
             states.append(state)
     for state in states:
         for _ in range(20):
-            kept = state.pruned().kept
+            kept = pruned(state).kept
             want = oracle_step(state, engine, kept)
             got = VIEWS[engine](state)
             assert got.masses.tobytes() == want.masses.tobytes()

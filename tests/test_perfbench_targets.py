@@ -12,7 +12,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from conftest import at_bound
+from conftest import at_bound, pruned
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -32,6 +32,16 @@ def test_tracer_targets_resolve_in_the_package():
         assert callable(getattr(mod, function, None)), f"{module}.{function} is gone"
 
 
+def test_smoke_test_reads_the_start_masses_through_the_agents():
+    # perfbench/test_smoke.py tells ds7 inputs apart by .agents[0].boe.masses
+    from ds_consensus import scenario
+
+    sc = scenario.load_scenario("ds7-oneleader", seed=1)
+    assert len(sc.agents) == len(sc.state.masses)
+    for agent, masses in zip(sc.agents, sc.state.masses):
+        assert agent.boe.masses.tobytes() == masses.tobytes()
+
+
 def test_tracer_hooks_count_a_traced_run():
     from ds_consensus import dst, graph, runner, scenario
 
@@ -42,7 +52,7 @@ def test_tracer_hooks_count_a_traced_run():
         sc = scenario.load_scenario("fig4a-pmf")
         result = runner.run_simulation(sc, 0.3)
         state = at_bound(sc.state, 0.3)
-        state.pruned()  # dynamics' own binding of prune
+        pruned(state)  # the tests' helper, through graph.prune
         graph.prune(state.graph, state.masses, state.bounds, state.frame.size)
         dst.pairwise_jousselme(state.masses, state.frame.size)
         dst.pairwise_jousselme(mass_rows=state.masses, size=state.frame.size)
