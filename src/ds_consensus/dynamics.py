@@ -150,51 +150,59 @@ TERM_BLOCK = 1 << 16
 class _Terms(NamedTuple):
     """Where every conditional term of a step sits; its weight comes per step.
 
-    The structure depends on the kept edges, the agents' supports and the
-    positive-belief pattern only, so a run builds it once per change of
-    those (:meth:`ProfileRun._general_terms`) and every step only reads
-    masses and beliefs through its indices.
+    The structure depends on the kept edges, the agents' supports and, while
+    a cautious agent hears someone, the positive-belief pattern, so a run
+    builds it once per change of those (:meth:`ProfileRun._general_terms`)
+    and every step only reads masses and beliefs through its indices.
 
     Term t is agent ``agent[t]`` conditioning neighbor ``neighbor[t]`` on
     ``subset[t]``, at ``cell[t]`` = slot * N + agent in the padded (slot,
-    agent) tables, ``depth`` slots deep (its slot is its rank among its
-    agent's terms).  Its weight is ``share[t]`` times the mass at flat index
-    ``mass_at[t]``: a receptive agent's equal share of ``1 - alpha`` times
-    the neighbor's mass.  A cautious term (``cautious`` lists them, with
-    their agents, cells and ``1 - alpha``) weighs its agent's own mass,
-    scaled by ``1 - alpha`` over the own masses its terms cover.  The
-    conditionals of the (neighbor, subset) pairs in use gather beliefs at
-    ``num_at`` and, for the plausibilities, the beliefs of the complements
-    at ``den_at``; ``pick`` is the pair row of each padded cell, the last
-    row for an empty one.  The rest are the update's buffers, which every
-    step with this structure overwrites: ``num`` and ``den`` per pair,
-    ``cond`` with its last row of zeros, the padded ``weight`` table (its
-    empty cells stay 0) and the ``stack`` of a block of at most ``block``
-    slots under the running sum.
+    agent) ``weight`` table (its slot is its rank among its agent's terms;
+    empty cells stay 0).  Its weight is ``share[t]`` times the mass at flat
+    index ``mass_at[t]``: a receptive agent's equal share of ``1 - alpha``
+    times the neighbor's mass.  A cautious term gathers its agent's own mass
+    (share 1), and each step then scales the columns of the agents in
+    ``cautious`` by ``free`` (``1 - alpha``) over the own masses their terms
+    cover.  Without cautious terms (``cautious`` is None) the weights fix
+    which agents move, so ``self_weight`` (alpha for an agent that moves, 1
+    otherwise) and ``frozen`` (the agents that keep their opinion, None when
+    all move) are formed here, not per step.  Per-agent values are (N, 1)
+    columns.  Only a structure with cautious terms depends on the belief
+    pattern.
+
+    The conditionals of the (neighbor, subset) pairs in use gather, in one
+    take at ``gather_at``, the beliefs of their numerators into the first
+    half of ``gathered`` (``num``) and, for the plausibilities, those of
+    the complements into the second (``den``).  ``blocks`` cuts the slots
+    into runs of at most ``TERM_BLOCK // (N * 2**M)`` (one at least), each
+    with its rows of ``stack`` under the running sum, the pair row of each
+    of its padded cells (the last row of ``cond``, zeros, for an empty one)
+    and its weights.  The buffers are overwritten by every step with this
+    structure.
     """
 
-    alphas: np.ndarray
     agent: np.ndarray
     neighbor: np.ndarray
     subset: np.ndarray
     cell: np.ndarray
-    depth: int
     mass_at: np.ndarray
     share: np.ndarray
-    cautious: np.ndarray
-    cautious_agent: np.ndarray
-    cautious_cell: np.ndarray
-    cautious_share: np.ndarray
-    moves: np.ndarray     # receptive agents with a kept neighbor: they always move
-    num_at: np.ndarray
-    den_at: np.ndarray
-    pick: np.ndarray
+    beta: np.ndarray
+    weight: np.ndarray        # (slot, agent, 1)
+    weight_cells: np.ndarray  # ``weight`` as one flat view
+    alphas: np.ndarray
+    moves: np.ndarray         # receptive agents with a kept neighbor: they always move
+    cautious: np.ndarray | None
+    free: np.ndarray | None
+    self_weight: np.ndarray | None
+    frozen: np.ndarray | None
+    gather_at: np.ndarray
+    gathered: np.ndarray
     num: np.ndarray
     den: np.ndarray
     cond: np.ndarray
-    weight: np.ndarray
-    block: int
     stack: np.ndarray
+    blocks: list
 
 
 def _term_structure(src: np.ndarray, nbr: np.ndarray, support: np.ndarray,
@@ -216,7 +224,16 @@ def _term_structure(src: np.ndarray, nbr: np.ndarray, support: np.ndarray,
     slot = np.arange(len(agent)) - (np.cumsum(terms) - terms)[agent]
     depth = int(slot.max(initial=-1)) + 1
     heard = np.bincount(src, minlength=n)
-    share = np.where(rec, (1.0 - alphas[agent]) / heard[agent], 0.0)
+    share = np.where(rec, (1.0 - alphas[agent]) / heard[agent], 1.0)
+    moves, alphas = (receptive & (heard > 0))[:, None], alphas[:, None]
+    if rec.all():  # which agents move is fixed
+        cautious = free = None
+        self_weight = np.where(moves, alphas, 1.0)
+        frozen = None if moves.all() else ~moves
+    else:
+        cautious = ~receptive[:, None]
+        free = np.where(cautious, 1.0 - alphas, 1.0)
+        self_weight = frozen = None
 
     # the (neighbor j, subset a) pairs in use, keyed j * k + a, one row each;
     # Pl_j(c) = 1 - Bl_j(~c), and ~c is c ^ (k - 1), at flat index key ^ (k - 1)
@@ -228,43 +245,55 @@ def _term_structure(src: np.ndarray, nbr: np.ndarray, support: np.ndarray,
     row[pairs] = np.arange(len(pairs))
     a = (pairs & (k - 1))[:, None]
     bs = np.arange(k)
+    base = pairs[:, None] - a
+    gather_at = np.concatenate((base + (a & bs), (base + (a & ~bs)) ^ (k - 1)))
+    gathered = np.empty(gather_at.shape)
+    num, den = gathered[:len(pairs)], gathered[len(pairs):]
     pick = np.full((depth, n), len(pairs))
     pick[slot, agent] = row[key]
     cell = slot * n + agent
-    cautious = np.flatnonzero(~rec)
+
+    weight = np.zeros((depth, n, 1))
     block = max(1, TERM_BLOCK // (n * k))
-    return _Terms(alphas, agent, neighbor, subset, cell, depth,
-                  np.where(rec, key, agent * k + subset), share, cautious, agent[cautious],
-                  cell[cautious], 1.0 - alphas[agent[cautious]], receptive & (heard > 0),
-                  pairs[:, None] - a + (a & bs), (pairs[:, None] - a + (a & ~bs)) ^ (k - 1),
-                  pick, np.empty((len(pairs), k)), np.empty((len(pairs), k)),
-                  np.zeros((len(pairs) + 1, k)), np.zeros((depth, n, 1)), block,
-                  np.empty((min(block, depth) + 1, n, k)))
+    stack = np.empty((min(block, depth) + 1, n, k))
+    blocks = []
+    for lo in range(0, depth, block):
+        rows = min(block, depth - lo)
+        blocks.append((stack[1:rows + 1], stack[:rows + 1], pick[lo:lo + rows],
+                       weight[lo:lo + rows]))
+    return _Terms(agent, neighbor, subset, cell, np.where(rec, key, agent * k + subset), share,
+                  np.empty(len(agent)), weight, weight.reshape(-1), alphas, moves, cautious,
+                  free, self_weight, frozen, gather_at, gathered, num, den,
+                  np.zeros((len(pairs) + 1, k)), stack, blocks)
 
 
-def _term_weights(terms: _Terms, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each term's weight at these masses, and which agents move.
+def _term_weights(terms: _Terms, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Write each term's weight at these masses into ``terms.weight``; return
+    each agent's self-weight and the agents that keep their opinion (None
+    when every agent moves), as (N, 1) columns.
 
     With its self-weight (alpha for an agent that moves, 1 otherwise) an
     agent's weights sum to 1.  An agent with no kept neighbor keeps its
     opinion, and a cautious agent moves only while the own masses its terms
     cover sum above 0; otherwise its terms weigh 0.
     """
-    n = len(terms.alphas)
-    mass = masses.take(terms.mass_at)
-    beta = terms.share * mass
-    moving = terms.moves
-    if len(terms.cautious):
-        own = mass[terms.cautious]
-        # the covered own masses, summed in term order (over the slot axis,
-        # never the contiguous one: left to right)
-        covered = np.zeros((terms.depth, n))
-        covered.reshape(-1)[terms.cautious_cell] = own
-        covered = np.add.reduce(covered, axis=0)
-        moving = moving | (covered > 0.0)
-        parts = covered[terms.cautious_agent]
-        beta[terms.cautious] = terms.cautious_share / np.where(parts > 0.0, parts, 1.0) * own
-    return beta, moving
+    beta = terms.beta
+    masses.take(terms.mass_at, out=beta, mode="clip")
+    beta *= terms.share
+    terms.weight_cells[terms.cell] = beta
+    if terms.cautious is None:
+        return terms.self_weight, terms.frozen
+    # a cautious agent's column holds its own masses in term order, then
+    # zeros: summed over the slot axis (never the contiguous one), left to
+    # right.  The column is then scaled by 1 - alpha over that sum, as each
+    # weight (1 - alpha) / covered * own mass; every other column by 1,
+    # which leaves it as it is.
+    weight = terms.weight
+    covered = np.add.reduce(weight, axis=0)
+    positive = covered > 0.0
+    moving = terms.moves | positive  # a receptive agent's column sums to 0 unless it moves
+    weight *= terms.free / np.where(positive & terms.cautious, covered, 1.0)
+    return np.where(moving, terms.alphas, 1.0), ~moving
 
 
 def _general_update(masses: np.ndarray, bl: np.ndarray, terms: _Terms, out: np.ndarray,
@@ -278,36 +307,36 @@ def _general_update(masses: np.ndarray, bl: np.ndarray, terms: _Terms, out: np.n
     the zero leaves every bit as it was.  ``out`` shares no memory with
     ``masses`` or ``bl``.
     """
-    beta, moving = _term_weights(terms, masses)
+    self_weight, frozen = _term_weights(terms, masses)
 
     # Fagin-Halpern conditionals Bl_j(b | a) = Bl_j(a & b) / (Bl_j(a & b) +
     # Pl_j(a & ~b)) of the pairs in use, one row per pair and a last row of
     # zeros; Pl_j(x) is 1 - Bl_j at the complement of x
     num, den, cond = terms.num, terms.den, terms.cond
-    bl.take(terms.num_at, out=num, mode="clip")
-    bl.take(terms.den_at, out=den, mode="clip")
+    bl.take(terms.gather_at, out=terms.gathered, mode="clip")
     np.subtract(1.0, den, out=den)
     den += num  # num + Pl, the same sum (addition commutes bit for bit)
-    cond.fill(0.0)
-    np.divide(num, den, out=cond[:-1], where=den > 0.0)
+    ratio = cond[:-1]
+    ratio.fill(0.0)
+    np.divide(num, den, out=ratio, where=den > 0.0)
 
     # alpha * bl + sum of beta * conditional, term by term in the agent's
     # order: padded (slot, agent) tables reduced over the leading axis, which
     # adds left to right.  np.add.reduceat over the unpadded terms would not:
     # on random segments about a third of its sums differ from a left-to-right loop.
-    weight = terms.weight
-    weight.reshape(-1)[terms.cell] = beta
-    np.multiply(np.where(moving, terms.alphas, 1.0)[:, None], bl, out=out)
-    for lo in range(0, terms.depth, terms.block):
-        hi = min(lo + terms.block, terms.depth)
-        stack = terms.stack[:hi - lo + 1]
-        stack[0] = out
-        np.take(cond, terms.pick[lo:hi], axis=0, out=stack[1:], mode="clip")
-        stack[1:] *= weight[lo:hi]
+    # The self term goes straight into the first block's first row, and each
+    # later block starts from the running sum.
+    np.multiply(self_weight, bl, out=terms.stack[0] if terms.blocks else out)
+    for b, (rows, stack, pick, weight) in enumerate(terms.blocks):
+        if b:
+            np.copyto(stack[0], out)
+        np.take(cond, pick, axis=0, out=rows, mode="clip")
+        rows *= weight
         np.add.reduce(stack, axis=0, out=out)
 
     dst._recover_masses(out, lattice)
-    np.copyto(out, masses, where=~moving[:, None])
+    if frozen is not None:
+        np.copyto(out, masses, where=frozen)
 
 
 # ---------------------------------------------------------------------------
@@ -463,19 +492,21 @@ class ProfileRun:
     State is one (N, K) array ``x`` of the columns the engine can fill: the
     M singletons for pmf, plus the full frame for Dirichlet, and all 2**M
     subsets for general.  Every state the run forms is a row of one C-order
-    ``(R, K * N)`` stack, and ``x`` is the view of row ``_at``.  A general
-    row is a C-order mass table with its own lattice plan, as a column-major
-    copy could round the Gram product differently.  A closed-form row is the
-    transpose of an (N, K) profile, and a step writes its first M rows times
-    ``w.T``, the transposed view of the plan's matrix, into the next row's
-    (:func:`_update`: the bits of ``w @ x`` up to M = 7).  A step writes the
-    row after its state's (:meth:`_products`), so a step that raises leaves
+    ``(R, K * N)`` stack, and ``x`` is the view of row ``_at`` (a general
+    run's ``_profiles[0]``).  A general row is a C-order mass table with its own
+    lattice plan, as a column-major copy could round the Gram product
+    differently.  A closed-form row is the transpose of an (N, K) profile,
+    and a step writes its first M rows times ``w.T``, the transposed view of
+    the plan's matrix, into the next row's (:func:`_update`: the bits of
+    ``w @ x`` up to M = 7).  A step writes a row its state is not in
+    (:meth:`_products`, :meth:`_general_step`), so a step that raises leaves
     ``x`` as it was, and a table taken by :meth:`masses` is a copy.  A pmf
     or Dirichlet run keeps CHUNK + 1 rows, so a chunk of its steps
     (:meth:`advance`) runs the same ``np.matmul`` on the same layouts,
     refills the Dirichlet weights at the same states, and re-prunes at a row
     inside a chunk on the same Gram product, as single steps would.  A
-    general run keeps two rows, so its chunks are one step.
+    general run keeps two rows, which swap roles at every step: it takes its
+    steps one by one (:meth:`_general_step`), with no chunk to plan.
 
     Adjacency, bounds (a uniform ``epsilon`` replaces the per-agent ones),
     self-weights and strategies are fixed for the run, and a run derives
@@ -525,7 +556,8 @@ class ProfileRun:
         (n, k), m = (len(state.masses), len(self._cols)), self.frame.size
         self._stack = np.empty((2 if self._general else CHUNK + 1, k * n))
         if self._general:  # a step's beliefs go to a table of the run's own
-            self._profiles = list(self._stack.reshape(-1, n, k))
+            self._profiles = list(self._stack.reshape(-1, n, k))  # [state, next]
+            self._flats = list(self._stack)
             self._lattices = [dst._lattice_steps(t) for t in self._profiles]
             self._bl = np.empty((n, k))
             self._bl_steps = dst._lattice_steps(self._bl)
@@ -554,8 +586,10 @@ class ProfileRun:
         self._budget = 0.0  # what 2 r may still grow to before a re-pruning
         self._stale = True
         self._terms: _Terms | None = None  # general terms, dropped when the kept edges change
+        # the subsets each agent's terms cover (see _general_terms)
         self._support = np.zeros(self.x.shape, dtype=bool)
-        self._bl_pos: np.ndarray | None = None
+        self._unseen = np.ones(k * n)  # 1.0 where the support is False, flat
+        self._bl_pos = b""  # the positive-belief pattern the terms were built at
         self.prunes = 0
         self.rebuilds = 0
         self.discarded = 0  # products formed ahead but never taken
@@ -621,76 +655,85 @@ class ProfileRun:
     def _general_terms(self, bl: np.ndarray) -> _Terms:
         """The term structure at the current masses, rebuilt only when its key changes.
 
-        The key is the kept edges, the positive-belief pattern and each
-        agent's support: every subset where its mass has been positive at
-        some step of the run.  Moebius round-off leaves masses of about 1e-17
-        that come and go, so the exact positive-mass pattern would change on
-        most steps; a grow-only support changes a few times per run, and a
-        term whose mass is back at 0 weighs 0 and leaves the bits unchanged
-        (see :func:`_general_update`).  The table-1 and ``ds7-*`` reference
-        runs (231 runs, 47592 steps) build it 509 times, 231 of them at the
-        first step.
+        The key is the kept edges, each agent's support and, while a
+        cautious agent hears someone, the positive-belief pattern (receptive
+        terms never read it).  The support is every subset where the agent's
+        mass has been positive at some step of the run.  Moebius round-off
+        leaves masses of about 1e-17 that come and go, so the exact
+        positive-mass pattern would change on most steps; a grow-only
+        support changes a few times per run, and a term whose mass is back
+        at 0 weighs 0 and leaves the bits unchanged (see
+        :func:`_general_update`).  The support grows exactly when the dot
+        product of the masses, all >= 0, with the 0/1 mask of the subsets
+        outside it is positive, so no support array is formed per step.  The
+        table-1 and ``ds7-*`` reference runs (231 runs, 47592 steps) build it
+        509 times, 231 of them at the first step.
         """
+        terms = self._terms
+        if (terms is not None and self._flats[0].dot(self._unseen) <= 0.0
+                and not (terms.cautious is not None and (bl > 0.0).tobytes() != self._bl_pos)):
+            return terms
+        self._support |= self.x > 0.0
+        self._unseen = np.where(self._support, 0.0, 1.0).reshape(-1)
         bl_pos = bl > 0.0
-        support = self._support | (self.x > 0.0)
-        if (self._terms is None or support.tobytes() != self._support.tobytes()
-                or bl_pos.tobytes() != self._bl_pos.tobytes()):
-            self._support, self._bl_pos = support, bl_pos
-            self._terms = _term_structure(*self._kept[:2], support, bl_pos, self._alphas,
-                                          self._receptive)
-            self.rebuilds += 1
+        self._bl_pos = bl_pos.tobytes()
+        self._terms = _term_structure(*self._kept[:2], self._support, bl_pos, self._alphas,
+                                      self._receptive)
+        self.rebuilds += 1
         return self._terms
 
+    def _general_step(self) -> float:
+        """Form a general run's next state in its other row and take it (the
+        two rows swap roles); return the step's largest mass change, read as
+        old - new, whose absolute value has the same bits as new - old's."""
+        x, new = self._profiles
+        bl = self._bl
+        np.copyto(bl, x)
+        dst._zeta(self._bl_steps)
+        _general_update(x, bl, self._general_terms(bl), new, self._lattices[1])
+        for rows in (self._profiles, self._flats, self._lattices):
+            rows.reverse()
+        self.x = new
+        d = self._diff[0]
+        np.subtract(self._flats[1], self._flats[0], out=d)
+        return float(np.maximum.reduce(np.abs(d, out=d)))
+
     def _products(self, count: int, weights: list | None = None) -> list[float]:
-        """Form up to ``count`` states in the rows after the state's; return
-        each formed step's largest mass change.  Closed-form steps multiply
-        by the plan's matrix, which a Dirichlet step then refills at the
-        state it formed; a general step (its run has two rows) forms its own
-        terms.  A Dirichlet chunk checks the unclipped full-frame masses of
-        all its products at once, after the loop: a product that breaks mass
-        conservation cuts the chunk just before it (the plan is refilled at
-        the last state kept, and it and the products past it count as
-        discarded), so the error is raised only if the run takes that step,
-        as the first of a later chunk.  ``weights``, given,
+        """Form up to ``count`` closed-form states in the rows after the
+        state's; return each formed step's largest mass change.  The steps
+        multiply by the plan's matrix, which a Dirichlet step then refills at
+        the state it formed.  A Dirichlet chunk checks the unclipped
+        full-frame masses of all its products at once, after the loop: a
+        product that breaks mass conservation cuts the chunk just before it
+        (the plan is refilled at the last state kept, and it and the products
+        past it count as discarded), so the error is raised only if the run
+        takes that step, as the first of a later chunk.  ``weights``, given,
         gets the confidence matrix of each state formed, as :meth:`weights`
-        reads it there.  Where the chunk does not fit, the state moves to
-        the first row: a closed-form run copies it there, a general run swaps
-        its two rows' roles.  The change is read from the rows in the
-        stack's order, then as old - new, whose absolute value has the same
-        bits as new - old's."""
+        reads it there.  Where the chunk does not fit, the state is first
+        copied to the first row.  The change is read from the rows in the
+        stack's order."""
         stack = self._stack
         if self._at + count >= len(stack):
-            if self._general:
-                self._profiles.reverse()
-                self._lattices.reverse()
-            else:
-                np.copyto(self._profiles[0], self.x)
+            np.copyto(self._profiles[0], self.x)
             self.x, self._at = self._profiles[0], 0
         at = self._at
-        if self._general:
-            bl = self._bl
-            np.copyto(bl, self.x)
-            dst._zeta(self._bl_steps)
-            _general_update(self.x, bl, self._general_terms(bl), self._profiles[at + 1],
-                            self._lattices[at + 1])
-        else:
-            wt, singles, fulls = self._plan.matrix.T, self._singles, self._fulls
-            fill = self._plan.fill if self._scaled else None
-            leftover = self._leftover
-            for s in range(at, at + count):
-                _update(wt, singles[s], singles[s + 1], fulls[s + 1], leftover[s - at])
-                if fill:  # the plan's matrix follows the full-frame masses
-                    fill(fulls[s + 1])
-                if weights is not None:
-                    weights.append(self.weights())
-            if fill and np.minimum.reduce(leftover[:count], axis=None) < -CONSERVATION_TOL:
-                worst = np.minimum.reduce(leftover[:count], axis=1)
-                broken = int(np.argmax(worst < -CONSERVATION_TOL))  # the first broken step
-                self.discarded += count - broken  # it and the products formed past it
-                count = broken
-                fill(fulls[at + count])  # the chunk ends at the state before it
-                if not count:
-                    raise NotDirichlet(f"mass conservation violated by {worst[0]!r}")
+        wt, singles, fulls = self._plan.matrix.T, self._singles, self._fulls
+        fill = self._plan.fill if self._scaled else None
+        leftover = self._leftover
+        for s in range(at, at + count):
+            _update(wt, singles[s], singles[s + 1], fulls[s + 1], leftover[s - at])
+            if fill:  # the plan's matrix follows the full-frame masses
+                fill(fulls[s + 1])
+            if weights is not None:
+                weights.append(self.weights())
+        if fill and np.minimum.reduce(leftover[:count], axis=None) < -CONSERVATION_TOL:
+            worst = np.minimum.reduce(leftover[:count], axis=1)
+            broken = int(np.argmax(worst < -CONSERVATION_TOL))  # the first broken step
+            self.discarded += count - broken  # it and the products formed past it
+            count = broken
+            fill(fulls[at + count])  # the chunk ends at the state before it
+            if not count:
+                raise NotDirichlet(f"mass conservation violated by {worst[0]!r}")
         d = self._diff[:count]
         np.subtract(stack[at + 1:at + count + 1], stack[at:at + count], out=d)
         return np.maximum.reduce(np.abs(d, out=d), axis=1).tolist()
@@ -717,15 +760,22 @@ class ProfileRun:
         is refilled at the state taken.  Every product is the same
         ``np.matmul`` on the same layouts as a single step, so a chunk keeps
         every bit.  Chunks start at one step after a change of the kept set
-        and double while it holds, up to the stack's rows less one (one for
-        general runs).  A chunk ends where the run is predicted to converge:
-        while the last change taken is at least ``step_tol`` and below the
-        one before, the changes are taken to keep falling at that ratio, and
-        a chunk is no longer than the steps until one would drop below
-        ``step_tol`` plus the ``persistence - 1`` quiet steps after it; once
-        the last steps were quiet, it is no longer than the quiet steps
-        still needed.
+        and double while it holds, up to the stack's rows less one.  A chunk
+        ends where the run is predicted to converge: while the last change
+        taken is at least ``step_tol`` and below the one before, the changes
+        are taken to keep falling at that ratio, and a chunk is no longer
+        than the steps until one would drop below ``step_tol`` plus the
+        ``persistence - 1`` quiet steps after it; once the last steps were
+        quiet, it is no longer than the quiet steps still needed.
+
+        The engine selects the walk: a general run, whose chunks could only
+        be one step long, takes its steps through :meth:`_advance_singly`,
+        the same budget and convergence rule with no chunk to predict, cut
+        or copy back.  Through this walk instead, a general step costs 3-10 %
+        more.
         """
+        if self._general:
+            return self._advance_singly(limit, step_tol, persistence, edges, matrices, frames)
         steps = quiet = 0
         span, plan = 1, None
         prev = last = 0.0  # the changes of the last two steps taken
@@ -767,6 +817,31 @@ class ProfileRun:
                 edges += [kept] * taken
             if matrices is not None:
                 matrices += weights[:taken]
+            if quiet >= persistence:
+                return steps, True
+        return steps, False
+
+    def _advance_singly(self, limit: int, step_tol: float, persistence: int,
+                        edges: list | None, matrices: list | None,
+                        frames: list | None) -> tuple[int, bool]:
+        """:meth:`advance` of a general run: the same walk, one step at a time
+        (the certificate budget, the re-pruning and the quiet-step rule are
+        :meth:`advance`'s; keep the two alike)."""
+        steps = quiet = 0
+        while steps < limit:
+            self._certify()
+            kept = self.edges() if edges is not None else None
+            if matrices is not None:
+                self.weights()  # a general run has none: this raises EngineMismatch
+            change = self._general_step()
+            self._budget -= self._spend_per_change * change + MOVE_ROUNDING
+            self._stale = self._budget <= 0.0
+            quiet = quiet + 1 if change < step_tol else 0
+            steps += 1
+            if edges is not None:
+                edges.append(kept)
+            if frames is not None:  # the state the step started from, in the other row now
+                frames.append(self._dense(self._profiles[1]))
             if quiet >= persistence:
                 return steps, True
         return steps, False

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -132,6 +133,19 @@ def random_dirichlet_boe(frame: Frame, rng) -> BodyOfEvidence:
     return BodyOfEvidence(frame, m)
 
 
+def general_weights(state: NetworkState, view: PrunedView) -> SimpleNamespace:
+    """The weights of one general step, read off the engine's term structure:
+    every agent's self-weight (``alpha``) and each term's agent, neighbor,
+    conditioning subset and weight (``beta``), in the structure's order."""
+    masses = state.masses
+    terms = _term_structure(*np.nonzero(view.kept), masses > 0.0,
+                            belief_table(masses) > 0.0, state.alphas, state.receptive)
+    self_weight, _ = _term_weights(terms, masses)
+    return SimpleNamespace(alpha=self_weight[:, 0].copy(), agent=terms.agent,
+                           neighbor=terms.neighbor, subset=terms.subset,
+                           beta=terms.weight_cells[terms.cell])
+
+
 def theta_weight_matrix(state: NetworkState, view: PrunedView) -> np.ndarray:
     """Self-weights plus full-frame conditional weights, as one matrix.
 
@@ -139,13 +153,10 @@ def theta_weight_matrix(state: NetworkState, view: PrunedView) -> np.ndarray:
     while every row sum stays at most rho < 1, the largest full-frame mass
     shrinks at least geometrically with ratio rho.
     """
-    masses = state.masses
-    terms = _term_structure(*np.nonzero(view.kept), masses > 0.0,
-                            belief_table(masses) > 0.0, state.alphas, state.receptive)
-    beta, moving = _term_weights(terms, masses)
-    gamma = np.diag(np.where(moving, terms.alphas, 1.0))
-    full = terms.subset == state.frame.full_set
-    gamma[terms.agent[full], terms.neighbor[full]] = beta[full]
+    w = general_weights(state, view)
+    gamma = np.diag(w.alpha)
+    full = w.subset == state.frame.full_set
+    gamma[w.agent[full], w.neighbor[full]] = w.beta[full]
     return gamma
 
 

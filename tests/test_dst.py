@@ -245,6 +245,45 @@ def test_planned_lattice_views_match_the_generator(size, rng):
     assert mass_table(zeros).tobytes() == generator_transform(zeros, -1).tobytes()
 
 
+def per_bit_loop(table, sign):
+    """The zeta (+1) or Moebius (-1) transform entry by entry, bit 0 first:
+    each entry with bit b set takes in the entry without it."""
+    t = table.copy()
+    k = t.shape[-1]
+    for b in range(k.bit_length() - 1):
+        for c in range(k):
+            if c >> b & 1:
+                if sign > 0:
+                    t[..., c] = t[..., c] + t[..., c ^ (1 << b)]
+                else:
+                    t[..., c] = t[..., c] - t[..., c ^ (1 << b)]
+    return t
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
+@pytest.mark.parametrize("k", [2, 4, 8, 16, 32, 64])
+def test_lattice_plan_matches_a_per_bit_loop(k, lead):
+    rng = np.random.default_rng(k * 10 + len(lead))
+    masses = rng.standard_normal(lead + (k,))
+    masses[rng.random(masses.shape) < 0.2] = -0.0
+    table = masses.copy()
+    steps = dst._lattice_steps(table)
+    dst._zeta(steps)
+    beliefs = per_bit_loop(masses, 1)
+    assert table.tobytes() == beliefs.tobytes()
+    dst._moebius(steps)  # the same plan serves both ways
+    assert table.tobytes() == per_bit_loop(beliefs, -1).tobytes()
+
+
+def test_lattice_plan_refuses_a_table_it_cannot_write_through():
+    # a reshape would copy these, and the transforms would fill the copy
+    base = np.random.default_rng(5).random((10, 16))
+    for table in (np.asfortranarray(base[:5, :8]), base[::2, :8], base[:5, :8]):
+        assert not table.flags.c_contiguous
+        with pytest.raises(ValueError, match="C-contiguous"):
+            dst._lattice_steps(table)
+
+
 @pytest.mark.parametrize("shape", [(6,), (2, 6), (3, 0), ()])
 def test_lattice_transforms_need_a_power_of_two_axis(shape):
     for transform in (belief_table, mass_table):

@@ -1,18 +1,16 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 from ds_consensus.dst import BodyOfEvidence, Frame
 from ds_consensus.dynamics import (AgentSpec, ConfidenceMatrix, NetworkState, Strategy,
-                                   _term_structure, _term_weights, dirichlet_confidence_matrix,
-                                   dirichlet_step, general_step, pmf_confidence_matrix, pmf_step)
+                                   dirichlet_confidence_matrix, dirichlet_step, general_step,
+                                   pmf_confidence_matrix, pmf_step)
 from ds_consensus.errors import EngineMismatch
 from ds_consensus.graph import DirectedGraph
 from ds_consensus.runner import run_simulation
 from ds_consensus.scenario import Scenario, load_scenario
 
-from conftest import (belief_table, pruned, random_bayesian_boe, random_dirichlet_boe,
+from conftest import (general_weights, pruned, random_bayesian_boe, random_dirichlet_boe,
                       random_general_boe, state_from_specs, theta_weight_matrix)
 
 F3 = Frame(3)
@@ -37,12 +35,7 @@ def state_of(boes, pairs, strategies=None, alpha=0.5, epsilon=1.0, frame=F3):
 
 def weights_of(st, view=None):
     """Self-weights (``alpha``) and conditional terms of one general step."""
-    view = pruned(st) if view is None else view
-    terms = _term_structure(*np.nonzero(view.kept), st.masses > 0.0,
-                            belief_table(st.masses) > 0.0, st.alphas, st.receptive)
-    beta, moving = _term_weights(terms, st.masses)
-    return SimpleNamespace(alpha=np.where(moving, terms.alphas, 1.0), agent=terms.agent,
-                           neighbor=terms.neighbor, subset=terms.subset, beta=beta)
+    return general_weights(st, pruned(st) if view is None else view)
 
 
 # ---------------------------------------------------------------------------

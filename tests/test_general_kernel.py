@@ -8,9 +8,11 @@ must reproduce it bit for bit: masses, kept edges, iteration counts.
 
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ds_consensus import dst, dynamics
 from ds_consensus.dst import BodyOfEvidence, Frame
@@ -189,6 +191,58 @@ def test_run_matches_reference_loop(eps):
         assert run.pruned_edges == tuple(edges)
 
 
+def with_branch(state, branch):
+    """The drawn network changed so that its first step takes one branch of
+    the term structure: every agent receptive with a kept neighbor (no
+    frozen row), every agent receptive and the last one isolated (a frozen
+    row), agent 1 cautious and hearing everyone, or agent 1 cautious and
+    hearing no one."""
+    if branch == "drawn":
+        return state
+    n, edges = state.graph.n, state.graph.edges
+    if branch in ("all-move", "cautious-hears"):
+        edges = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        state = at_bound(state, 1.0)  # every distance is at most 1: all edges kept
+    else:
+        alone = n if branch == "frozen" else 1
+        edges = [e for e in edges if alone not in e]
+    receptive = np.ones(n, dtype=bool)
+    receptive[0] = branch not in ("cautious-hears", "cautious-alone")
+    return replace(state, graph=DirectedGraph.from_edges(n, edges), receptive=receptive)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), eps=st.sampled_from([0.0, 0.2, 0.37, 0.6, 1.0]),
+       branch=st.sampled_from(["drawn", "all-move", "frozen", "cautious-hears",
+                               "cautious-alone"]),
+       one_slot_blocks=st.booleans())
+def test_run_steps_match_the_reference_step(seed, eps, branch, one_slot_blocks):
+    # ProfileRun.advance(1), step by step, against the per-agent rule; the
+    # network is redrawn so that each branch the term structure fixes at
+    # build time is taken, with the default blocks and one slot per block
+    state = with_branch(random_network(np.random.default_rng(seed), eps), branch)
+    block = 1 if one_slot_blocks else dynamics.TERM_BLOCK
+    with mock.patch.object(dynamics, "TERM_BLOCK", block):
+        run = ProfileRun(state, "general")
+        for step in range(6):
+            view = pruned(state)
+            assert run.edges() == view_edges(view)
+            state = reference_step(state, view.kept)
+            run.advance(1)
+            assert run.masses().tobytes() == state.masses.tobytes()
+            terms = run._terms
+            if step == 0 and branch == "all-move":
+                assert terms.frozen is None and terms.cautious is None
+            if step == 0 and branch == "frozen":
+                assert terms.frozen is not None and terms.cautious is None
+            if step == 0 and branch == "cautious-hears":
+                assert terms.cautious is not None
+            if step == 0 and branch == "cautious-alone":
+                assert not view.kept[0].any() and not terms.moves[0, 0]
+            if one_slot_blocks:
+                assert all(len(pick) == 1 for _, _, pick, _ in terms.blocks)
+
+
 def test_term_blocks_keep_the_summation_order(monkeypatch):
     # one slot per block: the running sum is carried from block to block
     monkeypatch.setattr(dynamics, "TERM_BLOCK", 1)
@@ -208,11 +262,12 @@ def test_complement_beliefs_give_the_plausibilities():
         bl = belief_table(state.masses)
         terms = dynamics._term_structure(*np.nonzero(pruned(state).kept), state.masses > 0.0,
                                          bl > 0.0, state.alphas, state.receptive)
-        k = bl.shape[1]
-        key = terms.num_at[:, -1]  # the pair (j, a) of each row, as j * k + a
+        k, pairs = bl.shape[1], len(terms.num)
+        num_at, den_at = terms.gather_at[:pairs], terms.gather_at[pairs:]
+        key = num_at[:, -1]  # the pair (j, a) of each row, as j * k + a
         j, a = (key // k)[:, None], (key % k)[:, None]
         want = (1.0 - bl[:, ::-1])[j, a & ~np.arange(k)]  # Pl(x) = 1 - Bl(full ^ x)
-        assert (1.0 - bl.take(terms.den_at)).tobytes() == want.tobytes()
+        assert (1.0 - bl.take(den_at)).tobytes() == want.tobytes()
 
 
 def test_conditionals_keep_nothing_from_the_last_step():
@@ -229,7 +284,8 @@ def test_conditionals_keep_nothing_from_the_last_step():
     certain = np.zeros_like(bl)
     certain[:, 1] = 1.0
     bl = belief_table(certain)
-    unformed = bl.take(terms.num_at) + (1.0 - bl.take(terms.den_at)) <= 0.0
+    num_at, den_at = terms.gather_at[:len(terms.num)], terms.gather_at[len(terms.num):]
+    unformed = bl.take(num_at) + (1.0 - bl.take(den_at)) <= 0.0
     assert terms.cond[:-1][unformed].any()
     dynamics._general_update(state.masses, bl, terms, out, dst._lattice_steps(out))
     assert not terms.cond[:-1][unformed].any() and not terms.cond[-1].any()
@@ -370,8 +426,9 @@ def reference_trajectory(scenario, eps):
 def check_cached_run(scenario, eps=None):
     """Run the scenario against the reference loop, bit for bit, and check
     that the term structure is rebuilt exactly on the steps where its key
-    (kept edges, grow-only support, positive-belief pattern) changes.
-    Returns the reference states and each step's key."""
+    (kept edges, grow-only support and, while a cautious agent hears
+    someone, the positive-belief pattern) changes.  Returns the reference
+    states and each step's key."""
     states, edges, converged = reference_trajectory(scenario, eps)
     result = run_simulation(scenario, eps, record_trace=True)
     assert result.final_masses.tobytes() == states[-1].masses.tobytes()
@@ -382,7 +439,9 @@ def check_cached_run(scenario, eps=None):
     keys, support = [], np.zeros_like(states[0].masses, dtype=bool)
     for state, kept in zip(states, edges):
         support = support | (state.masses > 0.0)
-        keys.append((kept, support.tobytes(), (belief_table(state.masses) > 0.0).tobytes()))
+        read = any(not state.receptive[i - 1] for i, _ in kept)
+        beliefs = (belief_table(state.masses) > 0.0).tobytes() if read else None
+        keys.append((kept, support.tobytes(), beliefs))
         before = run.rebuilds
         run.advance(1)
         assert run.rebuilds - before == (len(keys) == 1 or keys[-1] != keys[-2])
@@ -417,6 +476,15 @@ def belief_pattern_flips():
     return directed_scenario(frame, [(1, 2), (2, 1), (3, 1)], agents, 12), None
 
 
+def unread_beliefs_flip():
+    # the same swap heard by a receptive agent 3: no term reads the belief
+    # pattern, so its flips leave the structure as it is
+    frame = Frame(2)
+    agents = [(Strategy.RECEPTIVE, 0.0, {1: 1.0}), (Strategy.RECEPTIVE, 0.0, {2: 1.0}),
+              (Strategy.RECEPTIVE, 0.5, {1: 0.5, 2: 0.5})]
+    return directed_scenario(frame, [(1, 2), (2, 1), (3, 1)], agents, 12), None
+
+
 def uncovered_cautious_agent():
     # step 0: cautious agent 1 ({1, 2}) conditions agent 2 ({1}) on {1, 2}
     # and becomes certain of {1}, while agent 2 adopts agent 3's {2}.  From
@@ -446,6 +514,12 @@ def check_belief_pattern_flips(states, keys):
     assert sum(only_beliefs) >= 5
 
 
+def check_unread_beliefs_flip(states, keys):
+    patterns = [(belief_table(s.masses) > 0.0).tobytes() for s in states[1:-1]]
+    assert sum(a != b for a, b in zip(patterns, patterns[1:])) >= 5
+    assert not any(changed(keys[1:], 0) + changed(keys[1:], 1) + changed(keys[1:], 2))
+
+
 def check_uncovered_cautious_agent(states, keys):
     first = states[1].masses
     assert first[0].tolist() == [0.0, 1.0, 0.0, 0.0] and first[1].tolist() == [0.0, 0.0, 1.0, 0.0]
@@ -462,6 +536,7 @@ def check_mass_flickers(states, keys):
 
 CASES = {"kept-set-changes": (kept_set_changes, check_kept_set_changes),
          "belief-pattern-flips": (belief_pattern_flips, check_belief_pattern_flips),
+         "unread-beliefs-flip": (unread_beliefs_flip, check_unread_beliefs_flip),
          "uncovered-cautious-agent": (uncovered_cautious_agent, check_uncovered_cautious_agent),
          "mass-flickers": (mass_flickers, check_mass_flickers)}
 

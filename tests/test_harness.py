@@ -217,13 +217,23 @@ def test_a_bound_outside_the_unit_interval_is_a_package_error(call, message):
 @pytest.mark.parametrize("kwargs, message", [
     ({"proposition": "  "}, "proposition '  ' is the empty set, whose mass is always 0"),
     ({"proposition": "4"}, "proposition '4' exceeds frame of size 3"),
-    ({"proposition": "x"}, "invalid literal for int() with base 10: 'x'"),
+    ({"proposition": "x"}, "proposition 'x' is not a subset: write 1-based singleton "
+                           "indices such as '1' or '2,3', or '*' for the full frame"),
     ({"workers": 0}, "need at least one worker, got 0"),
 ], ids=["blank", "outside", "not-a-number", "no-worker"])
 def test_a_bad_sweep_request_is_a_package_error(kwargs, message):
     with pytest.raises(DSConsensusError) as caught:
         run_sweep(load_scenario("fig4a-pmf"), 0.0, 1.0, 0.5, **kwargs)
     assert str(caught.value) == message and isinstance(caught.value, ValueError)
+
+
+@pytest.mark.parametrize("prop", ["x", "1,", "1.5", "2;3"])
+def test_sweep_of_a_proposition_that_is_no_subset_rejected(prop, tmp_path, capsys):
+    code = cli(["sweep", "--scenario", "fig3a-pmf", "--eps-min", "0", "--eps-max", "1",
+                "--eps-step", "0.5", "--prop", prop, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1 and f"proposition {prop!r} is not a subset" in err and "'2,3'" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("prop", ["", "  "])

@@ -309,7 +309,7 @@ def random_weights(rng, n):
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 300), m=st.integers(1, 5), full=st.booleans(),
+@given(n=st.integers(1, 300), m=st.integers(1, 7), full=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_update_forms_the_bits_of_the_dense_product(n, m, full, seed):
     # two states laid out as a run's stack rows: M singleton rows of N agents,
@@ -533,11 +533,12 @@ def test_budget_that_runs_out_on_the_converging_step_prunes_no_more():
 
 @pytest.mark.parametrize("engine", ["dirichlet", "general"])
 def test_state_dependent_weights_step_one_at_a_time(engine, monkeypatch):
-    # a general step forms its own terms, one step per chunk; a Dirichlet
-    # chunk refills its weights at every state it forms
+    # a general run forms its own terms and takes its steps one by one; a
+    # Dirichlet chunk refills its weights at every state it forms
     calls = []
-    form = ProfileRun._products
-    monkeypatch.setattr(ProfileRun, "_products",
+    method = "_general_step" if engine == "general" else "_products"
+    form = getattr(ProfileRun, method)
+    monkeypatch.setattr(ProfileRun, method,
                         lambda run, *args: calls.append(run) or form(run, *args))
     rng = np.random.default_rng(4113)
     for _ in range(3):
