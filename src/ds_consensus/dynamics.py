@@ -365,27 +365,32 @@ class _WeightPlan:
         self._cells = cells = self.matrix.reshape(-1)  # a view: writes land in the matrix
         cells[flat[rec]] = share[rec]
         cells[::n + 1] = np.where(receptive & (counts > 0), alphas, 1.0)
-        # Dirichlet edge e gathers 1 + theta of its neighbour (receptive) or
-        # theta of its agent (cautious) from the (1 + theta, theta) buffer,
-        # then scales by its share or 1 - alpha and divides by 1 or the count
         self._at = flat
-        self._gather = np.where(rec, flat - i * n, n + i)
-        self._scale = np.where(rec, share, (1.0 - alphas).take(i))
-        self._divide = np.where(rec, 1.0, safe.take(i))
-        self._theta = np.empty(2 * n)
-        self._values = np.empty(len(i))
+        self._edge_terms = (i, rec, share, safe, alphas)  # for the refill, if one comes
+
+    @cached_property
+    def _refill(self) -> tuple[np.ndarray, ...]:
+        # formed on the first fill, so a pmf plan is only its matrix.  Dirichlet
+        # edge e gathers 1 + theta of its neighbour (receptive) or theta of its
+        # agent (cautious) from the (1 + theta, theta) buffer, then scales by
+        # its share or 1 - alpha and divides by 1 or the count
+        i, rec, share, safe, alphas = self._edge_terms
+        n = len(alphas)
+        return (np.where(rec, self._at - i * n, n + i),
+                np.where(rec, share, (1.0 - alphas).take(i)),
+                np.where(rec, 1.0, safe.take(i)), np.empty(2 * n), np.empty(len(i)))
 
     def fill(self, theta: np.ndarray) -> None:
         """Write the Dirichlet edge weights at the full-frame masses ``theta``:
         receptive rows amplify each share by that neighbour's full-frame mass,
         cautious rows leak in their neighbours by their own."""
         n = len(theta)
-        buffer, values = self._theta, self._values
+        gather, scale, divide, buffer, values = self._refill
         np.add(theta, 1.0, out=buffer[:n])
         buffer[n:] = theta
-        buffer.take(self._gather, out=values, mode="clip")
-        values *= self._scale
-        values /= self._divide
+        buffer.take(gather, out=values, mode="clip")
+        values *= scale
+        values /= divide
         self._cells[self._at] = values
 
 
@@ -400,12 +405,15 @@ def _update(wt: np.ndarray, x: np.ndarray, out: np.ndarray, full: np.ndarray | N
     singleton rows ``x`` (M, N) of a state into ``out``, the same rows of the
     next one, and ``full``, the next one's full-frame row (None when it has
     none), takes the mass they leave over, clipped at 0; ``leftover`` keeps
-    it unclipped, for the conservation check.  ``x @ wt`` into the C-order
-    ``out`` is the BLAS call of ``w @ x.T`` with its operands named the other
-    way; it keeps the bits of ``w @ x.T`` and of its row sums up to seven
-    singletons (the tests check random matrices; a contiguous copy of ``wt``
-    rounds differently), and may differ in the last bit beyond."""
-    np.matmul(x, wt, out=out)
+    it unclipped, for the conservation check.  ``np.dot(x, wt)`` into the
+    C-order ``out`` is the BLAS call of ``w @ x.T`` with its operands named
+    the other way: the gemm ``np.matmul`` runs, with its bits (the tests
+    check M 1-16), minus the gufunc dispatch.  It keeps the bits of ``w @
+    x.T`` and of its row sums up to seven singletons (a contiguous copy of
+    ``wt`` rounds differently), and may differ in the last bit beyond.
+    ``out`` must be C-contiguous, as a stack row's first M rows are:
+    ``np.dot`` raises ValueError for a strided one."""
+    np.dot(x, wt, out=out)
     if full is not None:
         np.add.reduce(out, axis=0, out=leftover)
         np.subtract(1.0, leftover, out=leftover)
@@ -502,9 +510,10 @@ class ProfileRun:
     (:meth:`_products`, :meth:`_general_step`), so a step that raises leaves
     ``x`` as it was, and a table taken by :meth:`masses` is a copy.  A pmf
     or Dirichlet run keeps CHUNK + 1 rows, so a chunk of its steps
-    (:meth:`advance`) runs the same ``np.matmul`` on the same layouts,
-    refills the Dirichlet weights at the same states, and re-prunes at a row
-    inside a chunk on the same Gram product, as single steps would.  A
+    (:meth:`advance`) runs the same ``np.dot`` on the same layouts (the
+    gemm of ``np.matmul``, bit for bit: see :func:`_update`), refills the
+    Dirichlet weights at the same states, and re-prunes at a row inside a
+    chunk on the same Gram product, as single steps would.  A
     general run keeps two rows, which swap roles at every step: it takes its
     steps one by one (:meth:`_general_step`), with no chunk to plan.
 
@@ -612,7 +621,7 @@ class ProfileRun:
         gaps = np.abs(dist - self._edge_eps)
         gaps -= 2.0 * self._distance_error
         gaps *= self._gap_scale
-        self._budget = float(np.min(gaps, where=self._watched, initial=np.inf))
+        self._budget = float(np.minimum.reduce(gaps, where=self._watched, initial=np.inf))
         self._stale = False
         self.prunes += 1
 
@@ -758,10 +767,11 @@ class ProfileRun:
         (``discarded`` counts those, and those past convergence).  Where the
         walk stops inside a Dirichlet chunk with the plan unchanged, the plan
         is refilled at the state taken.  Every product is the same
-        ``np.matmul`` on the same layouts as a single step, so a chunk keeps
-        every bit.  Chunks start at one step after a change of the kept set
-        and double while it holds, up to the stack's rows less one.  A chunk
-        ends where the run is predicted to converge: while the last change
+        ``np.dot`` on the same layouts as a single step (the bits of
+        ``np.matmul``'s, see :func:`_update`), so a chunk keeps every bit.
+        Chunks start at one step after a change of the kept set and double
+        while it holds, up to the stack's rows less one.  A chunk ends where
+        the run is predicted to converge: while the last change
         taken is at least ``step_tol`` and below the one before, the changes
         are taken to keep falling at that ratio, and a chunk is no longer
         than the steps until one would drop below ``step_tol`` plus the

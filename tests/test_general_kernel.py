@@ -196,7 +196,10 @@ def with_branch(state, branch):
     the term structure: every agent receptive with a kept neighbor (no
     frozen row), every agent receptive and the last one isolated (a frozen
     row), agent 1 cautious and hearing everyone, or agent 1 cautious and
-    hearing no one."""
+    hearing no one.  A cautious agent hearing everyone gets half its mass
+    moved to the whole frame, where every neighbour's belief is 1, so it has
+    a term for each (its drawn support may hold no subset that any
+    neighbour believes)."""
     if branch == "drawn":
         return state
     n, edges = state.graph.n, state.graph.edges
@@ -206,6 +209,11 @@ def with_branch(state, branch):
     else:
         alone = n if branch == "frozen" else 1
         edges = [e for e in edges if alone not in e]
+    if branch == "cautious-hears":
+        masses = state.masses.copy()
+        masses[0] *= 0.5
+        masses[0, -1] += 0.5
+        state = replace(state, masses=masses)
     receptive = np.ones(n, dtype=bool)
     receptive[0] = branch not in ("cautious-hears", "cautious-alone")
     return replace(state, graph=DirectedGraph.from_edges(n, edges), receptive=receptive)

@@ -14,10 +14,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ds_consensus import dynamics
-from ds_consensus.dst import BodyOfEvidence, Frame, jaccard_matrix, pairwise_jousselme
+from ds_consensus.dst import (MAX_FRAME_SIZE, BodyOfEvidence, Frame, jaccard_matrix,
+                               pairwise_jousselme)
 from ds_consensus.dynamics import (AgentSpec, ProfileRun, Strategy, _update, _WeightPlan,
                                    dirichlet_confidence_matrix, dirichlet_step, distance_error,
                                    general_step, pmf_confidence_matrix, pmf_step)
@@ -308,24 +309,33 @@ def random_weights(rng, n):
     return w
 
 
-@settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 300), m=st.integers(1, 7), full=st.booleans(),
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 300), m=st.integers(1, MAX_FRAME_SIZE), full=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
+@example(n=1024, m=MAX_FRAME_SIZE, full=True, seed=1)
+@example(n=1024, m=3, full=False, seed=2)
 def test_update_forms_the_bits_of_the_dense_product(n, m, full, seed):
     # two states laid out as a run's stack rows: M singleton rows of N agents,
-    # then, for Dirichlet, the full-frame row
+    # then, for Dirichlet, the full-frame row.  At every frame size the rows
+    # have the bits of np.matmul on the same operands, and up to seven
+    # singletons those of the oracle's product and row sums too
     rng = np.random.default_rng(seed)
     w = random_weights(rng, n)
     k = m + full
     blocks = np.full((2, k * n), np.nan).reshape(2, k, n)
     blocks[0] = rng.dirichlet(np.ones(k), size=n).T
     leftover = np.full(n, np.nan)
-    _update(w.T, blocks[0, :m], blocks[1, :m], blocks[1, m] if full else None,
+    x = blocks[0, :m]
+    _update(w.T, x, blocks[1, :m], blocks[1, m] if full else None,
             leftover if full else None)
-    dense = w @ np.asfortranarray(blocks[0, :m].T)  # the oracle's product
-    assert blocks[1, :m].tobytes() == dense.T.tobytes()
+    product = np.matmul(x, w.T)
+    assert blocks[1, :m].tobytes() == product.tobytes()
+    want = 1.0 - np.add.reduce(product, axis=0)
+    if m <= 7:
+        dense = w @ np.asfortranarray(x.T)  # the oracle's product
+        assert product.tobytes() == dense.T.tobytes()
+        assert want.tobytes() == (1.0 - dense.sum(axis=1)).tobytes()
     if full:
-        want = 1.0 - dense.sum(axis=1)
         assert leftover.tobytes() == want.tobytes()
         assert blocks[1, m].tobytes() == np.maximum(want, 0.0).tobytes()
 
