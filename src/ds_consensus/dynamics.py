@@ -351,7 +351,11 @@ class _WeightPlan:
     equal share of 1 - alpha; every other diagonal is 1.  ``matrix`` starts
     as the pmf weights, where cautious rows are identity rows and every row
     sums to 1; Dirichlet weights differ on the edges only, and :meth:`fill`
-    rewrites those cells in place.
+    rewrites those cells in place, gathering straight from the full-frame
+    masses theta: a receptive edge weighs (theta_j + 1) times its share, a
+    cautious one (theta_i + -0.0) (1 - alpha_i) / count_i.  Adding -0.0
+    leaves every float, -0.0 too, as it is, and the divide runs only when a
+    cautious edge is kept (a receptive edge's divisor is 1, and x / 1 is x).
     """
 
     def __init__(self, i: np.ndarray, flat: np.ndarray, alphas: np.ndarray,
@@ -369,28 +373,24 @@ class _WeightPlan:
         self._edge_terms = (i, rec, share, safe, alphas)  # for the refill, if one comes
 
     @cached_property
-    def _refill(self) -> tuple[np.ndarray, ...]:
-        # formed on the first fill, so a pmf plan is only its matrix.  Dirichlet
-        # edge e gathers 1 + theta of its neighbour (receptive) or theta of its
-        # agent (cautious) from the (1 + theta, theta) buffer, then scales by
-        # its share or 1 - alpha and divides by 1 or the count
+    def _refill(self) -> tuple[np.ndarray | None, ...]:
+        # formed on the first fill, so a pmf plan is only its matrix: per edge,
+        # the agent gathered from, the offset, the scale and the divisor
         i, rec, share, safe, alphas = self._edge_terms
-        n = len(alphas)
-        return (np.where(rec, self._at - i * n, n + i),
+        return (np.where(rec, self._at - i * len(alphas), i), np.where(rec, 1.0, -0.0),
                 np.where(rec, share, (1.0 - alphas).take(i)),
-                np.where(rec, 1.0, safe.take(i)), np.empty(2 * n), np.empty(len(i)))
+                None if rec.all() else np.where(rec, 1.0, safe.take(i)), np.empty(len(i)))
 
     def fill(self, theta: np.ndarray) -> None:
         """Write the Dirichlet edge weights at the full-frame masses ``theta``:
         receptive rows amplify each share by that neighbour's full-frame mass,
         cautious rows leak in their neighbours by their own."""
-        n = len(theta)
-        gather, scale, divide, buffer, values = self._refill
-        np.add(theta, 1.0, out=buffer[:n])
-        buffer[n:] = theta
-        buffer.take(gather, out=values, mode="clip")
+        gather, offset, scale, divide, values = self._refill
+        theta.take(gather, out=values, mode="clip")
+        values += offset
         values *= scale
-        values /= divide
+        if divide is not None:
+            values /= divide
         self._cells[self._at] = values
 
 

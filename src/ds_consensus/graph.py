@@ -159,7 +159,7 @@ def components(relation: np.ndarray) -> np.ndarray:
         heard = np.where(relation, labels[:, None], n).min(axis=0)
         new = np.minimum(labels, heard)
         new = new.take(new)  # a label's own label also reaches the node
-        if np.array_equal(new, labels):
+        if new.tobytes() == labels.tobytes():
             starts = labels == np.arange(n)  # each component's first node
             return (np.cumsum(starts) - 1)[labels]
         labels = new

@@ -26,15 +26,14 @@ def _csv_field(text: str) -> str:
 def write_sweep_csv(result: BifurcationResult, path) -> None:
     lines = [CSV_HEADER]
     prop = _csv_field(result.proposition)  # a compound proposition such as 1,2
+    masses, clusters = result.limit_masses.tolist(), result.cluster_ids.tolist()
     for gi, eps in enumerate(result.grid):
         count = result.cluster_counts[gi]
         consensus = "true" if result.consensus[gi] else "false"
         iters = result.iterations[gi]
-        for agent in range(result.n_agents):
-            lines.append(
-                f"{float(eps)!r},{agent + 1},{prop},"
-                f"{float(result.limit_masses[gi, agent])!r},"
-                f"{int(result.cluster_ids[gi, agent])},{count},{consensus},{iters}")
+        for agent, (mass, cluster) in enumerate(zip(masses[gi], clusters[gi])):
+            lines.append(f"{float(eps)!r},{agent + 1},{prop},{mass!r},"
+                         f"{cluster},{count},{consensus},{iters}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -97,10 +96,10 @@ def write_sweep_svg(result: BifurcationResult, path) -> None:
     parts.append(f'<text x="{(_W + _ML - _MR) / 2:.1f}" y="{_H - 12}" '
                  f'text-anchor="middle" font-size="13" font-family="sans-serif">'
                  f'bound of confidence</text>')
-    for gi, eps in enumerate(result.grid):
+    for eps, masses in zip(result.grid, result.limit_masses.tolist()):
         x = _x(eps, lo, hi)
-        for agent in range(result.n_agents):
-            y = _y(float(result.limit_masses[gi, agent]))
+        for mass in masses:
+            y = _y(mass)
             parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.8" '
                          f'fill="#1f6fb4" fill-opacity="0.55"/>')
     parts.append("</svg>")

@@ -49,7 +49,8 @@ def oracle_dirichlet_weights(kept, alphas, receptive, theta):
     has = counts > 0
     safe = np.maximum(counts, 1)
     rec_rows = (kept * ((1.0 - alphas) / safe)[:, None]) * (1.0 + theta)[None, :]
-    cau_rows = kept * ((1.0 - alphas) * theta / safe)[:, None]
+    # +0.0 off the kept cells, also where theta is -0.0 (0 * -0.0 is -0.0)
+    cau_rows = np.where(kept, ((1.0 - alphas) * theta / safe)[:, None], 0.0)
     w = np.where((receptive & has)[:, None], rec_rows,
                  np.where(has[:, None], cau_rows, 0.0))
     w[np.arange(n), np.arange(n)] = np.where(receptive & has, alphas, 1.0)
@@ -709,6 +710,31 @@ def test_weight_builder_matches_the_receive_matrix_formulas():
         plan.fill(theta[::-1].copy())  # a refill leaves no trace of the last one
         assert plan.matrix.tobytes() == \
             oracle_dirichlet_weights(kept, alphas, receptive, theta[::-1]).tobytes()
+
+
+def test_weight_refill_keeps_signed_zeros_and_divides_only_for_cautious_edges():
+    # full-frame masses of -0.0 on cautious agents that hear someone, rows of
+    # +0.0 and all-receptive kept sets, whose refill divides nothing
+    rng = np.random.default_rng(4106)
+    for case in range(300):
+        n = 2 + case % 29
+        kept, alphas, receptive, theta = random_weight_inputs(rng, n)
+        kind = case % 3
+        if kind == 0:  # agent 0 is cautious and hears agent 1
+            receptive[0], kept[0, 1] = False, True
+            theta[~receptive & (rng.random(n) < 0.7)] = theta[0] = -0.0
+        elif kind == 1:
+            theta[rng.random(n) < 0.5] = 0.0
+        else:
+            receptive[:] = True
+        flat = np.flatnonzero(kept)
+        plan = _WeightPlan(flat // n, flat, alphas, receptive)
+        for masses in (theta, np.abs(theta)):  # the refill turns each -0.0 back to +0.0
+            plan.fill(masses)
+            assert plan.matrix.tobytes() == \
+                oracle_dirichlet_weights(kept, alphas, receptive, masses).tobytes()
+            if kind == 0:
+                assert np.signbit(plan.matrix[0, 1]) == np.signbit(masses[0])
 
 
 @pytest.mark.parametrize("engine", ["pmf", "dirichlet"])
