@@ -36,8 +36,7 @@ from .analysis import (
     classify_chain,
     detect_clusters,
     infinity_norm,
-    verify_one_group_chain,
-    verify_two_group_chain,
+    verify_chain,
 )
 from .scenario import Scenario, list_assets, load_scenario, sample_opinions
 from .runner import BifurcationResult, RunResult, run_simulation, run_sweep, verify_run

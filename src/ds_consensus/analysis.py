@@ -17,9 +17,10 @@ consensus provable:
 
 A chain (:class:`DrivenChain`) holds each agent once, in a central group or
 among the outer agents, and :meth:`DrivenChain.check` is the one test of a
-matrix against it.  The verifiers walk the recorded matrices once, in runs
-of consecutive equal matrices: each run is checked, cut into blocks and
-normed once, and a two-group verifier takes each run's weight split once.
+matrix against it.  One verifier, :func:`verify_chain`, checks either
+theorem.  It walks the recorded matrices once, in runs of consecutive equal
+matrices: each run is checked, cut into blocks and normed once, and for two
+groups each run's weight split is taken once.
 
 Reports are plain dicts, JSON-serializable as
 ``{"hypotheses": ..., "prediction": ..., "observed": ..., "match": ...}``.
@@ -152,6 +153,8 @@ class DrivenChain:
     def __post_init__(self):
         if not 1 <= len(self.groups) <= 2:
             raise NotDrivenChain(f"need one or two central groups, got {len(self.groups)}")
+        if not all(self.groups):
+            raise NotDrivenChain("every central group must hold at least one agent")
         agents = sorted([*(a for g in self.groups for a in g), *self.outer])
         if agents != list(range(1, len(agents) + 1)):
             raise NotDrivenChain(f"the groups and the outer agents must hold each of the "
@@ -207,15 +210,23 @@ def _square_finite(w) -> np.ndarray:
     return w
 
 
+def _agent_id(a) -> int:
+    """An agent id given as an integer (not a bool, a float or a string)."""
+    if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
+        raise NotDrivenChain(f"central agent {a!r} is not an integer agent id")
+    return int(a)
+
+
 def classify_chain(w: np.ndarray, central_groups: Sequence[Sequence[int]]) -> DrivenChain:
     """The chain whose driving groups are ``central_groups``, checked on ``w``.
 
     Every central agent must give zero weight to all outer agents and (for
     two groups) to the other central group.  Raises NotDrivenChain otherwise,
-    and when ``w`` is not a square matrix or holds a value that is not finite.
+    when ``w`` is not a square matrix or holds a value that is not finite,
+    and when a central agent is not an integer id of one of its agents.
     """
     n = len(_square_finite(w))
-    groups = tuple(tuple(sorted(int(a) for a in g)) for g in central_groups)
+    groups = tuple(tuple(sorted(_agent_id(a) for a in g)) for g in central_groups)
     central = {a for g in groups for a in g}
     for a in sorted(central):
         if not 1 <= a <= n:
@@ -316,9 +327,69 @@ def _group_consensus(a_prod: np.ndarray, profiles: np.ndarray):
         return None
 
 
-def _report(chain: DrivenChain, ws: Sequence[np.ndarray], hypotheses: dict) -> dict:
-    """A theorem report on the chain and its recorded steps, its prediction not yet checked."""
+def _weight_split(couplings: list) -> dict:
+    """The two-group weight-proportion fields of a walk's coupling runs.
+
+    A run is constrained when some outer agent hears either group; its
+    split is the share of that weight given to the second group, common to
+    every such agent within LAMBDA_TOL and strictly between 0 and 1, else
+    the condition fails at that run.  ``lambda_1`` is the last run's split.
+    """
+    lambdas: list[float] = []  # one per run of constrained steps
+    every_step, constrained_steps = True, 0
+    for steps, (c1, c2) in couplings:
+        c1, c2 = c1.sum(axis=1), c2.sum(axis=1)
+        total = c1 + c2
+        defined = total > 0.0
+        if not defined.any():
+            continue
+        constrained_steps += steps
+        lam = c2[defined] / total[defined]
+        value = float(lam.mean())
+        if lam.max() - lam.min() > LAMBDA_TOL or not 0.0 < value < 1.0:
+            every_step = False
+        else:
+            lambdas.append(value)
     return {
+        "weight_proportion_every_step": every_step,
+        "weight_proportion_constant": bool(lambdas) and (max(lambdas) - min(lambdas) <= LAMBDA_TOL),
+        "constrained_steps": constrained_steps,
+        "lambda_1": lambdas[-1] if lambdas else None,
+    }
+
+
+def verify_chain(chain: DrivenChain, ws: Sequence[np.ndarray],
+                 initial_profiles: np.ndarray, final_profiles: np.ndarray) -> dict:
+    """Check the chain's theorem against a recorded run.
+
+    ``ws`` holds the run's matrices, at least one; the profiles are the
+    (agents, singletons) arrays of its first and last states.  Both theorems
+    need every driving group's left product to converge to rank one (each
+    group reaches its own consensus).  One group: if the outer block is also
+    a strict contraction from some step on (every outer agent keeps hearing
+    the central group, at least eventually), everyone adopts the central
+    consensus.  Two groups: consensus iff the groups' consensus opinions
+    agree; otherwise the outer agents still reach their own cluster when
+    every step splits outer weight between the groups in one common
+    proportion, landing at that proportion's mix of the group opinions.
+    """
+    n = len(chain.outer) + sum(len(g) for g in chain.groups)
+    initial = np.asarray(initial_profiles, dtype=float)
+    finals = np.asarray(final_profiles, dtype=float)
+    if not (len(ws) and initial.ndim == 2 and initial.shape == finals.shape
+            and initial.shape[0] == n and initial.shape[1] >= 1):
+        raise NotDrivenChain(f"need a matrix and ({n}, singletons) profiles, got {len(ws)} "
+                             f"matrices and profiles of shape {initial.shape} and {finals.shape}")
+    a_prods, contraction, couplings = _walk_chain(chain, ws)
+    etas = [_group_consensus(prod, initial[chain.group_idx(g)])
+            for g, prod in enumerate(a_prods)]
+    rank_one = all(eta is not None for eta in etas)
+    one_group = len(etas) == 1
+    hypotheses = {"central_product_rank_one" if one_group else "group_products_rank_one": rank_one,
+                  "outer_contraction": contraction}
+    hypotheses.update({"satisfied": rank_one and contraction["product_vanishes"]} if one_group
+                      else _weight_split(couplings))
+    report = {
         "kind": chain.kind,
         "central": [list(g) for g in chain.groups],
         "outer": list(chain.outer),
@@ -328,122 +399,49 @@ def _report(chain: DrivenChain, ws: Sequence[np.ndarray], hypotheses: dict) -> d
         "observed": None,
         "match": False,
     }
+    if not rank_one:
+        return report
+    eta = etas[0]
+    if one_group or np.max(np.abs(eta - etas[1])) <= 1e-9:  # everyone adopts eta
+        dev = float(np.max(np.abs(finals - eta)))
+        report["prediction"] = {"consensus_profile": [float(e) for e in eta]}
+        report["observed"] = {"max_deviation_from_prediction": dev}
+        if one_group:
+            report["match"] = bool(hypotheses["satisfied"] and dev <= ONE_GROUP_MATCH_TOL)
+        else:  # equal leaders: full consensus
+            report["prediction"] = {"full_consensus": True, **report["prediction"]}
+            report["match"] = bool(dev <= TWO_GROUP_MATCH_TOL)
+        return report
+    spread = float(np.max(finals.max(axis=0) - finals.min(axis=0)))
+    prediction = report["prediction"] = {
+        "full_consensus": False, "group_profiles": [[float(e) for e in g] for g in etas]}
+    observed = report["observed"] = {
+        "all_agent_spread": spread, "no_consensus_observed": bool(spread > TWO_GROUP_MATCH_TOL)}
+    match = observed["no_consensus_observed"]
+    lam = hypotheses["lambda_1"]
+    if hypotheses["weight_proportion_every_step"] and lam is not None and chain.outer:
+        follower = (1.0 - lam) * eta + lam * etas[1]
+        prediction["outer_cluster_profile"] = [float(e) for e in follower]
+        dev = float(np.max(np.abs(finals[chain.outer_idx] - follower)))
+        observed["outer_max_deviation"] = dev
+        match = match and dev <= TWO_GROUP_MATCH_TOL
+    report["match"] = bool(match)
+    return report
 
 
 def verify_one_group_chain(chain: DrivenChain, ws: Sequence[np.ndarray],
                            initial_profiles: np.ndarray,
                            final_profiles: np.ndarray) -> dict:
-    """Check the one-group consensus theorem against a recorded run.
-
-    Hypotheses: the central block's left product converges to rank one
-    (the driving group reaches its own consensus), and the outer block is a
-    strict contraction from some step on (every outer agent keeps hearing
-    the central group, at least eventually).  Prediction: everyone adopts
-    the central consensus.
-    """
+    """:func:`verify_chain` on a one-group chain; kept because the benchmark's tracer wraps it."""
     if chain.kind != "one-group":
         raise NotDrivenChain("expected a one-group chain")
-    (a_prod,), contraction, _ = _walk_chain(chain, ws)
-    eta = _group_consensus(a_prod, np.asarray(initial_profiles)[chain.group_idx(0)])
-    central_rank_one = eta is not None
-    satisfied = central_rank_one and contraction["product_vanishes"]
-    report = _report(chain, ws, {
-        "central_product_rank_one": central_rank_one,
-        "outer_contraction": contraction,
-        "satisfied": satisfied,
-    })
-    finals = np.asarray(final_profiles, dtype=float)
-    if eta is not None:
-        report["prediction"] = {"consensus_profile": [float(e) for e in np.atleast_1d(eta)]}
-        dev = float(np.max(np.abs(finals - eta)))
-        report["observed"] = {"max_deviation_from_prediction": dev}
-        report["match"] = bool(satisfied and dev <= ONE_GROUP_MATCH_TOL)
-    return report
-
-
-def _step_lambda(c_blocks: list[np.ndarray]):
-    """Common split of outer weight between the two groups at one step.
-
-    Returns (lambda_1, constrained) where ``constrained`` is False when no
-    outer agent heard either group; None means no common split exists.
-    """
-    c1 = c_blocks[0].sum(axis=1)
-    c2 = c_blocks[1].sum(axis=1)
-    total = c1 + c2
-    defined = total > 0.0
-    if not defined.any():
-        return None, False
-    lam = c2[defined] / total[defined]
-    if lam.max() - lam.min() > LAMBDA_TOL:
-        return None, True
-    value = float(lam.mean())
-    if not 0.0 < value < 1.0:
-        return None, True
-    return value, True
+    return verify_chain(chain, ws, initial_profiles, final_profiles)
 
 
 def verify_two_group_chain(chain: DrivenChain, ws: Sequence[np.ndarray],
                            initial_profiles: np.ndarray,
                            final_profiles: np.ndarray) -> dict:
-    """Check the two-group theorem: consensus iff the groups' consensus
-    opinions agree; otherwise the outer agents still reach their own cluster
-    when every step splits outer weight between the groups in one common
-    proportion, landing at that proportion's mix of the group opinions.
-    """
+    """:func:`verify_chain` on a two-groups chain; kept because the benchmark's tracer wraps it."""
     if chain.kind != "two-groups":
         raise NotDrivenChain("expected a two-groups chain")
-    a_prods, contraction, couplings = _walk_chain(chain, ws)
-    lambdas: list[float] = []  # one per run of constrained steps
-    condition_every_step = True
-    constrained_steps = 0
-    for steps, c_blocks in couplings:
-        lam, constrained = _step_lambda(c_blocks)
-        if constrained:
-            constrained_steps += steps
-            if lam is None:
-                condition_every_step = False
-            else:
-                lambdas.append(lam)
-    initial = np.asarray(initial_profiles, dtype=float)
-    group_eta = [_group_consensus(a_prods[g], initial[chain.group_idx(g)]) for g in range(2)]
-    groups_rank_one = all(eta is not None for eta in group_eta)
-    lam_constant = bool(lambdas) and (max(lambdas) - min(lambdas) <= LAMBDA_TOL)
-    lam_final = lambdas[-1] if lambdas else None
-    report = _report(chain, ws, {
-        "group_products_rank_one": groups_rank_one,
-        "outer_contraction": contraction,
-        "weight_proportion_every_step": condition_every_step,
-        "weight_proportion_constant": lam_constant,
-        "constrained_steps": constrained_steps,
-        "lambda_1": lam_final,
-    })
-    if not groups_rank_one:
-        return report
-    finals = np.asarray(final_profiles, dtype=float)
-    eta1, eta2 = np.atleast_1d(group_eta[0]), np.atleast_1d(group_eta[1])
-    if np.max(np.abs(eta1 - eta2)) <= 1e-9:  # equal leaders: full consensus
-        report["prediction"] = {
-            "full_consensus": True,
-            "consensus_profile": [float(e) for e in eta1],
-        }
-        dev = float(np.max(np.abs(finals - eta1)))
-        report["observed"] = {"max_deviation_from_prediction": dev}
-        report["match"] = bool(dev <= TWO_GROUP_MATCH_TOL)
-        return report
-    spread = float(np.max(finals.max(axis=0) - finals.min(axis=0))) if finals.size else 0.0
-    prediction: dict = {"full_consensus": False, "group_profiles":
-                        [[float(e) for e in eta1], [float(e) for e in eta2]]}
-    observed: dict = {"all_agent_spread": spread,
-                      "no_consensus_observed": bool(spread > TWO_GROUP_MATCH_TOL)}
-    match = observed["no_consensus_observed"]
-    if condition_every_step and lam_final is not None and chain.outer:
-        follower = (1.0 - lam_final) * eta1 + lam_final * eta2
-        prediction["outer_cluster_profile"] = [float(e) for e in follower]
-        outer_final = finals[chain.outer_idx]
-        dev = float(np.max(np.abs(outer_final - follower)))
-        observed["outer_max_deviation"] = dev
-        match = match and dev <= TWO_GROUP_MATCH_TOL
-    report["prediction"] = prediction
-    report["observed"] = observed
-    report["match"] = bool(match)
-    return report
+    return verify_chain(chain, ws, initial_profiles, final_profiles)

@@ -22,7 +22,7 @@ from pathlib import Path
 from .errors import (DSConsensusError, EngineMismatch, InvalidScenario, NotDrivenChain,
                      ScenarioParseError)
 from .graph import erdos_renyi_connected
-from .output import _csv_field, write_sweep_csv, write_sweep_json, write_sweep_svg
+from .output import write_sweep_csv, write_sweep_json, write_sweep_svg, write_trace
 from .runner import run_simulation, run_sweep, verify_run
 from .scenario import list_assets, load_scenario
 
@@ -84,7 +84,7 @@ def _cmd_run(args) -> int:
     }
     _print_json(payload, args.out, "report.json")
     if args.trace:
-        _write_trace(Path(args.out), scenario, result)
+        write_trace(result, Path(args.out))
     return 0
 
 
@@ -97,22 +97,6 @@ def _print_json(payload: dict, out: str | None, filename: str) -> None:
         path.mkdir(parents=True, exist_ok=True)
         (path / filename).write_text(text + "\n", encoding="utf-8")
     print(text)
-
-
-def _write_trace(out: Path, scenario, result) -> None:
-    from .dst import prop_to_str
-    lines = ["step,agent_id,proposition,mass"]
-    for step, masses in enumerate(result.trajectory):
-        for agent in range(masses.shape[0]):
-            for mask in range(1, masses.shape[1]):
-                if masses[agent, mask] != 0.0:
-                    lines.append(f"{step},{agent + 1},"
-                                 f"{_csv_field(prop_to_str(mask, scenario.frame))},"
-                                 f"{float(masses[agent, mask])!r}")
-    (out / "trajectory.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    edges = [sorted(list(e)) for e in result.pruned_edges]
-    (out / "pruned_edges.json").write_text(
-        json.dumps(edges) + "\n", encoding="utf-8")
 
 
 def _cmd_sweep(args) -> int:

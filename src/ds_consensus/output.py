@@ -1,4 +1,4 @@
-"""CSV / SVG / JSON emission for sweep results.
+"""CSV / SVG / JSON emission for sweep results and run traces.
 
 All outputs are UTF-8 and newline-terminated; identical inputs produce
 byte-identical files.
@@ -10,7 +10,8 @@ import html
 import json
 from pathlib import Path
 
-from .runner import BifurcationResult
+from .dst import prop_to_str
+from .runner import BifurcationResult, RunResult
 
 CSV_HEADER = "epsilon,agent_id,proposition,limit_mass,cluster_id,cluster_count,consensus,iterations"
 
@@ -35,6 +36,24 @@ def write_sweep_csv(result: BifurcationResult, path) -> None:
             lines.append(f"{float(eps)!r},{agent + 1},{prop},{mass!r},"
                          f"{cluster},{count},{consensus},{iters}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_trace(result: RunResult, out: Path) -> None:
+    """Write a traced run into the directory ``out``: ``trajectory.csv``, one
+    row per nonzero mass of every state in step, agent and subset order, and
+    ``pruned_edges.json``, each step's kept edges."""
+    masses = result.trajectory[:, :, 1:]  # the empty set never carries mass
+    props = [_csv_field(prop_to_str(mask, result.report.frame))
+             for mask in range(1, masses.shape[2] + 1)]
+    step, agent, col = (masses != 0.0).nonzero()
+    lines = ["step,agent_id,proposition,mass"]
+    lines += [f"{s},{a + 1},{props[c]},{m!r}" for s, a, c, m in zip(
+        step.tolist(), agent.tolist(), col.tolist(), masses[step, agent, col].tolist())]
+    (out / "trajectory.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # a run records one edge set per kept set, so each is sorted and dumped once
+    dumped = {e: json.dumps(sorted(e)) for e in set(result.pruned_edges)}
+    edges = "[" + ", ".join(dumped[e] for e in result.pruned_edges) + "]"
+    (out / "pruned_edges.json").write_text(edges + "\n", encoding="utf-8")
 
 
 def write_sweep_json(result: BifurcationResult, path) -> None:

@@ -10,8 +10,7 @@ from functools import partial
 import numpy as np
 
 from . import dst, dynamics
-from .analysis import (ClusterReport, classify_chain, detect_clusters,
-                       verify_one_group_chain, verify_two_group_chain)
+from .analysis import ClusterReport, classify_chain, detect_clusters, verify_chain
 from .errors import InvalidScenario, ParameterOutOfRange
 from .scenario import Scenario
 
@@ -91,9 +90,9 @@ def verify_run(scenario: Scenario, epsilon: float) -> dict:
         raise InvalidScenario("max_iterations is 0, so there is no step to verify")
     result = run_simulation(scenario, epsilon=epsilon, record_matrices=True)
     chain = classify_chain(result.matrices[0], [[leader] for leader in scenario.leaders])
-    verify = verify_one_group_chain if chain.kind == "one-group" else verify_two_group_chain
-    report = verify(chain, result.matrices, result.singleton_profiles(result.initial_masses),
-                    result.singleton_profiles())
+    report = verify_chain(chain, result.matrices,
+                          result.singleton_profiles(result.initial_masses),
+                          result.singleton_profiles())
     return {
         "scenario": scenario.name,
         "engine": result.engine,
@@ -116,10 +115,6 @@ class BifurcationResult:
     cluster_counts: tuple[int, ...]
     consensus: tuple[bool, ...]
     iterations: tuple[int, ...]
-
-    @property
-    def n_agents(self) -> int:
-        return self.limit_masses.shape[1]
 
     def smallest_consensus_epsilon(self) -> float | None:
         for eps, flag in zip(self.grid, self.consensus):
@@ -153,8 +148,11 @@ def _sweep_points(scenario: Scenario, mask: int, grid: tuple[float, ...]) -> lis
     rows = []
     for eps in grid:
         run = run_simulation(scenario, epsilon=eps)
-        ids = np.array([run.report.cluster_of(a) for a in range(1, len(run.final_masses) + 1)])
-        rows.append((run.final_masses[:, mask], ids, run.report.cluster_count,
+        ids = [0] * len(run.final_masses)  # one pass over the clusters, which hold every agent
+        for cluster, members in enumerate(run.report.clusters, 1):
+            for agent in members:
+                ids[agent - 1] = cluster
+        rows.append((run.final_masses[:, mask], np.array(ids), run.report.cluster_count,
                      run.report.consensus, run.iterations))
     return rows
 

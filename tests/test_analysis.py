@@ -1,12 +1,13 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 
 from ds_consensus.analysis import (CONTRACTION_SLACK, DrivenChain, _contraction_profile,
-                                   _step_lambda, _walk_chain, classify_chain, detect_clusters,
-                                   infinity_norm, rank_one_rows, verify_one_group_chain,
+                                   _walk_chain, classify_chain, detect_clusters, infinity_norm,
+                                   rank_one_rows, verify_chain, verify_one_group_chain,
                                    verify_two_group_chain)
 from ds_consensus import analysis, dst
 from ds_consensus.dst import BodyOfEvidence, Frame
@@ -238,6 +239,98 @@ def test_a_verifier_rejects_a_chain_of_the_other_kind(groups, verify, message):
         verify(chain, [np.eye(3)], np.eye(3), np.eye(3))
 
 
+@pytest.mark.parametrize("name, epsilon", [("fig4a-pmf", 0.5), ("fig5a-pmf", 0.35),
+                                           ("fig6a-pmf", 0.5)])
+def test_a_kind_named_verifier_is_verify_chain_for_its_kind(name, epsilon):
+    groups, ws, initial, final = recorded(load_scenario(name), epsilon)
+    chain = classify_chain(ws[0], groups)
+    verify = {"one-group": verify_one_group_chain, "two-groups": verify_two_group_chain}
+    got = verify[chain.kind](chain, ws, initial, final)
+    assert json.dumps(got) == json.dumps(verify_chain(chain, ws, initial, final))
+
+
+def _one_leader_chain():
+    """Agent 1 leads, agent 2 hears it half: the outer product vanishes."""
+    w = np.array([[1.0, 0.0], [0.5, 0.5]])
+    return classify_chain(w, [[1]]), [w] * 60, np.array([[0.8, 0.2], [0.1, 0.9]])
+
+
+def _two_leader_chain():
+    """Agents 1 and 2 lead, agent 3 hears each a quarter."""
+    w = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.25, 0.25, 0.5]])
+    return classify_chain(w, [[1], [2]]), [w] * 60
+
+
+@pytest.mark.parametrize("offset, match", [(1e-7, True), (1e-4, False)])
+def test_one_group_match_takes_the_tight_tolerance(offset, match):
+    chain, ws, initial = _one_leader_chain()
+    report = verify_chain(chain, ws, initial, np.array([[0.8, 0.2]] * 2) + offset)
+    assert list(report["prediction"]) == ["consensus_profile"]
+    assert report["observed"]["max_deviation_from_prediction"] == pytest.approx(offset)
+    assert report["hypotheses"]["satisfied"] and report["match"] is match
+
+
+def test_one_group_match_needs_the_hypotheses():
+    # agent 2 hears no one but already holds the leader's opinion: no deviation,
+    # but its outer product never vanishes, so the theorem does not apply
+    w = np.eye(2)
+    profiles = np.array([[0.8, 0.2], [0.8, 0.2]])
+    report = verify_chain(classify_chain(w, [[1]]), [w] * 5, profiles, profiles)
+    assert report["observed"] == {"max_deviation_from_prediction": 0.0}
+    assert report["hypotheses"]["satisfied"] is False and report["match"] is False
+
+
+@pytest.mark.parametrize("leaders, offset, match", [
+    ([0.8, 0.8], 1e-4, True), ([0.8, 0.8], 2e-3, False),   # equal leaders: full consensus
+    ([0.8, 0.4], 1e-4, True), ([0.8, 0.4], 2e-3, False),   # the outer agent between them
+])
+def test_two_group_match_takes_the_wide_tolerance(leaders, offset, match):
+    chain, ws = _two_leader_chain()
+    initial = np.array([[leaders[0], 1 - leaders[0]], [leaders[1], 1 - leaders[1]], [0.1, 0.9]])
+    final = initial.copy()
+    final[2] = (initial[0] + initial[1]) / 2 + offset
+    if leaders[0] == leaders[1]:
+        final[:2] += offset
+    report = verify_chain(chain, ws, initial, final)
+    assert report["prediction"]["full_consensus"] is (leaders[0] == leaders[1])
+    assert report["match"] is match
+
+
+_PROFILES = np.array([[0.8, 0.2], [0.1, 0.9], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("groups, ws, initial, final, shapes", [
+    ([[1]], [], _PROFILES, _PROFILES, "0 matrices and profiles of shape (3, 2) and (3, 2)"),
+    ([[1], [2]], [], _PROFILES, _PROFILES, "0 matrices"),
+    ([[1], [2]], [np.eye(3)], _PROFILES, _PROFILES[:2], "shape (3, 2) and (2, 2)"),
+    ([[1]], [np.eye(3)], _PROFILES[:2], _PROFILES, "shape (2, 2) and (3, 2)"),
+    ([[1], [2]], [np.eye(3)], _PROFILES[:2], _PROFILES[:2], "shape (2, 2) and (2, 2)"),
+    ([[1]], [np.eye(3)], _PROFILES[:, 0], _PROFILES[:, 0], "shape (3,) and (3,)"),
+    ([[1]], [np.eye(3)], _PROFILES, _PROFILES[:, :1], "shape (3, 2) and (3, 1)"),
+    ([[1], [2]], [np.eye(3)], _PROFILES[:, :0], _PROFILES[:, :0], "shape (3, 0) and (3, 0)"),
+], ids=["one-group-no-matrix", "two-groups-no-matrix", "final-rows", "initial-rows",
+        "both-rows", "one-dimensional", "widths", "no-column"])
+def test_verify_chain_rejects_malformed_inputs(groups, ws, initial, final, shapes):
+    chain = classify_chain(np.eye(3), groups)
+    with pytest.raises(NotDrivenChain, match=r"^need a matrix and \(3, singletons\) profiles, "
+                                             r"got .*" + re.escape(shapes)):
+        verify_chain(chain, ws, initial, final)
+
+
+@pytest.mark.parametrize("agent", [1.5, 1.0, "a", True, None])
+def test_classify_chain_takes_integer_agent_ids(agent):
+    with pytest.raises(NotDrivenChain, match=rf"^central agent {re.escape(repr(agent))} "
+                                             r"is not an integer agent id$"):
+        classify_chain(np.eye(3), [[agent]])
+    assert classify_chain(np.eye(3), [[np.int64(2)], [3]]).groups == ((2,), (3,))
+
+
+@pytest.mark.parametrize("groups", [[[]], [[1], []], [[], [2]]])
+def test_a_central_group_holds_an_agent(groups):
+    with pytest.raises(NotDrivenChain, match="^every central group must hold at least one agent$"):
+        classify_chain(np.eye(3), groups)
+
+
 def test_two_group_report_without_rank_one_groups():
     # the first group's agents hear only themselves: its product stays the identity
     w = np.eye(4)
@@ -396,14 +489,19 @@ def runs_of_equal(ws):
 
 
 def split_by_step(couplings):
-    """The two-group weight-proportion fields with the split taken at every step."""
+    """The two-group weight-proportion fields with the split taken at every
+    step, agent by agent."""
     lambdas, every_step, constrained_steps = [], True, 0
-    for _, c_blocks in couplings:
-        lam, constrained = _step_lambda(c_blocks)
-        constrained_steps += constrained
-        if constrained and lam is None:
+    for _, (c1, c2) in couplings:
+        shares = [(float(a.sum()), float(b.sum())) for a, b in zip(c1, c2)]
+        split = [b / (a + b) for a, b in shares if a + b > 0.0]
+        if not split:
+            continue
+        constrained_steps += 1
+        lam = float(np.mean(split))
+        if max(split) - min(split) > 1e-10 or not 0.0 < lam < 1.0:
             every_step = False
-        elif constrained:
+        else:
             lambdas.append(lam)
     return {"weight_proportion_every_step": every_step,
             "weight_proportion_constant": bool(lambdas) and max(lambdas) - min(lambdas) <= 1e-10,
@@ -414,13 +512,12 @@ def split_by_step(couplings):
 def verify_both_ways(monkeypatch, groups, ws, initial, final):
     """The theorem report (or NotDrivenChain message) of the walk and of the oracle."""
     chain = classify_chain(ws[0], groups)
-    verify = verify_one_group_chain if chain.kind == "one-group" else verify_two_group_chain
     outcomes = []
     for walk in (_walk_chain, per_step_walk):
         with monkeypatch.context() as m:
             m.setattr(analysis, "_walk_chain", walk)
             try:
-                outcomes.append(json.dumps(verify(chain, ws, initial, final)))
+                outcomes.append(json.dumps(verify_chain(chain, ws, initial, final)))
             except NotDrivenChain as exc:
                 outcomes.append(f"NotDrivenChain: {exc}")
     if not outcomes[0].startswith("NotDrivenChain"):

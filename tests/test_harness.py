@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ds_consensus.cli import cli
-from ds_consensus.dst import Frame
+from ds_consensus.dst import Frame, prop_to_str
 from ds_consensus.dynamics import Strategy
 from ds_consensus.errors import (DSConsensusError, EngineMismatch, InvalidScenario,
                                  NotDirichlet, ScenarioParseError)
-from ds_consensus.output import CSV_HEADER, write_sweep_csv, write_sweep_json, write_sweep_svg
+from ds_consensus.output import (CSV_HEADER, write_sweep_csv, write_sweep_json, write_sweep_svg,
+                                 write_trace)
 from ds_consensus import cli as cli_module, dynamics, runner, scenario as scenario_module
-from ds_consensus.analysis import classify_chain, verify_one_group_chain, verify_two_group_chain
+from ds_consensus.analysis import classify_chain, verify_chain
 from ds_consensus.graph import MAX_NODES, DirectedGraph, erdos_renyi, erdos_renyi_connected
 from ds_consensus.runner import run_simulation, run_sweep, sweep_grid, verify_run
 from ds_consensus.scenario import (Scenario, assets_dir, list_assets, load_scenario,
@@ -327,6 +328,15 @@ def test_sweep_svg_escapes_the_scenario_name(tmp_path, capsys):
     assert title == "a<b & c: limit mass of 1 vs bound of confidence"
 
 
+def test_sweep_cluster_ids_are_each_agents_cluster():
+    scenario = load_scenario("fig5a-pmf")
+    sweep = run_sweep(scenario, 0.0, 1.0, 0.1)
+    assert max(sweep.cluster_counts) > 2 and sweep.cluster_ids.dtype == np.int64
+    for ids, eps in zip(sweep.cluster_ids, sweep.grid):
+        report = run_simulation(scenario, eps).report
+        assert ids.tolist() == [report.cluster_of(a) for a in range(1, 8)]
+
+
 def test_sweep_deterministic_and_parallel_equal(tmp_path):
     s = load_scenario("fig5a-pmf")
     serial = run_sweep(s, 0.30, 0.40, 0.05, workers=1)
@@ -427,6 +437,31 @@ def test_trajectory_csv_quotes_a_compound_proposition(tmp_path, capsys):
     compound = [row for row in rows[1:] if "," in row[2]]
     assert compound and len(compound) < len(rows) - 1
     assert text.count('"') == 2 * len(compound)
+
+
+def trajectory_by_loop(result, frame) -> str:
+    """trajectory.csv formed mass by mass, the reference for the trace writer."""
+    lines = ["step,agent_id,proposition,mass"]
+    for step, masses in enumerate(result.trajectory):
+        for agent in range(masses.shape[0]):
+            for mask in range(1, masses.shape[1]):
+                if masses[agent, mask] != 0.0:
+                    prop = prop_to_str(mask, frame)
+                    prop = f'"{prop}"' if "," in prop else prop
+                    lines.append(f"{step},{agent + 1},{prop},{float(masses[agent, mask])!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name, epsilon", [("table1-general", 0.3), ("fig4a-dirichlet", 0.3),
+                                           ("ds7-oneleader", 0.5), ("fig5a-pmf", 0.35)])
+def test_trace_writer_is_the_mass_by_mass_loop(tmp_path, name, epsilon):
+    scenario = load_scenario(name)
+    result = run_simulation(scenario, epsilon, record_trace=True)
+    write_trace(result, tmp_path)
+    text = (tmp_path / "trajectory.csv").read_text(encoding="utf-8")
+    assert text == trajectory_by_loop(result, scenario.frame)
+    edges = json.loads((tmp_path / "pruned_edges.json").read_text(encoding="utf-8"))
+    assert edges == [sorted(map(list, e)) for e in result.pruned_edges]
 
 
 def _cli_outcomes(capsys, calls):
@@ -569,9 +604,8 @@ def test_verify_run_is_the_recorded_run_workflow(name, epsilon):
     scenario = load_scenario(name)
     run = run_simulation(scenario, epsilon=epsilon, record_matrices=True)
     chain = classify_chain(run.matrices[0], [[leader] for leader in scenario.leaders])
-    verify = verify_one_group_chain if len(scenario.leaders) == 1 else verify_two_group_chain
-    theorem = verify(chain, run.matrices, run.singleton_profiles(run.initial_masses),
-                     run.singleton_profiles())
+    theorem = verify_chain(chain, run.matrices, run.singleton_profiles(run.initial_masses),
+                           run.singleton_profiles())
     want = {"scenario": scenario.name, "engine": run.engine, "epsilon": epsilon,
             "leaders": list(scenario.leaders), "theorem": theorem,
             "clusters": run.report.to_dict(run.converged, run.iterations)}

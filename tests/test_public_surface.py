@@ -1,14 +1,16 @@
-"""Every public name has a caller outside the unit tests.
+"""Every definition has a caller outside the unit tests.
 
-A name that ``ds_consensus/__init__.py`` imports must be used somewhere in
-the program (``src/``, not counting the line that defines it), in the
-acceptance suite or in the benchmark harness (``perfbench/``).  A public
-function that only the unit tests call either gains a real caller or is
-removed.  Uses are read from the token stream, so comments do not count;
-words inside string literals do, because the benchmark's tracer names what
-it wraps by string.  Nor does any dataclass take a cache field (a field
-named ``_x``) as a constructor argument, or generate an ``__eq__`` that
-compares arrays.
+Each function, class, method and property in ``src/ds_consensus``, and each
+name that ``ds_consensus/__init__.py`` imports, must be used somewhere in
+the program (``src/``, not counting the line that defines it nor the
+package's imports), in the acceptance suite or in the benchmark harness
+(``perfbench/``).  Code that only the unit tests call either gains a real
+caller or is removed.  Uses are read from the token stream, so comments do
+not count; in ``perfbench/`` the words inside string literals count too,
+because the benchmark's tracer names what it wraps by string.  A method
+Python calls itself (a ``__dunder__``) needs no caller.  Nor does any
+dataclass take a cache field (a field named ``_x``) as a constructor
+argument, or generate an ``__eq__`` that compares arrays.
 """
 
 import ast
@@ -35,14 +37,14 @@ def exported_names() -> list[str]:
             if isinstance(node, ast.ImportFrom) for alias in node.names]
 
 
-def used_names(path: Path) -> set[str]:
+def used_names(path: Path, strings: bool = True) -> set[str]:
     """Names the file uses: its name tokens, except the one a ``def`` or
-    ``class`` defines, and the words of its string literals."""
+    ``class`` defines, and (with ``strings``) the words of its string literals."""
     used, previous = set(), None
     for token in tokenize.generate_tokens(io.StringIO(path.read_text(encoding="utf-8")).readline):
         if token.type == tokenize.NAME and previous not in ("def", "class"):
             used.add(token.string)
-        elif token.type in _STRINGS:
+        elif strings and token.type in _STRINGS:
             used.update(re.findall(r"\w+", token.string))
         if token.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT):
             previous = token.string
@@ -50,9 +52,22 @@ def used_names(path: Path) -> set[str]:
 
 
 def callers() -> set[str]:
-    files = [p for p in (ROOT / "src").rglob("*.py") if p != INIT]
-    files += [ROOT / "tests" / "test_acceptance.py", *(ROOT / "perfbench").rglob("*.py")]
-    return set().union(*map(used_names, files))
+    program = [p for p in (ROOT / "src").rglob("*.py") if p != INIT]
+    program.append(ROOT / "tests" / "test_acceptance.py")
+    return set().union(*(used_names(p, strings=False) for p in program),
+                       *map(used_names, (ROOT / "perfbench").rglob("*.py")))
+
+
+def definitions() -> list[str]:
+    """``module.name`` of every function, class, method and property in the
+    package, except the methods Python calls itself."""
+    found = []
+    for path in sorted((ROOT / "src" / "ds_consensus").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not (node.name.startswith("__") and node.name.endswith("__")):
+                found.append(f"{path.stem}.{node.name}")
+    return found
 
 
 def test_every_exported_name_has_a_caller_outside_the_unit_tests():
@@ -60,6 +75,13 @@ def test_every_exported_name_has_a_caller_outside_the_unit_tests():
     assert "BodyOfEvidence" in names and "run_simulation" in names
     used = callers()
     assert [name for name in names if name not in used] == []
+
+
+def test_every_definition_has_a_caller_outside_the_unit_tests():
+    names = definitions()
+    assert "analysis._walk_chain" in names and "dynamics.ProfileRun" in names
+    used = callers()
+    assert [name for name in names if name.split(".")[1] not in used] == []
 
 
 @pytest.mark.parametrize("source,used", [
