@@ -143,7 +143,8 @@ def _agent_index(agents: Sequence[int]) -> np.ndarray:
 @dataclass(frozen=True)
 class DrivenChain:
     """Index bookkeeping for a block-triangular confidence structure: the
-    central groups and the outer agents hold each of the agents 1..n once."""
+    central groups and the outer agents hold each of the agents 1..n once,
+    as integer ids, which the chain keeps as Python ints."""
 
     groups: tuple[tuple[int, ...], ...]       # central groups, 1-based ids
     outer: tuple[int, ...]                    # remaining agents, 1-based
@@ -155,6 +156,8 @@ class DrivenChain:
             raise NotDrivenChain(f"need one or two central groups, got {len(self.groups)}")
         if not all(self.groups):
             raise NotDrivenChain("every central group must hold at least one agent")
+        object.__setattr__(self, "groups", tuple(tuple(map(_agent_id, g)) for g in self.groups))
+        object.__setattr__(self, "outer", tuple(_agent_id(a, "outer") for a in self.outer))
         agents = sorted([*(a for g in self.groups for a in g), *self.outer])
         if agents != list(range(1, len(agents) + 1)):
             raise NotDrivenChain(f"the groups and the outer agents must hold each of the "
@@ -210,10 +213,11 @@ def _square_finite(w) -> np.ndarray:
     return w
 
 
-def _agent_id(a) -> int:
-    """An agent id given as an integer (not a bool, a float or a string)."""
+def _agent_id(a, role: str = "central") -> int:
+    """An agent id given as an integer (not a bool, a float or a string), as
+    a Python int."""
     if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
-        raise NotDrivenChain(f"central agent {a!r} is not an integer agent id")
+        raise NotDrivenChain(f"{role} agent {a!r} is not an integer agent id")
     return int(a)
 
 

@@ -18,7 +18,7 @@ pruning recomputed from current opinions each step):
 
 All three step through one kernel, :class:`ProfileRun`, which holds its
 states in the rows of one stack, prunes under a metric certificate and
-steps pmf and Dirichlet runs in chunks (see its docstring).  No run calls
+steps every run in chunks, through one walk (see its docstring).  No run calls
 :func:`pmf_step`, :func:`dirichlet_step`, :func:`general_step` or the
 confidence-matrix builders, one-step views of the kernel on an immutable
 :class:`NetworkState`, nor reads :class:`AgentSpec` or :attr:`NetworkState.specs`:
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import dst
 from .dst import BodyOfEvidence, Frame
-from .errors import EngineMismatch, NotDirichlet, check_unit_interval
+from .errors import EngineMismatch, NotABeliefFunction, NotDirichlet, check_unit_interval
 from .graph import DirectedGraph, kept_edges
 
 
@@ -463,7 +463,7 @@ MOVE_SLACK = 1e-6
 MOVE_ROUNDING = 2.0 ** -52
 
 
-# The longest chunk of steps a pmf or Dirichlet run forms ahead (see ProfileRun.advance).
+# The longest chunk of steps a run forms ahead (see ProfileRun, ProfileRun.advance).
 CHUNK = 64
 
 
@@ -500,22 +500,23 @@ class ProfileRun:
     State is one (N, K) array ``x`` of the columns the engine can fill: the
     M singletons for pmf, plus the full frame for Dirichlet, and all 2**M
     subsets for general.  Every state the run forms is a row of one C-order
-    ``(R, K * N)`` stack, and ``x`` is the view of row ``_at`` (a general
-    run's ``_profiles[0]``).  A general row is a C-order mass table with its own
-    lattice plan, as a column-major copy could round the Gram product
-    differently.  A closed-form row is the transpose of an (N, K) profile,
-    and a step writes its first M rows times ``w.T``, the transposed view of
-    the plan's matrix, into the next row's (:func:`_update`: the bits of
-    ``w @ x`` up to M = 7).  A step writes a row its state is not in
-    (:meth:`_products`, :meth:`_general_step`), so a step that raises leaves
-    ``x`` as it was, and a table taken by :meth:`masses` is a copy.  A pmf
-    or Dirichlet run keeps CHUNK + 1 rows, so a chunk of its steps
-    (:meth:`advance`) runs the same ``np.dot`` on the same layouts (the
-    gemm of ``np.matmul``, bit for bit: see :func:`_update`), refills the
-    Dirichlet weights at the same states, and re-prunes at a row inside a
-    chunk on the same Gram product, as single steps would.  A
-    general run keeps two rows, which swap roles at every step: it takes its
-    steps one by one (:meth:`_general_step`), with no chunk to plan.
+    ``(R, K * N)`` stack, and ``x`` is the view of row ``_at``.  A general
+    row is a C-order (N, 2**M) mass table, as a column-major copy could
+    round the Gram product differently; a step forms it in a work table of
+    the run's own, whose lattice plan it keeps, and copies it into the row
+    (:meth:`_general_step`).  A closed-form row is the transpose of an (N,
+    K) profile, and a step writes its first M rows times ``w.T``, the
+    transposed view of the plan's matrix, into the next row's
+    (:func:`_update`: the bits of ``w @ x`` up to M = 7).  A step writes a
+    row its state is not in (:meth:`_products`), so a step that raises
+    leaves ``x`` as it was, and a table taken by :meth:`masses` is a copy.
+    Every run keeps 1 + min(CHUNK, TERM_BLOCK // (N * K)) rows (two at
+    least), as many as fit TERM_BLOCK entries, and a chunk of steps
+    (:meth:`advance`) forms each state from the one before exactly as a
+    single step would: the same ``np.dot`` on the same layouts (the gemm
+    of ``np.matmul``, bit for bit: see :func:`_update`), the Dirichlet
+    weights refilled and the general terms found at the same states, and a
+    re-pruning at a row inside a chunk on the same Gram product.
 
     Adjacency, bounds (a uniform ``epsilon`` replaces the per-agent ones),
     self-weights and strategies are fixed for the run, and a run derives
@@ -563,21 +564,21 @@ class ProfileRun:
         # weights that scale with a full-frame column (one-singleton Dirichlet has none)
         self._scaled = engine == "dirichlet" and len(self._cols) > self.frame.size
         (n, k), m = (len(state.masses), len(self._cols)), self.frame.size
-        self._stack = np.empty((2 if self._general else CHUNK + 1, k * n))
-        if self._general:  # a step's beliefs go to a table of the run's own
-            self._profiles = list(self._stack.reshape(-1, n, k))  # [state, next]
-            self._flats = list(self._stack)
-            self._lattices = [dst._lattice_steps(t) for t in self._profiles]
-            self._bl = np.empty((n, k))
+        self._stack = np.empty((1 + min(CHUNK, max(1, TERM_BLOCK // (n * k))), k * n))
+        chunk = len(self._stack) - 1
+        if self._general:  # a step's beliefs and update go to tables of the run's own
+            self._profiles = list(self._stack.reshape(-1, n, k))
+            self._bl, self._work = np.empty((n, k)), np.empty((n, k))
             self._bl_steps = dst._lattice_steps(self._bl)
+            self._work_steps = dst._lattice_steps(self._work)
         else:
             blocks = self._stack.reshape(-1, k, n)
             self._profiles = list(blocks.transpose(0, 2, 1))
             self._singles = list(blocks[:, :m])  # pmf rows hold only singletons
             self._fulls = list(blocks[:, m]) if self._scaled else [None] * len(blocks)
             # each step's unclipped full-frame masses (pmf profiles have none)
-            self._leftover = np.empty((CHUNK, n)) if self._scaled else [None] * CHUNK
-        self._diff = np.empty((len(self._stack) - 1, k * n))
+            self._leftover = np.empty((chunk, n)) if self._scaled else [None] * chunk
+        self._diff = np.empty((chunk, k * n))
         np.copyto(self._profiles[0], state.masses[:, self._cols])
         self.x, self._at = self._profiles[0], 0
         self._pairs = state.graph.edge_index  # base edge e: src[e] hears nbr[e]
@@ -661,8 +662,9 @@ class ProfileRun:
         w.setflags(write=False)
         return w
 
-    def _general_terms(self, bl: np.ndarray) -> _Terms:
-        """The term structure at the current masses, rebuilt only when its key changes.
+    def _general_terms(self, x: np.ndarray, bl: np.ndarray) -> _Terms:
+        """The term structure at the masses ``x`` (a row of the stack) with
+        beliefs ``bl``, rebuilt only when its key changes.
 
         The key is the kept edges, each agent's support and, while a
         cautious agent hears someone, the positive-belief pattern (receptive
@@ -679,10 +681,10 @@ class ProfileRun:
         509 times, 231 of them at the first step.
         """
         terms = self._terms
-        if (terms is not None and self._flats[0].dot(self._unseen) <= 0.0
+        if (terms is not None and x.reshape(-1).dot(self._unseen) <= 0.0
                 and not (terms.cautious is not None and (bl > 0.0).tobytes() != self._bl_pos)):
             return terms
-        self._support |= self.x > 0.0
+        self._support |= x > 0.0
         self._unseen = np.where(self._support, 0.0, 1.0).reshape(-1)
         bl_pos = bl > 0.0
         self._bl_pos = bl_pos.tobytes()
@@ -691,58 +693,66 @@ class ProfileRun:
         self.rebuilds += 1
         return self._terms
 
-    def _general_step(self) -> float:
-        """Form a general run's next state in its other row and take it (the
-        two rows swap roles); return the step's largest mass change, read as
-        old - new, whose absolute value has the same bits as new - old's."""
-        x, new = self._profiles
-        bl = self._bl
+    def _general_step(self, s: int) -> None:
+        """Form a general run's state after row ``s`` in row ``s + 1``: the
+        beliefs and the update go to tables of the run's own, each with its
+        lattice plan, and the update is copied into the row (at N = 7, M =
+        3 the copy costs a sixth of a lattice plan per row, by timeit)."""
+        x, bl, work = self._profiles[s], self._bl, self._work
         np.copyto(bl, x)
         dst._zeta(self._bl_steps)
-        _general_update(x, bl, self._general_terms(bl), new, self._lattices[1])
-        for rows in (self._profiles, self._flats, self._lattices):
-            rows.reverse()
-        self.x = new
-        d = self._diff[0]
-        np.subtract(self._flats[1], self._flats[0], out=d)
-        return float(np.maximum.reduce(np.abs(d, out=d)))
+        _general_update(x, bl, self._general_terms(x, bl), work, self._work_steps)
+        np.copyto(self._profiles[s + 1], work)
 
     def _products(self, count: int, weights: list | None = None) -> list[float]:
-        """Form up to ``count`` closed-form states in the rows after the
-        state's; return each formed step's largest mass change.  The steps
-        multiply by the plan's matrix, which a Dirichlet step then refills at
-        the state it formed.  A Dirichlet chunk checks the unclipped
-        full-frame masses of all its products at once, after the loop: a
-        product that breaks mass conservation cuts the chunk just before it
-        (the plan is refilled at the last state kept, and it and the products
-        past it count as discarded), so the error is raised only if the run
-        takes that step, as the first of a later chunk.  ``weights``, given,
-        gets the confidence matrix of each state formed, as :meth:`weights`
-        reads it there.  Where the chunk does not fit, the state is first
-        copied to the first row.  The change is read from the rows in the
-        stack's order."""
+        """Form up to ``count`` states in the rows after the state's; return
+        each formed step's largest mass change.  A general step forms each
+        state from the one before (:meth:`_general_step`); a closed-form step
+        multiplies by the plan's matrix, which a Dirichlet step then refills
+        at the state it formed.  A product that fails cuts the chunk just
+        before it (it and the products formed past it count as discarded),
+        so its error is raised only if the run takes that step, as the first
+        of a later chunk.  A general product fails in its recovery
+        (NotABeliefFunction); a Dirichlet chunk checks the unclipped
+        full-frame masses of all its products at once, after the loop, for
+        one that breaks mass conservation, and refills the plan at the last
+        state kept.  ``weights``, given, gets the confidence matrix of each
+        state formed, as :meth:`weights` reads it there.  Where the chunk
+        does not fit, the state is first copied to the first row.  The
+        changes are read from the rows in the stack's order, in one batch."""
         stack = self._stack
         if self._at + count >= len(stack):
             np.copyto(self._profiles[0], self.x)
             self.x, self._at = self._profiles[0], 0
         at = self._at
-        wt, singles, fulls = self._plan.matrix.T, self._singles, self._fulls
-        fill = self._plan.fill if self._scaled else None
-        leftover = self._leftover
-        for s in range(at, at + count):
-            _update(wt, singles[s], singles[s + 1], fulls[s + 1], leftover[s - at])
-            if fill:  # the plan's matrix follows the full-frame masses
-                fill(fulls[s + 1])
-            if weights is not None:
-                weights.append(self.weights())
-        if fill and np.minimum.reduce(leftover[:count], axis=None) < -CONSERVATION_TOL:
-            worst = np.minimum.reduce(leftover[:count], axis=1)
-            broken = int(np.argmax(worst < -CONSERVATION_TOL))  # the first broken step
-            self.discarded += count - broken  # it and the products formed past it
-            count = broken
-            fill(fulls[at + count])  # the chunk ends at the state before it
-            if not count:
-                raise NotDirichlet(f"mass conservation violated by {worst[0]!r}")
+        if self._general:
+            for s in range(at, at + count):
+                try:
+                    self._general_step(s)
+                except NotABeliefFunction:
+                    self.discarded += 1  # the product that failed
+                    if s == at:
+                        raise
+                    count = s - at
+                    break
+        else:
+            wt, singles, fulls = self._plan.matrix.T, self._singles, self._fulls
+            fill = self._plan.fill if self._scaled else None
+            leftover = self._leftover
+            for s in range(at, at + count):
+                _update(wt, singles[s], singles[s + 1], fulls[s + 1], leftover[s - at])
+                if fill:  # the plan's matrix follows the full-frame masses
+                    fill(fulls[s + 1])
+                if weights is not None:
+                    weights.append(self.weights())
+            if fill and np.minimum.reduce(leftover[:count], axis=None) < -CONSERVATION_TOL:
+                worst = np.minimum.reduce(leftover[:count], axis=1)
+                broken = int(np.argmax(worst < -CONSERVATION_TOL))  # the first broken step
+                self.discarded += count - broken  # it and the products formed past it
+                count = broken
+                fill(fulls[at + count])  # the chunk ends at the state before it
+                if not count:
+                    raise NotDirichlet(f"mass conservation violated by {worst[0]!r}")
         d = self._diff[:count]
         np.subtract(stack[at + 1:at + count + 1], stack[at:at + count], out=d)
         return np.maximum.reduce(np.abs(d, out=d), axis=1).tolist()
@@ -757,18 +767,20 @@ class ProfileRun:
         The lists given are extended, per step taken, by the kept edges, the
         confidence matrix and the dense masses it started from, read from the
         rows of the steps taken: recording never changes how a run steps.
-        While the kept set holds, :meth:`_products` forms a chunk of steps at
-        once (a pmf chunk with fixed weights, a Dirichlet one refilling them
-        per step), and this walks the certificate budget and the convergence
-        rule over their changes step by step, in the one-step order.  Where
-        the budget runs out inside a chunk, it re-prunes at that step's
-        state, as the next step would: an unchanged kept set leaves the same
-        plan, so the later products stand; a new one drops them
-        (``discarded`` counts those, and those past convergence).  Where the
-        walk stops inside a Dirichlet chunk with the plan unchanged, the plan
-        is refilled at the state taken.  Every product is the same
-        ``np.dot`` on the same layouts as a single step (the bits of
-        ``np.matmul``'s, see :func:`_update`), so a chunk keeps every bit.
+        This is the one walk of every engine.  While the kept set holds,
+        :meth:`_products` forms a chunk of steps at once (a pmf chunk with
+        fixed weights, a Dirichlet one refilling them per step, a general
+        one finding its terms per step), and this walks the certificate
+        budget and the convergence rule over their changes step by step, in
+        the one-step order.  Where the budget runs out inside a chunk, it
+        re-prunes at that step's state, as the next step would: an unchanged
+        kept set (the same ``_kept``, with the same plan) leaves the later
+        products standing; a new one drops them (``discarded`` counts those,
+        and those past convergence).  Where the walk stops inside a
+        Dirichlet chunk with the plan unchanged, the plan is refilled at the
+        state taken.  Every product is formed as a single step forms it (a
+        closed-form one by the same ``np.dot`` on the same layouts, the bits
+        of ``np.matmul``'s, see :func:`_update`), so a chunk keeps every bit.
         Chunks start at one step after a change of the kept set and double
         while it holds, up to the stack's rows less one.  A chunk ends where
         the run is predicted to converge: while the last change
@@ -777,24 +789,16 @@ class ProfileRun:
         than the steps until one would drop below ``step_tol`` plus the
         ``persistence - 1`` quiet steps after it; once the last steps were
         quiet, it is no longer than the quiet steps still needed.
-
-        The engine selects the walk: a general run, whose chunks could only
-        be one step long, takes its steps through :meth:`_advance_singly`,
-        the same budget and convergence rule with no chunk to predict, cut
-        or copy back.  Through this walk instead, a general step costs 3-10 %
-        more.
         """
-        if self._general:
-            return self._advance_singly(limit, step_tol, persistence, edges, matrices, frames)
         steps = quiet = 0
-        span, plan = 1, None
+        span, held = 1, None
         prev = last = 0.0  # the changes of the last two steps taken
         while steps < limit:
             self._certify()
             kept = self.edges() if edges is not None else None
             weights = [self.weights()] if matrices is not None else None
-            span = min(2 * span, len(self._diff)) if self._plan is plan else 1
-            count, plan = min(span, limit - steps), self._plan
+            span = min(2 * span, len(self._diff)) if self._kept is held else 1
+            count, held = min(span, limit - steps), self._kept
             if quiet:  # all quiet, the run converges in persistence - quiet steps
                 count = min(count, persistence - quiet)
             elif 0.0 < step_tol <= last < prev:  # quiet in about `ahead` steps
@@ -812,14 +816,14 @@ class ProfileRun:
                 if self._stale:  # re-prune here, as the next single step would
                     self.x = self._profiles[at + taken]
                     self._certify()
-                    if self._plan is not plan:
+                    if self._kept is not held:
                         break
             self.discarded += len(changes) - taken
             if frames is not None:
                 frames += map(self._dense, self._profiles[at:at + taken])
             self._at = at + taken
             self.x = self._profiles[self._at]
-            if self._scaled and taken < len(changes) and self._plan is plan:
+            if self._scaled and taken < len(changes) and self._kept is held:
                 self._plan.fill(self.x[:, -1])  # the chunk filled it further on
             prev, last = ([prev, last] + changes[:taken])[-2:]
             steps += taken
@@ -827,31 +831,6 @@ class ProfileRun:
                 edges += [kept] * taken
             if matrices is not None:
                 matrices += weights[:taken]
-            if quiet >= persistence:
-                return steps, True
-        return steps, False
-
-    def _advance_singly(self, limit: int, step_tol: float, persistence: int,
-                        edges: list | None, matrices: list | None,
-                        frames: list | None) -> tuple[int, bool]:
-        """:meth:`advance` of a general run: the same walk, one step at a time
-        (the certificate budget, the re-pruning and the quiet-step rule are
-        :meth:`advance`'s; keep the two alike)."""
-        steps = quiet = 0
-        while steps < limit:
-            self._certify()
-            kept = self.edges() if edges is not None else None
-            if matrices is not None:
-                self.weights()  # a general run has none: this raises EngineMismatch
-            change = self._general_step()
-            self._budget -= self._spend_per_change * change + MOVE_ROUNDING
-            self._stale = self._budget <= 0.0
-            quiet = quiet + 1 if change < step_tol else 0
-            steps += 1
-            if edges is not None:
-                edges.append(kept)
-            if frames is not None:  # the state the step started from, in the other row now
-                frames.append(self._dense(self._profiles[1]))
             if quiet >= persistence:
                 return steps, True
         return steps, False

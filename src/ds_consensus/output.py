@@ -38,22 +38,35 @@ def write_sweep_csv(result: BifurcationResult, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# trajectory.csv is written in blocks of steps that hold about this many masses
+TRACE_BLOCK = 1 << 16
+
+
 def write_trace(result: RunResult, out: Path) -> None:
     """Write a traced run into the directory ``out``: ``trajectory.csv``, one
     row per nonzero mass of every state in step, agent and subset order, and
-    ``pruned_edges.json``, each step's kept edges."""
+    ``pruned_edges.json``, each step's kept edges.  The rows are formed and
+    written a block of steps at a time, and the edges a step at a time, so
+    neither file is held whole as text."""
     masses = result.trajectory[:, :, 1:]  # the empty set never carries mass
     props = [_csv_field(prop_to_str(mask, result.report.frame))
              for mask in range(1, masses.shape[2] + 1)]
-    step, agent, col = (masses != 0.0).nonzero()
-    lines = ["step,agent_id,proposition,mass"]
-    lines += [f"{s},{a + 1},{props[c]},{m!r}" for s, a, c, m in zip(
-        step.tolist(), agent.tolist(), col.tolist(), masses[step, agent, col].tolist())]
-    (out / "trajectory.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    block = max(1, TRACE_BLOCK // masses[0].size)
+    with open(out / "trajectory.csv", "w", encoding="utf-8") as f:
+        f.write("step,agent_id,proposition,mass\n")
+        for lo in range(0, len(masses), block):
+            part = masses[lo:lo + block]
+            step, agent, col = (part != 0.0).nonzero()
+            f.write("".join([f"{s},{a + 1},{props[c]},{m!r}\n" for s, a, c, m in zip(
+                (step + lo).tolist(), agent.tolist(), col.tolist(),
+                part[step, agent, col].tolist())]))
     # a run records one edge set per kept set, so each is sorted and dumped once
     dumped = {e: json.dumps(sorted(e)) for e in set(result.pruned_edges)}
-    edges = "[" + ", ".join(dumped[e] for e in result.pruned_edges) + "]"
-    (out / "pruned_edges.json").write_text(edges + "\n", encoding="utf-8")
+    with open(out / "pruned_edges.json", "w", encoding="utf-8") as f:
+        f.write("[")
+        f.writelines(", " + dumped[e] if s else dumped[e]
+                     for s, e in enumerate(result.pruned_edges))
+        f.write("]\n")
 
 
 def write_sweep_json(result: BifurcationResult, path) -> None:

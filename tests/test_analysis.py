@@ -229,6 +229,23 @@ def test_a_hand_built_chain_must_hold_each_agent_once(groups, outer, agents):
     assert str(err.value) == f"the groups and the outer agents must hold each of the agents {agents}"
 
 
+@pytest.mark.parametrize("groups, outer, message", [
+    (((1.0,),), (2,), "central agent 1.0"),
+    (((True,),), (2,), "central agent True"),
+    (((1,),), (2.0,), "outer agent 2.0"),
+])
+def test_a_hand_built_chain_takes_integer_agent_ids(groups, outer, message):
+    with pytest.raises(NotDrivenChain, match=f"^{message} is not an integer agent id$"):
+        DrivenChain(groups, outer)
+
+
+def test_a_hand_built_chain_keeps_numpy_ids_as_python_ints():
+    chain = DrivenChain(((np.int64(1),),), (np.int64(2),))
+    assert [type(a) for a in (*chain.groups[0], *chain.outer)] == [int, int]
+    report = verify_chain(chain, [np.eye(2)], np.eye(2), np.eye(2))
+    assert json.loads(json.dumps(report))["central"] == [[1]]
+
+
 @pytest.mark.parametrize("groups, verify, message", [
     (((1,), (2,)), verify_one_group_chain, "^expected a one-group chain$"),
     (((1,),), verify_two_group_chain, "^expected a two-groups chain$"),

@@ -7,6 +7,7 @@ must reproduce it bit for bit: masses, kept edges, iteration counts.
 """
 
 import json
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -358,8 +359,8 @@ def assert_run_buffers_do_not_alias(engine, monkeypatch):
 
 
 def test_run_buffers_do_not_alias(monkeypatch):
-    # a general run keeps two rows and a Dirichlet run a chunk stack; each
-    # step writes a row its state is not in
+    # a general and a Dirichlet run each keep a chunk stack; each step
+    # writes a row its state is not in
     for engine in ("general", "dirichlet"):
         assert_run_buffers_do_not_alias(engine, monkeypatch)
 
@@ -578,3 +579,25 @@ def test_term_blocks_keep_the_bits_at_a_hundred_agents(monkeypatch):
     assert depth * state.masses.size > dynamics.TERM_BLOCK  # more than one block
     monkeypatch.setattr(dynamics, "TERM_BLOCK", 1)
     assert general_step(state).masses.tobytes() == default.masses.tobytes()
+
+
+# tracemalloc peaks of these runs while a general run held its states in two
+# rows (numpy 2.4, Python 3.11): chunks of general steps may add 1 MiB at most
+TWO_ROW_PEAKS = {(1024, 3): 42_549_362, (256, 6): 133_674_714}
+
+
+@pytest.mark.parametrize("n, m", sorted(TWO_ROW_PEAKS))
+def test_a_large_general_run_keeps_its_chunks_small(n, m, tmp_path):
+    targets = [str(p) for p in range(1, m + 1)] + ["1,2", "*"]
+    data = {"frame_size": m, "graph": {"er": {"n": n, "p": 20 / n, "seed": 1}},
+            "engine": "general", "max_iterations": 5, "n_agents": n,
+            "defaults": {"sample": {"dirichlet": [1] * len(targets), "targets": targets}}}
+    scenario = scenario_from_dict(data, "chunks", tmp_path)
+    tracemalloc.start()
+    try:
+        result = run_simulation(scenario, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.iterations == 5
+    assert peak <= TWO_ROW_PEAKS[n, m] + 2 ** 20

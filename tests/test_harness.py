@@ -22,7 +22,7 @@ from ds_consensus.errors import (DSConsensusError, EngineMismatch, InvalidScenar
                                  NotDirichlet, ScenarioParseError)
 from ds_consensus.output import (CSV_HEADER, write_sweep_csv, write_sweep_json, write_sweep_svg,
                                  write_trace)
-from ds_consensus import cli as cli_module, dynamics, runner, scenario as scenario_module
+from ds_consensus import cli as cli_module, dynamics, output, runner, scenario as scenario_module
 from ds_consensus.analysis import classify_chain, verify_chain
 from ds_consensus.graph import MAX_NODES, DirectedGraph, erdos_renyi, erdos_renyi_connected
 from ds_consensus.runner import run_simulation, run_sweep, sweep_grid, verify_run
@@ -462,6 +462,21 @@ def test_trace_writer_is_the_mass_by_mass_loop(tmp_path, name, epsilon):
     assert text == trajectory_by_loop(result, scenario.frame)
     edges = json.loads((tmp_path / "pruned_edges.json").read_text(encoding="utf-8"))
     assert edges == [sorted(map(list, e)) for e in result.pruned_edges]
+
+
+@pytest.mark.parametrize("block", [1, 100, 10 ** 6])
+def test_trace_writer_keeps_its_bytes_in_blocks_of_any_size(tmp_path, monkeypatch, block):
+    # 49 masses a step: blocks of one step, of two (a step's rows never
+    # split), and one block for the whole run; the edges go a step at a time
+    monkeypatch.setattr(output, "TRACE_BLOCK", block)
+    scenario = load_scenario("ds7-oneleader")
+    result = run_simulation(scenario, 0.5, record_trace=True)
+    write_trace(result, tmp_path)
+    text = (tmp_path / "trajectory.csv").read_text(encoding="utf-8")
+    # compared as lines: a mismatch then reports its first differing line
+    assert text.split("\n") == trajectory_by_loop(result, scenario.frame).split("\n")
+    edges = (tmp_path / "pruned_edges.json").read_text(encoding="utf-8")
+    assert edges == "[" + ", ".join(json.dumps(sorted(e)) for e in result.pruned_edges) + "]\n"
 
 
 def _cli_outcomes(capsys, calls):

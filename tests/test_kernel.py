@@ -22,7 +22,7 @@ from ds_consensus.dst import (MAX_FRAME_SIZE, BodyOfEvidence, Frame, jaccard_mat
 from ds_consensus.dynamics import (AgentSpec, ProfileRun, Strategy, _update, _WeightPlan,
                                    dirichlet_confidence_matrix, dirichlet_step, distance_error,
                                    general_step, pmf_confidence_matrix, pmf_step)
-from ds_consensus.errors import EngineMismatch, NotDirichlet
+from ds_consensus.errors import EngineMismatch, NotABeliefFunction, NotDirichlet
 from ds_consensus.graph import DirectedGraph
 from ds_consensus.runner import run_simulation, sweep_grid
 from ds_consensus.scenario import Scenario, load_scenario
@@ -542,27 +542,51 @@ def test_budget_that_runs_out_on_the_converging_step_prunes_no_more():
     assert run.prunes == one.prunes == 10
 
 
+# the function that forms one product, per engine
+PRODUCT = {"dirichlet": "_update", "general": "_general_update"}
+
+
+def count_products(monkeypatch, engine):
+    """Count every product an ``engine`` run forms; return the growing list."""
+    formed, form = [], getattr(dynamics, PRODUCT[engine])
+    monkeypatch.setattr(dynamics, PRODUCT[engine],
+                        lambda *args: formed.append(1) or form(*args))
+    return formed
+
+
 @pytest.mark.parametrize("engine", ["dirichlet", "general"])
 def test_state_dependent_weights_step_one_at_a_time(engine, monkeypatch):
-    # a general run forms its own terms and takes its steps one by one; a
-    # Dirichlet chunk refills its weights at every state it forms
-    calls = []
-    method = "_general_step" if engine == "general" else "_products"
-    form = getattr(ProfileRun, method)
-    monkeypatch.setattr(ProfileRun, method,
-                        lambda run, *args: calls.append(run) or form(run, *args))
+    # a Dirichlet chunk refills its weights, and a general chunk finds its
+    # terms, at every state it forms: both form several steps per chunk,
+    # each product formed is taken or counted as discarded, and the first
+    # chunk of each kept set is one step long
+    chunks, form = [], ProfileRun._products
+    monkeypatch.setattr(ProfileRun, "_products", lambda run, count, *args: chunks.append(
+        (run._kept, count)) or form(run, count, *args))
+    formed = count_products(monkeypatch, engine)
     rng = np.random.default_rng(4113)
+    kept_sets = 0
     for _ in range(3):
         frame, graph, specs = random_network(rng, "dirichlet", 10, 2)
         state = at_bound(state_from_specs(frame, graph, specs), 0.37)
-        run, _, steps, _ = assert_advance_matches_single_steps(state, engine, limit=300)
-        if engine == "general":
-            assert run.discarded == 0 and calls.count(run) == steps
-        else:
-            assert calls.count(run) < steps
+        chunks.clear()
+        formed.clear()
+        run = ProfileRun(state, engine)
+        steps, _ = run.advance(300, 1e-10, 10)
+        assert len(chunks) < steps
+        assert len(formed) == steps + run.discarded
+        held = None
+        for kept, count in chunks:
+            if kept is not held:
+                kept_sets += 1
+                assert count == 1
+            held = kept
+        assert_advance_matches_single_steps(state, engine, limit=300)
+    assert kept_sets > 3  # some kept set changed mid-run
 
 
-PLANTED = -0.5  # the full-frame mass a planted product leaves
+PLANTED = -0.5  # the full-frame mass a planted Dirichlet product leaves
+PLANTED_RECOVERY = "recovered mass -0.5 below -1e-09 (planted)"
 
 
 def plant_guard(monkeypatch, masses, frame):
@@ -582,53 +606,97 @@ def plant_guard(monkeypatch, masses, frame):
     return fired
 
 
-def test_guard_past_convergence_leaves_the_run_alone(monkeypatch):
-    # at this tolerance the runs' last chunk forms the product after the
-    # converging step; its guard must not fire on a step never taken
+def plant_recovery_failure(monkeypatch, masses, frame=None):
+    """Make the general product from the state with the dense ``masses``
+    fail its recovery; return the list that grows each time it fires."""
+    target, update, fired = masses.tobytes(), dynamics._general_update, []
+
+    def failing(x, bl, terms, out, lattice):
+        update(x, bl, terms, out, lattice)
+        if x.tobytes() == target:  # a general row is the dense table
+            fired.append(1)
+            raise NotABeliefFunction(PLANTED_RECOVERY)
+
+    monkeypatch.setattr(dynamics, "_general_update", failing)
+    return fired
+
+
+PLANT = {"dirichlet": plant_guard, "general": plant_recovery_failure}
+
+
+def assert_guard_past_convergence_leaves_the_run_alone(monkeypatch, engine, scenario,
+                                                      step_tol, bounds):
+    """At this tolerance the runs' last chunk forms the product after the
+    converging step; its guard must not fire on a step never taken."""
     for persistence in (1, 10):
-        scenario = replace(load_scenario("fig3a-dirichlet"), step_tol=1e-6,
-                           persistence=persistence)
-        for eps in (0.05, 0.3):
+        scenario = replace(scenario, step_tol=step_tol, persistence=persistence)
+        for eps in bounds:
             plain = run_simulation(scenario, eps, record_trace=True)
             assert plain.converged
             assert all(m.tobytes() != plain.final_masses.tobytes()
                        for m in plain.trajectory[:-1])  # the planted state is the last
-            fired = plant_guard(monkeypatch, plain.final_masses, scenario.frame)
+            fired = PLANT[engine](monkeypatch, plain.final_masses, scenario.frame)
             planted = run_simulation(scenario, eps, record_trace=True)
             monkeypatch.undo()
             assert len(fired) == 1
             assert (planted.iterations, planted.converged) == (plain.iterations, True)
             assert planted.trajectory.tobytes() == plain.trajectory.tobytes()
+            assert planted.pruned_edges == plain.pruned_edges
             # the run converged inside a chunk: single steps leave the same
             # state and weights
             run, _, _, _ = assert_advance_matches_single_steps(
-                at_bound(scenario.state, eps), "dirichlet", step_tol=1e-6,
+                at_bound(scenario.state, eps), engine, step_tol=step_tol,
                 persistence=persistence)
             assert run.discarded > 0
 
 
-def test_guard_inside_a_chunk_raises_when_its_step_is_taken(monkeypatch):
-    scenario = load_scenario("fig4a-dirichlet")
-    states = run_simulation(scenario, 0.5, record_trace=True).trajectory
-    recorded = run_simulation(scenario, 0.5, record_matrices=True).matrices
+def test_guard_past_convergence_leaves_the_run_alone(monkeypatch):
+    assert_guard_past_convergence_leaves_the_run_alone(
+        monkeypatch, "dirichlet", load_scenario("fig3a-dirichlet"), 1e-6, (0.05, 0.3))
+
+
+def test_general_guard_past_convergence_leaves_the_run_alone(monkeypatch):
+    assert_guard_past_convergence_leaves_the_run_alone(
+        monkeypatch, "general", load_scenario("ds7-oneleader", seed=2), 1e-3, (0.3, 0.5))
+
+
+def assert_guard_inside_a_chunk_raises_when_its_step_is_taken(monkeypatch, engine, name, eps,
+                                                              error, message):
+    """Plant a failing product from the 20th state; return the run it stopped."""
+    scenario = load_scenario(name)
+    plain = run_simulation(scenario, eps, record_trace=True)
+    states = plain.trajectory
     k = 20
     assert len(states) > 2 * k
-    fired = plant_guard(monkeypatch, states[k - 1], scenario.frame)
-    formed, guarded = [], dynamics._update
-    monkeypatch.setattr(dynamics, "_update", lambda wt, x, out, full, leftover: formed.append(1)
-                        or guarded(wt, x, out, full, leftover))
-    run = ProfileRun(scenario.state, "dirichlet", 0.5)
-    message = f"mass conservation violated by {np.float64(PLANTED)!r}"
-    with pytest.raises(NotDirichlet, match=f"^{re.escape(message)}$"):
+    fired = PLANT[engine](monkeypatch, states[k - 1], scenario.frame)
+    formed = count_products(monkeypatch, engine)
+    run = ProfileRun(scenario.state, engine, eps)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         run.advance(scenario.max_iterations, scenario.step_tol, scenario.persistence)
     assert run.masses().tobytes() == states[k - 1].tobytes()
-    # the weights are those of the state kept, as a single step would leave them
-    assert run.weights().tobytes() == recorded[k - 1].tobytes()
+    assert run.edges() == plain.pruned_edges[k - 1]
     # it fired inside a chunk first, which was cut before it, then as the
     # first product of the next chunk, which raised
     assert len(fired) == 2
     # each product formed was taken or counted as discarded, those past the cut too
     assert len(formed) == (k - 1) + run.discarded
+    return run, k
+
+
+def test_guard_inside_a_chunk_raises_when_its_step_is_taken(monkeypatch):
+    message = f"mass conservation violated by {np.float64(PLANTED)!r}"
+    run, k = assert_guard_inside_a_chunk_raises_when_its_step_is_taken(
+        monkeypatch, "dirichlet", "fig4a-dirichlet", 0.5, NotDirichlet, message)
+    # the weights are those of the state kept, as a single step would leave them
+    monkeypatch.undo()
+    recorded = run_simulation(load_scenario("fig4a-dirichlet"), 0.5,
+                              record_matrices=True).matrices
+    assert run.weights().tobytes() == recorded[k - 1].tobytes()
+
+
+def test_general_guard_inside_a_chunk_raises_when_its_step_is_taken(monkeypatch):
+    assert_guard_inside_a_chunk_raises_when_its_step_is_taken(
+        monkeypatch, "general", "table1-general", 0.3, NotABeliefFunction, PLANTED_RECOVERY)
 
 
 def assert_recording_leaves_stepping_alone(state, engine, limit=1500, step_tol=1e-10,
