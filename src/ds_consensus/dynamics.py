@@ -39,7 +39,8 @@ import numpy as np
 
 from . import dst
 from .dst import BodyOfEvidence, Frame
-from .errors import EngineMismatch, NotABeliefFunction, NotDirichlet, check_unit_interval
+from .errors import (EngineMismatch, InvalidScenario, NotABeliefFunction, NotDirichlet,
+                     check_unit_interval)
 from .graph import DirectedGraph, kept_edges
 
 
@@ -71,7 +72,8 @@ class NetworkState:
     Row i of every array is agent i+1: ``masses`` is the (N, 2**M) mass
     table, ``alphas`` the self-weights, ``bounds`` the bounds of confidence
     and ``receptive`` the strategies (False: cautious).  The arrays are
-    copied read-only.
+    copied read-only.  A network needs at least one agent, as the loader's
+    graphs have at least one node: a zero-agent state raises InvalidScenario.
     """
 
     frame: Frame
@@ -83,6 +85,8 @@ class NetworkState:
 
     def __post_init__(self):
         n, k = self.graph.n, self.frame.n_subsets
+        if n < 1:
+            raise InvalidScenario(f"a network needs at least one agent, got {n}")
         for name, dtype in (("masses", float), ("alphas", float), ("bounds", float),
                             ("receptive", bool)):
             values = np.array(getattr(self, name), dtype=dtype)
@@ -147,28 +151,86 @@ class ConfidenceMatrix:
 TERM_BLOCK = 1 << 16
 
 
+class _Pattern:
+    """The last pattern of positive covered sums met under one kept set with
+    a cautious edge, and what it decided (see :func:`_term_weights`): its
+    ``key`` (the pattern's bytes), the ``self_weight`` and ``frozen``
+    columns, and the ``scaled`` columns and the ``scale``, 1.0 elsewhere."""
+
+    __slots__ = ("key", "self_weight", "frozen", "scaled", "scale")
+
+    def __init__(self):
+        self.key = None
+
+
+class _KeptTerms(NamedTuple):
+    """What every term structure of one kept set shares, whatever the supports.
+
+    Kept edge e is agent ``src[e]`` hearing ``nbr[e]`` (0-based), ordered by
+    agent, then neighbor, as ``np.nonzero`` lists a receive matrix.
+    ``receptive[e]`` is the hearing agent's strategy and ``share[e]`` what a
+    term on the edge weighs per unit of the mass it gathers: a receptive
+    agent's equal share of ``1 - alpha`` over the agents it hears, 1 for a
+    cautious one.  Per-agent values are (N, 1) columns: ``alphas``, and
+    ``moves``, the receptive agents that hear someone (they always move).
+
+    While every kept edge is receptive (``cautious`` is None), the weights
+    fix which agents move, so ``self_weight`` (alpha for an agent that
+    moves, 1 otherwise) and ``frozen`` (the agents that keep their opinion,
+    None when all move) are formed here, once per kept set.  Otherwise
+    ``cautious`` marks the cautious agents and ``free`` is ``1 - alpha``,
+    and which agents move follows each step's covered sums: ``pattern``
+    holds what the last pattern of positive sums decided (see
+    :func:`_term_weights`).  A term structure rebuilt because the supports
+    grew keeps all of this.
+    """
+
+    src: np.ndarray
+    nbr: np.ndarray
+    receptive: np.ndarray
+    share: np.ndarray
+    alphas: np.ndarray
+    moves: np.ndarray
+    cautious: np.ndarray | None
+    free: np.ndarray | None
+    self_weight: np.ndarray | None
+    frozen: np.ndarray | None
+    pattern: _Pattern | None
+
+
+def _kept_terms(src: np.ndarray, nbr: np.ndarray, alphas: np.ndarray,
+                receptive: np.ndarray) -> _KeptTerms:
+    """The kept set's part of every term structure; kept edge e is agent
+    ``src[e]`` hearing ``nbr[e]``, in ``np.nonzero`` order."""
+    rec = receptive[src]
+    heard = np.bincount(src, minlength=len(alphas))
+    share = np.where(rec, (1.0 - alphas[src]) / heard[src], 1.0)
+    moves, alphas = (receptive & (heard > 0))[:, None], alphas[:, None]
+    if rec.all():
+        return _KeptTerms(src, nbr, rec, share, alphas, moves, None, None,
+                          np.where(moves, alphas, 1.0), None if moves.all() else ~moves, None)
+    return _KeptTerms(src, nbr, rec, share, alphas, moves, ~receptive[:, None], 1.0 - alphas,
+                      None, None, _Pattern())
+
+
 class _Terms(NamedTuple):
     """Where every conditional term of a step sits; its weight comes per step.
 
-    The structure depends on the kept edges, the agents' supports and, while
-    a cautious agent hears someone, the positive-belief pattern, so a run
-    builds it once per change of those (:meth:`ProfileRun._general_terms`)
-    and every step only reads masses and beliefs through its indices.
+    The structure depends on the kept edges (``kept``, formed once per kept
+    set), the agents' supports and, while a cautious agent hears someone,
+    the positive-belief pattern, so a run builds it once per change of those
+    (:meth:`ProfileRun._general_terms`) and every step only reads masses and
+    beliefs through its indices.
 
-    Term t is agent ``agent[t]`` conditioning neighbor ``neighbor[t]`` on
-    ``subset[t]``, at ``cell[t]`` = slot * N + agent in the padded (slot,
-    agent) ``weight`` table (its slot is its rank among its agent's terms;
-    empty cells stay 0).  Its weight is ``share[t]`` times the mass at flat
-    index ``mass_at[t]``: a receptive agent's equal share of ``1 - alpha``
-    times the neighbor's mass.  A cautious term gathers its agent's own mass
-    (share 1), and each step then scales the columns of the agents in
-    ``cautious`` by ``free`` (``1 - alpha``) over the own masses their terms
-    cover.  Without cautious terms (``cautious`` is None) the weights fix
-    which agents move, so ``self_weight`` (alpha for an agent that moves, 1
-    otherwise) and ``frozen`` (the agents that keep their opinion, None when
-    all move) are formed here, not per step.  Per-agent values are (N, 1)
-    columns.  Only a structure with cautious terms depends on the belief
-    pattern.
+    Term t is an agent conditioning neighbor j on subset a, keyed
+    ``key[t]`` = j * 2**M + a, at ``cell[t]`` = slot * N + agent in the
+    padded (slot, agent) ``weight`` table (its slot is its rank among its
+    agent's terms; empty cells stay 0).  Its weight is ``share[t]``, its
+    edge's share, times the mass at flat index ``mass_at[t]``: the
+    neighbor's mass for a receptive agent (``mass_at`` is ``key`` while
+    every kept edge is receptive), and for a cautious one its own, which
+    each step then scales by ``1 - alpha`` over the own masses its agent's
+    terms cover.
 
     The conditionals of the (neighbor, subset) pairs in use gather, in one
     take at ``gather_at``, the beliefs of their numerators into the first
@@ -181,21 +243,14 @@ class _Terms(NamedTuple):
     structure.
     """
 
-    agent: np.ndarray
-    neighbor: np.ndarray
-    subset: np.ndarray
+    kept: _KeptTerms
+    key: np.ndarray
     cell: np.ndarray
     mass_at: np.ndarray
     share: np.ndarray
     beta: np.ndarray
     weight: np.ndarray        # (slot, agent, 1)
     weight_cells: np.ndarray  # ``weight`` as one flat view
-    alphas: np.ndarray
-    moves: np.ndarray         # receptive agents with a kept neighbor: they always move
-    cautious: np.ndarray | None
-    free: np.ndarray | None
-    self_weight: np.ndarray | None
-    frozen: np.ndarray | None
     gather_at: np.ndarray
     gathered: np.ndarray
     num: np.ndarray
@@ -205,53 +260,49 @@ class _Terms(NamedTuple):
     blocks: list
 
 
-def _term_structure(src: np.ndarray, nbr: np.ndarray, support: np.ndarray,
-                    bl_pos: np.ndarray, alphas: np.ndarray, receptive: np.ndarray) -> _Terms:
-    """The terms of every agent, given the kept edges and mass supports.
+def _term_structure(kept: _KeptTerms, support: np.ndarray,
+                    bl_pos: np.ndarray | None) -> _Terms:
+    """The terms of every agent, given the kept set's part and the supports.
 
-    Kept edge e is agent ``src[e]`` hearing ``nbr[e]`` (0-based), ordered by
-    agent, then neighbor, as ``np.nonzero`` lists a receive matrix.  A
-    receptive agent gets a term for each subset in a kept neighbor's
+    A receptive agent gets a term for each subset in a kept neighbor's
     support; a cautious one for each subset in its own support where the
-    neighbor's belief is positive (``bl_pos``).
+    neighbor's belief is positive (``bl_pos``, read only when some kept
+    edge is cautious: while none is, the terms are ``support[nbr]`` and
+    each term's mass is its pair's).  What depends on the kept set alone
+    (strategies, shares, which agents move) comes from ``kept``, so a
+    rebuild after the supports grew forms only the terms, their pairs and
+    the buffers.
     """
     n, k = support.shape
-    rec = receptive[src]
-    use = np.where(rec[:, None], support[nbr], support[src] & bl_pos[nbr])
+    src, nbr, rec = kept.src, kept.nbr, kept.receptive
+    if kept.cautious is None:
+        use = support[nbr]
+    else:
+        use = np.where(rec[:, None], support[nbr], support[src] & bl_pos[nbr])
     edge, subset = np.nonzero(use)
-    agent, neighbor, rec = src[edge], nbr[edge], rec[edge]
+    agent, neighbor = src[edge], nbr[edge]
     terms = np.bincount(agent, minlength=n)
     slot = np.arange(len(agent)) - (np.cumsum(terms) - terms)[agent]
-    depth = int(slot.max(initial=-1)) + 1
-    heard = np.bincount(src, minlength=n)
-    share = np.where(rec, (1.0 - alphas[agent]) / heard[agent], 1.0)
-    moves, alphas = (receptive & (heard > 0))[:, None], alphas[:, None]
-    if rec.all():  # which agents move is fixed
-        cautious = free = None
-        self_weight = np.where(moves, alphas, 1.0)
-        frozen = None if moves.all() else ~moves
-    else:
-        cautious = ~receptive[:, None]
-        free = np.where(cautious, 1.0 - alphas, 1.0)
-        self_weight = frozen = None
-
-    # the (neighbor j, subset a) pairs in use, keyed j * k + a, one row each;
-    # Pl_j(c) = 1 - Bl_j(~c), and ~c is c ^ (k - 1), at flat index key ^ (k - 1)
+    depth = int(terms.max(initial=0))
     key = neighbor * k + subset
+    mass_at = key if kept.cautious is None else np.where(rec[edge], key, agent * k + subset)
+
+    # the (neighbor j, subset a) pairs in use, keyed j * k + a, one row each.
+    # Column b gathers Bl_j(a & b) at j * k + (a & b) and, as Pl_j(a & ~b) is
+    # 1 - Bl_j at the complement (k - 1) - (a - (a & b)) of a & ~b, Bl_j there:
+    # at the numerator's index plus k - 1 - a
     used = np.zeros(n * k, dtype=bool)
     used[key] = True
     pairs = np.flatnonzero(used)
-    row = np.zeros(n * k, dtype=np.intp)
-    row[pairs] = np.arange(len(pairs))
-    a = (pairs & (k - 1))[:, None]
-    bs = np.arange(k)
-    base = pairs[:, None] - a
-    gather_at = np.concatenate((base + (a & bs), (base + (a & ~bs)) ^ (k - 1)))
+    a = pairs & (k - 1)
+    gather_at = np.concatenate((a, a))[:, None] & np.arange(k)
+    gather_at += np.concatenate((pairs - a, pairs + (k - 1) - 2 * a))[:, None]
     gathered = np.empty(gather_at.shape)
     num, den = gathered[:len(pairs)], gathered[len(pairs):]
-    pick = np.full((depth, n), len(pairs))
-    pick[slot, agent] = row[key]
     cell = slot * n + agent
+    pick = np.full(depth * n, len(pairs))
+    pick[cell] = np.searchsorted(pairs, key)
+    pick = pick.reshape(depth, n)
 
     weight = np.zeros((depth, n, 1))
     block = max(1, TERM_BLOCK // (n * k))
@@ -261,10 +312,9 @@ def _term_structure(src: np.ndarray, nbr: np.ndarray, support: np.ndarray,
         rows = min(block, depth - lo)
         blocks.append((stack[1:rows + 1], stack[:rows + 1], pick[lo:lo + rows],
                        weight[lo:lo + rows]))
-    return _Terms(agent, neighbor, subset, cell, np.where(rec, key, agent * k + subset), share,
-                  np.empty(len(agent)), weight, weight.reshape(-1), alphas, moves, cautious,
-                  free, self_weight, frozen, gather_at, gathered, num, den,
-                  np.zeros((len(pairs) + 1, k)), stack, blocks)
+    return _Terms(kept, key, cell, mass_at, kept.share.take(edge),
+                  np.empty(len(agent)), weight, weight.reshape(-1), gather_at, gathered, num,
+                  den, np.zeros((len(pairs) + 1, k)), stack, blocks)
 
 
 def _term_weights(terms: _Terms, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -275,25 +325,42 @@ def _term_weights(terms: _Terms, masses: np.ndarray) -> tuple[np.ndarray, np.nda
     With its self-weight (alpha for an agent that moves, 1 otherwise) an
     agent's weights sum to 1.  An agent with no kept neighbor keeps its
     opinion, and a cautious agent moves only while the own masses its terms
-    cover sum above 0; otherwise its terms weigh 0.
+    cover sum above 0; otherwise its terms weigh 0.  While every kept edge
+    is receptive, the kept set fixes both columns.  Otherwise they follow
+    the pattern of positive covered sums, which changes only when a
+    cautious agent's sum reaches or leaves 0: the kept set's
+    :class:`_Pattern` holds the last pattern and what it decided, formed
+    again only at a new one, so a step forms the sums, their pattern's key,
+    one masked divide and one product.
     """
     beta = terms.beta
     masses.take(terms.mass_at, out=beta, mode="clip")
     beta *= terms.share
     terms.weight_cells[terms.cell] = beta
-    if terms.cautious is None:
-        return terms.self_weight, terms.frozen
+    kept = terms.kept
+    if kept.cautious is None:
+        return kept.self_weight, kept.frozen
     # a cautious agent's column holds its own masses in term order, then
     # zeros: summed over the slot axis (never the contiguous one), left to
-    # right.  The column is then scaled by 1 - alpha over that sum, as each
-    # weight (1 - alpha) / covered * own mass; every other column by 1,
-    # which leaves it as it is.
+    # right.  Each weight is then (1 - alpha) / covered * own mass.  A
+    # column not scaled keeps the 1.0 its pattern's scale started from: a
+    # receptive one, and a cautious one whose sum is not positive.  That
+    # agent does not move, so the update copies its old row over whatever
+    # its weights yield
     weight = terms.weight
     covered = np.add.reduce(weight, axis=0)
     positive = covered > 0.0
-    moving = terms.moves | positive  # a receptive agent's column sums to 0 unless it moves
-    weight *= terms.free / np.where(positive & terms.cautious, covered, 1.0)
-    return np.where(moving, terms.alphas, 1.0), ~moving
+    key, pattern = positive.tobytes(), kept.pattern
+    if key != pattern.key:
+        moving = kept.moves | positive  # a receptive agent's column sums to 0 unless it moves
+        pattern.key = key
+        pattern.self_weight = np.where(moving, kept.alphas, 1.0)
+        pattern.frozen = None if moving.all() else ~moving
+        pattern.scaled = positive & kept.cautious
+        pattern.scale = np.ones(covered.shape)
+    np.divide(kept.free, covered, out=pattern.scale, where=pattern.scaled)
+    weight *= pattern.scale
+    return pattern.self_weight, pattern.frozen
 
 
 def _general_update(masses: np.ndarray, bl: np.ndarray, terms: _Terms, out: np.ndarray,
@@ -304,7 +371,12 @@ def _general_update(masses: np.ndarray, bl: np.ndarray, terms: _Terms, out: np.n
     ``bl`` is the belief table of ``masses``; ``terms`` may hold terms whose
     mass is now 0.  Such a term adds a signed zero to a running sum that
     starts at alpha * bl >= +0.0 and only grows, so it is never -0.0 and
-    the zero leaves every bit as it was.  ``out`` shares no memory with
+    the zero leaves every bit as it was.  A conditional whose denominator
+    is not positive is 0: that denominator is set to inf, so one unmasked
+    divide gives num / inf, a zero signed as num is, and its term adds a
+    signed zero too.  (Beliefs are sums that hold the empty set's mass,
+    which every recovery sets to +0.0, so only a start table that gives the
+    empty set -0.0 has a belief of -0.0.)  ``out`` shares no memory with
     ``masses`` or ``bl``.
     """
     self_weight, frozen = _term_weights(terms, masses)
@@ -316,9 +388,8 @@ def _general_update(masses: np.ndarray, bl: np.ndarray, terms: _Terms, out: np.n
     bl.take(terms.gather_at, out=terms.gathered, mode="clip")
     np.subtract(1.0, den, out=den)
     den += num  # num + Pl, the same sum (addition commutes bit for bit)
-    ratio = cond[:-1]
-    ratio.fill(0.0)
-    np.divide(num, den, out=ratio, where=den > 0.0)
+    np.copyto(den, np.inf, where=den <= 0.0)
+    np.divide(num, den, out=cond[:-1])
 
     # alpha * bl + sum of beta * conditional, term by term in the agent's
     # order: padded (slot, agent) tables reduced over the leading axis, which
@@ -595,6 +666,7 @@ class ProfileRun:
         self._edges: frozenset | None = None
         self._budget = 0.0  # what 2 r may still grow to before a re-pruning
         self._stale = True
+        self._kept_terms: _KeptTerms | None = None  # the kept set's part of the general terms
         self._terms: _Terms | None = None  # general terms, dropped when the kept edges change
         # the subsets each agent's terms cover (see _general_terms)
         self._support = np.zeros(self.x.shape, dtype=bool)
@@ -617,7 +689,9 @@ class ProfileRun:
             on = np.flatnonzero(kept)
             self._kept_mask, self._edges, self._terms = kept, None, None
             self._kept = tuple(index.take(on) for index in self._pairs)
-            if not self._general:
+            if self._general:
+                self._kept_terms = _kept_terms(*self._kept[:2], self._alphas, self._receptive)
+            else:
                 self._plan_weights()
         gaps = np.abs(dist - self._edge_eps)
         gaps -= 2.0 * self._distance_error
@@ -668,8 +742,10 @@ class ProfileRun:
 
         The key is the kept edges, each agent's support and, while a
         cautious agent hears someone, the positive-belief pattern (receptive
-        terms never read it).  The support is every subset where the agent's
-        mass has been positive at some step of the run.  Moebius round-off
+        terms never read it), even while that agent has no term: a belief
+        that turns positive again gives it one with no support grown.  The
+        support is every subset where the agent's mass has been positive at
+        some step of the run.  Moebius round-off
         leaves masses of about 1e-17 that come and go, so the exact
         positive-mass pattern would change on most steps; a grow-only
         support changes a few times per run, and a term whose mass is back
@@ -680,16 +756,17 @@ class ProfileRun:
         table-1 and ``ds7-*`` reference runs (231 runs, 47592 steps) build it
         509 times, 231 of them at the first step.
         """
-        terms = self._terms
+        terms, reads_beliefs = self._terms, self._kept_terms.cautious is not None
         if (terms is not None and x.reshape(-1).dot(self._unseen) <= 0.0
-                and not (terms.cautious is not None and (bl > 0.0).tobytes() != self._bl_pos)):
+                and not (reads_beliefs and (bl > 0.0).tobytes() != self._bl_pos)):
             return terms
         self._support |= x > 0.0
         self._unseen = np.where(self._support, 0.0, 1.0).reshape(-1)
-        bl_pos = bl > 0.0
-        self._bl_pos = bl_pos.tobytes()
-        self._terms = _term_structure(*self._kept[:2], self._support, bl_pos, self._alphas,
-                                      self._receptive)
+        bl_pos = None
+        if reads_beliefs:
+            bl_pos = bl > 0.0
+            self._bl_pos = bl_pos.tobytes()
+        self._terms = _term_structure(self._kept_terms, self._support, bl_pos)
         self.rebuilds += 1
         return self._terms
 

@@ -8,8 +8,8 @@ import pytest
 
 from ds_consensus import dst, graph, scenario
 from ds_consensus.dst import BodyOfEvidence, Frame
-from ds_consensus.dynamics import (AgentSpec, NetworkState, Strategy, _term_structure,
-                                   _term_weights)
+from ds_consensus.dynamics import (AgentSpec, NetworkState, Strategy, _kept_terms,
+                                   _term_structure, _term_weights)
 from ds_consensus.errors import FrameMismatch, InvalidScenario
 from ds_consensus.graph import DirectedGraph, PrunedView
 
@@ -138,11 +138,12 @@ def general_weights(state: NetworkState, view: PrunedView) -> SimpleNamespace:
     every agent's self-weight (``alpha``) and each term's agent, neighbor,
     conditioning subset and weight (``beta``), in the structure's order."""
     masses = state.masses
-    terms = _term_structure(*np.nonzero(view.kept), masses > 0.0,
-                            belief_table(masses) > 0.0, state.alphas, state.receptive)
+    kept = _kept_terms(*np.nonzero(view.kept), state.alphas, state.receptive)
+    terms = _term_structure(kept, masses > 0.0, belief_table(masses) > 0.0)
     self_weight, _ = _term_weights(terms, masses)
-    return SimpleNamespace(alpha=self_weight[:, 0].copy(), agent=terms.agent,
-                           neighbor=terms.neighbor, subset=terms.subset,
+    n, k = masses.shape
+    return SimpleNamespace(alpha=self_weight[:, 0].copy(), agent=terms.cell % n,
+                           neighbor=terms.key // k, subset=terms.key % k,
                            beta=terms.weight_cells[terms.cell])
 
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from ds_consensus.dst import BodyOfEvidence, Frame
-from ds_consensus.dynamics import (AgentSpec, ConfidenceMatrix, NetworkState, Strategy,
-                                   dirichlet_confidence_matrix, dirichlet_step, general_step,
-                                   pmf_confidence_matrix, pmf_step)
-from ds_consensus.errors import EngineMismatch
+from ds_consensus.dynamics import (ENGINES, AgentSpec, ConfidenceMatrix, NetworkState,
+                                   ProfileRun, Strategy, dirichlet_confidence_matrix,
+                                   dirichlet_step, general_step, pmf_confidence_matrix, pmf_step)
+from ds_consensus.errors import EngineMismatch, InvalidScenario
 from ds_consensus.graph import DirectedGraph
 from ds_consensus.runner import run_simulation
 from ds_consensus.scenario import Scenario, load_scenario
@@ -149,6 +149,14 @@ def test_network_state_rejects_a_mismatched_table():
     other = AgentSpec(Strategy.RECEPTIVE, 0.5, 1.0, BodyOfEvidence(Frame(2), np.eye(4)[1]))
     with pytest.raises(ValueError, match="^agent 2 opinion not on the shared frame$"):
         state_from_specs(F3, st.graph, (st.specs[0], other))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_network_without_agents_is_rejected(engine):
+    # the loader's graphs have at least one node; a hand-built state without
+    # agents is a package error (exit 1), not a ZeroDivisionError in the run
+    with pytest.raises(InvalidScenario, match="^a network needs at least one agent, got 0$"):
+        ProfileRun(NetworkState(F3, DirectedGraph(0, [], []), np.zeros((0, 8)), [], [], []), engine)
 
 
 def test_confidence_matrix_rows_must_sum_to_one():

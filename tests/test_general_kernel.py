@@ -241,13 +241,17 @@ def test_run_steps_match_the_reference_step(seed, eps, branch, one_slot_blocks):
             assert run.masses().tobytes() == state.masses.tobytes()
             terms = run._terms
             if step == 0 and branch == "all-move":
-                assert terms.frozen is None and terms.cautious is None
+                assert terms.kept.frozen is None and terms.kept.cautious is None
             if step == 0 and branch == "frozen":
-                assert terms.frozen is not None and terms.cautious is None
+                assert terms.kept.frozen is not None and terms.kept.cautious is None
             if step == 0 and branch == "cautious-hears":
-                assert terms.cautious is not None
+                # a cautious term gathers its agent's own mass, not the
+                # neighbor's, and only agent 1 is cautious
+                cautious = terms.mass_at != terms.key
+                assert terms.kept.cautious is not None and cautious.any()
+                assert (terms.cell[cautious] % state.graph.n == 0).all()
             if step == 0 and branch == "cautious-alone":
-                assert not view.kept[0].any() and not terms.moves[0, 0]
+                assert not view.kept[0].any() and not terms.kept.moves[0, 0]
             if one_slot_blocks:
                 assert all(len(pick) == 1 for _, _, pick, _ in terms.blocks)
 
@@ -269,8 +273,9 @@ def test_complement_beliefs_give_the_plausibilities():
     for _ in range(40):
         state = random_network(rng, 1.0)
         bl = belief_table(state.masses)
-        terms = dynamics._term_structure(*np.nonzero(pruned(state).kept), state.masses > 0.0,
-                                         bl > 0.0, state.alphas, state.receptive)
+        kept = dynamics._kept_terms(*np.nonzero(pruned(state).kept), state.alphas,
+                                    state.receptive)
+        terms = dynamics._term_structure(kept, state.masses > 0.0, bl > 0.0)
         k, pairs = bl.shape[1], len(terms.num)
         num_at, den_at = terms.gather_at[:pairs], terms.gather_at[pairs:]
         key = num_at[:, -1]  # the pair (j, a) of each row, as j * k + a
@@ -284,8 +289,9 @@ def test_conditionals_keep_nothing_from_the_last_step():
     # denominator is not positive is 0, whatever the last step left there
     state = at_bound(load_scenario("ds7-oneleader", seed=1).state, 1.0)
     bl = belief_table(state.masses)
-    terms = dynamics._term_structure(*np.nonzero(pruned(state).kept), state.masses > 0.0,
-                                     bl > 0.0, state.alphas, state.receptive)
+    kept = dynamics._kept_terms(*np.nonzero(pruned(state).kept), state.alphas,
+                                state.receptive)
+    terms = dynamics._term_structure(kept, state.masses > 0.0, bl > 0.0)
     out = np.empty_like(bl)
     dynamics._general_update(state.masses, bl, terms, out, dst._lattice_steps(out))
     # next, every agent certain of singleton 1: given a set without it,
@@ -298,6 +304,43 @@ def test_conditionals_keep_nothing_from_the_last_step():
     assert terms.cond[:-1][unformed].any()
     dynamics._general_update(state.masses, bl, terms, out, dst._lattice_steps(out))
     assert not terms.cond[:-1][unformed].any() and not terms.cond[-1].any()
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_a_conditional_with_no_positive_denominator_leaves_the_bits(zero):
+    # receptive agent 1 (certain of {2}) hears agents 2 and 3.  Agent 2 is
+    # certain of {2} and its support still holds {1}, as after a mass on {1}
+    # that returned to 0: the pair (2, {1}) has num = Bl_2({1} & b), a sum of
+    # masses `zero` (the empty set's too), and Pl_2({1} & ~b) = 0, so its
+    # denominator is `zero` + 0 <= 0 in every column and its term weighs
+    # 0.25 * `zero`.  Agent 3 holds 5e-14 on {1} and totals 1 + 1e-13, inside
+    # the accepted band, so Pl_3 of the empty set is below 0: for b holding
+    # 1, the pair (3, {1}) has num = 5e-14 > 0 over a negative denominator.
+    # A conditional over a denominator <= 0 is 0, as in the per-agent rule
+    frame = Frame(2)
+    masses = np.array([[0.0, 0.0, 1.0, 0.0], [zero, zero, 1.0, 0.0],
+                       [0.0, 5e-14, 1.0 + 5e-14, 0.0]])
+    specs = [AgentSpec(Strategy.RECEPTIVE, 0.5, 1.0, BodyOfEvidence(frame, m)) for m in masses]
+    state = state_from_specs(frame, DirectedGraph.from_edges(3, [(1, 2), (1, 3)]), specs)
+    assert np.signbit(state.masses[1, :2]).tolist() == [np.signbit(zero)] * 2
+    kept = pruned(state).kept
+    support = state.masses > 0.0
+    support[1, 1] = True
+    terms = dynamics._term_structure(
+        dynamics._kept_terms(*np.nonzero(kept), state.alphas, state.receptive), support, None)
+    bl = belief_table(state.masses)
+    out = np.empty_like(bl)
+    dynamics._general_update(state.masses, bl, terms, out, dst._lattice_steps(out))
+    assert out.tobytes() == reference_step(state, kept).masses.tobytes()
+    # the pairs (2, {1}), (2, {2}), (3, {1}), (3, {2}), one row each
+    num_at, den_at = terms.gather_at[:len(terms.num)], terms.gather_at[len(terms.num):]
+    assert num_at[:, -1].tolist() == [5, 6, 9, 10]
+    num = bl.take(num_at)
+    den = num + (1.0 - bl.take(den_at))
+    assert (den[0] <= 0.0).all() and (np.signbit(num[0]) == np.signbit(zero)).all()
+    assert (den[2, 1::2] < 0.0).all() and (num[2, 1::2] > 0.0).all()
+    for row, (j, a) in enumerate([(1, 1), (1, 2), (2, 1), (2, 2)]):
+        assert terms.cond[row].tolist() == fh_conditional(bl[j], a).tolist()
 
 
 def fail_every_step(engine, monkeypatch):
@@ -505,6 +548,20 @@ def uncovered_cautious_agent():
     return directed_scenario(frame, [(1, 2), (2, 3)], agents, 8), None
 
 
+def cautious_cover_returns():
+    # agents 1 and 2 (alpha 0) swap their certain opinions {1} and {3}; the
+    # cautious agent 3 ({1}: 0.5, {2}: 0.5) hears agent 1.  At step 0 agent
+    # 1 believes {1}, so agent 3 has a term and moves; at step 1 agent 1 is
+    # certain of {3}, believes nothing agent 3 holds, and agent 3 covers 0
+    # and keeps its opinion; at step 2 agent 1 is back on {1}, no support
+    # grows, and agent 3 moves again.  The kept set never changes, so one
+    # cached pattern of covered sums goes positive, 0 and positive again
+    frame = Frame(3)
+    agents = [(Strategy.RECEPTIVE, 0.0, {1: 1.0}), (Strategy.RECEPTIVE, 0.0, {4: 1.0}),
+              (Strategy.CAUTIOUS, 0.5, {1: 0.5, 2: 0.5})]
+    return directed_scenario(frame, [(1, 2), (2, 1), (3, 1)], agents, 6), None
+
+
 def mass_flickers():
     return load_scenario("ds7-noleader", seed=13), 0.2
 
@@ -536,6 +593,13 @@ def check_uncovered_cautious_agent(states, keys):
         assert state.masses[0].tobytes() == first[0].tobytes()
 
 
+def check_cautious_cover_returns(states, keys):
+    third = [state.masses[2].tobytes() for state in states]
+    assert [a != b for a, b in zip(third, third[1:])][:4] == [True, False, True, False]
+    assert not any(changed(keys, 0))
+    assert changed(keys, 2)[1] and not changed(keys, 1)[1]  # step 2: only the beliefs
+
+
 def check_mass_flickers(states, keys):
     masses = np.stack([s.masses for s in states])
     tiny = (masses > 0.0) & (masses < 1e-15)
@@ -547,6 +611,7 @@ CASES = {"kept-set-changes": (kept_set_changes, check_kept_set_changes),
          "belief-pattern-flips": (belief_pattern_flips, check_belief_pattern_flips),
          "unread-beliefs-flip": (unread_beliefs_flip, check_unread_beliefs_flip),
          "uncovered-cautious-agent": (uncovered_cautious_agent, check_uncovered_cautious_agent),
+         "cautious-cover-returns": (cautious_cover_returns, check_cautious_cover_returns),
          "mass-flickers": (mass_flickers, check_mass_flickers)}
 
 

@@ -459,7 +459,8 @@ def test_trace_writer_is_the_mass_by_mass_loop(tmp_path, name, epsilon):
     result = run_simulation(scenario, epsilon, record_trace=True)
     write_trace(result, tmp_path)
     text = (tmp_path / "trajectory.csv").read_text(encoding="utf-8")
-    assert text == trajectory_by_loop(result, scenario.frame)
+    # compared as lines: a mismatch then reports its first differing line
+    assert text.split("\n") == trajectory_by_loop(result, scenario.frame).split("\n")
     edges = json.loads((tmp_path / "pruned_edges.json").read_text(encoding="utf-8"))
     assert edges == [sorted(map(list, e)) for e in result.pruned_edges]
 
